@@ -6,7 +6,7 @@ workload at several degrees (the `repro.cli parallel` sweep as a library
 call), then serves the same workload on node groups to show the
 latency/throughput trade the sharding buys.  Command-line equivalents::
 
-    python -m repro.cli parallel --workload llama-7b@decode --strategy auto --degree 1,2,4,8
+    python -m repro.cli parallel --workload llama-7b@decode --parallel auto:1,auto:2,auto:4,auto:8
     python -m repro.cli serve --nodes 8 --tenant-mix llm --parallel tp:4
 """
 

@@ -19,10 +19,10 @@ two against each other on a BERT-sized layer and writes the measurements to
   serving event loop (request-level and step-level continuous batching) on a
   seeded multi-tenant LLM trace, with the service-time estimation pre-warmed
   so the number isolates the discrete-event loop itself;
-* ``serve_scale`` — the array serve engine vs the scalar reference on a
+* ``serve_scale`` — the request runner vs the scalar oracle on a
   100k-request (quick) or million-request (full) trace, timing trace
-  generation separately and recording end-to-end ``requests_per_s`` at
-  scale, with the two engines' reports compared byte for byte.
+  generation separately and recording ``requests_per_s`` at scale, with the
+  two runs' completion columns compared element for element.
 
 Every comparative benchmark re-verifies scalar/vector parity on the timed runs
 (identical stats and outputs) and reports it in the JSON, so a bench report
@@ -310,20 +310,23 @@ def bench_serve_throughput(quick: bool, repeat: int) -> Dict[str, object]:
 
 
 def bench_serve_scale(quick: bool, repeat: int) -> Dict[str, object]:
-    """Serve-core throughput at scale: the array engine vs the scalar
-    reference on a 100k-request (quick) or million-request (full) trace.
+    """Serve-core throughput at scale: the request runner vs the scalar
+    oracle on a 100k-request (quick) or million-request (full) trace.
 
     The scenario pins FCFS on one node with a uniform pipeline interval, the
-    regime where the array engine collapses the event loop into its max-plus
-    closed form — the configuration the "million-request simulation" roadmap
-    item targets.  Trace generation is timed separately (the vectorised
-    Poisson sampler is part of the same refactor), service estimation is
-    pre-warmed off-clock as in :func:`bench_serve_throughput`, and both
-    engines run the identical trace with the reports compared byte for byte,
-    so the speedup doubles as a parity witness at scale.
+    regime where the request runner collapses the event loop into its
+    max-plus closed form — the configuration the "million-request
+    simulation" roadmap item targets.  Trace generation is timed separately
+    (the vectorised Poisson sampler is part of the same refactor), the trace
+    is lowered to one :class:`~repro.serve.engine.EngineTrace` off-clock, and
+    the engine and :mod:`repro.conformance.serve_oracle` run that same
+    lowered trace with their completion columns compared element for
+    element, so the speedup doubles as a parity witness at scale.
     """
+    from repro.conformance.serve_oracle import lower, oracle_columns
     from repro.core.config import maco_default_config
     from repro.serve import ServeSimulator, TenantSpec, poisson_trace
+    from repro.serve.engine import simulate_segments
 
     variant = "llama-7b@layers=2,prompt=128,decode=32,block=8"
     rate = 20_000.0
@@ -335,26 +338,25 @@ def bench_serve_scale(quick: bool, repeat: int) -> Dict[str, object]:
     gen_start = time.perf_counter()
     trace = poisson_trace(specs, duration_s=target / (2 * rate), seed=2025)
     trace_gen_s = time.perf_counter() - gen_start
-    config = maco_default_config(num_nodes=1)
+    et = lower(ServeSimulator(config=maco_default_config(num_nodes=1), scheduler="fcfs"), trace)
+    segments = [(0, len(et))]
 
-    def run(engine: str):
-        simulator = ServeSimulator(config=config, scheduler="fcfs", engine=engine)
-        simulator._prepare_services(trace)  # warm the profile memo off-clock
+    def run(engine):
         start = time.perf_counter()
-        report = simulator.run(trace)
-        return time.perf_counter() - start, report
+        done = engine(et, segments)
+        return time.perf_counter() - start, (done.start, done.first, done.finish,
+                                             done.accumulators)
 
-    run("array")  # first-touch warm-up (page faults, numpy dispatch caches)
-    array_s, array_report = _best_of_with(repeat, lambda: run("array"))
-    scalar_s, scalar_report = _best_of_with(repeat, lambda: run("scalar"))
-    assert array_report.total_requests == len(trace)
+    run(simulate_segments)  # first-touch warm-up (page faults, numpy dispatch caches)
+    array_s, array_columns = _best_of_with(repeat, lambda: run(simulate_segments))
+    scalar_s, scalar_columns = _best_of_with(repeat, lambda: run(oracle_columns))
     return {
         "requests": len(trace),
         "trace_gen_s": trace_gen_s,
         "scalar_s": scalar_s,
         "vectorized_s": array_s,
         "speedup": scalar_s / array_s,
-        "parity": array_report.to_json() == scalar_report.to_json(),
+        "parity": all(np.array_equal(a, b) for a, b in zip(array_columns, scalar_columns)),
         "requests_per_s": len(trace) / array_s,
     }
 

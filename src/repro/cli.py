@@ -253,59 +253,17 @@ def _format_cells(rows, stringify: bool = True) -> List[List]:
              for cell in row] for row in rows]
 
 
-def _parse_degrees(text: str) -> List[int]:
-    """Parse the ``--degree`` comma list (e.g. ``4`` or ``1,2,4,8``)."""
-    try:
-        degrees = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"--degree {text!r} is not a comma-separated integer list") from None
-    if not degrees or any(degree < 1 for degree in degrees):
-        raise ValueError(f"--degree {text!r} must list integers >= 1")
-    return degrees
-
-
-#: Flags already warned about this process — deprecated aliases warn once.
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_once_deprecated(flag: str, replacement: str) -> None:
-    if flag not in _DEPRECATION_WARNED:
-        _DEPRECATION_WARNED.add(flag)
-        print(f"warning: {flag} is deprecated; use {replacement}", file=sys.stderr)
-
-
-def _parallel_specs(args: argparse.Namespace) -> List[str]:
-    """The parallelism specs the ``parallel`` command should plan.
-
-    ``--parallel`` takes a comma list of specs (``tp:1,tp2d:2x2``); the old
-    ``--strategy``/``--degree`` pair stays accepted as a deprecated alias
-    (its cross product becomes the spec list) and warns once per process.
-    """
-    if args.parallel is not None:
-        if args.strategy is not None or args.degree is not None:
-            raise ValueError(
-                "--parallel replaces the deprecated --strategy/--degree; pass one or the other"
-            )
-        specs = [part.strip() for part in args.parallel.split(",") if part.strip()]
-        if not specs:
-            raise ValueError(f"--parallel {args.parallel!r} lists no specs")
-        return specs
-    if args.strategy is not None:
-        _warn_once_deprecated("--strategy", "--parallel SPEC (e.g. --parallel tp:4)")
-    if args.degree is not None:
-        _warn_once_deprecated("--degree", "--parallel SPEC (e.g. --parallel tp:1,tp:4)")
-    strategy = args.strategy if args.strategy is not None else "tp"
-    degrees = _parse_degrees(args.degree if args.degree is not None else "1,2,4,8")
-    return [f"{strategy}:{degree}" for degree in degrees]
-
-
 def _cmd_parallel(args: argparse.Namespace) -> int:
     from repro.parallel import ParallelismSpec
 
     config = maco_default_config(num_nodes=args.nodes)
     precision = Precision.from_string(args.precision)
     graph = workload_graph_by_name(args.workload, precision)
-    specs = [ParallelismSpec.parse(spec) for spec in _parallel_specs(args)]
+    # Without --parallel the command sweeps the tensor-parallel degrees.
+    texts = (args.parallel or "tp:1,tp:2,tp:4,tp:8").split(",")
+    specs = [ParallelismSpec.parse(text.strip()) for text in texts if text.strip()]
+    if not specs:
+        raise ValueError(f"--parallel {args.parallel!r} lists no specs")
     # Like serve: stay serial unless --jobs asks for a pool (the cells are
     # cheap; SweepRunner(None) would default to all CPU cores).
     runner = SweepRunner(jobs=args.jobs if args.jobs is not None else 1)
@@ -777,17 +735,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="workload-catalog name, e.g. llama-7b@decode "
                                "(see 'repro workloads list')")
     _add_parallel_spec_argument(
-        parallel, " — comma separated to plan several, e.g. tp:1,tp:4,tp2d:2x2")
-    parallel.add_argument("--strategy", default=None, choices=["tp", "pp", "auto"],
-                          help="deprecated alias: use --parallel STRATEGY:DEGREE")
-    parallel.add_argument("--degree", default=None,
-                          help="deprecated alias: use --parallel STRATEGY:DEGREE "
-                               "(comma list, e.g. 4 or 1,2,4)")
+        parallel, " — comma separated to plan several, e.g. tp:1,tp:4,tp2d:2x2 "
+                  "(default: tp:1,tp:2,tp:4,tp:8)")
     parallel.add_argument("--nodes", type=int, default=16,
                           help="compute nodes in the configuration (degree must fit)")
     parallel.add_argument("--precision", default="fp32", choices=["fp64", "fp32", "fp16"])
     parallel.add_argument("--jobs", type=int, default=None,
-                          help="worker processes for the strategy x degree sweep "
+                          help="worker processes for the spec sweep "
                                "(default: serial; results are identical either way)")
     parallel.add_argument("--format", default="table", choices=["table", "csv", "json"])
     parallel.add_argument("--output", default=None,

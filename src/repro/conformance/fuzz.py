@@ -16,10 +16,14 @@ the properties the repo stakes out as exact:
   unsharded timing, the overlap split is well-formed
   (``0 <= overlapped <= comm``), and no phase is slower than serial
   compute + serial comm (overlap can only help);
-* ``serve-parity`` — scalar and array serve engines emit byte-identical
-  ``to_json`` reports across schedulers × batching modes × seeds × fleets;
+* ``serve-parity`` — the request runner's completion columns equal the
+  scalar oracle's on the same lowered trace, and the general step runner at
+  ``max_batch=1`` (preemption on, unlimited budget) reproduces the request
+  runner's ``to_json`` report byte for byte (fcfs on the sampled fleet,
+  every other policy on one server), across schedulers × seeds × fleets;
 * ``serve-shards`` — the sharded request-level run merges back to the exact
-  single-shard report for any shard count and worker-pool size;
+  single-shard report for any shard count and worker-pool size, and the
+  oracle agrees with the engine on the shard segments;
 * ``autoscale-invariants`` — the elastic step-mode fleet stays within
   ``[min_groups, max_groups]`` at every timeline instant, every scale event
   conserves capacity (``groups_after == groups_before ± 1``, provisioning
@@ -340,20 +344,11 @@ def _sample_serve_parity(rng: random.Random) -> ScenarioSpec:
     )
 
 
-def _serve_simulator(spec: ScenarioSpec, engine: str):
+def _serve_simulator(spec: ScenarioSpec, **kwargs):
     from repro.serve import ServeSimulator
 
-    kwargs = dict(
-        config=_shared_config(int(spec.param("num_nodes"))),
-        scheduler=str(spec.param("scheduler")),
-        engine=engine,
-    )
-    if spec.param("batching") == "step":
-        # The degenerate step mode (one resident request, no preemption)
-        # routes through the request-level engine, where the scalar/array
-        # choice applies.
-        kwargs.update(batching="step", max_batch=1, preemption=False)
-    return ServeSimulator(**kwargs)
+    kwargs.setdefault("config", _shared_config(int(spec.param("num_nodes"))))
+    return ServeSimulator(scheduler=str(spec.param("scheduler")), **kwargs)
 
 
 def _serve_trace(spec: ScenarioSpec):
@@ -365,15 +360,32 @@ def _serve_trace(spec: ScenarioSpec):
 
 
 def _check_serve_parity(spec: ScenarioSpec) -> None:
+    import dataclasses
+
+    from repro.conformance.serve_oracle import check_request_engine
+
     trace = _serve_trace(spec)
-    fast = _serve_simulator(spec, "array").run(trace).to_json()
-    slow = _serve_simulator(spec, "scalar").run(trace).to_json()
-    if fast != slow:
+    label = (f"scheduler={spec.param('scheduler')} seed={spec.param('seed')} "
+             f"nodes={spec.param('num_nodes')}")
+    if spec.param("batching") == "request":
+        mismatch = check_request_engine(_serve_simulator(spec), trace)
+        if mismatch is not None:
+            raise ScenarioFailure(f"{mismatch} ({label})")
+        return
+    # The general step runner at batch 1 (preemption on, unlimited budget)
+    # must reproduce whole-request dispatch byte for byte.  On several
+    # servers that holds for fcfs only: the step runner lets an idle server
+    # choose among arrivals a busy server queued after the idle server's
+    # clock, which reorders every other policy (ROADMAP), so those run on
+    # one server.
+    nodes = int(spec.param("num_nodes")) if spec.param("scheduler") == "fcfs" else 1
+    fleet = dict(config=_shared_config(nodes))
+    request = _serve_simulator(spec, **fleet).run(trace)
+    step = _serve_simulator(spec, batching="step", max_batch=1, preemption=True,
+                            kv_budget_bytes=float("inf"), **fleet).run(trace)
+    if dataclasses.replace(step, batching="request").to_json() != request.to_json():
         raise ScenarioFailure(
-            f"scalar and array engines diverge for scheduler="
-            f"{spec.param('scheduler')} batching={spec.param('batching')} "
-            f"seed={spec.param('seed')} nodes={spec.param('num_nodes')}"
-        )
+            f"step runner at max_batch=1 diverges from the request runner ({label})")
 
 
 # ------------------------------------------------------------- serve-shards
@@ -393,16 +405,11 @@ def _sample_serve_shards(rng: random.Random) -> ScenarioSpec:
 
 
 def _check_serve_shards(spec: ScenarioSpec) -> None:
-    from repro.serve import ServeSimulator
+    from repro.conformance.serve_oracle import check_request_engine
 
     trace = _serve_trace(spec)
-    base = _serve_simulator(spec, "array").run(trace, shards=1).to_json()
-    sharded_sim = ServeSimulator(
-        config=_shared_config(int(spec.param("num_nodes"))),
-        scheduler=str(spec.param("scheduler")),
-        engine="array",
-        jobs=int(spec.param("jobs")),
-    )
+    base = _serve_simulator(spec).run(trace, shards=1).to_json()
+    sharded_sim = _serve_simulator(spec, jobs=int(spec.param("jobs")))
     sharded = sharded_sim.run(trace, shards=int(spec.param("shards"))).to_json()
     if sharded != base:
         raise ScenarioFailure(
@@ -410,6 +417,11 @@ def _check_serve_shards(spec: ScenarioSpec) -> None:
             f"differs from the single-shard report (scheduler="
             f"{spec.param('scheduler')} seed={spec.param('seed')})"
         )
+    mismatch = check_request_engine(_serve_simulator(spec), trace, shards=1)
+    if mismatch is not None:
+        raise ScenarioFailure(
+            f"{mismatch} on the shard segments (scheduler={spec.param('scheduler')} "
+            f"seed={spec.param('seed')})")
 
 
 # ------------------------------------------------------ autoscale-invariants

@@ -1,0 +1,166 @@
+"""The scalar reference for the request runner of :mod:`repro.serve.engine`.
+
+:func:`run_segment_scalar` is the readable specification of whole-request
+dispatch: a straightforward per-event Python loop over one rank at a time,
+with tuple-keyed policy heaps instead of the engine's packed integer keys,
+bulk admission and closed-form FCFS.  :func:`check_request_engine` lowers a
+trace once and diffs the engine's completion columns against the oracle's on
+that same :class:`~repro.serve.engine.EngineTrace` — the contract the fuzz
+kinds, the parity tests and ``bench serve_scale`` all check.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from repro.serve.engine import (
+    ACCUMULATORS,
+    EngineTrace,
+    SegmentColumns,
+    merge_segments,
+    segment_bounds,
+    simulate_segments,
+)
+from repro.serve.scheduler import scheduler_by_name
+
+__all__ = [
+    "TupleHeapQueue",
+    "reference_queue",
+    "run_segment_scalar",
+    "oracle_columns",
+    "lower",
+    "check_request_engine",
+]
+
+
+class TupleHeapQueue:
+    """Reference policy heap: ``key(rank) + (rank,)`` tuples, min-heap order.
+
+    The trailing rank is the ``(arrival, id)`` tie-break — canonical rank
+    order *is* ``(arrival tick, id)`` order.
+    """
+
+    __slots__ = ("_key", "_heap")
+
+    def __init__(self, key) -> None:
+        self._key = key
+        self._heap: List[Tuple[int, ...]] = []
+
+    def push(self, rank: int) -> None:
+        heapq.heappush(self._heap, self._key(rank) + (rank,))
+
+    def pop(self) -> int:
+        return heapq.heappop(self._heap)[-1]
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+
+def reference_queue(et: EngineTrace):
+    """The oracle's policy queue: tuple keys, one push per admission."""
+    if et.policy in ("fcfs", "rr"):
+        return scheduler_by_name(et.policy, tenant=et.tenant)
+    if et.policy == "sjf":
+        return TupleHeapQueue(lambda rank: (int(et.svc0[rank]),))
+    if et.policy == "priority":
+        return TupleHeapQueue(lambda rank: (-int(et.priority[rank]),))
+    if et.policy == "slo":
+        return TupleHeapQueue(
+            lambda rank: (-int(et.priority[rank]), int(et.deadline[rank])))
+    raise ValueError(f"unknown scheduling policy {et.policy!r}")
+
+
+def run_segment_scalar(et: EngineTrace, lo: int, hi: int):
+    """Reference request runner: one rank at a time, in ticks.
+
+    Pick the earliest free server (``(free_at, node)`` heap), admit every
+    arrival up to its clock, pop the policy, gate a tenant change on the
+    pipeline drain, charge the constant switch cost, occupy the server for
+    one pipeline interval and drain it at the full latency.  Returns
+    ``(start, first, finish, accumulators)`` for ranks ``lo .. hi``.
+    """
+    count = hi - lo
+    start = np.empty(count, np.int64)
+    first = np.empty(count, np.int64)
+    finish = np.empty(count, np.int64)
+    accumulators = np.zeros((et.num_servers, ACCUMULATORS), np.int64)
+    arrival, tenant, pair = et.arrival, et.tenant, et.pair
+    latency_table, interval_table, first_table = (
+        et.latency_table, et.interval_table, et.first_table)
+    switch_ticks = et.switch_ticks
+    queue = reference_queue(et)
+    servers = [(0, node) for node in range(et.num_servers)]
+    drain = [0] * et.num_servers
+    last_tenant: List[Optional[int]] = [None] * et.num_servers
+    index = lo
+    while index < hi or len(queue):
+        free_at, node = servers[0]
+        while index < hi and arrival[index] <= free_at:
+            queue.push(index)
+            index += 1
+        if not len(queue):
+            now = int(arrival[index])
+            while index < hi and arrival[index] <= now:
+                queue.push(index)
+                index += 1
+            continue
+        rank = queue.pop()
+        this_tenant = int(tenant[rank])
+        begin = max(free_at, int(arrival[rank]))
+        switch = 0
+        if last_tenant[node] is not None and last_tenant[node] != this_tenant:
+            begin = max(begin, drain[node])
+            switch = switch_ticks
+            accumulators[node, 3] += 1
+        row = int(pair[rank])
+        dispatch = begin + switch
+        done = dispatch + int(latency_table[row, node])
+        start[rank - lo] = begin
+        first[rank - lo] = dispatch + int(first_table[row, node])
+        finish[rank - lo] = done
+        interval = int(interval_table[row, node])
+        heapq.heapreplace(servers, (dispatch + interval, node))
+        drain[node] = done
+        last_tenant[node] = this_tenant
+        accumulators[node, 0] += 1
+        accumulators[node, 1] += switch + interval
+        accumulators[node, 2] += switch
+    return start, first, finish, accumulators
+
+
+def oracle_columns(et: EngineTrace, segments: List[Tuple[int, int]]) -> SegmentColumns:
+    """Run the oracle on each segment cold and merge like the engine does."""
+    return merge_segments(
+        [SegmentColumns(*run_segment_scalar(et, lo, hi)) for lo, hi in segments],
+        et.num_servers)
+
+
+def lower(simulator, trace) -> EngineTrace:
+    """The request-mode :class:`~repro.serve.engine.EngineTrace` a simulator runs."""
+    simulator._prepare_services(trace)
+    return simulator._engine_trace(trace.columns)[0]
+
+
+def check_request_engine(simulator, trace, shards: Optional[int] = None) -> Optional[str]:
+    """Diff the request runner against the oracle on one lowered trace.
+
+    ``shards=None`` runs the trace as one segment, otherwise on the
+    :func:`~repro.serve.engine.segment_bounds` cut points.  Returns a
+    description of the first differing column, or ``None`` when the
+    ``start``/``first``/``finish`` columns and the per-server accumulators
+    are identical.
+    """
+    et = lower(simulator, trace)
+    if shards is not None:
+        segments = segment_bounds(et)
+    else:
+        segments = [(0, len(et))] if len(et) else []
+    engine = simulate_segments(et, segments)
+    oracle = oracle_columns(et, segments)
+    for name in ("start", "first", "finish", "accumulators"):
+        if not np.array_equal(getattr(engine, name), getattr(oracle, name)):
+            return f"request runner and scalar oracle differ in {name}"
+    return None

@@ -21,7 +21,6 @@ between co-scheduled groups.  See docs/PARALLELISM.md for derivations.
 
 from repro.parallel.collective import DEFAULT_GATHER_ASYMMETRY, CollectiveCostModel
 from repro.parallel.partitioner import (
-    PARALLEL_STRATEGIES,
     PARALLELISM_STRATEGIES,
     ParallelPlan,
     ParallelismSpec,
@@ -45,7 +44,6 @@ __all__ = [
     "OVERHEAD_COMPONENT_SHARES",
     "OverheadBreakdown",
     "PARALLELISM_STRATEGIES",
-    "PARALLEL_STRATEGIES",
     "ParallelPlan",
     "ParallelismSpec",
     "PhasePlan",

@@ -66,7 +66,6 @@ from repro.workloads.graph import Phase, WorkloadGraph
 
 __all__ = [
     "PARALLELISM_STRATEGIES",
-    "PARALLEL_STRATEGIES",
     "ParallelismSpec",
     "PhasePlan",
     "ParallelPlan",
@@ -104,9 +103,6 @@ PARALLELISM_STRATEGIES: Dict[str, StrategyInfo] = {
         StrategyInfo("auto", False, "plan tp and pp, keep the lower request latency"),
     )
 }
-
-#: Back-compat tuple of the registry's names (older callers iterate this).
-PARALLEL_STRATEGIES: Tuple[str, ...] = tuple(PARALLELISM_STRATEGIES)
 
 
 def _spec_grammar() -> str:

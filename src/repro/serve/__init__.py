@@ -5,10 +5,11 @@ This package layers a serving simulator over the system timing model:
 optional per-tenant priorities and TTFT/TPOT SLO targets),
 :mod:`repro.serve.scheduler` provides the batching policies (FCFS, SJF,
 round-robin per tenant, priority tiers, SLO-aware EDF),
-:mod:`repro.serve.simulator` runs the discrete-event loop against a
-:class:`~repro.core.maco.MACOSystem` — either whole-request dispatch or
-iteration-level continuous batching with a paged KV budget and preemption —
-and :mod:`repro.serve.report` aggregates per-tenant and fleet-wide
+:mod:`repro.serve.simulator` prices every workload on a
+:class:`~repro.core.maco.MACOSystem` and lowers the trace onto the
+integer-tick event engine of :mod:`repro.serve.engine` — either
+whole-request dispatch or iteration-level continuous batching with a paged
+KV budget and preemption — and :mod:`repro.serve.report` aggregates per-tenant and fleet-wide
 throughput, utilization, queue depth, p50/p95/p99 latency, TTFT/TPOT
 percentiles, SLO attainment and goodput.  :mod:`repro.serve.autoscale` adds
 the elastic-fleet pieces: a windowed hysteresis autoscaler that grows and
@@ -37,25 +38,8 @@ from repro.serve.autoscale import (
     WindowStats,
     derive_kv_budget,
 )
-from repro.serve.engine import ENGINE_NAMES
-from repro.serve.report import (
-    NodeStats,
-    ServeReport,
-    TenantStats,
-    build_report,
-    build_report_from_columns,
-)
-from repro.serve.scheduler import (
-    SCHEDULER_NAMES,
-    BatchingPolicy,
-    FCFSScheduler,
-    PriorityScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    SJFScheduler,
-    SLOScheduler,
-    scheduler_by_name,
-)
+from repro.serve.report import NodeStats, ServeReport, TenantStats, build_report_from_columns
+from repro.serve.scheduler import SCHEDULER_NAMES, BatchingPolicy, scheduler_by_name
 from repro.serve.simulator import (
     DEFAULT_KV_BUDGET_BYTES,
     TENANT_SWITCH_FLUSH_CYCLES,
@@ -92,12 +76,6 @@ __all__ = [
     "bursty_trace_scalar",
     "replay_trace",
     "BatchingPolicy",
-    "Scheduler",
-    "FCFSScheduler",
-    "SJFScheduler",
-    "RoundRobinScheduler",
-    "PriorityScheduler",
-    "SLOScheduler",
     "SCHEDULER_NAMES",
     "scheduler_by_name",
     "ServeSimulator",
@@ -114,10 +92,8 @@ __all__ = [
     "AutoscaleStats",
     "KVBudget",
     "derive_kv_budget",
-    "ENGINE_NAMES",
     "TenantStats",
     "NodeStats",
     "ServeReport",
-    "build_report",
     "build_report_from_columns",
 ]

@@ -3,7 +3,7 @@
 Two related pieces of the elasticity story live here:
 
 * :class:`Autoscaler` — a windowed, hysteresis-guarded controller that decides
-  when the step-batching event loop should grow or shrink its fleet of group
+  when the step-batching runner should grow or shrink its fleet of group
   servers.  Scale-out triggers on sustained queue-depth or SLO-attainment
   pressure; scale-in triggers on sustained idleness and *drains* a group
   (stop admitting, let residents finish, merge the capacity back).  New
@@ -117,10 +117,15 @@ class Autoscaler:
     group to provision or drain, the provisioning delay, admissions — belong
     to the caller; keeping the controller pure makes it replayable by the
     golden conformance corpus.
+
+    ``time_s`` may be in any unit as long as ``cooldown`` — the policy's
+    ``cooldown_s`` by default — is in the same one; the event engine
+    evaluates windows in integer ticks and passes the cooldown in ticks.
     """
 
-    def __init__(self, policy: AutoscalePolicy) -> None:
+    def __init__(self, policy: AutoscalePolicy, cooldown: Optional[float] = None) -> None:
         self.policy = policy
+        self.cooldown = policy.cooldown_s if cooldown is None else cooldown
         self._out_streak = 0
         self._slo_streak = 0
         self._in_streak = 0
@@ -176,7 +181,7 @@ class Autoscaler:
         self._out_streak = 0
         self._slo_streak = 0
         self._in_streak = 0
-        self._cooldown_until = time_s + self.policy.cooldown_s
+        self._cooldown_until = time_s + self.cooldown
 
 
 @dataclass(frozen=True)

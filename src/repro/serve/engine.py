@@ -1,27 +1,30 @@
-"""Integer-tick request-level event engines for the serving simulator.
+"""The integer-tick event engine behind both serving batching modes.
 
-This module is the array-first rebuild of the legacy ``_run_request_level``
-loop (see DESIGN.md section 9).  Three decisions give it both speed and the
-repo's byte-identical determinism guarantees:
+One engine runs every serving simulation (see DESIGN.md sections 8 and 9).
+Three decisions give it both speed and the repo's byte-identical
+determinism guarantees:
 
 **Integer nanosecond ticks.**  All event arithmetic runs on int64 nanosecond
 ticks (:data:`TICKS_PER_SECOND`); float seconds appear only at the report
 boundary.  Service estimates convert with a *ceiling* (a request is never
 reported faster than its analytic estimate), arrivals round to the nearest
-tick.  Integer math is exact and associative, so two different engines — or
-one trace split into shards — produce bit-equal completion columns, and the
-shared :func:`~repro.serve.report.build_report_from_columns` turns equal
-columns into byte-identical JSON.
+tick.  A step's ticks are the difference of ceilinged *cumulative* step
+boundaries, so a request's steps sum exactly to its request-mode latency.
+Integer math is exact and associative, so one trace split into shards
+produces bit-equal completion columns, and the shared
+:func:`~repro.serve.report.build_report_from_columns` turns equal columns
+into byte-identical JSON.
 
-**Two engines, one contract.**  :func:`simulate_segments` runs either the
-``scalar`` reference engine (a straightforward per-event Python loop with
-tuple-keyed policy heaps — the readable specification) or the ``array``
-engine (bulk admission over the sorted arrival array, packed integer policy
-keys, and a fully vectorised closed form for the FCFS single-server case:
-with one server the dispatch order is the canonical order, so start times
-collapse to a max-plus prefix scan ``start = cumsum(cost) +
-running_max(arrival - cumsum(cost))`` — no event loop at all).  The parity
-suite asserts the two produce byte-identical reports across every policy.
+**Two segment runners, one trace record.**  :func:`simulate_segments` runs
+the request runner (whole-request dispatch: bulk admission over the sorted
+arrival array, packed integer policy keys, and a fully vectorised closed form
+for the FCFS single-server case — with one server the dispatch order is the
+canonical order, so start times collapse to a max-plus prefix scan ``start =
+cumsum(cost) + running_max(arrival - cumsum(cost))``) or, when the
+:class:`EngineTrace` carries :class:`StepTables`, the step runner
+(iteration-level continuous batching with a paged KV budget, preemption and
+the autoscaled fleet lifecycle).  Both share the rank-keyed
+:class:`~repro.serve.scheduler.BatchingPolicy` queues.
 
 **Deterministic idle-point sharding.**  :func:`segment_bounds` computes a
 conservative drain bound — the makespan of a single server executing every
@@ -33,40 +36,69 @@ every shard count: the cuts depend only on the trace, never on the execution.
 Segments restart with no resident tenant — a tenant switch across a provable
 idle gap overlaps the idle time instead of delaying the request, so it is
 absorbed (and not charged).  ``shards=None`` skips segmentation entirely and
-reproduces the legacy continuous semantics.
+reproduces the continuous semantics.
 
 The engine consumes the columnar trace (:class:`~repro.serve.trace.
 TraceColumns`) directly — requests are rank indices into arrays, and no
-``Request`` objects are materialised on the hot path.
+``Request`` objects are materialised on the hot path.  The per-event scalar
+reference the request runner is tested against lives in
+:mod:`repro.conformance.serve_oracle`.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.serve.autoscale import AutoscalePolicy, Autoscaler, WindowStats
 from repro.serve.report import TICKS_PER_SECOND
+from repro.serve.scheduler import NO_DEADLINE, scheduler_by_name
 
 __all__ = [
     "TICKS_PER_SECOND",
+    "NO_DEADLINE",
     "EngineTrace",
-    "ENGINE_NAMES",
+    "StepTables",
+    "SegmentColumns",
     "segment_bounds",
     "shard_plan",
     "simulate_segments",
 ]
 
-#: Selectable request-level engines: the vectorised fast path and the
-#: per-event reference it is tested against.
-ENGINE_NAMES = ("array", "scalar")
+#: Per-server accumulator columns: completions, busy ticks, switch ticks,
+#: tenant switches, preemptions.
+ACCUMULATORS = 5
 
-#: Deadline sentinel for requests without a TTFT SLO under the slo policy:
-#: far beyond any reachable tick, so deadline-less requests order after every
-#: deadline-carrying one of equal priority (the legacy ``inf`` tie-break).
-NO_DEADLINE = 2**62
+
+@dataclass(frozen=True)
+class StepTables:
+    """The step-batching half of an :class:`EngineTrace`.
+
+    ``ticks``/``stage``/``state``/``restore`` are indexed ``[server][pair]``
+    and hold one tuple per step: its service ticks (differences of ceilinged
+    cumulative boundaries), pipeline stage, the resident state bytes the
+    request holds *after* it, and the KV-restore ticks a preempted request
+    pays before it.  ``staged`` says some step runs outside stage 0
+    (pipeline parallelism).  ``priority``/``ttft_slo_s``/``tpot_slo_s`` are
+    per rank: the victim tier and the SLO targets the autoscaler's windows
+    score completions against (``nan`` when absent).
+    """
+
+    ticks: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    stage: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    state: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    restore: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    staged: bool
+    max_batch: int
+    budget: float
+    preemption: bool
+    priority: np.ndarray
+    ttft_slo_s: np.ndarray
+    tpot_slo_s: np.ndarray
+    autoscale: Optional[AutoscalePolicy] = None
 
 
 @dataclass(frozen=True)
@@ -80,8 +112,8 @@ class EngineTrace:
     replaces a dict hit per event).  ``svc0`` (server-0 latency, the sjf key),
     ``priority`` and ``deadline`` (arrival + TTFT SLO, :data:`NO_DEADLINE`
     when absent) are pre-expanded per rank because the policy queues consume
-    them on every push.  The whole record is plain arrays and ints, so it
-    pickles cheaply to shard workers.
+    them on every push.  ``step`` is set for step batching.  The whole record
+    is plain arrays and ints, so it pickles cheaply to shard workers.
     """
 
     policy: str
@@ -98,240 +130,42 @@ class EngineTrace:
     priority: np.ndarray
     deadline: np.ndarray
     uniform_interval: bool
+    step: Optional[StepTables] = None
 
     def __len__(self) -> int:
         return len(self.arrival)
 
 
-# -------------------------------------------------------------- policy queues
-class _FifoQueue:
-    """FCFS: ranks are pushed in rank order, so a head pointer suffices."""
+@dataclass
+class SegmentColumns:
+    """Completion columns of a contiguous rank span, in ticks.
 
-    __slots__ = ("_ranks", "_head")
-
-    def __init__(self) -> None:
-        self._ranks: List[int] = []
-        self._head = 0
-
-    def push(self, rank: int) -> None:
-        self._ranks.append(rank)
-
-    def pop(self) -> int:
-        rank = self._ranks[self._head]
-        self._head += 1
-        if self._head > 4096 and self._head * 2 > len(self._ranks):
-            del self._ranks[: self._head]
-            self._head = 0
-        return rank
-
-    def __len__(self) -> int:
-        return len(self._ranks) - self._head
-
-
-class _TupleHeapQueue:
-    """Reference policy heap: ``key(rank) + (rank,)`` tuples, min-heap order.
-
-    The trailing rank reproduces the legacy ``(arrival, id)`` tie-break —
-    canonical rank order *is* ``(arrival tick, id)`` order.
+    ``start``/``first``/``finish`` are the first admission, first-token and
+    finish ticks per rank; ``accumulators`` the per-server
+    ``(completed, busy, switch ticks, switches, preemptions)`` matrix.  The
+    step runner adds per-rank ``preemptions``, the ``requeued`` waiting
+    intervals ``(preemption tick, re-admission tick)``, and under autoscaling
+    the scale ``events`` (tick-domain tuples ``(time, direction, reason,
+    groups_before, groups_after, queue_depth, group_id, stopped)``), the
+    committed-fleet ``timeline``, the committed ``group_ticks``, and the
+    ``admissions``/``drains`` diagnostics.
     """
 
-    __slots__ = ("_key", "_heap")
-
-    def __init__(self, key) -> None:
-        self._key = key
-        self._heap: List[Tuple[int, ...]] = []
-
-    def push(self, rank: int) -> None:
-        heapq.heappush(self._heap, self._key(rank) + (rank,))
-
-    def pop(self) -> int:
-        return heapq.heappop(self._heap)[-1]
-
-    def __len__(self) -> int:
-        return len(self._heap)
+    start: np.ndarray
+    first: np.ndarray
+    finish: np.ndarray
+    accumulators: np.ndarray
+    preemptions: Optional[np.ndarray] = None
+    requeued: Optional[np.ndarray] = None
+    events: Tuple = ()
+    timeline: Tuple = ()
+    group_ticks: int = 0
+    admissions: Tuple = ()
+    drains: Tuple = ()
 
 
-class _PackedHeapQueue:
-    """Array-engine policy heap: one precomputed integer key per rank.
-
-    Keys are ``composite * n + (rank - lo)`` Python ints (arbitrary
-    precision, so stacking priority/deadline/service components can never
-    overflow), built in one vectorised pass per segment.  Heap order on the
-    packed key equals lexicographic order on ``(composite, rank)``.
-    """
-
-    __slots__ = ("_keys", "_lo", "_n", "_heap")
-
-    def __init__(self, keys: List[int], lo: int, n: int) -> None:
-        self._keys = keys
-        self._lo = lo
-        self._n = n
-        self._heap: List[int] = []
-
-    def push(self, rank: int) -> None:
-        heapq.heappush(self._heap, self._keys[rank - self._lo])
-
-    def pop(self) -> int:
-        return self._lo + heapq.heappop(self._heap) % self._n
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-class _RoundRobinQueue:
-    """Port of the legacy RoundRobinScheduler over rank indices.
-
-    Tenants enter the rotation in first-arrival order, each tenant's queue is
-    FIFO (pushes happen in rank order), and a pop advances the cursor past
-    the served tenant, so every tenant with queued work is visited before any
-    tenant is served twice.
-    """
-
-    __slots__ = ("_tenant", "_queues", "_heads", "_rotation", "_cursor", "_size")
-
-    def __init__(self, tenant_of: np.ndarray) -> None:
-        self._tenant = tenant_of
-        self._queues: Dict[int, List[int]] = {}
-        self._heads: Dict[int, int] = {}
-        self._rotation: List[int] = []
-        self._cursor = 0
-        self._size = 0
-
-    def push(self, rank: int) -> None:
-        tenant = int(self._tenant[rank])
-        queue = self._queues.get(tenant)
-        if queue is None:
-            self._queues[tenant] = [rank]
-            self._heads[tenant] = 0
-            self._rotation.append(tenant)
-        else:
-            queue.append(rank)
-        self._size += 1
-
-    def pop(self) -> int:
-        length = len(self._rotation)
-        for offset in range(length):
-            index = (self._cursor + offset) % length
-            tenant = self._rotation[index]
-            head = self._heads[tenant]
-            queue = self._queues[tenant]
-            if head < len(queue):
-                self._heads[tenant] = head + 1
-                self._cursor = (index + 1) % length
-                self._size -= 1
-                return queue[head]
-        raise IndexError("pop from an empty round-robin queue")
-
-    def __len__(self) -> int:
-        return self._size
-
-
-def _reference_queue(et: EngineTrace):
-    """The scalar engine's policy queue: tuple keys, one push per admission."""
-    if et.policy == "fcfs":
-        return _FifoQueue()
-    if et.policy == "rr":
-        return _RoundRobinQueue(et.tenant)
-    if et.policy == "sjf":
-        return _TupleHeapQueue(lambda rank: (int(et.svc0[rank]),))
-    if et.policy == "priority":
-        return _TupleHeapQueue(lambda rank: (-int(et.priority[rank]),))
-    if et.policy == "slo":
-        return _TupleHeapQueue(
-            lambda rank: (-int(et.priority[rank]), int(et.deadline[rank])))
-    raise ValueError(f"unknown scheduling policy {et.policy!r}")
-
-
-def _packed_queue(et: EngineTrace, lo: int, hi: int):
-    """The array engine's policy queue: vectorised key precomputation."""
-    if et.policy == "fcfs":
-        return _FifoQueue()
-    if et.policy == "rr":
-        return _RoundRobinQueue(et.tenant)
-    n = hi - lo
-    offsets = np.arange(n, dtype=np.int64)
-    if et.policy == "sjf":
-        composite = et.svc0[lo:hi]
-    elif et.policy == "priority":
-        composite = -et.priority[lo:hi]
-    elif et.policy == "slo":
-        # Two stacked components exceed int64, so pack through Python ints.
-        priorities = (-et.priority[lo:hi]).tolist()
-        deadlines = et.deadline[lo:hi].tolist()
-        keys = [
-            ((priorities[i] * (NO_DEADLINE + 1) + deadlines[i]) * n) + i
-            for i in range(n)
-        ]
-        return _PackedHeapQueue(keys, lo, n)
-    else:
-        raise ValueError(f"unknown scheduling policy {et.policy!r}")
-    if len(composite) and int(np.abs(composite).max()) < (2**62) // max(n, 1):
-        keys = (composite * n + offsets).tolist()
-    else:
-        keys = [int(value) * n + i for i, value in enumerate(composite.tolist())]
-    return _PackedHeapQueue(keys, lo, n)
-
-
-# ------------------------------------------------------------------- engines
-def _run_segment_scalar(et: EngineTrace, lo: int, hi: int):
-    """Reference engine: the legacy event loop, one rank at a time, in ticks.
-
-    Semantics (identical to the pre-vectorisation loop): pick the earliest
-    free server (``(free_at, node)`` heap), admit every arrival up to its
-    clock, pop the policy, gate a tenant change on the pipeline drain, charge
-    the constant switch cost, occupy the server for one pipeline interval and
-    drain it at the full latency.
-    """
-    count = hi - lo
-    start = np.empty(count, np.int64)
-    first = np.empty(count, np.int64)
-    finish = np.empty(count, np.int64)
-    accumulators = np.zeros((et.num_servers, 4), np.int64)
-    arrival, tenant, pair = et.arrival, et.tenant, et.pair
-    latency_table, interval_table, first_table = (
-        et.latency_table, et.interval_table, et.first_table)
-    switch_ticks = et.switch_ticks
-    queue = _reference_queue(et)
-    servers = [(0, node) for node in range(et.num_servers)]
-    drain = [0] * et.num_servers
-    last_tenant: List[Optional[int]] = [None] * et.num_servers
-    index = lo
-    while index < hi or len(queue):
-        free_at, node = servers[0]
-        while index < hi and arrival[index] <= free_at:
-            queue.push(index)
-            index += 1
-        if not len(queue):
-            now = int(arrival[index])
-            while index < hi and arrival[index] <= now:
-                queue.push(index)
-                index += 1
-            continue
-        rank = queue.pop()
-        this_tenant = int(tenant[rank])
-        begin = max(free_at, int(arrival[rank]))
-        switch = 0
-        if last_tenant[node] is not None and last_tenant[node] != this_tenant:
-            begin = max(begin, drain[node])
-            switch = switch_ticks
-            accumulators[node, 3] += 1
-        row = int(pair[rank])
-        dispatch = begin + switch
-        done = dispatch + int(latency_table[row, node])
-        start[rank - lo] = begin
-        first[rank - lo] = dispatch + int(first_table[row, node])
-        finish[rank - lo] = done
-        interval = int(interval_table[row, node])
-        heapq.heapreplace(servers, (dispatch + interval, node))
-        drain[node] = done
-        last_tenant[node] = this_tenant
-        accumulators[node, 0] += 1
-        accumulators[node, 1] += switch + interval
-        accumulators[node, 2] += switch
-    return start, first, finish, accumulators
-
-
-def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int):
+# ------------------------------------------------------------ request runner
+def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
     """FCFS on one uniform-interval server: dispatch is a prefix scan.
 
     With a single server FCFS dispatches in rank order, so with ``cost_r =
@@ -339,7 +173,7 @@ def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int):
     cost_{r-1}, arrival_r)`` unrolls to ``start_r = C_{r-1} + max_{j<=r}
     (arrival_j - C_{j-1})`` where ``C`` is the inclusive cost prefix sum —
     one ``cumsum`` plus one ``maximum.accumulate``, no event loop.  Exact on
-    int64, so it is bit-equal to the reference engine by construction (the
+    int64, so it is bit-equal to the scalar reference by construction (the
     parity tests enforce it anyway).
     """
     arrival = et.arrival[lo:hi]
@@ -359,7 +193,7 @@ def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int):
     finish = dispatch + latency
     first = dispatch + et.first_table[pair, 0]
     switches = int(np.count_nonzero(changed))
-    accumulators = np.zeros((1, 4), np.int64)
+    accumulators = np.zeros((1, ACCUMULATORS), np.int64)
     accumulators[0, 0] = count
     # cumsum already computed the exact cost total (the closed form is only
     # valid when the prefix sums fit int64 anyway), and every switch charges
@@ -367,17 +201,19 @@ def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int):
     accumulators[0, 1] = int(inclusive[-1])
     accumulators[0, 2] = switches * et.switch_ticks
     accumulators[0, 3] = switches
-    return start, first, finish, accumulators
+    return SegmentColumns(start, first, finish, accumulators)
 
 
-def _run_segment_array(et: EngineTrace, lo: int, hi: int):
-    """Array engine: closed form when eligible, else a bulk-admission loop.
+def _run_segment_array(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
+    """The request runner: closed form when eligible, else a bulk-admission loop.
 
-    The general loop differs from the reference in mechanics, not semantics:
-    arrivals live in local Python lists (no per-element numpy boxing),
-    admission windows come from one binary search per event instead of a
-    peek-per-request scan, and the policy heaps hold precomputed packed
-    integer keys.
+    Semantics: pick the earliest free server (``(free_at, node)`` heap), admit
+    every arrival up to its clock, pop the policy, gate a tenant change on
+    the pipeline drain, charge the constant switch cost, occupy the server
+    for one pipeline interval and drain it at the full latency.  Arrivals
+    live in local Python lists (no per-element numpy boxing), admission
+    windows come from one binary search per event, and the policy heaps hold
+    precomputed packed integer keys.
     """
     if et.policy == "fcfs" and et.num_servers == 1 and et.uniform_interval:
         return _run_segment_closed_form(et, lo, hi)
@@ -387,7 +223,7 @@ def _run_segment_array(et: EngineTrace, lo: int, hi: int):
     start = np.empty(count, np.int64)
     first = np.empty(count, np.int64)
     finish = np.empty(count, np.int64)
-    accumulators = np.zeros((et.num_servers, 4), np.int64)
+    accumulators = np.zeros((et.num_servers, ACCUMULATORS), np.int64)
     arrival = et.arrival[lo:hi].tolist()
     tenant = et.tenant[lo:hi].tolist()
     pair = et.pair[lo:hi].tolist()
@@ -395,8 +231,8 @@ def _run_segment_array(et: EngineTrace, lo: int, hi: int):
     interval_rows = et.interval_table.tolist()
     first_rows = et.first_table.tolist()
     switch_ticks = et.switch_ticks
-    queue = _packed_queue(et, lo, hi)
-    start_list = start  # direct ndarray writes are fine; assignment is int64
+    queue = scheduler_by_name(et.policy, lo, hi, tenant=et.tenant, service=et.svc0,
+                              priority=et.priority, deadline=et.deadline)
     servers = [(0, node) for node in range(et.num_servers)]
     drain = [0] * et.num_servers
     last_tenant: List[Optional[int]] = [None] * et.num_servers
@@ -431,7 +267,7 @@ def _run_segment_array(et: EngineTrace, lo: int, hi: int):
         row = pair[position]
         dispatch = begin + switch
         done = dispatch + latency_rows[row][node]
-        start_list[position] = begin
+        start[position] = begin
         first[position] = dispatch + first_rows[row][node]
         finish[position] = done
         interval = interval_rows[row][node]
@@ -441,32 +277,322 @@ def _run_segment_array(et: EngineTrace, lo: int, hi: int):
         accumulators[node, 0] += 1
         accumulators[node, 1] += switch + interval
         accumulators[node, 2] += switch
-    return start, first, finish, accumulators
+    return SegmentColumns(start, first, finish, accumulators)
 
 
-_SEGMENT_ENGINES = {"scalar": _run_segment_scalar, "array": _run_segment_array}
+# --------------------------------------------------------------- step runner
+def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
+    """The step runner: one cold-start segment of iteration-level batching.
+
+    Each server holds a running batch of up to ``max_batch`` ranks and
+    advances in *iterations*: one step per member, members in rank order
+    with per-pipeline-stage local clocks (stages overlap; within a stage
+    steps serialise).  The next server to act is the earliest ``(free_at,
+    server)`` among the busy servers — plus, while requests wait, the
+    committed non-draining idle ones — and it first queues every arrival up
+    to its clock.  Between iterations it admits waiting ranks in policy
+    order, head-of-line only, while a batch slot is free, the head is
+    admissible by the server's clock (its ``ready`` tick: the arrival, or
+    the preemption tick of a re-queued rank) and its resident state fits the
+    KV budget next to the members'; an idle server admits the head at
+    ``max(clock, ready)``.  When the members' next-step state outgrows the
+    budget, :meth:`~repro.serve.scheduler.BatchingPolicy.victim` picks ranks
+    to preempt; a victim keeps its step progress, re-enters the queue at its
+    rank position and pays its KV-restore ticks on its next step.  A tenant
+    change between consecutive member steps charges the constant switch
+    ticks (the first tenant a cold server sees is adopted for free).
+
+    Under ``autoscale`` the fleet starts at ``min_groups`` committed groups
+    and the :class:`~repro.serve.autoscale.Autoscaler` is evaluated at every
+    window boundary (in ticks) the acting server's clock has passed.
+    """
+    st = et.step
+    count = hi - lo
+    servers = range(et.num_servers)
+    arrival = et.arrival[lo:hi].tolist()
+    ready = list(arrival)
+    pair = et.pair[lo:hi].tolist()
+    tenant = et.tenant[lo:hi].tolist()
+    priority = st.priority[lo:hi].tolist()
+    policy = scheduler_by_name(
+        et.policy, 0, count, tenant=tenant, service=et.svc0[lo:hi],
+        priority=priority, deadline=et.deadline[lo:hi])
+    push, peek, pop, victim = policy.push, policy.peek, policy.pop, policy.victim
+    steps = [len(row) for row in st.ticks[0]]
+    max_batch, budget, preemption, staged = st.max_batch, st.budget, st.preemption, st.staged
+    switch_ticks = et.switch_ticks
+
+    step_index = [0] * count
+    start = [-1] * count
+    first = [-1] * count
+    finish = [0] * count
+    preempted = [0] * count
+    restore_due = [False] * count
+    requeued: List[Tuple[int, int]] = []
+
+    free_at = [0] * et.num_servers
+    batch: List[List[int]] = [[] for _ in servers]
+    occupancy = [0] * et.num_servers
+    last_tenant = [-1] * et.num_servers
+    totals = [[0] * ACCUMULATORS for _ in servers]
+
+    apolicy = st.autoscale
+    seg_start = arrival[0]
+    committed = [apolicy is None or s < apolicy.min_groups for s in servers]
+    draining = [False] * et.num_servers
+    serving_since = [seg_start] * et.num_servers
+    pending_stop: List[Optional[list]] = [None] * et.num_servers
+    events: List[list] = []
+    changes: List[Tuple[int, int]] = []
+    admissions: List[Tuple[int, int]] = []
+    drains: List[Tuple[int, int, int]] = []
+    drain_marks = {}
+    group_ticks = 0
+    window_peak = served = misses = 0
+    if apolicy is not None:
+        scaler = Autoscaler(apolicy, cooldown=_ticks(apolicy.cooldown_s))
+        window = _ticks(apolicy.window_s)
+        delay = _ticks(apolicy.provision_delay_s)
+        next_window = seg_start + window
+        tokens = et.tokens_table.tolist()
+        ttft_slo = st.ttft_slo_s[lo:hi].tolist()
+        tpot_slo = st.tpot_slo_s[lo:hi].tolist()
+    else:
+        scaler = None
+        next_window = NO_DEADLINE
+
+    def stop_group(server: int, stopped: int, event: list) -> None:
+        # The drained group's capacity merges back into the pool: it stops
+        # accruing group ticks and becomes eligible for a future scale-out
+        # (which re-provisions it from scratch).
+        nonlocal group_ticks
+        event[7] = stopped
+        group_ticks += stopped - serving_since[server]
+        committed[server] = False
+        draining[server] = False
+        pending_stop[server] = None
+        mark = drain_marks.pop(server, len(admissions))
+        drains.append((server, mark, len(admissions)))
+        changes.append((stopped, -1))
+
+    def tick(now: int) -> None:
+        """Evaluate every pressure window that has elapsed by ``now``."""
+        nonlocal next_window, window_peak, served, misses
+        while next_window <= now:
+            t = next_window
+            if len(policy) > window_peak:
+                window_peak = len(policy)
+            groups = sum(committed)
+            decision = scaler.evaluate(
+                t, WindowStats(queue_depth_peak=window_peak, served=served, slo_misses=misses),
+                groups, sum(draining))
+            if decision is not None:
+                direction, reason = decision
+                event = [t, direction, reason, groups,
+                         groups + (1 if direction == "out" else -1), window_peak, None, None]
+                events.append(event)
+                if direction == "out":
+                    # A fresh provision: no resident tenant, and it serves
+                    # only after the provisioning delay.
+                    target = next(s for s in servers if not committed[s])
+                    committed[target] = True
+                    draining[target] = False
+                    last_tenant[target] = -1
+                    free_at[target] = t + delay
+                    serving_since[target] = t
+                    event[6] = target
+                    changes.append((t, 1))
+                else:
+                    target = min((s for s in servers if committed[s] and not draining[s]),
+                                 key=lambda s: (len(batch[s]), -s))
+                    event[6] = target
+                    if batch[target]:
+                        draining[target] = True
+                        pending_stop[target] = event
+                        drain_marks[target] = len(admissions)
+                    else:
+                        stop_group(target, max(t, free_at[target]), event)
+            window_peak = served = misses = 0
+            next_window += window
+
+    index = 0
+    busy = 0  # servers with a non-empty batch
+    while index < count or len(policy) or busy:
+        waiting = len(policy)
+        server = -1
+        if waiting or busy:
+            for s in servers:
+                if (batch[s] or (waiting and committed[s] and not draining[s])) and (
+                        server < 0 or free_at[s] < clock):
+                    server, clock = s, free_at[s]
+        else:
+            # Globally idle: jump to the next arrival instant (admit ties
+            # too) without touching any server clock — the admitting server
+            # moves its clock to the arrival below.  Windows elapsing across
+            # the gap still tick, so an idle fleet can scale in.
+            clock = arrival[index]
+        if next_window <= clock:
+            tick(clock)
+            if server >= 0 and (not committed[server] or free_at[server] != clock):
+                # The window drained (or re-provisioned) this very server:
+                # it has lost its turn.
+                continue
+        if index < count and arrival[index] <= clock:
+            # A window's depth peak is sampled after pushes (and at its end).
+            while index < count and arrival[index] <= clock:
+                push(index)
+                index += 1
+            if scaler is not None and len(policy) > window_peak:
+                window_peak = len(policy)
+        if server < 0:
+            continue
+        members = batch[server]
+        state = st.state[server]
+        # Admission: policy order, head-of-line, between iterations.  A
+        # draining group stops admitting; its residents run to completion.
+        if not draining[server]:
+            while len(members) < max_batch and len(policy):
+                head = peek()
+                if members and ready[head] > clock:
+                    break  # not yet admissible at this server's clock
+                need = state[pair[head]][step_index[head]]
+                if members and occupancy[server] + need > budget:
+                    break  # no room in the KV budget; wait for completions
+                pop()
+                admit = ready[head] if ready[head] > clock else clock
+                if not members:
+                    clock = admit
+                    busy += 1
+                if start[head] < 0:
+                    start[head] = admit
+                else:  # re-admitted: it waited from its preemption (its ready tick)
+                    requeued.append((ready[head], admit))
+                if scaler is not None:
+                    admissions.append((admit, server))
+                members.append(head)
+                occupancy[server] += need
+        if not members:
+            continue
+        # Preemption: the members' next steps grew past the budget.
+        while preemption and len(members) > 1 and occupancy[server] > budget:
+            rank = victim(members)
+            members.remove(rank)
+            occupancy[server] -= state[pair[rank]][step_index[rank]]
+            preempted[rank] += 1
+            restore_due[rank] = True
+            totals[server][4] += 1
+            # Re-queued, the rank is admissible only from its preemption.
+            ready[rank] = clock
+            push(rank)
+            if scaler is not None and len(policy) > window_peak:
+                window_peak = len(policy)
+        # One iteration: one step per member, rank order, per-stage clocks.
+        members.sort()
+        ticks, stages, restores = st.ticks[server], st.stage[server], st.restore[server]
+        stage_clock = {}
+        last = last_tenant[server]
+        now = clock
+        done = False
+        for rank in members:
+            row = pair[rank]
+            k = step_index[rank]
+            if staged:
+                now = stage_clock.get(stages[row][k], clock)
+            this_tenant = tenant[rank]
+            if this_tenant != last:
+                if last >= 0:
+                    now += switch_ticks
+                    totals[server][2] += switch_ticks
+                    totals[server][3] += 1
+                last = this_tenant
+            if restore_due[rank]:
+                now += restores[row][k]
+                restore_due[rank] = False
+            now += ticks[row][k]
+            if staged:
+                stage_clock[stages[row][k]] = now
+            row_state = state[row]
+            k += 1
+            step_index[rank] = k
+            if first[rank] < 0:
+                first[rank] = now
+            if k < steps[row]:
+                occupancy[server] += row_state[k] - row_state[k - 1]
+                continue
+            occupancy[server] -= row_state[k - 1]
+            finish[rank] = now
+            totals[server][0] += 1
+            done = True
+            if scaler is not None:
+                served += 1
+                first_tick = first[rank]
+                tpot = ((now - first_tick) / (tokens[row] * TICKS_PER_SECOND)
+                        if tokens[row] else 0.0)
+                if ((first_tick - arrival[rank]) / TICKS_PER_SECOND > ttft_slo[rank]
+                        or tpot > tpot_slo[rank]):
+                    misses += 1
+        last_tenant[server] = last
+        end = max(stage_clock.values()) if staged else now
+        free_at[server] = end
+        totals[server][1] += end - clock
+        if done:
+            members[:] = [rank for rank in members if step_index[rank] < steps[pair[rank]]]
+            if not members:
+                busy -= 1
+                if draining[server]:
+                    # The last resident finished: the drain completes at the
+                    # end of this iteration and the capacity merges back.
+                    stop_group(server, end, pending_stop[server])
+
+    timeline: List[Tuple[int, int]] = []
+    if apolicy is not None:
+        seg_end = max(finish)
+        for s in servers:
+            if committed[s]:
+                group_ticks += seg_end - serving_since[s]
+        fleet = apolicy.min_groups
+        timeline.append((seg_start, fleet))
+        for time, delta in sorted(changes):
+            fleet += delta
+            timeline.append((time, fleet))
+    return SegmentColumns(
+        np.array(start, np.int64), np.array(first, np.int64), np.array(finish, np.int64),
+        np.array(totals, np.int64), np.array(preempted, np.int64),
+        np.array(requeued, np.int64).reshape(-1, 2),
+        tuple(tuple(event) for event in events), tuple(timeline), group_ticks,
+        tuple(admissions), tuple(drains))
+
+
+def _ticks(seconds: float) -> int:
+    """A policy duration (window, cooldown, provisioning delay) in ticks."""
+    return round(seconds * TICKS_PER_SECOND)
 
 
 # ------------------------------------------------------------------ sharding
-def segment_bounds(et: EngineTrace) -> List[Tuple[int, int]]:
+def segment_bounds(
+    et: EngineTrace, worst: Optional[np.ndarray] = None
+) -> List[Tuple[int, int]]:
     """Cut the trace at provable full-idle points, deterministically.
 
     ``bound_r`` is the drain time of a single server executing requests 0..r
     serially in canonical order, each at its worst per-server cost (switch +
-    max-over-servers latency): ``bound_r = max(bound_{r-1}, arrival_r) +
-    worst_r``, the same max-plus scan as the closed-form engine.  Any
-    work-conserving schedule on >= 1 servers drains no later, so wherever
-    ``bound_r < arrival_{r+1}`` the whole fleet is provably idle and the
-    trace can restart cold.  The cuts depend only on the trace and the
-    service tables — never on policy, engine, or shard count — which is what
-    makes sharded reports invariant.
+    ``worst[pair]``, by default the max-over-servers latency): ``bound_r =
+    max(bound_{r-1}, arrival_r) + worst_r``, the same max-plus scan as the
+    closed-form runner.  Any work-conserving schedule on >= 1 servers
+    drains no later, so wherever ``bound_r < arrival_{r+1}`` the whole fleet
+    is provably idle and the trace can restart cold.  Step batching passes
+    the latency plus one KV restore of the peak state as ``worst``.  The
+    cuts depend only on the trace and the service tables — never on policy
+    or shard count — which is what makes sharded reports invariant.
     """
     count = len(et)
     if count == 0:
         return []
-    worst = et.latency_table.max(axis=1)[et.pair] + et.switch_ticks
-    inclusive = np.cumsum(worst)
-    bound = inclusive + np.maximum.accumulate(et.arrival - (inclusive - worst))
+    if worst is None:
+        worst = et.latency_table.max(axis=1)
+    cost = worst[et.pair] + et.switch_ticks
+    inclusive = np.cumsum(cost)
+    bound = inclusive + np.maximum.accumulate(et.arrival - (inclusive - cost))
     cuts = (np.flatnonzero(bound[:-1] < et.arrival[1:]) + 1).tolist()
     edges = [0, *cuts, count]
     return list(zip(edges[:-1], edges[1:]))
@@ -496,35 +622,50 @@ def shard_plan(segments: List[Tuple[int, int]], shards: int) -> List[List[Tuple[
     return chunks
 
 
-def simulate_segments(
-    et: EngineTrace, segments: List[Tuple[int, int]], engine: str
-):
-    """Run each segment cold and concatenate the completion columns.
+def merge_segments(parts: List[SegmentColumns], num_servers: int) -> SegmentColumns:
+    """Concatenate consecutive segments' columns and add their accumulators.
 
-    Returns ``(start, first, finish, accumulators)`` covering the contiguous
-    rank span of ``segments``; accumulators are summed across segments
-    (integer addition, so the fold order cannot matter).
+    Integer addition and concatenation in rank order, so the fold order
+    cannot matter; the diagnostics' admission-log indices are rebased.
     """
-    run = _SEGMENT_ENGINES[engine]
-    if len(segments) == 1:
-        return run(et, segments[0][0], segments[0][1])
-    starts, firsts, finishes = [], [], []
-    accumulators = np.zeros((et.num_servers, 4), np.int64)
-    for lo, hi in segments:
-        start, first, finish, acc = run(et, lo, hi)
-        starts.append(start)
-        firsts.append(first)
-        finishes.append(finish)
-        accumulators += acc
-    return (
-        np.concatenate(starts) if starts else np.empty(0, np.int64),
-        np.concatenate(firsts) if firsts else np.empty(0, np.int64),
-        np.concatenate(finishes) if finishes else np.empty(0, np.int64),
-        accumulators,
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        empty = np.empty(0, np.int64)
+        return SegmentColumns(empty, empty, empty, np.zeros((num_servers, ACCUMULATORS), np.int64))
+    step = parts[0].preemptions is not None
+    admissions: list = []
+    drains: list = []
+    for part in parts:
+        offset = len(admissions)
+        admissions += part.admissions
+        drains += [(server, lo + offset, hi + offset) for server, lo, hi in part.drains]
+    return SegmentColumns(
+        np.concatenate([part.start for part in parts]),
+        np.concatenate([part.first for part in parts]),
+        np.concatenate([part.finish for part in parts]),
+        sum(part.accumulators for part in parts),
+        np.concatenate([part.preemptions for part in parts]) if step else None,
+        np.concatenate([part.requeued for part in parts]) if step else None,
+        sum((part.events for part in parts), ()),
+        sum((part.timeline for part in parts), ()),
+        sum(part.group_ticks for part in parts),
+        tuple(admissions),
+        tuple(drains),
     )
+
+
+def simulate_segments(et: EngineTrace, segments: List[Tuple[int, int]]) -> SegmentColumns:
+    """Run each segment cold and merge the completion columns.
+
+    The columns cover the contiguous rank span of ``segments``; the step
+    runner runs when ``et.step`` is set, the request runner otherwise.
+    """
+    run = _run_step_segment if et.step is not None else _run_segment_array
+    return merge_segments([run(et, lo, hi) for lo, hi in segments], et.num_servers)
 
 
 def shard_worker(payload):
     """Pool worker: simulate one chunk of segments (SweepRunner task shape)."""
-    (et, segments, engine), _cache = payload
-    return simulate_segments(et, segments, engine)
+    (et, segments), _cache = payload
+    return simulate_segments(et, segments)

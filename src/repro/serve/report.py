@@ -28,34 +28,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.reporting import latency_summary, render_table
-from repro.serve.autoscale import AutoscaleStats
+from repro.analysis.reporting import render_table
+from repro.serve.autoscale import AutoscalePolicy, AutoscaleStats, ScaleEvent
 
 __all__ = [
     "TenantStats",
     "NodeStats",
     "ServeReport",
-    "build_report",
     "build_report_from_columns",
 ]
-
-
-def _percentiles(values: Sequence[float]) -> Dict[str, float]:
-    """``latency_summary`` with an all-zero fallback for empty inputs."""
-    if not values:
-        return {"mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-    return latency_summary(values)
-
-
-def _slo_met(entry: dict) -> bool:
-    """Did this completion meet its SLO targets?  No targets counts as met."""
-    ttft_slo = entry.get("ttft_slo_s")
-    tpot_slo = entry.get("tpot_slo_s")
-    if ttft_slo is not None and entry.get("ttft_s", 0.0) > ttft_slo:
-        return False
-    if tpot_slo is not None and entry.get("tpot_s", 0.0) > tpot_slo:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -201,101 +182,9 @@ class ServeReport:
         return "\n\n".join(sections)
 
 
-def build_report(
-    trace_name: str,
-    scheduler_name: str,
-    num_nodes: int,
-    completions: Sequence[dict],
-    node_stats: Sequence[NodeStats],
-    queue_depth_mean: float,
-    queue_depth_max: int,
-    batching: str = "request",
-    autoscale: Optional[AutoscaleStats] = None,
-) -> ServeReport:
-    """Assemble a :class:`ServeReport` from raw per-request completion records.
-
-    ``completions`` entries carry ``tenant``, ``arrival_s``, ``start_s``,
-    ``finish_s`` and ``switch_s``; latency is ``finish - arrival`` and wait is
-    ``start - arrival``.  Step-mode entries additionally carry ``ttft_s``,
-    ``tpot_s``, the SLO targets (``ttft_slo_s``/``tpot_slo_s``) and a
-    ``preemptions`` count — all optional, so request-level records and older
-    callers keep working unchanged.  The makespan is the last finish time, and
-    every throughput figure divides by it, so per-tenant throughputs (and
-    goodputs) sum exactly to the fleet numbers.
-    """
-    makespan = max((entry["finish_s"] for entry in completions), default=0.0)
-    latencies = [entry["finish_s"] - entry["arrival_s"] for entry in completions]
-    by_tenant: Dict[str, List[dict]] = {}
-    for entry in completions:
-        by_tenant.setdefault(entry["tenant"], []).append(entry)
-
-    tenants = []
-    for name in sorted(by_tenant):
-        entries = by_tenant[name]
-        tenant_latencies = [entry["finish_s"] - entry["arrival_s"] for entry in entries]
-        waits = [entry["start_s"] - entry["arrival_s"] for entry in entries]
-        summary = latency_summary(tenant_latencies)
-        ttft = _percentiles([entry.get("ttft_s", 0.0) for entry in entries])
-        tpot = _percentiles([entry.get("tpot_s", 0.0) for entry in entries])
-        met = sum(1 for entry in entries if _slo_met(entry))
-        tenants.append(TenantStats(
-            name=name,
-            requests=len(entries),
-            throughput_rps=len(entries) / makespan if makespan else 0.0,
-            latency_mean_s=summary["mean"],
-            latency_p50_s=summary["p50"],
-            latency_p95_s=summary["p95"],
-            latency_p99_s=summary["p99"],
-            wait_mean_s=sum(waits) / len(waits),
-            ttft_p50_s=ttft["p50"],
-            ttft_p95_s=ttft["p95"],
-            ttft_p99_s=ttft["p99"],
-            tpot_p50_s=tpot["p50"],
-            tpot_p95_s=tpot["p95"],
-            tpot_p99_s=tpot["p99"],
-            slo_attainment=met / len(entries),
-            goodput_rps=met / makespan if makespan else 0.0,
-            preemptions=sum(int(entry.get("preemptions", 0)) for entry in entries),
-        ))
-
-    fleet = _percentiles(latencies)
-    fleet_ttft = _percentiles([entry.get("ttft_s", 0.0) for entry in completions])
-    fleet_tpot = _percentiles([entry.get("tpot_s", 0.0) for entry in completions])
-    fleet_met = sum(1 for entry in completions if _slo_met(entry))
-    return ServeReport(
-        trace=trace_name,
-        scheduler=scheduler_name,
-        num_nodes=num_nodes,
-        total_requests=len(completions),
-        makespan_s=makespan,
-        throughput_rps=len(completions) / makespan if makespan else 0.0,
-        latency_mean_s=fleet["mean"],
-        latency_p50_s=fleet["p50"],
-        latency_p95_s=fleet["p95"],
-        latency_p99_s=fleet["p99"],
-        queue_depth_mean=queue_depth_mean,
-        queue_depth_max=queue_depth_max,
-        context_switch_s=sum(node.switch_s for node in node_stats),
-        batching=batching,
-        ttft_p50_s=fleet_ttft["p50"],
-        ttft_p95_s=fleet_ttft["p95"],
-        ttft_p99_s=fleet_ttft["p99"],
-        tpot_p50_s=fleet_tpot["p50"],
-        tpot_p95_s=fleet_tpot["p95"],
-        tpot_p99_s=fleet_tpot["p99"],
-        slo_attainment=fleet_met / len(completions) if completions else 1.0,
-        goodput_rps=fleet_met / makespan if makespan else 0.0,
-        preemptions=sum(int(entry.get("preemptions", 0)) for entry in completions),
-        tenants=tenants,
-        nodes=list(node_stats),
-        autoscale=autoscale,
-    )
-
-
 # -------------------------------------------------------- columnar assembly
-#: Integer time base of the array event engines: one tick is a nanosecond.
-#: (Re-exported by :mod:`repro.serve.engine`; defined here so the builder has
-#: no import cycle with the engine.)
+#: Integer time base of the event engine: one tick is a nanosecond (defined
+#: here so the builder has no import cycle with :mod:`repro.serve.engine`).
 TICKS_PER_SECOND = 10**9
 
 
@@ -314,12 +203,6 @@ def _exact_sum(values: np.ndarray) -> int:
     high = int((values >> 32).sum(dtype=np.int64))
     low = int((values & np.int64(0xFFFFFFFF)).sum(dtype=np.int64))
     return (high << 32) + low
-
-
-def _rank_select(values: np.ndarray, q: float) -> float:
-    """Nearest-rank percentile of a non-empty array via ``np.partition``."""
-    rank = max(1, math.ceil(q / 100.0 * len(values)))
-    return float(np.partition(values, rank - 1)[rank - 1])
 
 
 def _select_ranks(values: np.ndarray) -> Tuple[float, float, float]:
@@ -356,21 +239,31 @@ def _float_percentiles(values: np.ndarray) -> Dict[str, float]:
     return {"p50": p50, "p95": p95, "p99": p99}
 
 
-def _queue_depth_max(arrival_ticks: np.ndarray, start_ticks: np.ndarray) -> int:
+def _queue_depth_max(
+    arrival_ticks: np.ndarray, start_ticks: np.ndarray, requeued: Optional[np.ndarray] = None
+) -> int:
     """Peak number of simultaneously waiting requests.
 
-    A request waits from its arrival to its dispatch start; the peak is the
-    running maximum of the +-1 event sweep, with arrivals ordered before
-    starts at equal ticks (a request arriving the instant another starts sees
-    that request still queued).  The sweep's maximum is always attained just
-    after the last arrival of some arrival tick, so instead of sorting the
-    merged event stream it suffices to evaluate, at every arrival,
-    ``#{arrivals <= t} - #{starts < t}`` — two ``searchsorted`` passes over
-    the already-sorted arrival column plus one sort of the start column.
+    A request waits from its arrival to its first admission, and again from
+    each preemption to its re-admission (the ``requeued`` interval rows); the
+    peak is the running maximum of the +-1 event sweep, with waits beginning
+    ordered before waits ending at equal ticks (a request arriving the
+    instant another starts sees that request still queued).  Without
+    re-queues the sweep's maximum is always attained just after the last
+    arrival of some arrival tick, so instead of sorting the merged event
+    stream it suffices to evaluate, at every arrival, ``#{arrivals <= t} -
+    #{starts < t}`` — two ``searchsorted`` passes over the already-sorted
+    arrival column plus one sort of the start column.
     """
     count = len(arrival_ticks)
     if not count:
         return 0
+    if requeued is not None and len(requeued):
+        ticks = np.concatenate([arrival_ticks, requeued[:, 0], start_ticks, requeued[:, 1]])
+        begins = count + len(requeued)
+        delta = np.concatenate([np.ones(begins, np.int64), -np.ones(begins, np.int64)])
+        order = np.lexsort((-delta, ticks))
+        return int(np.cumsum(delta[order]).max())
     starts = np.sort(start_ticks)
     # #{arrivals <= t}: the arrival column is sorted, so this is the index
     # just past each tick's tie group — every group member inherits the last
@@ -382,6 +275,41 @@ def _queue_depth_max(arrival_ticks: np.ndarray, start_ticks: np.ndarray) -> int:
     arrived = np.minimum.accumulate(arrived[::-1])[::-1]
     started = np.searchsorted(starts, arrival_ticks, side="left")
     return int((arrived - started).max())
+
+
+def _autoscale_stats(
+    policy: AutoscalePolicy,
+    nodes_per_group: int,
+    events: Sequence[tuple],
+    timeline: Sequence[Tuple[int, int]],
+    group_ticks: int,
+    met: int,
+) -> AutoscaleStats:
+    """The autoscale section, converted from ticks to seconds.
+
+    A scale-out serves from its decision time plus the policy's provisioning
+    delay, computed in seconds so the two figures differ by exactly
+    ``provision_delay_s``.
+    """
+    node_seconds = group_ticks * nodes_per_group / TICKS_PER_SECOND
+    scale_events = []
+    for time, direction, reason, before, after, depth, group, stopped in events:
+        time_s = time / TICKS_PER_SECOND
+        scale_events.append(ScaleEvent(
+            time_s=time_s, direction=direction, reason=reason, groups_before=before,
+            groups_after=after, queue_depth=depth, group_id=group,
+            serving_from_s=time_s + policy.provision_delay_s if direction == "out" else None,
+            stopped_s=None if stopped is None else stopped / TICKS_PER_SECOND))
+    return AutoscaleStats(
+        min_groups=policy.min_groups,
+        max_groups=policy.max_groups,
+        nodes_per_group=nodes_per_group,
+        provision_delay_s=policy.provision_delay_s,
+        node_seconds=node_seconds,
+        goodput_per_node_second=met / node_seconds if node_seconds else 0.0,
+        events=tuple(scale_events),
+        timeline=tuple((time / TICKS_PER_SECOND, groups) for time, groups in timeline),
+    )
 
 
 def build_report_from_columns(
@@ -399,24 +327,34 @@ def build_report_from_columns(
     tpot_slo_s: np.ndarray,
     node_accumulators: np.ndarray,
     batching: str = "request",
+    preemptions: Optional[np.ndarray] = None,
+    requeued: Optional[np.ndarray] = None,
+    autoscale: Optional[AutoscalePolicy] = None,
+    nodes_per_group: int = 1,
+    scale_events: Sequence[tuple] = (),
+    timeline: Sequence[Tuple[int, int]] = (),
+    group_ticks: int = 0,
 ) -> ServeReport:
     """Assemble a :class:`ServeReport` from tick-domain completion columns.
 
-    The array-engine counterpart of :func:`build_report`: completions arrive
-    as parallel int64 nanosecond-tick arrays in canonical request order plus
-    the per-node accumulator matrix ``(completed, busy, switch, switches)``
-    (tick columns as int64 rows, one per server).  All reductions are either
+    Completions arrive as parallel int64 nanosecond-tick arrays in canonical
+    request order plus the per-node accumulator matrix ``(completed, busy,
+    switch, switches, preemptions)`` (tick columns as int64 rows, one per
+    server).  Step batching adds the per-request ``preemptions`` counts, the
+    ``requeued`` ``(preemption, re-admission)`` tick intervals, and under
+    autoscaling the tick-domain scale events, committed-fleet timeline and
+    committed group ticks, which become the report's
+    :class:`~repro.serve.autoscale.AutoscaleStats`.  All reductions are either
     exact integer arithmetic (sums, nearest-rank selection on ticks) or a
     fixed float expression of exact integers, so any decomposition of the
-    trace that produces the same columns — one engine or another, one shard
-    or many — yields a byte-identical report.
+    trace that produces the same columns — one shard or many — yields a
+    byte-identical report.
 
-    The queue-depth figures are defined directly on the columns: the mean is
-    the exact waiting-time integral ``sum(start - arrival) / makespan`` and
-    the max is the peak of the arrival/start event sweep.  (The legacy loop
-    sampled the same integral at event granularity, which undercounted
-    requests that had arrived but were not yet admitted; the columnar form
-    has no sampling error.)
+    The queue-depth figures are defined directly on the columns, in both
+    batching modes: a request waits from arrival to its first admission and
+    from each preemption to its re-admission, the mean is the exact
+    waiting-time integral over the makespan (so Little's law holds exactly)
+    and the max is the peak of the waiting-interval sweep.
     """
     count = len(arrival_ticks)
     makespan_ticks = int(finish_ticks.max()) if count else 0
@@ -465,7 +403,7 @@ def build_report_from_columns(
             tpot_p99_s=tpot["p99"],
             slo_attainment=tenant_met / len(rows),
             goodput_rps=tenant_met / makespan if makespan else 0.0,
-            preemptions=0,
+            preemptions=0 if preemptions is None else int(preemptions[rows].sum()),
         ))
 
     node_stats = [
@@ -477,7 +415,7 @@ def build_report_from_columns(
                          if makespan else 0.0),
             tenant_switches=int(node_accumulators[node, 3]),
             switch_s=int(node_accumulators[node, 2]) / TICKS_PER_SECOND,
-            preemptions=0,
+            preemptions=int(node_accumulators[node, 4]),
         )
         for node in range(len(node_accumulators))
     ]
@@ -488,6 +426,8 @@ def build_report_from_columns(
     fleet_met = count if met is None else int(met.sum())
     total_switch_ticks = _exact_sum(node_accumulators[:, 2])
     depth_area = _exact_sum(wait_ticks)
+    if requeued is not None and len(requeued):
+        depth_area += _exact_sum(requeued[:, 1] - requeued[:, 0])
     return ServeReport(
         trace=trace_name,
         scheduler=scheduler_name,
@@ -500,7 +440,7 @@ def build_report_from_columns(
         latency_p95_s=fleet["p95"],
         latency_p99_s=fleet["p99"],
         queue_depth_mean=depth_area / makespan_ticks if makespan_ticks else 0.0,
-        queue_depth_max=_queue_depth_max(arrival_ticks, start_ticks),
+        queue_depth_max=_queue_depth_max(arrival_ticks, start_ticks, requeued),
         context_switch_s=total_switch_ticks / TICKS_PER_SECOND,
         batching=batching,
         ttft_p50_s=fleet_ttft["p50"],
@@ -511,7 +451,13 @@ def build_report_from_columns(
         tpot_p99_s=fleet_tpot["p99"],
         slo_attainment=fleet_met / count if count else 1.0,
         goodput_rps=fleet_met / makespan if makespan else 0.0,
-        preemptions=0,
+        preemptions=_exact_sum(node_accumulators[:, 4]),
         tenants=tenants,
         nodes=node_stats,
+        autoscale=(None if autoscale is None else _autoscale_stats(
+            autoscale, nodes_per_group, scale_events, timeline, group_ticks, fleet_met)),
     )
+
+
+#: The benchmark (perfbench/layers.py) traces the builder under both names.
+build_report = build_report_from_columns

@@ -12,256 +12,269 @@ and admission into a server's running batch, and decides three things:
 * **preemption victim selection** — ``victim`` picks which running request
   loses its KV-cache residency when a step-mode server overflows its budget.
 
-Five policies are provided.  The three request-level legacy policies are
-re-expressed on this interface, so the request-level simulator behaves
-exactly as before:
+Requests are *ranks*: positions in the canonical ``(arrival tick, request
+id)`` order of an :class:`~repro.serve.engine.EngineTrace`.  Every policy
+reads only the per-rank columns it orders by, so both batching modes share
+one queue family and no request object is ever built on the event path:
 
-* :class:`FCFSScheduler` — first come, first served (arrival order);
-* :class:`SJFScheduler` — shortest estimated job first, using the analytic
-  per-request service-time estimate;
-* :class:`RoundRobinScheduler` — one FIFO queue per tenant, served cyclically
-  in first-seen tenant order, so no tenant can starve the others;
-* :class:`PriorityScheduler` — higher priority tiers first, FCFS within a
-  tier;
-* :class:`SLOScheduler` — higher priority tiers first, earliest TTFT
-  deadline (``arrival + ttft_slo_s``) first within a tier; requests without
-  a deadline sort last in their tier.
+* ``fcfs`` — first come, first served (rank order);
+* ``sjf`` — shortest estimated job first (the server-0 service ticks);
+* ``rr`` — one FIFO queue per tenant, served cyclically in first-seen
+  tenant order, so no tenant can starve the others;
+* ``priority`` — higher priority tiers first, FCFS within a tier;
+* ``slo`` — higher priority tiers first, earliest TTFT deadline
+  (``arrival + ttft_slo``) first within a tier; requests without a deadline
+  sort last in their tier.
 
-All policies break ties on ``(arrival time, request id)``, which makes every
-pop — and therefore the whole simulation, including preemption and resume
-order — deterministic.  ``Scheduler`` remains as an alias of
-:class:`BatchingPolicy` for the pre-batching API surface.
+Every order breaks ties on rank, i.e. ``(arrival, request id)``, and a
+preempted rank re-enters its queue at that position, so every pop — and
+therefore the whole simulation, including preemption and resume order — is
+deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict, deque
-from typing import Callable, List, Optional, Sequence, Tuple
+from bisect import insort
+from typing import Dict, List, Optional, Sequence
 
-from repro.serve.trace import Request
+import numpy as np
 
 __all__ = [
+    "NO_DEADLINE",
     "BatchingPolicy",
-    "Scheduler",
-    "FCFSScheduler",
-    "SJFScheduler",
-    "RoundRobinScheduler",
-    "PriorityScheduler",
-    "SLOScheduler",
     "SCHEDULER_NAMES",
     "scheduler_by_name",
 ]
 
+#: CLI-facing policy names in the order they are documented.
+SCHEDULER_NAMES = ("fcfs", "sjf", "rr", "priority", "slo")
 
-def preemption_key(request: Request) -> Tuple[int, float, int]:
-    """Default victim ranking: the *largest* key is evicted first.
-
-    The lowest priority tier loses first; within a tier the newest request
-    (latest ``(arrival, id)``) is evicted, so an old request never loses its
-    KV residency to a younger one and ties stay deterministic.
-    """
-    return (-request.priority, request.arrival_s, request.request_id)
+#: Deadline sentinel for requests without a TTFT SLO under the slo policy:
+#: far beyond any reachable tick, so deadline-less requests order after every
+#: deadline-carrying one of equal priority.
+NO_DEADLINE = 2**62
 
 
 class BatchingPolicy:
-    """Base class: a waiting queue plus preemption-victim selection.
+    """Base class: a rank-keyed waiting queue plus preemption-victim selection.
 
     ``push``/``peek``/``pop`` manage the policy-ordered waiting queue
-    (``peek`` lets the simulator stop admission without disturbing the
-    order when the head does not fit the KV budget or has not arrived at
-    the admitting server's clock yet).  ``victim`` picks the running batch
-    member to preempt; the default is shared by every built-in policy so
-    preemption order is a property of the request metadata, not the
-    admission policy.
+    (``peek`` lets the event loop stop admission without disturbing the
+    order when the head does not fit the KV budget or is not yet admissible
+    at the admitting server's clock).  ``victim`` picks the running batch
+    member to preempt; it is shared by every policy, so preemption order is
+    a property of the request metadata, not the admission policy.
     """
 
     #: Policy name used by the CLI and the report.
     name = "base"
+    __slots__ = ("_priority",)
 
-    def push(self, request: Request) -> None:
-        """Admit an arrived (or preempted) request into the waiting queue."""
+    def __init__(self, priority: Optional[Sequence[int]] = None) -> None:
+        self._priority = priority
+
+    def push(self, rank: int) -> None:
+        """Admit an arrived (or preempted) rank into the waiting queue."""
         raise NotImplementedError
 
-    def peek(self) -> Request:
-        """Return (without removing) the next request ``pop`` would yield."""
+    def peek(self) -> int:
+        """Return (without removing) the rank ``pop`` would yield next."""
         raise NotImplementedError
 
-    def pop(self) -> Request:
-        """Remove and return the next request to admit."""
+    def pop(self) -> int:
+        """Remove and return the next rank to admit."""
         raise NotImplementedError
 
     def __len__(self) -> int:
         raise NotImplementedError
 
-    def victim(self, running: Sequence[Request]) -> Request:
-        """Select the running request to preempt when the KV budget overflows."""
+    def victim(self, running: Sequence[int]) -> int:
+        """The running rank to preempt: the lowest priority tier, then the newest.
+
+        An old request never loses its KV residency to a younger one of its
+        tier, and ties cannot occur (ranks are unique).
+        """
         if not running:
             raise ValueError("cannot select a preemption victim from an empty batch")
-        return max(running, key=preemption_key)
+        priority = self._priority
+        if priority is None:
+            return max(running)
+        return max(running, key=lambda rank: (-priority[rank], rank))
 
 
-#: Backward-compatible alias: the pre-batching scheduler API.
-Scheduler = BatchingPolicy
+class _FifoPolicy(BatchingPolicy):
+    """FCFS: ranks arrive in rank order, so a head pointer suffices.
+
+    A preempted rank re-pushed behind younger ranks is inserted back at its
+    rank position.
+    """
+
+    name = "fcfs"
+    __slots__ = ("_ranks", "_head")
+
+    def __init__(self, priority=None) -> None:
+        super().__init__(priority)
+        self._ranks: List[int] = []
+        self._head = 0
+
+    def push(self, rank: int) -> None:
+        ranks = self._ranks
+        if ranks and rank < ranks[-1]:
+            insort(ranks, rank, self._head)
+        else:
+            ranks.append(rank)
+
+    def peek(self) -> int:
+        return self._ranks[self._head]
+
+    def pop(self) -> int:
+        rank = self._ranks[self._head]
+        self._head += 1
+        if self._head > 4096 and self._head * 2 > len(self._ranks):
+            del self._ranks[: self._head]
+            self._head = 0
+        return rank
+
+    def __len__(self) -> int:
+        return len(self._ranks) - self._head
 
 
-class _HeapPolicy(BatchingPolicy):
-    """Shared heap plumbing: subclasses define the ordering key."""
+class _KeyedPolicy(BatchingPolicy):
+    """sjf/priority/slo: a heap of one precomputed integer key per rank.
 
-    def __init__(self) -> None:
-        self._heap: List[Tuple] = []
+    Keys are ``composite * n + (rank - lo)`` Python ints (arbitrary
+    precision, so stacking priority/deadline/service components can never
+    overflow), built in one vectorised pass.  Heap order on the packed key
+    equals lexicographic order on ``(composite, rank)``.
+    """
 
-    def _key(self, request: Request) -> Tuple:
-        raise NotImplementedError
+    __slots__ = ("name", "_keys", "_lo", "_n", "_heap")
 
-    def push(self, request: Request) -> None:
-        heapq.heappush(self._heap, self._key(request) + (request,))
+    def __init__(self, name: str, keys: List[int], lo: int, n: int, priority=None) -> None:
+        super().__init__(priority)
+        self.name = name
+        self._keys = keys
+        self._lo = lo
+        self._n = n
+        self._heap: List[int] = []
 
-    def peek(self) -> Request:
-        if not self._heap:
-            raise IndexError("peek into an empty scheduler")
-        return self._heap[0][-1]
+    def push(self, rank: int) -> None:
+        heapq.heappush(self._heap, self._keys[rank - self._lo])
 
-    def pop(self) -> Request:
-        if not self._heap:
-            raise IndexError("pop from an empty scheduler")
-        return heapq.heappop(self._heap)[-1]
+    def peek(self) -> int:
+        return self._lo + self._heap[0] % self._n
+
+    def pop(self) -> int:
+        return self._lo + heapq.heappop(self._heap) % self._n
 
     def __len__(self) -> int:
         return len(self._heap)
 
 
-class FCFSScheduler(_HeapPolicy):
-    """First come, first served: admit in arrival order."""
-
-    name = "fcfs"
-
-    def _key(self, request: Request) -> Tuple:
-        return (request.arrival_s, request.request_id)
-
-
-class SJFScheduler(_HeapPolicy):
-    """Shortest (estimated) job first.
-
-    ``estimator`` maps a request to its estimated service seconds; the queue
-    orders by ``(service estimate, arrival, id)``.  Non-preemptive in
-    request-level mode: a long request already running is never displaced.
-    """
-
-    name = "sjf"
-
-    def __init__(self, estimator: Callable[[Request], float]) -> None:
-        super().__init__()
-        self._estimator = estimator
-
-    def _key(self, request: Request) -> Tuple:
-        return (self._estimator(request), request.arrival_s, request.request_id)
-
-
-class PriorityScheduler(_HeapPolicy):
-    """Strict priority tiers: higher ``priority`` first, FCFS within a tier."""
-
-    name = "priority"
-
-    def _key(self, request: Request) -> Tuple:
-        return (-request.priority, request.arrival_s, request.request_id)
-
-
-class SLOScheduler(_HeapPolicy):
-    """SLO-aware admission: priority tiers, then earliest TTFT deadline.
-
-    Within a tier, requests are ordered by their TTFT deadline
-    ``arrival + ttft_slo_s`` (earliest-deadline-first); a request without a
-    TTFT SLO has an infinite deadline and falls back to arrival order behind
-    every deadlined request of its tier.
-    """
-
-    name = "slo"
-
-    def _key(self, request: Request) -> Tuple:
-        deadline = (request.arrival_s + request.ttft_slo_s
-                    if request.ttft_slo_s is not None else float("inf"))
-        return (-request.priority, deadline, request.arrival_s, request.request_id)
-
-
-class RoundRobinScheduler(BatchingPolicy):
+class _RoundRobinPolicy(BatchingPolicy):
     """Round robin across tenants: per-tenant FIFO queues served cyclically.
 
-    Tenants enter the rotation in first-seen order; empty queues are skipped.
-    This is the fairness policy: one chatty tenant cannot monopolise the
-    fleet, it only drains its own queue faster than it fills.  A preempted
-    request re-enters its tenant queue ordered by ``(arrival, id)``, so
-    resume never jumps a tenant-mate that arrived earlier.
+    Tenants enter the rotation in first-push order, each tenant's queue is
+    FIFO in rank order (a preempted rank is inserted back at its rank
+    position, so resume never jumps a tenant-mate that arrived earlier), and
+    a pop advances the cursor past the served tenant, so every tenant with
+    queued work is visited before any tenant is served twice.
     """
 
     name = "rr"
+    __slots__ = ("_tenant", "_queues", "_heads", "_rotation", "_cursor", "_size")
 
-    def __init__(self) -> None:
-        self._queues: "OrderedDict[str, deque[Request]]" = OrderedDict()
-        self._rotation: List[str] = []
+    def __init__(self, tenant_of: Sequence[int], priority=None) -> None:
+        super().__init__(priority)
+        self._tenant = tenant_of
+        self._queues: Dict[int, List[int]] = {}
+        self._heads: Dict[int, int] = {}
+        self._rotation: List[int] = []
         self._cursor = 0
         self._size = 0
 
-    def push(self, request: Request) -> None:
-        if request.tenant not in self._queues:
-            self._queues[request.tenant] = deque()
-            self._rotation.append(request.tenant)
-        queue = self._queues[request.tenant]
-        queue.append(request)
-        # A re-pushed (preempted) request carries its original arrival time;
-        # restore FIFO order so resume cannot reorder a tenant's queue.
-        if len(queue) > 1 and ((queue[-2].arrival_s, queue[-2].request_id)
-                               > (queue[-1].arrival_s, queue[-1].request_id)):
-            items = sorted(queue, key=lambda r: (r.arrival_s, r.request_id))
-            queue.clear()
-            queue.extend(items)
+    def push(self, rank: int) -> None:
+        tenant = int(self._tenant[rank])
+        queue = self._queues.get(tenant)
+        if queue is None:
+            self._queues[tenant] = [rank]
+            self._heads[tenant] = 0
+            self._rotation.append(tenant)
+        elif rank < queue[-1]:
+            insort(queue, rank, self._heads[tenant])
+        else:
+            queue.append(rank)
         self._size += 1
 
-    def _next_tenant(self) -> int:
-        """Rotation index of the next tenant with a non-empty queue."""
-        if self._size == 0:
-            raise IndexError("pop from an empty scheduler")
-        for offset in range(len(self._rotation)):
-            index = (self._cursor + offset) % len(self._rotation)
-            if self._queues[self._rotation[index]]:
-                return index
-        raise AssertionError("size bookkeeping out of sync")  # pragma: no cover
+    def _next(self):
+        """``(rotation index, tenant, queue head)`` of the next tenant with work."""
+        rotation = self._rotation
+        length = len(rotation)
+        for offset in range(length):
+            index = (self._cursor + offset) % length
+            tenant = rotation[index]
+            head = self._heads[tenant]
+            if head < len(self._queues[tenant]):
+                return index, tenant, head
+        raise IndexError("pop from an empty round-robin queue")
 
-    def peek(self) -> Request:
-        return self._queues[self._rotation[self._next_tenant()]][0]
+    def peek(self) -> int:
+        _, tenant, head = self._next()
+        return self._queues[tenant][head]
 
-    def pop(self) -> Request:
-        index = self._next_tenant()
+    def pop(self) -> int:
+        index, tenant, head = self._next()
+        self._heads[tenant] = head + 1
         self._cursor = (index + 1) % len(self._rotation)
         self._size -= 1
-        return self._queues[self._rotation[index]].popleft()
+        return self._queues[tenant][head]
 
     def __len__(self) -> int:
         return self._size
 
 
-#: CLI-facing policy names in the order they are documented.
-SCHEDULER_NAMES = ("fcfs", "sjf", "rr", "priority", "slo")
-
-
 def scheduler_by_name(
-    name: str, estimator: Optional[Callable[[Request], float]] = None
+    name: str,
+    lo: int = 0,
+    hi: Optional[int] = None,
+    *,
+    tenant: Optional[np.ndarray] = None,
+    service: Optional[np.ndarray] = None,
+    priority: Optional[np.ndarray] = None,
+    deadline: Optional[np.ndarray] = None,
 ) -> BatchingPolicy:
-    """Build a batching policy by name (see :data:`SCHEDULER_NAMES`).
+    """Build the named policy's waiting queue over ranks ``lo .. hi``.
 
-    ``sjf`` requires ``estimator`` (request -> estimated service seconds).
+    The per-rank columns are indexed by rank: ``service`` (sjf: estimated
+    service ticks), ``priority`` (priority/slo tiers, and the victim tier
+    under every policy), ``deadline`` (slo: arrival plus TTFT SLO in ticks,
+    :data:`NO_DEADLINE` when absent) and ``tenant`` (rr).  ``hi`` defaults
+    to the column length.
     """
     key = name.strip().lower()
+    if key not in SCHEDULER_NAMES:
+        raise ValueError(f"unknown scheduler {name!r}; options: {list(SCHEDULER_NAMES)}")
     if key == "fcfs":
-        return FCFSScheduler()
-    if key == "sjf":
-        if estimator is None:
-            raise ValueError("the sjf policy needs a service-time estimator")
-        return SJFScheduler(estimator)
+        return _FifoPolicy(priority)
+    column = {"rr": tenant, "sjf": service}.get(key, priority)
+    if column is None or (key == "slo" and deadline is None):
+        raise ValueError(f"the {key} policy needs its per-rank key columns")
     if key == "rr":
-        return RoundRobinScheduler()
-    if key == "priority":
-        return PriorityScheduler()
+        return _RoundRobinPolicy(tenant, priority)
+    hi = len(column) if hi is None else hi
+    n = hi - lo
     if key == "slo":
-        return SLOScheduler()
-    raise ValueError(f"unknown scheduler {name!r}; options: {list(SCHEDULER_NAMES)}")
+        # Two stacked components exceed int64, so pack through Python ints.
+        priorities = (-np.asarray(priority[lo:hi], np.int64)).tolist()
+        deadlines = np.asarray(deadline[lo:hi], np.int64).tolist()
+        keys = [((priorities[i] * (NO_DEADLINE + 1) + deadlines[i]) * n) + i for i in range(n)]
+        return _KeyedPolicy(key, keys, lo, n, priority)
+    composite = np.asarray(column[lo:hi], np.int64)
+    if key == "priority":
+        composite = -composite
+    if len(composite) and int(np.abs(composite).max()) < (2**62) // max(n, 1):
+        keys = (composite * n + np.arange(n, dtype=np.int64)).tolist()
+    else:
+        keys = [int(value) * n + i for i, value in enumerate(composite.tolist())]
+    return _KeyedPolicy(key, keys, lo, n, priority)

@@ -88,12 +88,35 @@ class Request:
     tpot_slo_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
-            raise ValueError(f"arrival time cannot be negative, got {self.arrival_s}")
-        if self.ttft_slo_s is not None and self.ttft_slo_s <= 0:
-            raise ValueError(f"TTFT SLO must be positive, got {self.ttft_slo_s}")
-        if self.tpot_slo_s is not None and self.tpot_slo_s <= 0:
-            raise ValueError(f"TPOT SLO must be positive, got {self.tpot_slo_s}")
+        problem = _field_problem(self.arrival_s, self.priority, self.ttft_slo_s, self.tpot_slo_s)
+        if problem is not None:
+            raise ValueError(f"request {self.request_id}: {problem}")
+
+
+#: Arrivals must stay below 2**63 nanosecond ticks, the event engine's int64
+#: time base.
+_MAX_ARRIVAL_TICKS = 2.0**63
+
+
+def _field_problem(
+    arrival_s: float, priority: int, ttft_slo_s: Optional[float], tpot_slo_s: Optional[float]
+) -> Optional[str]:
+    """Why a request's scheduling fields are unusable, or ``None`` when they are fine.
+
+    Arrivals must be finite, non-negative and representable as int64
+    nanosecond ticks; SLO targets finite and positive; priorities must fit
+    int32 (the trace column type).
+    """
+    if not (math.isfinite(arrival_s) and 0 <= arrival_s
+            and arrival_s * 1e9 < _MAX_ARRIVAL_TICKS):
+        return (f"arrival time must be finite, non-negative and below 2**63 ns, "
+                f"got {arrival_s!r}")
+    for name, slo in (("TTFT", ttft_slo_s), ("TPOT", tpot_slo_s)):
+        if slo is not None and not (math.isfinite(slo) and slo > 0):
+            return f"{name} SLO must be finite and positive, got {slo!r}"
+    if not -(2**31) <= priority < 2**31:
+        return f"priority must fit in int32, got {priority!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -329,18 +352,14 @@ class RequestTrace:
     @property
     def tenants(self) -> List[str]:
         """Tenant names appearing in the trace, sorted."""
-        if self._columns is not None:
-            used = np.unique(self._columns.tenant_id)
-            return sorted(self._columns.tenants[i] for i in used)
-        return sorted({request.tenant for request in self._requests})
+        columns = self.columns
+        return sorted(columns.tenants[i] for i in np.unique(columns.tenant_id))
 
     @property
     def workloads(self) -> List[str]:
         """Distinct workload names appearing in the trace, sorted."""
-        if self._columns is not None:
-            used = np.unique(self._columns.workload_id)
-            return sorted(self._columns.workloads[i] for i in used)
-        return sorted({request.workload for request in self._requests})
+        columns = self.columns
+        return sorted(columns.workloads[i] for i in np.unique(columns.workload_id))
 
     def to_records(self) -> List[dict]:
         """JSON-able arrival records (the :func:`replay_trace` input format).
@@ -348,24 +367,7 @@ class RequestTrace:
         Priority and SLO fields are emitted only when set, so traces recorded
         before those fields existed keep their byte-identical JSON form.
         """
-        if self._requests is None:
-            return self._columns.to_records()
-        records = []
-        for request in self._requests:
-            record = {
-                "tenant": request.tenant,
-                "workload": request.workload,
-                "arrival_s": request.arrival_s,
-                "precision": request.precision.name.lower(),
-            }
-            if request.priority != 0:
-                record["priority"] = request.priority
-            if request.ttft_slo_s is not None:
-                record["ttft_slo_s"] = request.ttft_slo_s
-            if request.tpot_slo_s is not None:
-                record["tpot_slo_s"] = request.tpot_slo_s
-            records.append(record)
-        return records
+        return self.columns.to_records()
 
     def save(self, path: Union[str, Path]) -> None:
         """Write the trace as a JSON record list that :func:`replay_trace` reads back."""
@@ -861,10 +863,11 @@ def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay")
             tpot = math.nan if tpot_slo is None else float(tpot_slo)
         except (KeyError, TypeError, ValueError) as error:
             raise ValueError(f"replay record {sequence} is malformed: {record!r}") from error
-        if arrival < 0:
-            raise ValueError(f"replay record {sequence}: arrival time cannot be negative")
-        if (ttft_slo is not None and ttft <= 0) or (tpot_slo is not None and tpot <= 0):
-            raise ValueError(f"replay record {sequence}: SLO targets must be positive")
+        problem = _field_problem(
+            arrival, priority, None if ttft_slo is None else ttft,
+            None if tpot_slo is None else tpot)
+        if problem is not None:
+            raise ValueError(f"replay record {sequence}: {problem}")
         if "request_id" in record:
             request_id = int(record["request_id"])
             if last_id is not None and request_id <= last_id:

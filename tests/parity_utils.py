@@ -38,17 +38,22 @@ def make_serve_trace(seed=7, duration=20.0, count=3, rate=4.0):
     return poisson_trace(make_mixed_tenants(count, rate), duration_s=duration, seed=seed)
 
 
-def make_serve_simulator(engine, scheduler="fcfs", batching="request", **kwargs):
-    """A 4-node serve simulator; ``batching='step'`` selects the degenerate
-    step mode (``max_batch=1``, no preemption) that routes through the
-    request-level engine — the mode where the scalar/array choice applies."""
+def make_serve_simulator(scheduler="fcfs", **kwargs):
+    """A 4-node request-batching serve simulator."""
     from repro.serve import ServeSimulator
 
-    defaults = dict(config=maco_default_config(num_nodes=4))
-    if batching == "step":
-        defaults.update(batching="step", max_batch=1, preemption=False)
-    defaults.update(kwargs)
-    return ServeSimulator(scheduler=scheduler, engine=engine, **defaults)
+    return ServeSimulator(scheduler=scheduler, **{
+        "config": maco_default_config(num_nodes=4), **kwargs})
+
+
+def assert_matches_oracle(simulator, trace, shards=None):
+    """The request runner's completion columns equal the scalar oracle's on
+    the simulator's lowering of ``trace`` (whole, or cut into shard
+    segments)."""
+    from repro.conformance.serve_oracle import check_request_engine
+
+    mismatch = check_request_engine(simulator, trace, shards=shards)
+    assert mismatch is None, mismatch
 
 
 def run_emulator_pair(rows, cols, tr, seed):

@@ -23,6 +23,7 @@ from repro.serve import (
     ServeSimulator,
     WindowStats,
     bursty_trace,
+    default_tenants,
     derive_kv_budget,
     llm_tenants,
     poisson_trace,
@@ -305,6 +306,30 @@ class TestElasticServing:
         assert pinned.autoscale is not None and fixed.autoscale is None
         stripped = dataclasses.replace(pinned, autoscale=None)
         assert stripped.to_json() == fixed.to_json()
+
+    def test_stopped_groups_never_admit(self):
+        # Every admission falls inside one of its group's commitments: from
+        # the start (or a scale-out's serving_from_s) up to the scale-in stop.
+        # A group drained by a window evaluated on its own turn must not
+        # keep that turn and admit while stopped.
+        specs = [spec.with_rate(1.74).with_slo(ttft_slo_s=0.4 + 0.2 * index, tpot_slo_s=0.05,
+                                               priority=index % 2)
+                 for index, spec in enumerate(default_tenants(3))]
+        trace = poisson_trace(specs, 2.5, seed=2189)
+        policy = AutoscalePolicy(min_groups=1, max_groups=2, window_s=0.2, sustain_windows=2,
+                                 cooldown_s=0.5, provision_delay_s=0.25)
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=4), scheduler="slo",
+                                   batching="step", max_batch=2, autoscale=policy)
+        events = simulator.run(trace).autoscale.events
+        assert any(event.direction == "in" for event in events)
+        spans = {group: [[-float("inf"), float("inf")]] for group in range(policy.min_groups)}
+        for event in events:
+            if event.direction == "out":
+                spans.setdefault(event.group_id, []).append([event.serving_from_s, float("inf")])
+            else:
+                spans[event.group_id][-1][1] = event.stopped_s
+        for admit_s, group in simulator.last_admissions:
+            assert any(lo <= admit_s < hi for lo, hi in spans[group]), (admit_s, group)
 
     def test_autoscale_section_renders(self):
         trace = overload_trace(seed=7, utilization=1.1, requests=20)

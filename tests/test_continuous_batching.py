@@ -8,6 +8,7 @@ preemption/victim policy, the SLO metrics, and the CLI flags.
 
 import json
 
+import numpy as np
 import pytest
 
 import repro.serve
@@ -17,14 +18,14 @@ from repro.gemm import Precision
 from repro.serve import (
     SCHEDULER_NAMES,
     DEFAULT_KV_BUDGET_BYTES,
-    PriorityScheduler,
-    Request,
+    AutoscalePolicy,
     ServeSimulator,
-    SLOScheduler,
+    bursty_trace,
     llm_tenants,
     poisson_trace,
     scheduler_by_name,
 )
+from repro.serve.engine import NO_DEADLINE, TICKS_PER_SECOND, simulate_segments
 from repro.workloads import workload_graph_by_name
 
 #: Small LLaMA proxy: one prefill step plus four 8-token decode blocks, so
@@ -53,9 +54,25 @@ def step_simulator(**overrides):
     return ServeSimulator(**defaults)
 
 
-def make_request(request_id, arrival=0.0, priority=0, ttft_slo_s=None):
-    return Request(request_id=request_id, tenant="t0", workload=VARIANT,
-                   arrival_s=arrival, priority=priority, ttft_slo_s=ttft_slo_s)
+def key_columns(count):
+    """Every policy's per-rank key columns for ``count`` ranks."""
+    return dict(tenant=np.zeros(count, np.int64), service=np.ones(count, np.int64),
+                priority=np.zeros(count, np.int64),
+                deadline=np.full(count, NO_DEADLINE, np.int64))
+
+
+def slo_policy(arrival_s, priority, ttft_slo_s):
+    """The slo policy over ranks with these arrivals, tiers and TTFT SLOs."""
+    deadline = [NO_DEADLINE if slo is None else round((arrival + slo) * TICKS_PER_SECOND)
+                for arrival, slo in zip(arrival_s, ttft_slo_s)]
+    return scheduler_by_name("slo", priority=np.array(priority),
+                             deadline=np.array(deadline, np.int64))
+
+
+def pops(policy, ranks):
+    for rank in ranks:
+        policy.push(rank)
+    return [policy.pop() for _ in ranks]
 
 
 class TestPublicSurface:
@@ -65,12 +82,13 @@ class TestPublicSurface:
 
     def test_scheduler_names_round_trip(self):
         for name in SCHEDULER_NAMES:
-            policy = scheduler_by_name(name, estimator=lambda request: 1.0)
+            policy = scheduler_by_name(name, **key_columns(3))
             assert policy.name == name
 
-    def test_sjf_requires_estimator(self):
-        with pytest.raises(ValueError, match="estimator"):
-            scheduler_by_name("sjf")
+    def test_keyed_policies_require_their_columns(self):
+        for name in ("sjf", "priority", "slo"):
+            with pytest.raises(ValueError, match="columns"):
+                scheduler_by_name(name)
 
     def test_unknown_name_lists_options(self):
         with pytest.raises(ValueError, match="slo"):
@@ -78,35 +96,44 @@ class TestPublicSurface:
 
 
 class TestPolicies:
+    # Ranks are positions in (arrival, request id) order.
     def test_priority_serves_higher_tiers_first(self):
-        policy = PriorityScheduler()
-        policy.push(make_request("r0", arrival=0.0, priority=0))
-        policy.push(make_request("r1", arrival=1.0, priority=2))
-        policy.push(make_request("r2", arrival=2.0, priority=1))
-        assert [policy.pop().request_id for _ in range(3)] == ["r1", "r2", "r0"]
+        policy = scheduler_by_name("priority", priority=np.array([0, 2, 1]))
+        assert pops(policy, [0, 1, 2]) == [1, 2, 0]
 
     def test_slo_is_edf_within_a_tier(self):
-        policy = SLOScheduler()
-        policy.push(make_request("r0", arrival=0.0, ttft_slo_s=9.0))
-        policy.push(make_request("r1", arrival=1.0, ttft_slo_s=2.0))
-        policy.push(make_request("r2", arrival=2.0))  # no target: deadline inf
-        assert [policy.pop().request_id for _ in range(3)] == ["r1", "r0", "r2"]
+        # Rank 2 has no target: its deadline sorts last in the tier.
+        policy = slo_policy([0.0, 1.0, 2.0], [0, 0, 0], [9.0, 2.0, None])
+        assert pops(policy, [0, 1, 2]) == [1, 0, 2]
 
     def test_slo_priority_tier_beats_deadline(self):
-        policy = SLOScheduler()
-        policy.push(make_request("r0", arrival=0.0, ttft_slo_s=0.1))
-        policy.push(make_request("r1", arrival=0.0, priority=1, ttft_slo_s=9.0))
-        assert policy.pop().request_id == "r1"
+        policy = slo_policy([0.0, 0.0], [0, 1], [0.1, 9.0])
+        assert pops(policy, [0, 1]) == [1, 0]
 
     def test_victim_is_lowest_tier_then_newest(self):
+        # Rank 0 sits in tier 1; ranks 1 and 2 arrived later in tier 0.
+        policy = scheduler_by_name("fcfs", priority=np.array([1, 0, 0]))
+        assert policy.victim([0, 2, 1]) == 2
+        assert policy.victim([0, 1]) == 1
+
+    def test_preempted_rank_reenters_fcfs_in_arrival_order(self):
         policy = scheduler_by_name("fcfs")
-        running = [
-            make_request("r0", arrival=0.0, priority=1),
-            make_request("r1", arrival=2.0),
-            make_request("r2", arrival=1.0),
-        ]
-        assert policy.victim(running).request_id == "r1"
-        assert policy.victim(running[:1] + running[2:]).request_id == "r2"
+        for rank in range(4):
+            policy.push(rank)
+        assert [policy.pop() for _ in range(3)] == [0, 1, 2]
+        policy.push(2)  # preempted: re-queued behind younger rank 3
+        policy.push(0)
+        assert [policy.pop() for _ in range(3)] == [0, 2, 3]
+
+    def test_preempted_rank_reenters_rr_in_arrival_order(self):
+        # Tenants a, a, b, a: rank 0 is admitted, then preempted and
+        # re-queued ahead of its tenant-mates 1 and 3.
+        policy = scheduler_by_name("rr", tenant=np.array([0, 0, 1, 0]))
+        for rank in range(4):
+            policy.push(rank)
+        assert policy.pop() == 0
+        policy.push(0)
+        assert [policy.pop() for _ in range(4)] == [2, 0, 1, 3]
 
 
 class TestDeterminism:
@@ -133,10 +160,12 @@ class TestDeterminism:
 
 
 class TestDegenerateParity:
-    def test_batch_one_no_preemption_is_byte_exact_legacy(self):
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_batch_one_no_preemption_is_byte_exact_legacy(self, scheduler):
         trace = llm_trace()
-        legacy = ServeSimulator(config=maco_default_config(num_nodes=4)).run(trace)
-        step = step_simulator(max_batch=1, preemption=False).run(trace)
+        legacy = ServeSimulator(config=maco_default_config(num_nodes=4),
+                                scheduler=scheduler).run(trace)
+        step = step_simulator(scheduler=scheduler, max_batch=1, preemption=False).run(trace)
         legacy_payload = json.loads(legacy.to_json())
         step_payload = json.loads(step.to_json())
         # Only the mode label differs: the degenerate configuration delegates
@@ -145,20 +174,22 @@ class TestDegenerateParity:
         assert step_payload.pop("batching") == "step"
         assert step_payload == legacy_payload
 
-    def test_general_step_loop_at_batch_one_matches_legacy_closely(self):
-        # With preemption on, batch 1 runs the real iteration loop; an
-        # uncontended budget never evicts, so it must agree with the legacy
-        # dispatcher up to quantization: the request-level engine now runs
-        # on integer nanosecond ticks, so per-request times agree with the
-        # float step loop only to ~1 ns, which compounds to ~1e-8 relative
-        # on second-scale latencies.
+    @pytest.mark.parametrize("nodes, parallelism", [(4, None), (1, None), (4, "tp:2")])
+    def test_general_step_loop_at_batch_one_is_byte_exact_legacy(self, nodes, parallelism):
+        # With preemption on, batch 1 runs the real step runner; a request's
+        # step ticks sum exactly to its request-mode latency ticks, so on
+        # fleets without pipeline parallelism it reproduces the request
+        # runner's report byte for byte.
         trace = llm_trace()
-        legacy = ServeSimulator(config=maco_default_config(num_nodes=4)).run(trace)
-        step = step_simulator(max_batch=1, preemption=True).run(trace)
-        assert step.preemptions == 0
-        assert step.throughput_rps == pytest.approx(legacy.throughput_rps, rel=1e-7)
-        assert step.latency_p95_s == pytest.approx(legacy.latency_p95_s, rel=1e-7)
-        assert step.latency_p50_s == pytest.approx(legacy.latency_p50_s, rel=1e-7)
+        config = maco_default_config(num_nodes=nodes)
+        legacy = ServeSimulator(config=config, parallelism=parallelism).run(trace)
+        step = step_simulator(config=config, parallelism=parallelism, max_batch=1,
+                              preemption=True, kv_budget_bytes=float("inf")).run(trace)
+        legacy_payload = json.loads(legacy.to_json())
+        step_payload = json.loads(step.to_json())
+        assert legacy_payload.pop("batching") == "request"
+        assert step_payload.pop("batching") == "step"
+        assert step_payload == legacy_payload
 
 
 class TestStepExecution:
@@ -198,6 +229,34 @@ class TestStepExecution:
         assert sum(step.seconds for step in profile.steps) == pytest.approx(
             profile.latency_s, rel=1e-12)
         assert profile.peak_state_bytes == max(step.state_bytes for step in profile.steps)
+
+
+class TestQueueAccounting:
+    def test_littles_law_holds_in_step_mode(self):
+        # Queue depth counts waiting intervals, so its time integral over the
+        # makespan equals the summed waits exactly (no preemptions here).
+        report = step_simulator().run(llm_trace(requests=120))
+        assert report.preemptions == 0
+        waits = sum(tenant.wait_mean_s * tenant.requests for tenant in report.tenants)
+        assert report.queue_depth_mean * report.makespan_s == pytest.approx(waits, rel=1e-12)
+
+    def test_readmission_never_precedes_preemption(self):
+        # An idle server must not re-admit a victim before it was evicted.
+        tenants = llm_tenants(2, variant=LONG_VARIANT)
+        peak = max(workload_graph_by_name(workload).peak_state_bytes
+                   for spec in tenants for workload, _ in spec.mix)
+        simulator = step_simulator(
+            scheduler="slo", kv_budget_bytes=1.5 * peak,
+            autoscale=AutoscalePolicy(min_groups=1, max_groups=4))
+        ingest, interactive = simulator.suggest_rates(tenants, utilization=0.9)
+        specs = [ingest.with_slo(ttft_slo_s=4.0),
+                 interactive.with_slo(ttft_slo_s=1.0, tpot_slo_s=0.2, priority=1)]
+        trace = bursty_trace(specs, 300 / sum(spec.rate_rps for spec in specs), seed=2)
+        simulator._prepare_services(trace)
+        et, _ = simulator._engine_trace(trace.columns, trace)
+        requeued = simulate_segments(et, [(0, len(et))]).requeued
+        assert len(requeued) > 50
+        assert (requeued[:, 1] >= requeued[:, 0]).all()
 
 
 class TestSLOMetrics:

@@ -24,7 +24,6 @@ from repro.gemm.precision import Precision
 from repro.parallel import (
     DEFAULT_GATHER_ASYMMETRY,
     OVERHEAD_COMPONENT_SHARES,
-    PARALLEL_STRATEGIES,
     PARALLELISM_STRATEGIES,
     CollectiveCostModel,
     ParallelismSpec,
@@ -68,8 +67,7 @@ class TestParallelismSpec:
             ParallelismSpec.parse(text)
 
     def test_strategies_are_the_documented_quartet(self):
-        assert sorted(PARALLEL_STRATEGIES) == ["auto", "pp", "tp", "tp2d"]
-        assert tuple(PARALLELISM_STRATEGIES) == PARALLEL_STRATEGIES
+        assert sorted(PARALLELISM_STRATEGIES) == ["auto", "pp", "tp", "tp2d"]
 
     def test_registry_examples_parse_back_to_their_strategy(self):
         for name, info in PARALLELISM_STRATEGIES.items():
@@ -582,7 +580,8 @@ class TestServeParallelism:
         from repro.serve import TenantSpec, poisson_trace
 
         simulator = self._pp_simulator()
-        latency, interval = simulator._service_pair("resnet50", Precision.FP32)
+        profile = simulator.service_profile("resnet50", Precision.FP32)
+        latency, interval = profile.latency_s, profile.interval_s
         assert interval < latency
         specs = [TenantSpec(name="t0", rate_rps=5.0, mix=(("resnet50", 1.0),))]
         trace = poisson_trace(specs, duration_s=8.0, seed=5)
@@ -597,7 +596,7 @@ class TestServeParallelism:
         from repro.serve.trace import Request, RequestTrace
 
         simulator = self._pp_simulator()
-        latency, interval = simulator._service_pair("resnet50", Precision.FP32)
+        latency = simulator.service_seconds("resnet50", Precision.FP32)
         requests = [
             Request(request_id=index, tenant=f"t{index}", workload="resnet50",
                     arrival_s=0.0)
@@ -618,7 +617,7 @@ class TestParallelCLI:
 
     def test_parallel_reports_compute_vs_comm_cycles(self, capsys):
         out = self._run(capsys, "parallel", "--workload", SMALL_LLM,
-                        "--strategy", "tp", "--degree", "4", "--format", "json")
+                        "--parallel", "tp:4", "--format", "json")
         payload = json.loads(out)
         assert payload["phases"], "no phase rows"
         for row in payload["phases"]:
@@ -629,15 +628,15 @@ class TestParallelCLI:
         assert summary["speedup"] > 1.0
 
     def test_parallel_is_byte_identical_across_jobs(self, capsys):
-        argv = ("parallel", "--workload", SMALL_LLM, "--strategy", "auto",
-                "--degree", "1,2,4", "--format", "json")
+        argv = ("parallel", "--workload", SMALL_LLM, "--parallel", "auto:1,auto:2,auto:4",
+                "--format", "json")
         serial = self._run(capsys, *argv, "--jobs", "1")
         pooled = self._run(capsys, *argv, "--jobs", "2")
         assert serial == pooled
 
     def test_parallel_degree_one_matches_single_node_numbers(self, capsys):
         out = self._run(capsys, "parallel", "--workload", SMALL_LLM,
-                        "--strategy", "tp", "--degree", "1", "--format", "json")
+                        "--parallel", "tp:1", "--format", "json")
         payload = json.loads(out)
         [summary] = payload["summary"]
         assert summary["speedup"] == 1.0
@@ -647,11 +646,11 @@ class TestParallelCLI:
         expected = plan_parallel(graph, maco_default_config(), "tp:1").total_seconds
         assert summary["total_s"] == expected
 
-    def test_bad_degree_list_is_a_cli_error(self, capsys):
+    def test_bad_spec_list_is_a_cli_error(self, capsys):
         from repro.cli import main
 
-        assert main(["parallel", "--degree", "4,nope"]) == 2
-        assert "--degree" in capsys.readouterr().err
+        assert main(["parallel", "--parallel", "tp:4,tp:nope"]) == 2
+        assert "tp:nope" in capsys.readouterr().err
 
     def test_explore_parallel_filters_small_points(self, capsys):
         from repro.cli import main
@@ -685,30 +684,19 @@ class TestParallelCLI:
             assert row["overlapped_cycles"] >= 0.0
             assert "summa-bcast" in row["collective"]
 
-    def test_deprecated_flags_warn_once_and_alias_parallel(self, capsys):
-        import repro.cli as cli
+    def test_parallel_without_specs_sweeps_tensor_degrees(self, capsys):
+        out = self._run(capsys, "parallel", "--workload", SMALL_LLM, "--format", "json")
+        specs = [row["spec"] for row in json.loads(out)["summary"]]
+        assert specs == ["tp:1", "tp:2", "tp:4", "tp:8"]
 
-        cli._DEPRECATION_WARNED.clear()
-        argv = ["parallel", "--workload", SMALL_LLM, "--strategy", "tp",
-                "--degree", "2", "--format", "json"]
-        assert cli.main(argv) == 0
-        first = capsys.readouterr()
-        assert "deprecated" in first.err
-        assert cli.main(argv) == 0
-        second = capsys.readouterr()
-        assert second.err == ""  # warned once per process, not per run
-        assert second.out == first.out
-        assert cli.main(["parallel", "--workload", SMALL_LLM,
-                         "--parallel", "tp:2", "--format", "json"]) == 0
-        direct = json.loads(capsys.readouterr().out)
-        assert direct["summary"] == json.loads(first.out)["summary"]
-
-    def test_parallel_flag_conflicts_with_deprecated_aliases(self, capsys):
+    @pytest.mark.parametrize("flag", ["--strategy", "--degree"])
+    def test_removed_aliases_are_rejected(self, flag, capsys):
         from repro.cli import main
 
-        assert main(["parallel", "--workload", SMALL_LLM,
-                     "--parallel", "tp:2", "--strategy", "tp"]) == 2
-        assert "--parallel replaces" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["parallel", "--workload", SMALL_LLM, flag, "tp"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_bad_grid_spec_is_a_cli_error(self, capsys):
         from repro.cli import main

@@ -1,18 +1,17 @@
 """Tests for the trace-driven multi-tenant serving simulator (repro.serve)."""
 
 import json
+import threading
 
+import numpy as np
 import pytest
 
 from repro.analysis import percentile
 from repro.core import MACOSystem, maco_default_config
 from repro.gemm import Precision
 from repro.serve import (
-    FCFSScheduler,
     Request,
-    RoundRobinScheduler,
     ServeSimulator,
-    SJFScheduler,
     TenantSpec,
     bursty_trace,
     default_tenants,
@@ -117,35 +116,40 @@ class TestTraces:
 
 # ------------------------------------------------------------------- schedulers
 class TestSchedulers:
+    # Policies key on ranks: positions in (arrival, request id) order.
     def test_fcfs_pops_in_arrival_order(self):
-        scheduler = FCFSScheduler()
-        for request_id, arrival in [(0, 3.0), (1, 1.0), (2, 2.0)]:
-            scheduler.push(make_request(request_id, arrival=arrival))
-        assert [scheduler.pop().request_id for _ in range(3)] == [1, 2, 0]
+        scheduler = scheduler_by_name("fcfs")
+        for rank in (2, 0, 1):
+            scheduler.push(rank)
+        assert [scheduler.pop() for _ in range(3)] == [0, 1, 2]
 
     def test_sjf_pops_shortest_estimate_first(self):
-        estimates = {"gpt3": 30.0, "bert": 10.0, "resnet50": 1.0}
-        scheduler = SJFScheduler(lambda request: estimates[request.workload])
-        for request_id, workload in [(0, "gpt3"), (1, "resnet50"), (2, "bert")]:
-            scheduler.push(make_request(request_id, workload=workload))
-        assert [scheduler.pop().workload for _ in range(3)] == ["resnet50", "bert", "gpt3"]
+        # Service ticks per rank: gpt3, resnet50, bert.
+        scheduler = scheduler_by_name("sjf", service=np.array([30, 1, 10]))
+        for rank in range(3):
+            scheduler.push(rank)
+        assert [scheduler.pop() for _ in range(3)] == [1, 2, 0]
 
     def test_round_robin_alternates_tenants(self):
-        scheduler = RoundRobinScheduler()
-        for request_id, tenant in [(0, "a"), (1, "a"), (2, "a"), (3, "b"), (4, "b")]:
-            scheduler.push(make_request(request_id, tenant=tenant, arrival=float(request_id)))
-        order = [scheduler.pop().tenant for _ in range(5)]
+        tenants = ["a", "a", "a", "b", "b"]
+        scheduler = scheduler_by_name("rr", tenant=np.array([0, 0, 0, 1, 1]))
+        for rank in range(5):
+            scheduler.push(rank)
+        order = [tenants[scheduler.pop()] for _ in range(5)]
         assert order == ["a", "b", "a", "b", "a"]
 
     def test_pop_empty_raises(self):
-        for scheduler in (FCFSScheduler(), RoundRobinScheduler()):
+        for scheduler in (scheduler_by_name("fcfs"),
+                          scheduler_by_name("rr", tenant=np.array([0]))):
             with pytest.raises(IndexError):
                 scheduler.pop()
+            with pytest.raises(IndexError):
+                scheduler.peek()
 
     def test_factory(self):
         assert scheduler_by_name("fcfs").name == "fcfs"
-        assert scheduler_by_name("rr").name == "rr"
-        assert scheduler_by_name("sjf", estimator=lambda r: 1.0).name == "sjf"
+        assert scheduler_by_name("rr", tenant=np.array([0])).name == "rr"
+        assert scheduler_by_name("sjf", service=np.array([1])).name == "sjf"
         with pytest.raises(ValueError):
             scheduler_by_name("sjf")
         with pytest.raises(ValueError):
@@ -298,6 +302,74 @@ class TestSimulator:
 
 
 # ---------------------------------------------------------- phase-aware serving
+def run_within(seconds, function):
+    """Run ``function`` on a daemon thread and fail if it outlives ``seconds``."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["value"] = function()
+        except BaseException as error:  # re-raised on the test thread
+            outcome["error"] = error
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+#: ``(record overrides, error phrase)``: one hostile field per case.
+HOSTILE_FIELDS = [
+    ({"arrival_s": float("nan")}, "arrival"),
+    ({"arrival_s": float("inf")}, "arrival"),
+    ({"arrival_s": -1.0}, "arrival"),
+    ({"arrival_s": 1e300}, "2\\*\\*63"),
+    ({"ttft_slo_s": float("nan")}, "TTFT"),
+    ({"tpot_slo_s": float("inf")}, "TPOT"),
+    ({"ttft_slo_s": 0.0}, "TTFT"),
+    ({"priority": 2**31}, "int32"),
+]
+
+
+class TestHostileReplay:
+    """Non-finite or out-of-range replay fields fail cleanly, never silently."""
+
+    @staticmethod
+    def records(overrides):
+        records = [{"tenant": "t0", "workload": "bert", "arrival_s": 0.1 * index}
+                   for index in range(3)]
+        records[1].update(overrides)
+        return records
+
+    @pytest.mark.parametrize("overrides, phrase", HOSTILE_FIELDS)
+    def test_replay_raises_value_error(self, overrides, phrase):
+        with pytest.raises(ValueError, match=phrase):
+            replay_trace(self.records(overrides))
+
+    @pytest.mark.parametrize("overrides, phrase", HOSTILE_FIELDS)
+    def test_request_raises_value_error(self, overrides, phrase):
+        fields = {"request_id": 0, "tenant": "t0", "workload": "bert", "arrival_s": 0.0}
+        fields.update(overrides)
+        with pytest.raises(ValueError, match=phrase):
+            Request(**fields)
+
+    @pytest.mark.parametrize("batching", ["request", "step"])
+    @pytest.mark.parametrize("overrides, phrase", HOSTILE_FIELDS)
+    def test_cli_exits_2(self, tmp_path, capsys, batching, overrides, phrase):
+        from repro.cli import main
+
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(self.records(overrides)))  # NaN/Infinity tokens
+        argv = ["serve", "--trace", "replay", "--trace-file", str(path),
+                "--nodes", "2", "--batching", batching, "--format", "json"]
+        assert run_within(60, lambda: main(argv)) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err and captured.out == ""
+
+
 class TestLLMServing:
     """LLM prefill/decode tenants through the phase-aware service estimator."""
 

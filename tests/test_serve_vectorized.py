@@ -1,11 +1,12 @@
 """Parity suite for the array-based serve engine (DESIGN.md section 9).
 
-The vectorised serve core keeps its scalar twins around as oracles, and this
-file is the contract between them: the NumPy trace generators must reproduce
-the scalar generators element for element, the array event engine must emit
-byte-identical ``to_json`` reports against the scalar reference across every
-scheduler × batching mode × seed, and sharded runs must merge back to the
-exact single-shard report for any shard count or worker-pool size.
+The vectorised serve core is checked against scalar oracles, and this file
+is the contract between them: the NumPy trace generators must reproduce the
+scalar generators element for element, the request runner's completion
+columns must equal the scalar oracle's (:mod:`repro.conformance.serve_oracle`)
+on the same lowered trace for every scheduler × seed, and sharded runs must
+merge back to the exact single-shard report for any shard count or
+worker-pool size.
 """
 
 import json
@@ -34,6 +35,7 @@ from repro.serve import (
 # the other parity suites and mirrored by the conformance fuzz layer's
 # samplers.
 from parity_utils import (
+    assert_matches_oracle,
     make_mixed_tenants as mixed_tenants,
     make_serve_simulator as simulator,
     make_serve_trace as serve_trace,
@@ -82,27 +84,17 @@ class TestGeneratorParity:
 # -------------------------------------------------------------- engine parity
 class TestEngineParity:
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
-    @pytest.mark.parametrize("batching", ["request", "step"])
     @pytest.mark.parametrize("seed", [7, 23])
-    def test_array_engine_matches_scalar_byte_for_byte(self, scheduler, batching, seed):
-        trace = serve_trace(seed=seed)
-        fast = simulator("array", scheduler, batching).run(trace)
-        slow = simulator("scalar", scheduler, batching).run(trace)
-        assert fast.to_json() == slow.to_json()
+    def test_request_runner_matches_oracle(self, scheduler, seed):
+        assert_matches_oracle(simulator(scheduler), serve_trace(seed=seed))
 
-    def test_multi_server_closed_form_fallback_matches_scalar(self):
+    def test_multi_server_closed_form_fallback_matches_oracle(self):
         # One node keeps fcfs on the closed-form prefix scan; several nodes
         # exercise the heap loop. Both must agree with the scalar reference.
         trace = serve_trace(seed=11)
         for nodes in (1, 3):
             config = maco_default_config(num_nodes=nodes)
-            fast = ServeSimulator(config=config, engine="array").run(trace)
-            slow = ServeSimulator(config=config, engine="scalar").run(trace)
-            assert fast.to_json() == slow.to_json()
-
-    def test_engine_name_is_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            ServeSimulator(engine="quantum")
+            assert_matches_oracle(ServeSimulator(config=config), trace)
 
 
 # -------------------------------------------------------------- shard parity
@@ -111,33 +103,31 @@ class TestShardParity:
     def test_reports_identical_across_shard_counts(self, scheduler):
         trace = serve_trace(seed=5, duration=30.0)
         reports = {
-            shards: simulator("array", scheduler).run(trace, shards=shards).to_json()
+            shards: simulator(scheduler).run(trace, shards=shards).to_json()
             for shards in (1, 2, 7)
         }
         assert reports[1] == reports[2] == reports[7]
 
     def test_reports_identical_across_jobs(self):
         trace = serve_trace(seed=5, duration=30.0)
-        serial = simulator("array", jobs=1).run(trace, shards=4).to_json()
-        pooled = simulator("array", jobs=2).run(trace, shards=4).to_json()
+        serial = simulator(jobs=1).run(trace, shards=4).to_json()
+        pooled = simulator(jobs=2).run(trace, shards=4).to_json()
         assert serial == pooled
 
-    def test_scalar_engine_honours_shards_too(self):
-        trace = serve_trace(seed=9)
-        fast = simulator("array").run(trace, shards=3).to_json()
-        slow = simulator("scalar").run(trace, shards=3).to_json()
-        assert fast == slow
+    def test_oracle_agrees_on_shard_segments(self):
+        assert_matches_oracle(simulator(), serve_trace(seed=9), shards=3)
 
     def test_sharding_rejects_bad_counts(self):
         trace = serve_trace()
         with pytest.raises(ValueError, match="shards"):
-            simulator("array").run(trace, shards=0)
+            simulator().run(trace, shards=0)
 
     def test_step_mode_reports_identical_across_shard_counts(self):
-        # The step-batching loop now has its own sharding contract: cut
-        # points come from a conservative serial-drain bound over the trace
-        # alone, every segment starts cold, so any shards >= 1 agree byte
-        # for byte (shards=None stays the continuous reference semantics).
+        # Step batching cuts through the same serial-drain bound, charging
+        # each request one KV restore of its peak state on top; the cuts
+        # depend on the trace alone and every segment starts cold, so any
+        # shards >= 1 agree byte for byte (shards=None stays the continuous
+        # semantics).
         trace = serve_trace(seed=5, duration=30.0)
         step = ServeSimulator(config=maco_default_config(num_nodes=4),
                               batching="step", max_batch=8)
@@ -177,8 +167,8 @@ class TestReplayStreaming:
         trace.save(path)
         replayed = replay_trace(path)
         assert replayed.to_records() == trace.to_records()
-        report_a = simulator("array").run(trace).to_json()
-        report_b = simulator("array").run(replayed).to_json()
+        report_a = simulator().run(trace).to_json()
+        report_b = simulator().run(replayed).to_json()
         # Only the trace name differs between the two reports.
         assert json.loads(report_a)["tenants"] == json.loads(report_b)["tenants"]
 
