@@ -9,7 +9,7 @@ handful of percent, the paper reports 6.5%) once rows span multiple pages.
 """
 
 from repro.analysis import efficiency_by_size, efficiency_gap, format_percent, render_series
-from repro.core import sweep_prediction
+from repro.core import SweepRunner
 from repro.gemm.workloads import FIG6_MATRIX_SIZES
 
 
@@ -17,7 +17,7 @@ def test_fig6_address_prediction(benchmark, paper_config):
     sizes = list(FIG6_MATRIX_SIZES)
 
     def regenerate():
-        return sweep_prediction(paper_config, sizes)
+        return SweepRunner(jobs=1).sweep_prediction(paper_config, sizes)
 
     points = benchmark(regenerate)
 

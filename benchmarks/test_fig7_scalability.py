@@ -14,7 +14,7 @@ from repro.analysis import (
     render_series,
     summarize_scalability,
 )
-from repro.core import sweep_scalability
+from repro.core import SweepRunner
 from repro.gemm.workloads import FIG7_MATRIX_SIZES
 
 NODE_COUNTS = [1, 2, 4, 8, 16]
@@ -24,7 +24,7 @@ def test_fig7_scalability(benchmark, paper_config):
     sizes = list(FIG7_MATRIX_SIZES)
 
     def regenerate():
-        return sweep_scalability(paper_config, sizes, NODE_COUNTS)
+        return SweepRunner(jobs=1).sweep_scalability(paper_config, sizes, NODE_COUNTS)
 
     points = benchmark(regenerate)
 

@@ -14,15 +14,16 @@ from repro.analysis import (
     render_series,
     summarize_scalability,
 )
-from repro.core import maco_default_config, sweep_prediction, sweep_scalability
+from repro.core import SweepRunner, maco_default_config
 from repro.gemm.workloads import FIG6_MATRIX_SIZES, FIG7_MATRIX_SIZES
 
 
 def main() -> None:
     config = maco_default_config()
+    runner = SweepRunner(jobs=1)
 
     # -------------------------------------------------------------------- Fig. 6
-    points = sweep_prediction(config, list(FIG6_MATRIX_SIZES))
+    points = runner.sweep_prediction(config, list(FIG6_MATRIX_SIZES))
     with_prediction = efficiency_by_size(points, prediction_enabled=True)
     without_prediction = efficiency_by_size(points, prediction_enabled=False)
     gaps = efficiency_gap(points)
@@ -44,7 +45,7 @@ def main() -> None:
 
     # -------------------------------------------------------------------- Fig. 7
     node_counts = [1, 2, 4, 8, 16]
-    points = sweep_scalability(config, list(FIG7_MATRIX_SIZES), node_counts)
+    points = runner.sweep_scalability(config, list(FIG7_MATRIX_SIZES), node_counts)
     series = {}
     for nodes in node_counts:
         by_size = efficiency_by_size(points, active_nodes=nodes)

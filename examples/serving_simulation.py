@@ -13,7 +13,7 @@ Run with::
 """
 
 from repro.analysis import render_table
-from repro.core import MACOSystem, maco_default_config
+from repro.core import maco_default_config
 from repro.serve import ServeSimulator, bursty_trace, default_tenants
 
 NODES = 8
@@ -61,7 +61,7 @@ def main() -> None:
 
     # Functional cross-check on a fresh system: the same dispatch path drives
     # real MPAIS submissions and the results are compared against NumPy.
-    smoke = ServeSimulator(system=MACOSystem(maco_default_config(num_nodes=2)))
+    smoke = ServeSimulator(config=maco_default_config(num_nodes=2))
     verified = smoke.functional_smoke(trace, size=48, max_requests=4)
     print(f"\nfunctional smoke: {verified} GEMMs verified through the MPAIS async path")
 

@@ -12,7 +12,6 @@ latency/throughput trade the sharding buys.  Command-line equivalents::
 
 from repro.analysis import render_table
 from repro.core import maco_default_config
-from repro.core.maco import MACOSystem
 from repro.parallel import plan_parallel
 from repro.serve import ServeSimulator, llm_tenants, poisson_trace
 from repro.workloads import workload_graph_by_name
@@ -45,7 +44,7 @@ def main() -> None:
     # each request but the fleet has fewer servers and pays NoC contention
     # between co-scheduled collectives.
     for parallelism in (None, "tp:4"):
-        simulator = ServeSimulator(system=MACOSystem(maco_default_config(num_nodes=8)),
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=8),
                                    parallelism=parallelism)
         specs = simulator.suggest_rates(llm_tenants(2), utilization=0.7)
         trace = poisson_trace(specs, duration_s=60.0, seed=7)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.perf import memory_environment, node_peak_gflops
+from repro.core.perf import memory_environment
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape
 from repro.mmae.dataflow import build_tile_schedule
@@ -78,7 +78,7 @@ def node_roofline(
     else:
         raise ValueError(f"unknown roofline level {level!r}; expected 'noc' or 'dram'")
     return Roofline(
-        peak_gflops=node_peak_gflops(config, precision),
+        peak_gflops=config.mmae.peak_gflops(precision),
         bandwidth_gbytes_per_s=bandwidth / 1e9,
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.common import BaselineModel
-from repro.core.mapping import partition_gemm
+from repro.core.mapping import layer_stream_seconds, partition_gemm
 from repro.core.metrics import WorkloadResult
 from repro.cpu.core import CPUCore
 from repro.gemm.precision import Precision
@@ -23,33 +23,16 @@ class CPUOnlyBaseline(BaselineModel):
 
     name = "baseline-1"
 
-    def _build_core(self) -> CPUCore:
-        cpu = self.config.cpu
-        return CPUCore(
-            core_id=0,
-            frequency_hz=cpu.frequency_hz,
-            fmac_lanes=cpu.fmac_lanes,
-            issue_width=cpu.issue_width,
-            l2_size=cpu.l2_size_bytes,
-            memory_bandwidth_bytes_per_s=cpu.memory_bandwidth_bytes_per_s,
-        )
-
     def run_workload(self, workload: GEMMWorkload, num_nodes: Optional[int] = None) -> WorkloadResult:
         nodes = num_nodes if num_nodes is not None else self.config.num_nodes
         if not 1 <= nodes <= self.config.num_nodes:
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
-        core = self._build_core()
+        core = CPUCore.from_config(self.config.cpu)
         precision = workload.shapes[0].precision if workload.shapes else Precision.FP32
-
-        gemm_seconds = 0.0
-        gemm_flops = 0
-        for shape in workload:
-            plan = partition_gemm(shape, nodes)
-            layer_seconds = max(
-                core.run_gemm(assignment.shape).seconds for assignment in plan.assignments
-            )
-            gemm_seconds += layer_seconds
-            gemm_flops += shape.flops
+        gemm_seconds = layer_stream_seconds(
+            (partition_gemm(shape, nodes) for shape in workload),
+            lambda shape: core.run_gemm(shape).seconds,
+        )
 
         per_core_flops = int(workload.non_gemm_flops / nodes)
         per_core_bytes = int(workload.non_gemm_bytes / nodes)
@@ -66,7 +49,7 @@ class CPUOnlyBaseline(BaselineModel):
             system=self.name,
             num_nodes=nodes,
             seconds=total,
-            gemm_flops=gemm_flops,
+            gemm_flops=workload.gemm_flops,
             total_flops=workload.total_flops,
             peak_gflops=cpu_peak * nodes,
             gemm_seconds=gemm_seconds,

@@ -17,13 +17,16 @@ address-translation support.  The MACO paper's criticism of this design point
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.baselines.common import BaselineModel
-from repro.core.mapping import partition_gemm
+from repro.core.mapping import layer_stream_seconds, partition_gemm
 from repro.core.metrics import WorkloadResult
-from repro.core.perf import estimate_node_gemm_cached, memory_environment
+from repro.core.perf import (
+    estimate_node_gemm_cached,
+    memory_environment,
+    unmapped_memory_environment,
+)
 from repro.cpu.core import CPUCore
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMWorkload
@@ -50,54 +53,34 @@ class GemminiLikeBaseline(BaselineModel):
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
         precision = workload.shapes[0].precision if workload.shapes else Precision.FP32
 
-        env = memory_environment(self.config, nodes)
         # Without stash/lock the accelerator cannot keep its re-read working set
         # resident in the shared L3 (same collapse as Baseline-2).
-        env = replace(env, l3_share_bytes=max(env.l3_share_bytes * 0.125, 64 * 1024))
-
-        gemm_seconds = 0.0
-        gemm_flops = 0
-        for shape in workload:
-            plan = partition_gemm(shape, nodes)
-            layer_seconds = 0.0
-            for assignment in plan.assignments:
-                timing = estimate_node_gemm_cached(
-                    self.config, assignment.shape, active_nodes=nodes,
-                    prediction_enabled=False, env=env,
-                )
-                layer_seconds = max(layer_seconds, timing.seconds)
-            gemm_seconds += layer_seconds / self.utilization_ceiling + self.host_sync_overhead_s
-            gemm_flops += shape.flops
-
-        cpu_cfg = self.config.cpu
-        core = CPUCore(
-            core_id=0,
-            frequency_hz=cpu_cfg.frequency_hz,
-            fmac_lanes=cpu_cfg.fmac_lanes,
-            memory_bandwidth_bytes_per_s=cpu_cfg.memory_bandwidth_bytes_per_s,
+        env = unmapped_memory_environment(memory_environment(self.config, nodes))
+        gemm_seconds = layer_stream_seconds(
+            (partition_gemm(shape, nodes) for shape in workload),
+            lambda shape: estimate_node_gemm_cached(
+                self.config, shape, active_nodes=nodes, prediction_enabled=False, env=env,
+            ).seconds / self.utilization_ceiling,
+            layer_overhead_s=self.host_sync_overhead_s,
         )
+
         # Tail operators are distributed across the CPU cores (that part needs
         # no accelerator support) but run after the accelerator finishes,
         # streaming unlocked (cold) data.
+        core = CPUCore.from_config(self.config.cpu)
         non_gemm_seconds = core.run_elementwise(
             int(workload.non_gemm_flops / nodes), int(workload.non_gemm_bytes / nodes)
         ).seconds * 2.0
 
         total = gemm_seconds + non_gemm_seconds
-        mmae = self.config.mmae
-        peak_per_node = {
-            Precision.FP64: mmae.peak_gflops_fp64,
-            Precision.FP32: mmae.peak_gflops_fp32,
-            Precision.FP16: mmae.peak_gflops_fp16,
-        }[precision]
         return WorkloadResult(
             name=workload.name,
             system=self.name,
             num_nodes=nodes,
             seconds=total,
-            gemm_flops=gemm_flops,
+            gemm_flops=workload.gemm_flops,
             total_flops=workload.total_flops,
-            peak_gflops=peak_per_node * nodes,
+            peak_gflops=self.config.mmae.peak_gflops(precision) * nodes,
             gemm_seconds=gemm_seconds,
             non_gemm_seconds=non_gemm_seconds,
             overlap_enabled=False,

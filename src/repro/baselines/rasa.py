@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.common import BaselineModel
-from repro.core.mapping import partition_gemm
+from repro.core.mapping import layer_stream_seconds, partition_gemm
 from repro.core.metrics import WorkloadResult
 from repro.cpu.core import CPUCore
 from repro.gemm.precision import Precision
@@ -66,25 +66,12 @@ class RASALikeBaseline(BaselineModel):
         nodes = num_nodes if num_nodes is not None else self.config.num_nodes
         if not 1 <= nodes <= self.config.num_nodes:
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
-        cpu_cfg = self.config.cpu
-        core = CPUCore(
-            core_id=0,
-            frequency_hz=cpu_cfg.frequency_hz,
-            fmac_lanes=cpu_cfg.fmac_lanes,
-            l2_size=cpu_cfg.l2_size_bytes,
-            memory_bandwidth_bytes_per_s=cpu_cfg.memory_bandwidth_bytes_per_s,
-        )
+        core = CPUCore.from_config(self.config.cpu)
         precision = workload.shapes[0].precision if workload.shapes else Precision.FP32
-
-        gemm_seconds = 0.0
-        gemm_flops = 0
-        for shape in workload:
-            plan = partition_gemm(shape, nodes)
-            layer_seconds = max(
-                self._gemm_seconds(assignment.shape, core) for assignment in plan.assignments
-            )
-            gemm_seconds += layer_seconds
-            gemm_flops += shape.flops
+        gemm_seconds = layer_stream_seconds(
+            (partition_gemm(shape, nodes) for shape in workload),
+            lambda shape: self._gemm_seconds(shape, core),
+        )
 
         per_core_flops = int(workload.non_gemm_flops / nodes)
         per_core_bytes = int(workload.non_gemm_bytes / nodes)
@@ -96,7 +83,7 @@ class RASALikeBaseline(BaselineModel):
             system=self.name,
             num_nodes=nodes,
             seconds=total,
-            gemm_flops=gemm_flops,
+            gemm_flops=workload.gemm_flops,
             total_flops=workload.total_flops,
             peak_gflops=self._engine_peak_gflops(precision) * nodes,
             gemm_seconds=gemm_seconds,

@@ -54,8 +54,6 @@ from repro.core import (
     SweepRunner,
     maco_default_config,
     pareto_front,
-    sweep_prediction,
-    sweep_scalability,
 )
 from repro.gemm import GEMMShape, Precision, hpl_like_workloads
 from repro.gemm.workloads import FIG6_MATRIX_SIZES, FIG7_MATRIX_SIZES
@@ -84,7 +82,8 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
 def _cmd_fig6(args: argparse.Namespace) -> int:
     config = maco_default_config()
     sizes = list(FIG6_MATRIX_SIZES)
-    points = sweep_prediction(config, sizes, jobs=args.jobs)
+    runner = SweepRunner(jobs=args.jobs if args.jobs is not None else 1)
+    points = runner.sweep_prediction(config, sizes)
     with_prediction = efficiency_by_size(points, prediction_enabled=True)
     without = efficiency_by_size(points, prediction_enabled=False)
     gaps = efficiency_gap(points)
@@ -105,7 +104,8 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
     config = maco_default_config()
     sizes = list(FIG7_MATRIX_SIZES)
     node_counts = [1, 2, 4, 8, 16]
-    points = sweep_scalability(config, sizes, node_counts, jobs=args.jobs)
+    runner = SweepRunner(jobs=args.jobs if args.jobs is not None else 1)
+    points = runner.sweep_scalability(config, sizes, node_counts)
     # One efficiency_by_size pass per node count (not per matrix size).
     by_nodes = {nodes: efficiency_by_size(points, active_nodes=nodes) for nodes in node_counts}
     series = {
@@ -475,7 +475,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     elif args.min_nodes is not None or args.max_nodes is not None:
         raise ValueError("--min-nodes/--max-nodes only apply with --autoscale")
     config = maco_default_config(num_nodes=args.nodes)
-    simulator = ServeSimulator(system=MACOSystem(config), scheduler=args.scheduler,
+    simulator = ServeSimulator(config=config, scheduler=args.scheduler,
                                jobs=args.jobs, parallelism=args.parallel,
                                batching=args.batching, max_batch=args.max_batch,
                                kv_budget_bytes=kv_budget_bytes,

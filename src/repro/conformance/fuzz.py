@@ -619,13 +619,8 @@ def _sample_trace_roundtrip(rng: random.Random) -> ScenarioSpec:
 
 
 def _check_trace_roundtrip(spec: ScenarioSpec) -> None:
-    from repro.serve import (
-        RequestTrace,
-        bursty_trace,
-        bursty_trace_scalar,
-        poisson_trace,
-        poisson_trace_scalar,
-    )
+    from repro.conformance.serve_oracle import bursty_trace_scalar, poisson_trace_scalar
+    from repro.serve import RequestTrace, bursty_trace, poisson_trace
 
     tenants = _tenants(int(spec.param("tenants")), float(spec.param("rate")), slo=False)
     duration = float(spec.param("duration"))

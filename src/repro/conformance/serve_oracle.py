@@ -1,21 +1,28 @@
-"""The scalar reference for the request runner of :mod:`repro.serve.engine`.
+"""Scalar references for the serve fast paths: the request runner and the traces.
 
 :func:`run_segment_scalar` is the readable specification of whole-request
-dispatch: a straightforward per-event Python loop over one rank at a time,
-with tuple-keyed policy heaps instead of the engine's packed integer keys,
-bulk admission and closed-form FCFS.  :func:`check_request_engine` lowers a
-trace once and diffs the engine's completion columns against the oracle's on
-that same :class:`~repro.serve.engine.EngineTrace` — the contract the fuzz
-kinds, the parity tests and ``bench serve_scale`` all check.
+dispatch of :mod:`repro.serve.engine`: a straightforward per-event Python
+loop over one rank at a time, with tuple-keyed policy heaps instead of the
+engine's packed integer keys, bulk admission and closed-form FCFS.
+:func:`check_request_engine` lowers a trace once and diffs the engine's
+completion columns against the oracle's on that same
+:class:`~repro.serve.engine.EngineTrace` — the contract the fuzz kinds, the
+parity tests and ``bench serve_scale`` all check.
+
+:func:`poisson_trace_scalar` and :func:`bursty_trace_scalar` are the
+per-request specifications of the vectorised generators in
+:mod:`repro.serve.trace`, which must reproduce them element for element.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+import random
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.gemm.precision import Precision
 from repro.serve.engine import (
     ACCUMULATORS,
     EngineTrace,
@@ -25,6 +32,7 @@ from repro.serve.engine import (
     simulate_segments,
 )
 from repro.serve.scheduler import scheduler_by_name
+from repro.serve.trace import Request, RequestTrace, TenantSpec, _bursty_rates
 
 __all__ = [
     "TupleHeapQueue",
@@ -33,6 +41,8 @@ __all__ = [
     "oracle_columns",
     "lower",
     "check_request_engine",
+    "poisson_trace_scalar",
+    "bursty_trace_scalar",
 ]
 
 
@@ -164,3 +174,109 @@ def check_request_engine(simulator, trace, shards: Optional[int] = None) -> Opti
         if not np.array_equal(getattr(engine, name), getattr(oracle, name)):
             return f"request runner and scalar oracle differ in {name}"
     return None
+
+
+# ------------------------------------------------------------ trace generators
+#: Per-request scheduling metadata carried through trace generation:
+#: ``(priority, ttft_slo_s, tpot_slo_s)``.
+_SLOFields = Tuple[int, Optional[float], Optional[float]]
+_Pending = List[Tuple[float, str, int, str, Precision, _SLOFields]]
+
+
+def _slo_fields(spec: TenantSpec) -> _SLOFields:
+    return (spec.priority, spec.ttft_slo_s, spec.tpot_slo_s)
+
+
+def _exp_gap(uniform: float, rate: float) -> float:
+    """One exponential inter-arrival gap from one uniform draw.
+
+    Routed through ``np.log`` (not ``math.log``: the two can differ in the
+    last ulp) so the scalar generators consume uniforms exactly like the
+    vectorised ``-np.log(1 - u) / rate`` over a chunk.
+    """
+    return float(-np.log(1.0 - uniform) / rate)
+
+
+def pick_workload(spec: TenantSpec, rng: random.Random) -> str:
+    """Draw one workload name from the spec's (normalised) mix."""
+    total = sum(weight for _, weight in spec.mix)
+    draw = rng.random() * total
+    cumulative = 0.0
+    for name, weight in spec.mix:
+        cumulative += weight
+        if draw < cumulative:
+            return name
+    return spec.mix[-1][0]
+
+
+def _finalize(name: str, pending: _Pending, duration_s: float) -> RequestTrace:
+    """Sort merged per-tenant arrivals and assign stable request ids.
+
+    The sort key ``(arrival, tenant, per-tenant sequence)`` breaks ties
+    deterministically, so the same inputs always produce the same ids.
+    """
+    pending.sort(key=lambda item: (item[0], item[1], item[2]))
+    requests = [
+        Request(request_id=index, tenant=tenant, workload=workload,
+                arrival_s=arrival, precision=precision,
+                priority=slo[0], ttft_slo_s=slo[1], tpot_slo_s=slo[2])
+        for index, (arrival, tenant, _seq, workload, precision, slo) in enumerate(pending)
+    ]
+    return RequestTrace(name=name, requests=requests, duration_s=duration_s)
+
+
+def poisson_trace_scalar(
+    tenants: Sequence[TenantSpec],
+    duration_s: float,
+    seed: int = 0,
+    precision: Precision = Precision.FP32,
+) -> RequestTrace:
+    """Per-request reference of :func:`repro.serve.trace.poisson_trace`.
+
+    Inputs are taken as valid; the vectorised generator checks them.
+    """
+    pending: _Pending = []
+    for spec in tenants:
+        rng = random.Random(f"{seed}/poisson/{spec.name}")
+        slo = _slo_fields(spec)
+        clock, sequence = 0.0, 0
+        while True:
+            clock += _exp_gap(rng.random(), spec.rate_rps)
+            if clock >= duration_s:
+                break
+            pending.append((clock, spec.name, sequence, pick_workload(spec, rng), precision, slo))
+            sequence += 1
+    return _finalize(f"poisson-seed{seed}", pending, duration_s)
+
+
+def bursty_trace_scalar(
+    tenants: Sequence[TenantSpec],
+    duration_s: float,
+    seed: int = 0,
+    precision: Precision = Precision.FP32,
+    burst_factor: float = 8.0,
+    burst_fraction: float = 0.2,
+    cycle_s: float = 0.25,
+) -> RequestTrace:
+    """Per-request reference of :func:`repro.serve.trace.bursty_trace`.
+
+    Lewis–Shedler thinning, one candidate at a time.  Inputs are taken as
+    valid; the vectorised generator checks them.
+    """
+    pending: _Pending = []
+    for spec in tenants:
+        rng = random.Random(f"{seed}/bursty/{spec.name}")
+        slo = _slo_fields(spec)
+        on_rate, off_rate = _bursty_rates(spec, burst_factor, burst_fraction)
+        clock, sequence = 0.0, 0
+        while True:
+            clock += _exp_gap(rng.random(), on_rate)
+            if clock >= duration_s:
+                break
+            in_burst = (clock % cycle_s) / cycle_s < burst_fraction
+            rate_now = on_rate if in_burst else off_rate
+            if rng.random() * on_rate < rate_now:  # thinning acceptance
+                pending.append((clock, spec.name, sequence, pick_workload(spec, rng),
+                                precision, slo))
+                sequence += 1
+    return _finalize(f"bursty-seed{seed}", pending, duration_s)

@@ -4,11 +4,11 @@ This package is the paper's primary contribution assembled from the substrate
 packages.  Typical entry points:
 
 * :func:`maco_default_config` / :class:`MACOConfig` — configure a system;
-* :class:`MACOSystem` — run GEMMs, scalability sweeps and DL workloads;
+* :class:`MACOSystem` — run partitioned GEMMs and DL workloads;
 * :class:`MACORuntime` — the NumPy-level software API over MPAIS;
 * :mod:`repro.core.perf` — the per-node performance model used by the sweeps;
-* :class:`SweepRunner` / :class:`DesignSpaceExplorer` — parallel, cached
-  sweep and design-space campaigns (``repro.cli explore``);
+* :class:`SweepRunner` / :class:`DesignSpaceExplorer` — the Fig. 6/7 sweeps
+  and parallel, cached design-space campaigns (``repro.cli explore``);
 * :mod:`repro.serve` builds on all of the above for multi-tenant serving
   scenarios (``repro.cli serve``).
 """
@@ -26,6 +26,7 @@ from repro.core.mapping import (
     MappingPlan,
     NodeAssignment,
     GemmPlusSchedule,
+    layer_stream_seconds,
     partition_gemm,
     partition_workload,
     schedule_gemm_plus,
@@ -47,9 +48,6 @@ from repro.core.perf import (
     estimate_node_gemm_cached,
     memory_environment,
     noc_contention_model,
-    node_peak_gflops,
-    sweep_prediction,
-    sweep_scalability,
     unmapped_memory_environment,
 )
 from repro.core.runtime import MACORuntime, AsyncHandle
@@ -81,6 +79,7 @@ __all__ = [
     "MappingPlan",
     "NodeAssignment",
     "GemmPlusSchedule",
+    "layer_stream_seconds",
     "partition_gemm",
     "partition_workload",
     "schedule_gemm_plus",
@@ -99,9 +98,6 @@ __all__ = [
     "estimate_node_gemm_cached",
     "memory_environment",
     "noc_contention_model",
-    "node_peak_gflops",
-    "sweep_prediction",
-    "sweep_scalability",
     "unmapped_memory_environment",
     "MACORuntime",
     "AsyncHandle",

@@ -92,13 +92,6 @@ def _efficiency_worker(payload) -> EfficiencyPoint:
     )
 
 
-def _evaluate_worker(payload):
-    (base_config, point, workload), cache = payload
-    from repro.core.explorer import DesignSpaceExplorer
-
-    return DesignSpaceExplorer(base_config).evaluate(point, workload, cache=_task_cache(cache))
-
-
 def _evaluate_graph_worker(payload):
     (base_config, point, graph, parallelism), cache = payload
     from repro.core.explorer import DesignSpaceExplorer
@@ -190,16 +183,6 @@ class SweepRunner:
             for size in sizes
         ]
         return self.map(_efficiency_worker, tasks)
-
-    def evaluate_points(
-        self,
-        points: Iterable,
-        workload: "GEMMWorkload | GEMMShape",
-        base_config: Optional[MACOConfig] = None,
-    ) -> List:
-        """Evaluate every design point on ``workload`` (input order preserved)."""
-        tasks = [(base_config, point, workload) for point in points]
-        return self.map(_evaluate_worker, tasks)
 
     def evaluate_points_on_graph(
         self,

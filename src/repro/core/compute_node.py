@@ -59,31 +59,16 @@ class ComputeNode:
         self,
         node_id: int,
         config: MACOConfig,
-        host_memory: Optional[HostMemory] = None,
         l3: Optional[DistributedL3Cache] = None,
     ) -> None:
         self.node_id = node_id
         self.config = config
-        self.host_memory = host_memory if host_memory is not None else HostMemory()
+        # Each node's default address space starts at the same virtual base,
+        # so every node keeps its own functional backing store.
+        self.host_memory = HostMemory()
         self.l3 = l3
 
-        cpu_cfg = config.cpu
-        self.cpu = CPUCore(
-            core_id=node_id,
-            frequency_hz=cpu_cfg.frequency_hz,
-            fmac_lanes=cpu_cfg.fmac_lanes,
-            issue_width=cpu_cfg.issue_width,
-            l1i_size=cpu_cfg.l1i_size_bytes,
-            l1d_size=cpu_cfg.l1d_size_bytes,
-            l1_associativity=cpu_cfg.l1d_associativity,
-            l2_size=cpu_cfg.l2_size_bytes,
-            l2_associativity=cpu_cfg.l2_associativity,
-            itlb_entries=cpu_cfg.itlb_entries,
-            dtlb_entries=cpu_cfg.dtlb_entries,
-            l2_tlb_entries=cpu_cfg.l2_tlb_entries,
-            mtq_entries=cpu_cfg.mtq_entries,
-            memory_bandwidth_bytes_per_s=cpu_cfg.memory_bandwidth_bytes_per_s,
-        )
+        self.cpu = CPUCore.from_config(config.cpu, core_id=node_id)
         # A default process so examples can allocate matrices immediately.
         self.default_process = self.cpu.processes.create_process(f"node{node_id}.main")
         self.cpu.mmu.register_page_table(self.default_process.address_space.page_table)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig
 from repro.mem.dram import DRAMConfig
 from repro.mmae.dataflow import MMAETimingParameters
@@ -102,12 +103,16 @@ class MMAEConfig:
     @property
     def peak_gflops_fp32(self) -> float:
         """FP32 peak: twice the FP64 rate."""
-        return 2.0 * self.peak_gflops_fp64
+        return self.peak_gflops(Precision.FP32)
 
     @property
     def peak_gflops_fp16(self) -> float:
         """FP16 peak: four times the FP64 rate."""
-        return 4.0 * self.peak_gflops_fp64
+        return self.peak_gflops(Precision.FP16)
+
+    def peak_gflops(self, precision: Precision) -> float:
+        """Theoretical peak at a precision: each PE packs ``simd_ways`` MACs (Fig. 2)."""
+        return self.peak_gflops_fp64 * precision.simd_ways
 
     def timing_parameters(self) -> MMAETimingParameters:
         """Build the timing-parameter bundle used by the dataflow model."""
@@ -167,16 +172,9 @@ class MACOConfig:
                 f"num_nodes must be between 1 and the mesh size ({max_nodes}), got {self.num_nodes}"
             )
 
-    def peak_gflops(self, precision) -> float:
+    def peak_gflops(self, precision: Precision) -> float:
         """Aggregate MMAE peak across all compute nodes for a precision."""
-        from repro.gemm.precision import Precision
-
-        per_node = {
-            Precision.FP64: self.mmae.peak_gflops_fp64,
-            Precision.FP32: self.mmae.peak_gflops_fp32,
-            Precision.FP16: self.mmae.peak_gflops_fp16,
-        }[precision]
-        return per_node * self.num_nodes
+        return self.mmae.peak_gflops(precision) * self.num_nodes
 
     def with_nodes(self, num_nodes: int) -> "MACOConfig":
         """A copy of this configuration with a different node count."""

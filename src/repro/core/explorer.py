@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.mapping import partition_gemm
+from repro.core.mapping import layer_stream_seconds, partition_gemm
 from repro.core.perf import TimingCache, estimate_node_gemm_cached, memory_environment
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig
@@ -299,28 +299,6 @@ class DesignSpaceExplorer:
 
     # ---------------------------------------------------------------- evaluation
     @staticmethod
-    def _time_shapes(
-        config: MACOConfig,
-        shapes: Sequence[GEMMShape],
-        env,
-        cache: Optional[TimingCache],
-    ) -> tuple:
-        """Sum the per-layer (slowest-partition) seconds and FLOPs of a GEMM list."""
-        total_seconds = 0.0
-        total_flops = 0
-        for shape in shapes:
-            plan = partition_gemm(shape, config.num_nodes)
-            layer_seconds = max(
-                estimate_node_gemm_cached(
-                    config, assignment.shape, active_nodes=config.num_nodes, env=env, cache=cache,
-                ).seconds
-                for assignment in plan.assignments
-            )
-            total_seconds += layer_seconds
-            total_flops += shape.flops
-        return total_seconds, total_flops
-
-    @staticmethod
     def _efficiency(
         config: MACOConfig,
         shapes: Sequence[GEMMShape],
@@ -356,26 +334,12 @@ class DesignSpaceExplorer:
         workload: GEMMWorkload | GEMMShape,
         cache: Optional[TimingCache] = None,
     ) -> EvaluationResult:
-        """Evaluate one design point on a workload (or a single GEMM shape)."""
-        config = point.to_config(self.base_config)
-        shapes = [workload] if isinstance(workload, GEMMShape) else list(workload)
-        if not shapes:
-            raise ValueError("workload has no GEMMs to evaluate")
-        env = memory_environment(config, config.num_nodes)
-        total_seconds, total_flops = self._time_shapes(config, shapes, env, cache)
-        gflops = total_flops / total_seconds / 1e9 if total_seconds > 0 else 0.0
-        efficiency = self._efficiency(config, shapes, gflops, total_seconds)
-        node_area = config.cpu.area_mm2 + config.mmae.area_mm2
-        node_power = config.cpu.power_w + config.mmae.power_w
-        return EvaluationResult(
-            point=point,
-            config=config,
-            seconds=total_seconds,
-            gflops=gflops,
-            efficiency=efficiency,
-            node_area_mm2=node_area,
-            node_power_w=node_power,
-        )
+        """Evaluate one design point on a workload (or a single GEMM shape).
+
+        The workload is evaluated as a one-phase graph; the result is the
+        aggregate of :meth:`evaluate_graph`.
+        """
+        return self.evaluate_graph(point, _as_graph(workload), cache=cache).aggregate
 
     def evaluate_graph(
         self,
@@ -403,15 +367,21 @@ class DesignSpaceExplorer:
             return self._evaluate_graph_parallel(point, graph, cache, parallelism)
         config = point.to_config(self.base_config)
         env = memory_environment(config, config.num_nodes)
+
+        def node_seconds(shape: GEMMShape) -> float:
+            return estimate_node_gemm_cached(
+                config, shape, active_nodes=config.num_nodes, env=env, cache=cache,
+            ).seconds
+
         phase_results: List[PhaseResult] = []
         total_seconds = 0.0
         total_flops = 0
         all_shapes: List[GEMMShape] = []
         all_weights: List[int] = []
         for phase in graph.phases:
-            once_seconds, once_flops = self._time_shapes(config, phase.shapes, env, cache)
-            seconds = once_seconds * phase.repeat
-            flops = once_flops * phase.repeat
+            plans = [partition_gemm(shape, config.num_nodes) for shape in phase.shapes]
+            seconds = layer_stream_seconds(plans, node_seconds) * phase.repeat
+            flops = phase.gemm_flops * phase.repeat
             gflops = flops / seconds / 1e9 if seconds > 0 else 0.0
             phase_results.append(
                 PhaseResult(
@@ -527,18 +497,14 @@ class DesignSpaceExplorer:
     ) -> List[EvaluationResult]:
         """Evaluate every point and return the results sorted best-first.
 
-        Evaluations run through a :class:`repro.core.batch.SweepRunner`:
-        serial (with the shared timing cache) by default, fanned out over
-        ``jobs`` worker processes when requested.  Both paths produce
+        The aggregates of :meth:`explore_graph` on the one-phase graph of
+        ``workload``: serial (with the shared timing cache) by default, fanned
+        out over ``jobs`` worker processes when requested.  Both paths produce
         bit-identical results.
         """
-        key = self._objective(objective)
-        from repro.core.batch import SweepRunner
-
-        if runner is None:
-            runner = SweepRunner(jobs=jobs if jobs is not None else 1)
-        results = runner.evaluate_points(points, workload, base_config=self.base_config)
-        return sorted(results, key=key, reverse=True)
+        ranked = self.explore_graph(
+            points, _as_graph(workload), objective, jobs=jobs, runner=runner)
+        return [result.aggregate for result in ranked]
 
     def explore_graph(
         self,
@@ -591,6 +557,13 @@ class DesignSpaceExplorer:
         if objective not in known:
             raise ValueError(f"unknown objective {objective!r}; options: {sorted(known)}")
         return known[objective]
+
+
+def _as_graph(workload: GEMMWorkload | GEMMShape) -> WorkloadGraph:
+    """A flat workload (or one GEMM) as a one-phase :class:`WorkloadGraph`."""
+    if isinstance(workload, GEMMShape):
+        workload = GEMMWorkload(str(workload), [workload])
+    return WorkloadGraph.from_workload(workload)
 
 
 def pareto_front(

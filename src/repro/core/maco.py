@@ -1,15 +1,16 @@
 """The full MACO system: compute nodes, NoC, distributed L3, DDR controllers.
 
 :class:`MACOSystem` is the top-level object users interact with.  It offers
-three execution entry points matching the paper's experiments:
+two execution entry points:
 
 * :meth:`run_gemm` — one GEMM partitioned across the compute nodes with the
   Fig. 5(a) mapping (used by the examples and the DL workloads);
-* :meth:`run_independent_gemms` — one independent GEMM per node (the Fig. 7
-  scalability experiment);
 * :meth:`run_workload` — a full GEMM+ workload (DL network) with or without
   the stash/lock + overlap mapping scheme (the Fig. 8 experiment and the
   Baseline-2 ablation).
+
+The Fig. 6 and Fig. 7 sweeps run one GEMM per node and go through
+:class:`repro.core.batch.SweepRunner` instead.
 """
 
 from __future__ import annotations
@@ -18,19 +19,17 @@ from typing import List, Optional
 
 from repro.core.compute_node import ComputeNode
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.mapping import partition_gemm, schedule_gemm_plus
+from repro.core.mapping import layer_stream_seconds, partition_gemm, schedule_gemm_plus
 from repro.core.metrics import NodeResult, SystemResult, WorkloadResult
 from repro.core.perf import (
     estimate_node_gemm,
     estimate_node_gemm_cached,
     memory_environment,
-    node_peak_gflops,
     unmapped_memory_environment,
 )
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape, GEMMWorkload
 from repro.mem.dram import DRAMModel
-from repro.mem.hostmem import HostMemory
 from repro.mem.l3cache import DistributedL3Cache
 from repro.noc.network import MeshNetwork
 
@@ -40,7 +39,6 @@ class MACOSystem:
 
     def __init__(self, config: Optional[MACOConfig] = None) -> None:
         self.config = config if config is not None else maco_default_config()
-        self.host_memory = HostMemory()
         self.noc = MeshNetwork(self.config.noc)
         self.l3 = DistributedL3Cache(
             num_slices=self.config.memory.l3_slices,
@@ -50,7 +48,7 @@ class MACOSystem:
         )
         self.dram = DRAMModel(config=self.config.memory.dram)
         self.nodes: List[ComputeNode] = [
-            ComputeNode(node_id, self.config, host_memory=self.host_memory, l3=self.l3)
+            ComputeNode(node_id, self.config, l3=self.l3)
             for node_id in range(self.config.num_nodes)
         ]
 
@@ -63,7 +61,7 @@ class MACOSystem:
     def peak_gflops(self, precision: Precision, num_nodes: Optional[int] = None) -> float:
         """Aggregate MMAE peak of ``num_nodes`` nodes (default: all) at a precision."""
         nodes = num_nodes if num_nodes is not None else self.num_nodes
-        return node_peak_gflops(self.config, precision) * nodes
+        return self.config.mmae.peak_gflops(precision) * nodes
 
     # ------------------------------------------------------------------ one GEMM
     def run_gemm(
@@ -107,38 +105,6 @@ class MACOSystem:
             ),
         )
 
-    # --------------------------------------------------------- independent GEMMs
-    def run_independent_gemms(
-        self,
-        shape: GEMMShape,
-        num_nodes: Optional[int] = None,
-        prediction_enabled: Optional[bool] = None,
-    ) -> SystemResult:
-        """Run the same GEMM independently on every active node (Fig. 7 setup)."""
-        nodes = num_nodes if num_nodes is not None else self.num_nodes
-        if not 1 <= nodes <= self.num_nodes:
-            raise ValueError(f"num_nodes must be in 1..{self.num_nodes}")
-        env = memory_environment(self.config, nodes)
-        timing = estimate_node_gemm(
-            self.config, shape, active_nodes=nodes,
-            prediction_enabled=prediction_enabled, env=env,
-        )
-        node_results = [
-            NodeResult(node_id=node_id, seconds=timing.seconds, flops=shape.flops, breakdowns=[timing])
-            for node_id in range(nodes)
-        ]
-        return SystemResult(
-            shape=shape,
-            num_nodes=nodes,
-            seconds=timing.seconds,
-            flops=shape.flops * nodes,
-            peak_gflops=self.peak_gflops(shape.precision, nodes),
-            node_results=node_results,
-            prediction_enabled=(
-                prediction_enabled if prediction_enabled is not None else self.config.prediction_enabled
-            ),
-        )
-
     # ------------------------------------------------------------- full workload
     def run_workload(
         self,
@@ -171,18 +137,13 @@ class MACOSystem:
         # workloads repeat the same layer shapes many times (e.g. one GEMM set
         # per BERT encoder block), so most estimates are cache hits.
         plans = [partition_gemm(shape, nodes) for shape in workload]
-        mmae_seconds = 0.0
-        gemm_flops = 0
-        for shape, plan in zip(workload, plans):
-            layer_seconds = 0.0
-            for assignment in plan.assignments:
-                timing = estimate_node_gemm_cached(
-                    self.config, assignment.shape, active_nodes=nodes,
-                    prediction_enabled=prediction_enabled, env=env,
-                )
-                layer_seconds = max(layer_seconds, timing.seconds)
-            mmae_seconds += layer_seconds
-            gemm_flops += shape.flops
+        mmae_seconds = layer_stream_seconds(
+            plans,
+            lambda shape: estimate_node_gemm_cached(
+                self.config, shape, active_nodes=nodes,
+                prediction_enabled=prediction_enabled, env=env,
+            ).seconds,
+        )
 
         # Non-GEMM tail operators.  The mapping scheme distributes them across
         # the active CPU cores (each core post-processes its own output tiles);
@@ -210,7 +171,7 @@ class MACOSystem:
             system="maco" if mapping_enabled else "maco-nomap",
             num_nodes=nodes,
             seconds=total_seconds,
-            gemm_flops=gemm_flops,
+            gemm_flops=workload.gemm_flops,
             total_flops=workload.total_flops,
             peak_gflops=self.peak_gflops(precision, nodes),
             gemm_seconds=mmae_seconds,

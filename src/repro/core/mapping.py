@@ -9,6 +9,9 @@ Two pieces are modelled:
   per-node sub-GEMMs well shaped for the skewed layers of DL networks.  The
   operand that every node reads in full (B when rows are split, A when columns
   are split) is stashed and locked in the L3 once and shared.
+  :func:`layer_stream_seconds` times a stream of partitioned layers for every
+  system model (MACO, the baselines, the explorer): each layer lasts as long
+  as its slowest node, and layers run in order.
 * **GEMM+ scheduling** (Fig. 5(b)/(c)) — the CPU issues stash/lock requests
   ahead of the MMAE's tiles, distributes the non-GEMM tail operators of the
   previous layer across the CPU cores, and runs them while the MMAEs compute
@@ -19,7 +22,7 @@ Two pieces are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Literal
+from typing import Callable, Iterable, List, Literal
 
 from repro.gemm.workloads import GEMMShape, GEMMWorkload
 
@@ -126,6 +129,26 @@ def partition_gemm(shape: GEMMShape, num_nodes: int) -> MappingPlan:
         shared_operand_bytes=shared_bytes,
         per_node_private_bytes=private_bytes,
     )
+
+
+def layer_stream_seconds(
+    plans: Iterable[MappingPlan],
+    node_seconds: Callable[[GEMMShape], float],
+    layer_overhead_s: float = 0.0,
+) -> float:
+    """Seconds to run a stream of partitioned GEMM layers in order.
+
+    Layers are data dependent, so each starts when the previous one ends and
+    lasts as long as its slowest node: ``node_seconds`` times one node's
+    sub-GEMM, and ``layer_overhead_s`` is a fixed per-layer cost (e.g. a host
+    fence).  The loop adds left to right with ``+=`` on purpose; ``sum()``
+    over floats rounds differently on newer Pythons.
+    """
+    total = 0.0
+    for plan in plans:
+        layer = max(node_seconds(assignment.shape) for assignment in plan.assignments)
+        total += layer + layer_overhead_s
+    return total
 
 
 @dataclass

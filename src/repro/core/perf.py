@@ -14,10 +14,9 @@ import hashlib
 from collections import OrderedDict
 from dataclasses import astuple, dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.config import MACOConfig
-from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape
 from repro.mem.dram import DRAMModel
 from repro.mmae.dataflow import (
@@ -61,8 +60,9 @@ def unmapped_memory_environment(env: MemoryEnvironment) -> MemoryEnvironment:
     Without stash/lock the working set is not pinned: demand traffic competes
     with every other node's streams, so the effective resident L3 share
     collapses to a small fraction (floor 64 KiB) and more of the re-read
-    traffic spills to DRAM.  Shared by :meth:`MACOSystem.run_workload` and the
-    serving simulator so the degradation model stays calibrated in one place.
+    traffic spills to DRAM.  Shared by :meth:`MACOSystem.run_workload`, the
+    Gemmini-like baseline and the serving simulator so the degradation model
+    stays calibrated in one place.
     """
     from dataclasses import replace
 
@@ -201,15 +201,6 @@ def estimate_node_gemm_cached(
     )
 
 
-def node_peak_gflops(config: MACOConfig, precision: Precision) -> float:
-    """Theoretical peak of a single MMAE for a precision."""
-    return {
-        Precision.FP64: config.mmae.peak_gflops_fp64,
-        Precision.FP32: config.mmae.peak_gflops_fp32,
-        Precision.FP16: config.mmae.peak_gflops_fp16,
-    }[precision]
-
-
 @dataclass
 class EfficiencyPoint:
     """One point of an efficiency sweep (Figs. 6 and 7)."""
@@ -220,48 +211,6 @@ class EfficiencyPoint:
     efficiency: float
     gflops: float
     seconds: float
-
-
-def sweep_prediction(
-    config: MACOConfig,
-    sizes: List[int],
-    precision: Precision = Precision.FP64,
-    jobs: Optional[int] = None,
-    runner: Optional["object"] = None,
-) -> List[EfficiencyPoint]:
-    """The Fig. 6 sweep: single node, with and without predictive translation.
-
-    ``jobs``/``runner`` fan the per-size evaluations out over a
-    :class:`repro.core.batch.SweepRunner`; the default stays serial (with the
-    process-wide timing cache) and is bit-identical to the parallel path.
-    """
-    from repro.core.batch import SweepRunner
-
-    if runner is None:
-        runner = SweepRunner(jobs=jobs if jobs is not None else 1)
-    return runner.sweep_prediction(config, sizes, precision=precision)
-
-
-def sweep_scalability(
-    config: MACOConfig,
-    sizes: List[int],
-    node_counts: List[int],
-    precision: Precision = Precision.FP64,
-    jobs: Optional[int] = None,
-    runner: Optional["object"] = None,
-) -> List[EfficiencyPoint]:
-    """The Fig. 7 sweep: independent GEMMs on 1..16 nodes, per-node efficiency.
-
-    Like :func:`sweep_prediction`, the sweep runs through a
-    :class:`repro.core.batch.SweepRunner` (serial unless ``jobs``/``runner``
-    says otherwise) so every ``(size, nodes)`` evaluation is cached and can be
-    fanned out over worker processes.
-    """
-    from repro.core.batch import SweepRunner
-
-    if runner is None:
-        runner = SweepRunner(jobs=jobs if jobs is not None else 1)
-    return runner.sweep_scalability(config, sizes, node_counts, precision=precision)
 
 
 def noc_contention_model(config: MACOConfig) -> NocContentionModel:

@@ -10,7 +10,7 @@ operators of GEMM+ workloads).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.mmu import MMU
 from repro.cpu.mtq import MasterTaskQueue
@@ -21,6 +21,9 @@ from repro.gemm.workloads import GEMMShape
 from repro.isa.executor import MMAEPort, MPAISExecutor
 from repro.isa.registers import RegisterFile
 from repro.mem.cache import CacheConfig, SetAssociativeCache
+
+if TYPE_CHECKING:
+    from repro.core.config import CPUConfig
 
 
 @dataclass
@@ -90,6 +93,29 @@ class CPUCore:
         )
         self.processes = ProcessManager()
         self._executor: Optional[MPAISExecutor] = None
+
+    @classmethod
+    def from_config(cls, cpu_config: CPUConfig, core_id: int = 0) -> CPUCore:
+        """The core a :class:`~repro.core.config.CPUConfig` describes.
+
+        The core has one L1 associativity; the L1D's is used for both caches.
+        """
+        return cls(
+            core_id=core_id,
+            frequency_hz=cpu_config.frequency_hz,
+            fmac_lanes=cpu_config.fmac_lanes,
+            issue_width=cpu_config.issue_width,
+            l1i_size=cpu_config.l1i_size_bytes,
+            l1d_size=cpu_config.l1d_size_bytes,
+            l1_associativity=cpu_config.l1d_associativity,
+            l2_size=cpu_config.l2_size_bytes,
+            l2_associativity=cpu_config.l2_associativity,
+            itlb_entries=cpu_config.itlb_entries,
+            dtlb_entries=cpu_config.dtlb_entries,
+            l2_tlb_entries=cpu_config.l2_tlb_entries,
+            mtq_entries=cpu_config.mtq_entries,
+            memory_bandwidth_bytes_per_s=cpu_config.memory_bandwidth_bytes_per_s,
+        )
 
     # ------------------------------------------------------------------ MPAIS
     def attach_mmae(self, mmae: MMAEPort) -> MPAISExecutor:

@@ -57,10 +57,6 @@ class HostMemory:
         """Drop the region registered at ``base_vaddr`` (no-op if absent)."""
         self._regions.pop(base_vaddr, None)
 
-    def registered_bases(self) -> list:
-        """Base virtual addresses of all registered regions, sorted."""
-        return sorted(self._regions)
-
     def matrix_at(self, base_vaddr: int) -> np.ndarray:
         """Return the array registered exactly at ``base_vaddr``."""
         region = self._regions.get(base_vaddr)
@@ -92,6 +88,3 @@ class HostMemory:
     def zero_region(self, base_vaddr: int) -> None:
         """Functional effect of MA_INIT on a registered matrix."""
         self.matrix_at(base_vaddr)[...] = 0
-
-    def registered_bases(self) -> list[int]:
-        return sorted(self._regions)

@@ -5,8 +5,8 @@ This package layers a serving simulator over the system timing model:
 optional per-tenant priorities and TTFT/TPOT SLO targets),
 :mod:`repro.serve.scheduler` provides the batching policies (FCFS, SJF,
 round-robin per tenant, priority tiers, SLO-aware EDF),
-:mod:`repro.serve.simulator` prices every workload on a
-:class:`~repro.core.maco.MACOSystem` and lowers the trace onto the
+:mod:`repro.serve.simulator` prices every workload from a
+:class:`~repro.core.config.MACOConfig` and lowers the trace onto the
 integer-tick event engine of :mod:`repro.serve.engine` — either
 whole-request dispatch or iteration-level continuous batching with a paged
 KV budget and preemption — and :mod:`repro.serve.report` aggregates per-tenant and fleet-wide
@@ -55,11 +55,9 @@ from repro.serve.trace import (
     TenantSpec,
     TraceColumns,
     bursty_trace,
-    bursty_trace_scalar,
     default_tenants,
     llm_tenants,
     poisson_trace,
-    poisson_trace_scalar,
     replay_trace,
 )
 
@@ -71,9 +69,7 @@ __all__ = [
     "default_tenants",
     "llm_tenants",
     "poisson_trace",
-    "poisson_trace_scalar",
     "bursty_trace",
-    "bursty_trace_scalar",
     "replay_trace",
     "BatchingPolicy",
     "SCHEDULER_NAMES",

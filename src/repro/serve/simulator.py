@@ -58,7 +58,6 @@ import numpy as np
 
 from repro.core.batch import SweepRunner, _task_cache
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.maco import MACOSystem
 from repro.core.mapping import partition_gemm, schedule_gemm_plus
 from repro.core.perf import (
     TimingCache,
@@ -67,6 +66,7 @@ from repro.core.perf import (
     unmapped_memory_environment,
 )
 from repro.cpu.core import CPUCore
+from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
 from repro.mem.dram import DRAMModel
 from repro.serve.autoscale import AutoscalePolicy, KVBudget, derive_kv_budget
@@ -224,13 +224,7 @@ def _phase_service_rows(
     env = memory_environment(config, active_nodes)
     if not config.mapping_scheme_enabled:
         env = unmapped_memory_environment(env)
-    cpu_cfg = config.cpu
-    core = CPUCore(
-        frequency_hz=cpu_cfg.frequency_hz,
-        fmac_lanes=cpu_cfg.fmac_lanes,
-        issue_width=cpu_cfg.issue_width,
-        memory_bandwidth_bytes_per_s=cpu_cfg.memory_bandwidth_bytes_per_s,
-    )
+    core = CPUCore.from_config(config.cpu)
     dram = DRAMModel(config=config.memory.dram)
     stash_bandwidth = dram.effective_bandwidth(active_nodes) / active_nodes
 
@@ -438,7 +432,6 @@ class ServeSimulator:
 
     def __init__(
         self,
-        system: Optional[MACOSystem] = None,
         config: Optional[MACOConfig] = None,
         scheduler: str = "fcfs",
         jobs: Optional[int] = None,
@@ -450,8 +443,6 @@ class ServeSimulator:
         preemption: bool = True,
         autoscale: Optional[AutoscalePolicy] = None,
     ) -> None:
-        if system is not None and config is not None:
-            raise ValueError("pass either a system or a config, not both")
         if batching not in ("request", "step"):
             raise ValueError(f"batching must be 'request' or 'step', got {batching!r}")
         if scheduler not in SCHEDULER_NAMES:
@@ -476,9 +467,7 @@ class ServeSimulator:
             raise ValueError(
                 "autoscale needs batching='step'; the fleet lifecycle lives in "
                 "the step-batching runner")
-        if system is None:
-            system = MACOSystem(config if config is not None else maco_default_config())
-        self.system = system
+        self.config = config if config is not None else maco_default_config()
         self.scheduler_name = scheduler
         self.batching = batching
         self.max_batch = max_batch
@@ -487,13 +476,13 @@ class ServeSimulator:
         self.runner = SweepRunner(jobs=jobs if jobs is not None else 1, cache=cache)
         if parallelism is None:
             self.parallelism = None
-            self.groups = [(node,) for node in range(self.system.num_nodes)]
+            self.groups = [(node,) for node in range(self.config.num_nodes)]
         else:
             from repro.parallel import ParallelismSpec, node_groups
 
             spec = ParallelismSpec.parse(parallelism)
             self.parallelism = str(spec)
-            self.groups = node_groups(self.system.num_nodes, spec.degree)
+            self.groups = node_groups(self.config.num_nodes, spec.degree)
         if autoscale is not None and autoscale.max_groups > len(self.groups):
             raise ValueError(
                 f"autoscale max_groups ({autoscale.max_groups}) exceeds the "
@@ -544,8 +533,8 @@ class ServeSimulator:
         key = (workload_name, precision, server)
         if key not in self._services:
             self._services[key] = _service_profile(
-                self.system.config, workload_name, precision,
-                active_nodes=self.system.num_nodes, cache=self.runner.cache,
+                self.config, workload_name, precision,
+                active_nodes=self.config.num_nodes, cache=self.runner.cache,
                 parallelism=self.parallelism,
                 group=self.groups[server] if self.parallelism is not None else None,
                 background=self._background(server),
@@ -580,7 +569,7 @@ class ServeSimulator:
         if not missing:
             return
         tasks = [
-            (self.system.config, workload, precision, self.system.num_nodes,
+            (self.config, workload, precision, self.config.num_nodes,
              self.parallelism,
              self.groups[server] if self.parallelism is not None else None,
              self._background(server))
@@ -623,7 +612,7 @@ class ServeSimulator:
                 weight * self.service_seconds(workload, precision)
                 for workload, weight in spec.mean_mix_weights()
             )
-            rate = utilization * self.system.num_nodes / (len(specs) * mean_service)
+            rate = utilization * self.config.num_nodes / (len(specs) * mean_service)
             sized.append(spec.with_rate(rate))
         return sized
 
@@ -684,7 +673,7 @@ class ServeSimulator:
         return build_report_from_columns(
             trace_name=trace.name,
             scheduler_name=self.scheduler_name,
-            num_nodes=self.system.num_nodes,
+            num_nodes=self.config.num_nodes,
             tenant_names=columns.tenants,
             tenant_id=_reorder(columns.tenant_id, order),
             arrival_ticks=et.arrival,
@@ -788,14 +777,12 @@ class ServeSimulator:
             tpot_slo_s=_reorder(columns.tpot_slo_s, order))
         # A tenant switch costs the ProcessManager's register save/restore
         # plus the ASID flush, in the CPU clock domain (DESIGN.md section 7.3).
-        node = self.system.node(self.groups[0][0])
-        switch_cycles = (node.cpu.processes.CONTEXT_SWITCH_CYCLES
-                         + TENANT_SWITCH_FLUSH_CYCLES)
+        switch_cycles = ProcessManager.CONTEXT_SWITCH_CYCLES + TENANT_SWITCH_FLUSH_CYCLES
         return EngineTrace(
             policy=policy,
             num_servers=servers,
             switch_ticks=math.ceil(
-                switch_cycles / node.cpu.frequency_hz * TICKS_PER_SECOND),
+                switch_cycles / self.config.cpu.frequency_hz * TICKS_PER_SECOND),
             arrival=arrival,
             tenant=_reorder(columns.tenant_id, order),
             pair=pair.astype(np.int32),
@@ -838,9 +825,9 @@ class ServeSimulator:
                 f"workload {workload!r} needs {peak / 1e6:.1f} MB of resident state "
                 f"but the per-server KV budget is {budget / 1e6:.1f} MB; "
                 "raise kv_budget_bytes - a request must fit alone")
-        dram = DRAMModel(config=self.system.config.memory.dram)
+        dram = DRAMModel(config=self.config.memory.dram)
         restore_bandwidth = (
-            dram.effective_bandwidth(self.system.num_nodes) / self.system.num_nodes)
+            dram.effective_bandwidth(self.config.num_nodes) / self.config.num_nodes)
 
         def table(row):
             return tuple(tuple(tuple(row(step) for step in per_server[server].steps)
@@ -890,35 +877,28 @@ class ServeSimulator:
         if not pairs:
             return KVBudget(budget_bytes=float(DEFAULT_KV_BUDGET_BYTES), source="auto")
         return derive_kv_budget(
-            self.system.config, pairs,
-            sharers=len(self.groups[0]), num_nodes=self.system.num_nodes)
+            self.config, pairs,
+            sharers=len(self.groups[0]), num_nodes=self.config.num_nodes)
 
     # ------------------------------------------------------- functional check
     def functional_smoke(self, trace: RequestTrace, size: int = 48, max_requests: int = 4) -> int:
         """Drive the first trace requests through the real MPAIS async path.
 
         For up to ``max_requests`` requests (one small ``size``-cubed FP64
-        GEMM each, round-robined across nodes) the smoke test submits via
-        ``MA_CFG`` (:meth:`~repro.core.runtime.MACORuntime.gemm_async`), polls
+        GEMM each, round-robined across the nodes of a functional
+        :class:`~repro.core.maco.MACOSystem` built from this fleet's
+        configuration) the smoke test submits via ``MA_CFG``
+        (:meth:`~repro.core.runtime.MACORuntime.gemm_async`), polls
         ``MA_READ``, drains with ``MA_STATE`` and checks the result against
         NumPy.  Returns the number of verified GEMMs; raises on mismatch.
         """
-        import numpy as np
-
         from repro.core.runtime import MACORuntime
 
-        runtime = MACORuntime(system=self.system)
-        host = self.system.host_memory
+        runtime = MACORuntime(config=self.config)
         rng = np.random.default_rng(0)
         verified = 0
         for request in trace.requests[:max_requests]:
-            node_id = verified % self.system.num_nodes
-            node = self.system.node(node_id)
-            # The smoke GEMM allocates in the node's default address space,
-            # so make it the current process before submitting.
-            if node.cpu.processes.current is not node.default_process:
-                node.cpu.switch_process(node.default_process.asid)
-            before = set(host.registered_bases())
+            node_id = verified % self.config.num_nodes
             a = rng.standard_normal((size, size))
             b = rng.standard_normal((size, size))
             handle = runtime.gemm_async(a, b, node_id=node_id, precision=Precision.FP64)
@@ -928,10 +908,5 @@ class ServeSimulator:
                 raise AssertionError(
                     f"functional GEMM mismatch for request {request.request_id} on node {node_id}"
                 )
-            # Nodes share one host memory but allocate from per-node address
-            # spaces with identical bases, so release the scratch operands
-            # before the next node reuses the same virtual range.
-            for base in set(host.registered_bases()) - before:
-                host.unregister(base)
             verified += 1
         return verified

@@ -24,9 +24,9 @@ million dataclasses.  :class:`RequestTrace` wraps the columns and materialises
 :class:`Request` objects lazily, only when someone actually iterates them.
 
 The generators are vectorised but bit-equal to their per-request references
-(:func:`poisson_trace_scalar` / :func:`bursty_trace_scalar`), which are kept
-both as documentation and as the parity oracle for the tests.  Two facts make
-exact equality possible: ``numpy``'s ``MT19937`` bit generator can be seeded
+(``poisson_trace_scalar`` / ``bursty_trace_scalar`` in
+:mod:`repro.conformance.serve_oracle`), the parity oracle of the tests and the
+``trace-roundtrip`` fuzz kind.  Two facts make exact equality possible: ``numpy``'s ``MT19937`` bit generator can be seeded
 with the *state* of a ``random.Random`` and then reproduces its uniform stream
 double for double, and ``np.log``/``np.cumsum`` evaluate element-wise
 identically whether applied to one value or a chunk.  The scalar references
@@ -57,9 +57,7 @@ __all__ = [
     "default_tenants",
     "llm_tenants",
     "poisson_trace",
-    "poisson_trace_scalar",
     "bursty_trace",
-    "bursty_trace_scalar",
     "replay_trace",
 ]
 
@@ -171,26 +169,15 @@ class TenantSpec:
     def _cumulative_weights(self) -> List[float]:
         """The running mix-weight sums, accumulated left to right.
 
-        Both sampling paths compare draws against these exact partial sums —
-        the scalar scan and the vectorised ``searchsorted`` therefore pick
-        identical workloads for identical uniforms.
+        The vectorised ``searchsorted`` compares draws against these exact
+        partial sums, as the scalar scan of the conformance oracle does, so
+        both pick identical workloads for identical uniforms.
         """
         cumulative, partials = 0.0, []
         for _, weight in self.mix:
             cumulative += weight
             partials.append(cumulative)
         return partials
-
-    def pick_workload(self, rng: random.Random) -> str:
-        """Draw one workload name from the (normalised) mix."""
-        total = sum(weight for _, weight in self.mix)
-        draw = rng.random() * total
-        cumulative = 0.0
-        for name, weight in self.mix:
-            cumulative += weight
-            if draw < cumulative:
-                return name
-        return self.mix[-1][0]
 
     def mean_mix_weights(self) -> List[Tuple[str, float]]:
         """The mix with weights normalised to sum to 1."""
@@ -374,34 +361,6 @@ class RequestTrace:
         Path(path).write_text(json.dumps(self.to_records(), indent=2) + "\n")
 
 
-#: Per-request scheduling metadata carried through trace generation:
-#: ``(priority, ttft_slo_s, tpot_slo_s)``.
-_SLOFields = Tuple[int, Optional[float], Optional[float]]
-
-_NO_SLO: _SLOFields = (0, None, None)
-
-
-def _slo_fields(spec: TenantSpec) -> _SLOFields:
-    return (spec.priority, spec.ttft_slo_s, spec.tpot_slo_s)
-
-
-def _finalize(name: str, pending: List[Tuple[float, str, int, str, Precision, _SLOFields]],
-              duration_s: float) -> RequestTrace:
-    """Sort merged per-tenant arrivals and assign stable request ids.
-
-    The sort key ``(arrival, tenant, per-tenant sequence)`` breaks ties
-    deterministically, so the same inputs always produce the same ids.
-    """
-    pending.sort(key=lambda item: (item[0], item[1], item[2]))
-    requests = [
-        Request(request_id=index, tenant=tenant, workload=workload,
-                arrival_s=arrival, precision=precision,
-                priority=slo[0], ttft_slo_s=slo[1], tpot_slo_s=slo[2])
-        for index, (arrival, tenant, _seq, workload, precision, slo) in enumerate(pending)
-    ]
-    return RequestTrace(name=name, requests=requests, duration_s=duration_s)
-
-
 def default_tenants(count: int, rate_rps: float = 8.0) -> List[TenantSpec]:
     """``count`` tenants with rotating workload mixes over the registry.
 
@@ -480,16 +439,6 @@ def _seeded_generator(seed_string: str) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _exp_gap(uniform: float, rate: float) -> float:
-    """One exponential inter-arrival gap from one uniform draw.
-
-    Routed through ``np.log`` (not ``math.log``: the two can differ in the
-    last ulp) so the scalar generators consume uniforms exactly like the
-    vectorised ``-np.log(1 - u) / rate`` over a chunk.
-    """
-    return float(-np.log(1.0 - uniform) / rate)
-
-
 def _merge_tenant_columns(
     name: str,
     duration_s: float,
@@ -498,9 +447,8 @@ def _merge_tenant_columns(
 ) -> RequestTrace:
     """Merge per-tenant ``(spec, arrivals, workload ids)`` into a sorted trace.
 
-    Reproduces :func:`_finalize`'s canonical ``(arrival, tenant name,
-    per-tenant sequence)`` order with a single ``lexsort``, then assigns
-    request ids by position.  Workload ids index each tenant's ``mix``; they
+    Sorts into the canonical ``(arrival, tenant name, per-tenant sequence)``
+    order with a single ``lexsort``, then assigns request ids by position.  Workload ids index each tenant's ``mix``; they
     are re-interned into the trace-wide sorted workload table here.
     """
     tenant_names = sorted({spec.name for spec, _, _ in per_tenant})
@@ -566,7 +514,7 @@ def _merge_tenant_columns(
 
 
 def _pick_workloads(spec: TenantSpec, uniforms: np.ndarray) -> np.ndarray:
-    """Vectorised :meth:`TenantSpec.pick_workload` over a uniform array.
+    """Draw one workload id per uniform from the spec's (normalised) mix.
 
     ``searchsorted(side="right")`` against the exact running weight sums
     returns the first index whose cumulative weight exceeds the draw — the
@@ -592,8 +540,8 @@ def poisson_trace(
     (sized from the expected count plus six sigma of slack, doubled on the
     rare shortfall), split into the alternating gap/pick positions the scalar
     loop would have consumed, and turned into arrivals with one ``log``, one
-    ``cumsum`` and one ``searchsorted``.  Bit-identical to
-    :func:`poisson_trace_scalar` element for element.
+    ``cumsum`` and one ``searchsorted``.  Bit-identical to the per-request
+    reference in :mod:`repro.conformance.serve_oracle` element for element.
     """
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
@@ -615,33 +563,6 @@ def poisson_trace(
         picks = _pick_workloads(spec, uniforms[1::2][:count])
         per_tenant.append((spec, arrivals[:count], picks))
     return _merge_tenant_columns(f"poisson-seed{seed}", duration_s, precision, per_tenant)
-
-
-def poisson_trace_scalar(
-    tenants: Sequence[TenantSpec],
-    duration_s: float,
-    seed: int = 0,
-    precision: Precision = Precision.FP32,
-) -> RequestTrace:
-    """Per-request reference implementation of :func:`poisson_trace`.
-
-    Kept as the parity oracle: the vectorised generator must reproduce this
-    trace bit for bit (``to_records()`` equality) for every seed.
-    """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    pending: List[Tuple[float, str, int, str, Precision, _SLOFields]] = []
-    for spec in tenants:
-        rng = random.Random(f"{seed}/poisson/{spec.name}")
-        slo = _slo_fields(spec)
-        clock, sequence = 0.0, 0
-        while True:
-            clock += _exp_gap(rng.random(), spec.rate_rps)
-            if clock >= duration_s:
-                break
-            pending.append((clock, spec.name, sequence, spec.pick_workload(rng), precision, slo))
-            sequence += 1
-    return _finalize(f"poisson-seed{seed}", pending, duration_s)
 
 
 def _bursty_rates(spec: TenantSpec, burst_factor: float, burst_fraction: float) -> Tuple[float, float]:
@@ -678,7 +599,8 @@ def bursty_trace(
     positions like the Poisson case; instead the whole stream is drawn as one
     bulk chunk with every candidate gap ``-log(1-u)/on_rate`` precomputed in
     one vectorised pass, leaving only the accept/advance scan in Python.
-    Bit-identical to :func:`bursty_trace_scalar`.
+    Bit-identical to the per-request reference in
+    :mod:`repro.conformance.serve_oracle`.
     """
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
@@ -732,43 +654,6 @@ def bursty_trace(
                            np.array(arrivals, dtype=np.float64),
                            np.array(picks, dtype=np.int32)))
     return _merge_tenant_columns(f"bursty-seed{seed}", duration_s, precision, per_tenant)
-
-
-def bursty_trace_scalar(
-    tenants: Sequence[TenantSpec],
-    duration_s: float,
-    seed: int = 0,
-    precision: Precision = Precision.FP32,
-    burst_factor: float = 8.0,
-    burst_fraction: float = 0.2,
-    cycle_s: float = 0.25,
-) -> RequestTrace:
-    """Per-request reference implementation of :func:`bursty_trace`."""
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    if burst_factor < 1:
-        raise ValueError(f"burst factor must be >= 1, got {burst_factor}")
-    if not 0 < burst_fraction < 1:
-        raise ValueError(f"burst fraction must be in (0, 1), got {burst_fraction}")
-    if cycle_s <= 0:
-        raise ValueError(f"cycle length must be positive, got {cycle_s}")
-    pending: List[Tuple[float, str, int, str, Precision, _SLOFields]] = []
-    for spec in tenants:
-        rng = random.Random(f"{seed}/bursty/{spec.name}")
-        slo = _slo_fields(spec)
-        on_rate, off_rate = _bursty_rates(spec, burst_factor, burst_fraction)
-        clock, sequence = 0.0, 0
-        while True:
-            clock += _exp_gap(rng.random(), on_rate)
-            if clock >= duration_s:
-                break
-            in_burst = (clock % cycle_s) / cycle_s < burst_fraction
-            rate_now = on_rate if in_burst else off_rate
-            if rng.random() * on_rate < rate_now:  # thinning acceptance
-                pending.append((clock, spec.name, sequence, spec.pick_workload(rng),
-                                precision, slo))
-                sequence += 1
-    return _finalize(f"bursty-seed{seed}", pending, duration_s)
 
 
 # ---------------------------------------------------------------- trace replay
@@ -894,7 +779,7 @@ def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay")
 
     count = len(arrivals)
     arrival_array = np.array(arrivals, dtype=np.float64)
-    # Canonical _finalize order: (arrival, tenant name, file sequence), then
+    # Canonical generator order: (arrival, tenant name, file sequence), then
     # ids by position.  Interning gave tenants first-seen ids, so sort the
     # table first and remap.
     tenants = sorted(tenant_index)

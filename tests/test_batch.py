@@ -15,8 +15,6 @@ from repro.core import (
     estimate_node_gemm_cached,
     maco_default_config,
     pareto_front,
-    sweep_prediction,
-    sweep_scalability,
 )
 from repro.gemm import GEMMShape, GEMMWorkload, Precision
 
@@ -81,14 +79,14 @@ class TestSweepRunner:
 
     def test_parallel_fig6_bit_identical_to_serial(self):
         config = maco_default_config()
-        serial = sweep_prediction(config, SIZES)
-        parallel = sweep_prediction(config, SIZES, jobs=4)
+        serial = SweepRunner(jobs=1).sweep_prediction(config, SIZES)
+        parallel = SweepRunner(jobs=4).sweep_prediction(config, SIZES)
         assert parallel == serial  # EfficiencyPoint dataclass equality is exact
 
     def test_parallel_fig7_bit_identical_to_serial(self):
         config = maco_default_config()
-        serial = sweep_scalability(config, SIZES, [1, 2, 4])
-        parallel = sweep_scalability(config, SIZES, [1, 2, 4], jobs=4)
+        serial = SweepRunner(jobs=1).sweep_scalability(config, SIZES, [1, 2, 4])
+        parallel = SweepRunner(jobs=4).sweep_scalability(config, SIZES, [1, 2, 4])
         assert parallel == serial
 
     def test_parallel_design_grid_bit_identical_to_serial(self):
@@ -119,8 +117,8 @@ class TestSweepRunner:
         cache = TimingCache()
         runner = SweepRunner(jobs=1, cache=cache)
         workload = GEMMWorkload("repeat", [GEMMShape(1024, 1024, 1024)] * 6)
-        runner_results = runner.evaluate_points(
-            [DesignPoint(name="p", num_nodes=4)], workload)
+        runner_results = DesignSpaceExplorer().explore(
+            [DesignPoint(name="p", num_nodes=4)], workload, runner=runner)
         assert runner_results[0].seconds > 0
         assert cache.misses <= 2  # at most two distinct sub-shapes per plan
         assert cache.hits >= 4

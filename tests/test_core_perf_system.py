@@ -8,15 +8,13 @@ of the headline claims.  Exact values are recorded in EXPERIMENTS.md.
 import pytest
 
 from repro.core import (
+    SweepRunner,
     average_efficiency,
     estimate_node_gemm,
     geometric_mean,
     maco_default_config,
     memory_environment,
-    node_peak_gflops,
     speedup,
-    sweep_prediction,
-    sweep_scalability,
 )
 from repro.core.metrics import WorkloadResult
 from repro.gemm import GEMMShape, Precision
@@ -53,8 +51,8 @@ class TestMemoryEnvironment:
 class TestNodeGEMMTiming:
     def test_peak_lookup(self):
         config = maco_default_config()
-        assert node_peak_gflops(config, Precision.FP64) == pytest.approx(80.0)
-        assert node_peak_gflops(config, Precision.FP16) == pytest.approx(320.0)
+        assert config.mmae.peak_gflops(Precision.FP64) == pytest.approx(80.0)
+        assert config.mmae.peak_gflops(Precision.FP16) == pytest.approx(320.0)
 
     def test_single_node_large_gemm_efficiency_matches_paper_band(self):
         config = maco_default_config()
@@ -72,7 +70,7 @@ class TestNodeGEMMTiming:
 class TestFig6Shape:
     def test_prediction_always_helps_or_ties(self):
         config = maco_default_config()
-        points = sweep_prediction(config, list(FIG6_MATRIX_SIZES))
+        points = SweepRunner(jobs=1).sweep_prediction(config, list(FIG6_MATRIX_SIZES))
         by_size = {}
         for point in points:
             by_size.setdefault(point.matrix_size, {})[point.prediction_enabled] = point.efficiency
@@ -81,7 +79,7 @@ class TestFig6Shape:
 
     def test_gap_small_below_512_and_peaks_at_1024(self):
         config = maco_default_config()
-        points = sweep_prediction(config, [256, 512, 1024])
+        points = SweepRunner(jobs=1).sweep_prediction(config, [256, 512, 1024])
         by = {(p.matrix_size, p.prediction_enabled): p.efficiency for p in points}
         gap_256 = by[(256, True)] - by[(256, False)]
         gap_1024 = by[(1024, True)] - by[(1024, False)]
@@ -93,14 +91,14 @@ class TestFig6Shape:
 class TestFig7Shape:
     def test_sixteen_node_efficiency_near_90_percent(self):
         config = maco_default_config()
-        points = sweep_scalability(config, [1024, 4096, 9216], [16])
+        points = SweepRunner(jobs=1).sweep_scalability(config, [1024, 4096, 9216], [16])
         for point in points:
             assert 0.85 <= point.efficiency <= 1.0
 
     def test_efficiency_monotonically_non_increasing_with_nodes(self):
         config = maco_default_config()
         shape_sizes = [2048]
-        points = sweep_scalability(config, shape_sizes, [1, 2, 4, 8, 16])
+        points = SweepRunner(jobs=1).sweep_scalability(config, shape_sizes, [1, 2, 4, 8, 16])
         efficiencies = [p.efficiency for p in sorted(points, key=lambda p: p.active_nodes)]
         assert all(later <= earlier + 1e-9 for earlier, later in zip(efficiencies, efficiencies[1:]))
 
@@ -108,8 +106,8 @@ class TestFig7Shape:
         """Paper: ~10% average loss going from one node to sixteen."""
         config = maco_default_config()
         sizes = [1024, 2048, 4096]
-        single = sweep_scalability(config, sizes, [1])
-        sixteen = sweep_scalability(config, sizes, [16])
+        single = SweepRunner(jobs=1).sweep_scalability(config, sizes, [1])
+        sixteen = SweepRunner(jobs=1).sweep_scalability(config, sizes, [16])
         loss = (sum(p.efficiency for p in single) - sum(p.efficiency for p in sixteen)) / len(sizes)
         assert 0.03 < loss < 0.15
 
@@ -129,11 +127,11 @@ class TestMACOSystem:
         assert quad.seconds < single.seconds
         assert quad.gflops > 2.5 * single.gflops
 
-    def test_independent_gemms_flops_scale_with_nodes(self, small_system):
+    def test_independent_gemms_flops_scale_with_nodes(self, small_config):
         shape = GEMMShape(1024, 1024, 1024)
-        result = small_system.run_independent_gemms(shape, num_nodes=4)
-        assert result.flops == 4 * shape.flops
-        assert result.per_node_efficiency > 0.9
+        (point,) = SweepRunner(jobs=1).sweep_scalability(small_config, [1024], [4])
+        assert point.gflops == pytest.approx(4 * shape.flops / point.seconds / 1e9)
+        assert point.efficiency > 0.9
 
     def test_prediction_flag_passthrough(self, small_system):
         shape = GEMMShape(2048, 2048, 2048)

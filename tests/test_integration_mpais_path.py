@@ -106,6 +106,17 @@ class TestAsyncRuntime:
         b = rng.standard_normal((64, 32))
         np.testing.assert_allclose(runtime.gemm(a, b), a @ b, rtol=1e-10)
 
+    def test_every_node_runs_gemms_after_node_zero(self, rng):
+        # Every node's default address space starts at the same virtual base,
+        # so the nodes must not share one host-memory map.
+        runtime = MACORuntime(config=maco_default_config(num_nodes=4))
+        for node_id in (0, 1, 2, 3, 0, 1, 2, 3):
+            a = rng.standard_normal((32, 48))
+            b = rng.standard_normal((48, 40))
+            handle = runtime.gemm_async(a, b, node_id=node_id, tile=32)
+            np.testing.assert_allclose(runtime.wait(handle), a @ b, rtol=1e-10)
+            assert runtime.outstanding_tasks(node_id) == 0
+
 
 class TestExceptionsAndMultiprocess:
     def test_unmapped_operand_raises_page_fault_exception(self, single_node_system):

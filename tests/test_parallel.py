@@ -532,11 +532,10 @@ class TestExplorerParallelism:
 
 class TestServeParallelism:
     def _report_json(self, parallelism, jobs=None):
-        from repro.core.maco import MACOSystem
         from repro.serve import ServeSimulator, default_tenants, poisson_trace
 
         config = maco_default_config(num_nodes=4)
-        simulator = ServeSimulator(system=MACOSystem(config), jobs=jobs,
+        simulator = ServeSimulator(config=config, jobs=jobs,
                                    parallelism=parallelism, cache=TimingCache())
         specs = [spec.with_rate(0.5) for spec in default_tenants(2)]
         trace = poisson_trace(specs, duration_s=20.0, seed=11)
@@ -568,12 +567,11 @@ class TestServeParallelism:
         assert len(report["nodes"]) == 1  # 4 nodes / (2x2 grid)
 
     def _pp_simulator(self):
-        from repro.core.maco import MACOSystem
         from repro.serve import ServeSimulator
 
         config = maco_default_config(num_nodes=2)
         # resnet50 is multi-phase, so a pp:2 group has two real stages.
-        return ServeSimulator(system=MACOSystem(config), parallelism="pp:2",
+        return ServeSimulator(config=config, parallelism="pp:2",
                               cache=TimingCache())
 
     def test_pp_group_pipelines_same_tenant_requests(self):

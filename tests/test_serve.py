@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import percentile
-from repro.core import MACOSystem, maco_default_config
+from repro.core import maco_default_config
 from repro.gemm import Precision
 from repro.serve import (
     Request,
@@ -247,13 +247,27 @@ class TestSimulator:
     def test_functional_smoke_verifies_gemms(self):
         simulator = ServeSimulator(config=maco_default_config(num_nodes=2))
         trace = quick_trace(seed=1, duration=5.0)
-        simulator.run(trace)  # leaves tenant ASIDs current on the nodes
+        simulator.run(trace)
         assert simulator.functional_smoke(trace, size=32, max_requests=3) == 3
 
-    def test_rejects_system_and_config_together(self):
-        config = maco_default_config(num_nodes=2)
-        with pytest.raises(ValueError):
-            ServeSimulator(system=MACOSystem(config), config=config)
+    @pytest.mark.parametrize("mode", ["request", "step", "autoscaled step"])
+    def test_serving_builds_no_functional_machine(self, monkeypatch, mode):
+        """Pricing and simulation read only the MACOConfig."""
+        from repro.core.maco import MACOSystem
+        from repro.serve import AutoscalePolicy, llm_tenants
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("serving built a functional MACOSystem")
+
+        monkeypatch.setattr(MACOSystem, "__init__", refuse)
+        options = {} if mode == "request" else dict(batching="step", max_batch=2)
+        if mode == "autoscaled step":
+            options["autoscale"] = AutoscalePolicy(min_groups=1, max_groups=2)
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=2), **options)
+        specs = simulator.suggest_rates(
+            llm_tenants(2, variant="llama-7b@layers=1,prompt=16,decode=8,block=4"))
+        report = simulator.run(poisson_trace(specs, 2.0, seed=3))
+        assert report.total_requests > 0
 
     def test_unsorted_trace_simulates_like_sorted(self):
         """A hand-built out-of-order RequestTrace must not corrupt dispatch."""

@@ -18,16 +18,15 @@ import pytest
 
 from repro.analysis import latency_summary, percentile
 from repro.core import maco_default_config
+from repro.conformance.serve_oracle import bursty_trace_scalar, poisson_trace_scalar
 from repro.serve import (
     SCHEDULER_NAMES,
     RequestTrace,
     ServeSimulator,
     TraceColumns,
     bursty_trace,
-    bursty_trace_scalar,
     llm_tenants,
     poisson_trace,
-    poisson_trace_scalar,
     replay_trace,
 )
 

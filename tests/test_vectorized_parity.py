@@ -487,25 +487,3 @@ class TestTileCyclesMemo:
             array.tile_cycles(0, 64, 64)
         with pytest.raises(ValueError):
             array.tile_cycles(0, 64, 64)  # and again: the error is not cached
-
-
-class TestEventSlots:
-    def test_event_has_no_dict(self):
-        from repro.sim.event import EventQueue
-
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        with pytest.raises(AttributeError):
-            event.__dict__
-        with pytest.raises(AttributeError):
-            event.extra_attribute = 1
-
-    def test_heap_entries_are_tuples(self):
-        from repro.sim.event import EventQueue
-
-        queue = EventQueue()
-        queue.push(2.0, lambda: None)
-        queue.push(1.0, lambda: None, priority=3)
-        entry = queue._heap[0]
-        assert isinstance(entry, tuple) and entry[0] == 1.0 and entry[1] == 3
-        assert queue.pop().time == 1.0
