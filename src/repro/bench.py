@@ -1,18 +1,19 @@
 """Benchmark harness for the functional fast path (``repro.cli bench``).
 
 The functional execution path — page prediction, mATLB/MMU translation and the
-wavefront emulator — ships with both a scalar reference implementation and a
-vectorized fast path that must be bit-identical to it.  This module times the
-two against each other on a BERT-sized layer and writes the measurements to
+wavefront emulator — has one vectorized production implementation per concept,
+each bit-identical to its scalar reference in
+:mod:`repro.conformance.functional_oracle`.  This module times the two against
+each other on a BERT-sized layer and writes the measurements to
 ``BENCH_functional.json``, establishing the repo's performance trajectory:
 
 * ``page_enumeration`` — :meth:`PageTablePredictor.tile_page_vaddrs` (template
-  memo + ``arange``/``unique`` arithmetic) vs the scalar per-row walk;
-* ``tile_translation`` — :meth:`AcceleratorDataEngine.translate_tile_batch`
-  (enumeration + batched prewalk + batched lookup/demand) vs the scalar
+  memo + ``arange``/``unique`` arithmetic) vs the oracle's per-row walk;
+* ``tile_translation`` — :meth:`AcceleratorDataEngine.translate_tile`
+  (enumeration + batched prewalk + batched lookup/demand) vs the oracle's
   per-page loop, with and without predictive translation;
-* ``emulator`` — :class:`VectorizedSystolicArrayEmulator` vs the per-PE
-  scalar emulator;
+* ``emulator`` — :class:`VectorizedSystolicArrayEmulator` vs the oracle's
+  PE-by-PE emulator;
 * ``functional_gemm`` — end-to-end functional GEMM throughput through the
   controller (batch path), recorded for trend tracking;
 * ``serve_throughput`` — requests simulated per wall-clock second by the
@@ -24,8 +25,8 @@ two against each other on a BERT-sized layer and writes the measurements to
   generation separately and recording ``requests_per_s`` at scale, with the
   two runs' completion columns compared element for element.
 
-Every comparative benchmark re-verifies scalar/vector parity on the timed runs
-(identical stats and outputs) and reports it in the JSON, so a bench report
+Every comparative benchmark re-verifies oracle/production parity on the timed
+runs (identical stats and outputs) and reports it in the JSON, so a bench report
 doubles as a correctness witness.  ``check_regression`` compares a fresh
 report against a committed baseline and flags speedups that regressed by more
 than the allowed factor; CI runs it via ``repro.cli bench --baseline``.
@@ -39,6 +40,12 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.conformance.functional_oracle import (
+    SystolicArrayEmulator,
+    tile_page_addresses,
+    translate_tile,
+    translation_state,
+)
 from repro.cpu.mmu import MMU
 from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
@@ -47,7 +54,7 @@ from repro.mem.hostmem import HostMemory
 from repro.mmae.controller import AcceleratorController
 from repro.mmae.data_engine import AcceleratorDataEngine
 from repro.mmae.matlb import MATLB, MatrixLayout, PageTablePredictor
-from repro.mmae.systolic_array import SystolicArrayEmulator, VectorizedSystolicArrayEmulator
+from repro.mmae.systolic_array import VectorizedSystolicArrayEmulator
 
 #: Report schema version written to BENCH_functional.json.
 SCHEMA_VERSION = 1
@@ -96,32 +103,14 @@ def _fresh_translation_stack(manager: ProcessManager) -> Tuple[MMU, AcceleratorD
     return mmu, AcceleratorDataEngine(matlb=MATLB(entries=64))
 
 
-def _translation_state(mmu: MMU, ade: AcceleratorDataEngine):
-    matlb = ade.matlb
-    return (
-        vars(matlb.stats).copy(),
-        list(matlb._entries.items()),
-        vars(mmu.stats).copy(),
-        vars(mmu.dtlb.l1.stats).copy(),
-        vars(mmu.dtlb.l2.stats).copy(),
-        list(mmu.dtlb.l1._entries.items()),
-        list(mmu.dtlb.l2._entries.items()),
-        mmu.walker.walks_performed,
-        mmu.walker.total_walk_cycles,
-        ade.translation_stall_cycles,
-        ade.demand_translations,
-    )
-
-
 def bench_page_enumeration(quick: bool, repeat: int) -> Dict[str, object]:
     """Scalar vs vectorized page enumeration over the BERT tile stream."""
     _, _, layout, tiles = _bert_layout_and_tiles(quick)
 
     def scalar_run() -> float:
-        predictor = PageTablePredictor()
         start = time.perf_counter()
         for row, rows, col, cols in tiles:
-            predictor.tile_page_addresses_scalar(layout, row, rows, col, cols)
+            tile_page_addresses(layout, row, rows, col, cols)
         return time.perf_counter() - start
 
     def vector_run() -> float:
@@ -131,10 +120,9 @@ def bench_page_enumeration(quick: bool, repeat: int) -> Dict[str, object]:
             predictor.tile_page_vaddrs(layout, row, rows, col, cols)
         return time.perf_counter() - start
 
-    reference = PageTablePredictor()
     vectorized = PageTablePredictor()
     parity = all(
-        reference.tile_page_addresses_scalar(layout, row, rows, col, cols)
+        tile_page_addresses(layout, row, rows, col, cols)
         == vectorized.tile_page_vaddrs(layout, row, rows, col, cols).tolist()
         for row, rows, col, cols in tiles[:: max(1, len(tiles) // 64)]
     )
@@ -150,20 +138,20 @@ def bench_page_enumeration(quick: bool, repeat: int) -> Dict[str, object]:
 
 
 def bench_tile_translation(quick: bool, repeat: int, prediction: bool) -> Dict[str, object]:
-    """Scalar vs batched tile translation (enumeration + prewalk + lookup/demand)."""
+    """Oracle vs batched tile translation (enumeration + prewalk + lookup/demand)."""
     manager, asid, layout, tiles = _bert_layout_and_tiles(quick)
 
     def run(batched: bool) -> Tuple[float, MMU, AcceleratorDataEngine]:
         mmu, ade = _fresh_translation_stack(manager)
-        translate = ade.translate_tile_batch if batched else ade.translate_tile
+        translate = AcceleratorDataEngine.translate_tile if batched else translate_tile
         start = time.perf_counter()
         for row, rows, k, depth in tiles:
-            translate(mmu, asid, layout, (row, rows), (k, depth), prediction)
+            translate(ade, mmu, asid, layout, (row, rows), (k, depth), prediction)
         return time.perf_counter() - start, mmu, ade
 
     scalar_s, scalar_mmu, scalar_ade = run(batched=False)
     vector_s, vector_mmu, vector_ade = run(batched=True)
-    parity = _translation_state(scalar_mmu, scalar_ade) == _translation_state(vector_mmu, vector_ade)
+    parity = translation_state(scalar_mmu, scalar_ade) == translation_state(vector_mmu, vector_ade)
     scalar_s = min(scalar_s, _best_of(repeat - 1, lambda: run(batched=False)[0])) if repeat > 1 else scalar_s
     vector_s = min(vector_s, _best_of(repeat - 1, lambda: run(batched=True)[0])) if repeat > 1 else vector_s
     return {

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -411,7 +412,7 @@ def _parse_slo(text: str) -> tuple:
     """Parse ``--slo TTFT[:TPOT]`` into ``(ttft_slo_s, tpot_slo_s)`` seconds.
 
     ``"0.5"`` sets only a TTFT target, ``"0.5:0.1"`` both, ``":0.1"`` only a
-    TPOT target.  Targets must be positive.
+    TPOT target.  Targets must be finite and positive.
     """
     ttft_text, _, tpot_text = text.partition(":")
     try:
@@ -422,8 +423,9 @@ def _parse_slo(text: str) -> tuple:
             f"malformed --slo {text!r}: expected TTFT[:TPOT] in seconds, e.g. 0.5:0.1")
     if ttft is None and tpot is None:
         raise ValueError(f"--slo {text!r} sets no target; pass TTFT, :TPOT or TTFT:TPOT")
-    if (ttft is not None and ttft <= 0) or (tpot is not None and tpot <= 0):
-        raise ValueError(f"--slo targets must be positive seconds, got {text!r}")
+    for target in (ttft, tpot):
+        if target is not None and not (math.isfinite(target) and target > 0):
+            raise ValueError(f"--slo targets must be finite positive seconds, got {text!r}")
     return ttft, tpot
 
 

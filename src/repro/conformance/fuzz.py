@@ -35,7 +35,11 @@ the properties the repo stakes out as exact:
 * ``percentile`` — the ``np.partition`` fast path is bit-identical to the
   sorted nearest-rank reference on either side of the size threshold;
 * ``trace-roundtrip`` — vectorized trace generators match their scalar twins
-  element for element and traces survive a records round-trip.
+  element for element and traces survive a records round-trip;
+* ``tile-translation`` — ``AcceleratorDataEngine.translate_tile`` equals the
+  per-page oracle of :mod:`repro.conformance.functional_oracle` in per-tile
+  stall cycles and mATLB/MMU/TLB/walker state over controller-ordered tile
+  streams, and both fault at the same page when the mapping runs short.
 
 Everything is seeded stdlib :mod:`random` (no new dependency): case ``i`` of
 run seed ``S`` draws from ``random.Random(f"{S}:{i}")``, and kinds rotate
@@ -647,6 +651,54 @@ def _check_trace_roundtrip(spec: ScenarioSpec) -> None:
         )
 
 
+# --------------------------------------------------------- tile-translation
+def _sample_tile_translation(rng: random.Random) -> ScenarioSpec:
+    element_bytes = rng.choice([2, 4, 8])
+    rows, cols = rng.randint(1, 64), rng.randint(1, 512)
+    stride = rng.choice([cols, 1 << (cols - 1).bit_length(), cols + rng.randint(1, 600)])
+    base_offset = rng.randrange(0, 4096, element_bytes)
+    pages = -(-(base_offset + ((rows - 1) * stride + cols) * element_bytes) // 4096)
+    # Most streams are fully mapped; the rest run out of mapping part-way.
+    mapped = pages if rng.random() < 0.7 else rng.randint(0, pages - 1)
+    return _spec(
+        "tile-translation",
+        rows=rows, cols=cols, stride=stride, element_bytes=element_bytes,
+        base_offset=base_offset, mapped_pages=mapped,
+        tile_rows=rng.randint(8, 64), tile_cols=rng.choice([cols, rng.randint(8, 128)]),
+        # Column blocks re-visit each A tile, as the controller's loop does.
+        repeats=rng.randint(1, 3),
+        matlb_entries=rng.randint(1, 64),
+        tlb_l1=rng.choice([4, 48]), tlb_l2=rng.choice([16, 1024]),
+        prediction=rng.choice([True, False]),
+    )
+
+
+def _check_tile_translation(spec: ScenarioSpec) -> None:
+    from repro.conformance.functional_oracle import check_tile_stream
+    from repro.mem.page_table import AddressSpace, FrameAllocator
+    from repro.mmae.matlb import MatrixLayout
+
+    rows, cols = int(spec.param("rows")), int(spec.param("cols"))
+    tile_rows, tile_cols = int(spec.param("tile_rows")), int(spec.param("tile_cols"))
+    mapped = int(spec.param("mapped_pages"))
+    space = AddressSpace(asid=1, frame_allocator=FrameAllocator(mapped + 1))
+    if mapped:
+        space.allocate_region("A", mapped * 4096)
+    layout = MatrixLayout(0x10_0000 + int(spec.param("base_offset")), rows, cols,
+                          int(spec.param("stride")), int(spec.param("element_bytes")))
+    tiles = [
+        (row, min(tile_rows, rows - row), k, min(tile_cols, cols - k))
+        for row in range(0, rows, tile_rows)
+        for _ in range(int(spec.param("repeats")))
+        for k in range(0, cols, tile_cols)
+    ]
+    mismatch = check_tile_stream(
+        space.page_table, layout, tiles, bool(spec.param("prediction")),
+        int(spec.param("matlb_entries")), (int(spec.param("tlb_l1")), int(spec.param("tlb_l2"))))
+    if mismatch is not None:
+        raise ScenarioFailure(f"{mismatch} ({len(tiles)} tiles, {mapped} pages mapped)")
+
+
 # ----------------------------------------------------------------- registry
 @dataclass(frozen=True)
 class _Kind:
@@ -682,6 +734,9 @@ SCENARIO_KINDS: Dict[str, _Kind] = {
               (("size", 1), ("scale", 1.0), ("q", 50.0))),
         _Kind("trace-roundtrip", _sample_trace_roundtrip, _check_trace_roundtrip,
               (("tenants", 1), ("duration", 1.0), ("rate", 1.0))),
+        _Kind("tile-translation", _sample_tile_translation, _check_tile_translation,
+              (("repeats", 1), ("rows", 1), ("base_offset", 0), ("tlb_l1", 48),
+               ("tlb_l2", 1024), ("matlb_entries", 64), ("prediction", False))),
     )
 }
 

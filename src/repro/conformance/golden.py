@@ -15,16 +15,17 @@ rest on:
 
 * ``gemm`` — :meth:`SystolicArray.compute_tile` GEMMs (square and skewed,
   with and without a C accumulator) across all three :class:`Precision` modes;
-* ``tiled-gemm`` — the full two-level MACO tile schedule via
-  :meth:`SystolicArray.compute_gemm`, cross-checked bit-exactly against
-  :func:`blocked_gemm` in FP64;
+* ``tiled-gemm`` — the full two-level MACO tile schedule run by the
+  :class:`~repro.mmae.controller.AcceleratorController`'s functional mode,
+  cross-checked bit-exactly against :func:`blocked_gemm` in FP64;
 * ``im2col-conv`` — the conv lowering used by ``resnet50_graph``:
   :func:`im2col_patches` GEMM versus a direct SAME-padded convolution, with
   the patch matrix shape asserted against :func:`conv2d_gemm`;
 * ``moe-topk`` — :func:`route_topk` expert selection and gate weights versus
   a per-token Python reference (including quantised logits that force ties);
 * ``wavefront`` — the vectorized systolic emulator versus the plain matmul
-  golden, with scalar-emulator bit-identity asserted inside the kernel;
+  golden, with bit-identity to the PE-by-PE emulator of
+  :mod:`repro.conformance.functional_oracle` asserted inside the kernel;
 * ``gemm-plus`` — :func:`schedule_gemm_plus` overlap timing versus the
   closed-form model documented in DESIGN.md;
 * ``summa-pipeline`` — :func:`summa_pipeline_seconds`'s
@@ -57,11 +58,11 @@ from repro.gemm.reference import (
 )
 from repro.gemm.tiling import TileConfig, TwoLevelTiling
 from repro.gemm.workloads import GEMMShape
-from repro.mmae.systolic_array import (
-    SystolicArray,
-    SystolicArrayEmulator,
-    VectorizedSystolicArrayEmulator,
-)
+from repro.conformance.functional_oracle import SystolicArrayEmulator
+from repro.isa.instructions import GEMMDescriptor
+from repro.mem.hostmem import HostMemory
+from repro.mmae.controller import AcceleratorController
+from repro.mmae.systolic_array import SystolicArray, VectorizedSystolicArrayEmulator
 from repro.workloads.layers import conv2d_gemm
 from repro.workloads.moe import route_topk
 
@@ -202,19 +203,31 @@ def _tiled_gemm_functional(case: GoldenCase, inputs: dict) -> np.ndarray:
         raise GoldenMismatch(
             f"{case.name}: two-level tiling does not cover {shape} exactly"
         )
-    result = SystolicArray().compute_gemm(
-        a, b, precision=precision, level1=level1, level2=level2
-    )
+    # C is kept in the accumulator precision, so the controller's write-back
+    # is exact and the array holds the accumulated sums themselves.
+    c = np.zeros((shape.m, shape.n), dtype=precision.accumulate_dtype)
+    memory = HostMemory()
+    addresses = (0x10_0000, 0x20_0000, 0x30_0000)
+    for address, matrix in zip(addresses, (a, b, c)):
+        memory.register_matrix(address, matrix)
+    controller = AcceleratorController(host_memory=memory)
+    controller.submit_gemm(0, 0, GEMMDescriptor(
+        *addresses, m=shape.m, n=shape.n, k=shape.k, precision=precision,
+        tile_rows=level1.rows, tile_cols=level1.cols, ttr=level2.rows, ttc=level2.cols))
+    result = controller.execute_pending()[0]
+    if not (result.functional and result.succeeded):
+        raise GoldenMismatch(f"{case.name}: the controller did not run the GEMM functionally")
+    output = memory.matrix_at(addresses[2])
     if precision is Precision.FP64:
         # The FP64 schedule performs the same float64 tile matmuls and
         # additions as the plain-Python blocked reference, in the same
         # order, so the two must agree bit for bit — not just in tolerance.
         reference = blocked_gemm(a, b, level1=level1, level2=level2)
-        if not np.array_equal(result.output, reference):
+        if not np.array_equal(output, reference):
             raise GoldenMismatch(
-                f"{case.name}: compute_gemm is not bit-identical to blocked_gemm"
+                f"{case.name}: the controller is not bit-identical to blocked_gemm"
             )
-    return np.asarray(result.output, dtype=np.float64)
+    return np.asarray(output, dtype=np.float64)
 
 
 # ------------------------------------------------------------ im2col-conv

@@ -24,16 +24,6 @@ class ExceptionType(enum.IntEnum):
     PRECISION_UNSUPPORTED = 5 # requested compute mode not implemented
     TIMEOUT = 6               # task watchdog expired
 
-    @property
-    def is_recoverable(self) -> bool:
-        """Whether software can retry the task after fixing the cause."""
-        return self in (
-            ExceptionType.PAGE_FAULT,
-            ExceptionType.INVALID_CONFIG,
-            ExceptionType.BUFFER_OVERFLOW,
-            ExceptionType.PRECISION_UNSUPPORTED,
-        )
-
 
 @dataclass
 class MMAETaskException(Exception):

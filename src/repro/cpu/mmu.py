@@ -8,12 +8,10 @@ requests through this MMU (paper Sections III.A and IV.A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from repro.mem.address import DEFAULT_PAGE_SIZE
-from repro.mem.page_table import PageFaultError, PageTable, PageTableWalker
+from repro.mem.page_table import PageTable, PageTableWalker
 from repro.mem.tlb import BatchTranslationResult, TLBHierarchy, TranslationResult
 
 
@@ -64,9 +62,6 @@ class MMU:
             raise KeyError(f"no page table registered for ASID {asid}")
         return self._page_tables[asid]
 
-    def registered_asids(self) -> List[int]:
-        return list(self._page_tables)
-
     # --------------------------------------------------------------- translation
     def translate_data(self, asid: int, vaddr: int) -> TranslationResult:
         """Translate a data access (CPU load/store or MMAE DMA)."""
@@ -104,21 +99,11 @@ class MMU:
     def translate_data_batch(self, asid: int, vaddrs: Sequence[int]) -> BatchTranslationResult:
         """Translate a batch of data accesses; exact batch twin of :meth:`translate_data`.
 
-        A :class:`PageFaultError` propagates at the first unmapped address in
-        order, after the MMU stats have been updated for the prefix the scalar
-        loop would have processed (the faulting access itself counts as a
-        translation, as it does in the scalar path).
+        An unmapped address raises :class:`~repro.mem.page_table.PageFaultError`
+        for the first such address in order; the MMU state after a fault is
+        unspecified.
         """
-        page_table = self.page_table(asid)
-        try:
-            result = self.dtlb.translate_batch(page_table, vaddrs, on_fault="raise")
-        except PageFaultError as error:
-            processed = getattr(error, "batch_processed", 0)
-            self.stats.translations += processed
-            self.stats.dtlb_accesses += processed
-            self.stats.walks += getattr(error, "batch_walks", 0)
-            self.stats.walk_cycles += getattr(error, "batch_walk_cycles", 0)
-            raise
+        result = self.dtlb.translate_batch(self.page_table(asid), vaddrs)
         self.stats.translations += len(result)
         self.stats.dtlb_accesses += len(result)
         self.stats.walks += result.walk_count
@@ -128,31 +113,14 @@ class MMU:
     def prewalk_batch(self, asid: int, vaddrs: Sequence[int]) -> BatchTranslationResult:
         """Batched mATLB prewalk; exact batch twin of per-address :meth:`prewalk` calls.
 
-        Unmapped pages are marked ``LEVEL_FAULT`` and skipped instead of
-        raising, replicating a scalar caller that catches the fault per page
-        and carries on (the faulting request still counts as a prewalk request
-        and as an L1/L2 TLB miss, exactly as in the scalar path).
+        Faults as :meth:`translate_data_batch` does.
         """
-        page_table = self.page_table(asid)
-        result = self.dtlb.translate_batch(page_table, vaddrs, on_fault="skip")
+        result = self.dtlb.translate_batch(self.page_table(asid), vaddrs)
         self.stats.prewalk_requests += len(result)
         self.stats.walks += result.walk_count
         self.stats.walk_cycles += result.walk_cycles_total
         return result
 
-    def mapped_mask(self, asid: int, vaddrs: Sequence[int]) -> np.ndarray:
-        """Vectorized mapping check against one address space's page table."""
-        return self.page_table(asid).mapped_mask(np.asarray(vaddrs, dtype=np.int64))
-
     def flush_asid(self, asid: int) -> None:
         self.itlb.flush(asid)
         self.dtlb.flush(asid)
-
-    @property
-    def data_tlb_hit_rate(self) -> float:
-        accesses = self.dtlb.l1.stats.accesses
-        if not accesses:
-            return 0.0
-        # A hit at either level counts; only walks are misses of the hierarchy.
-        hierarchy_misses = self.dtlb.l2.stats.misses
-        return 1.0 - hierarchy_misses / accesses

@@ -9,7 +9,7 @@ latency is what the mATLB's predictive translation hides (paper Section IV.A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,22 +94,6 @@ class PageTable:
         return pfn * self.page_size + page_offset(vaddr, self.page_size)
 
     # ------------------------------------------------------------------- batch
-    def mapped_mask(self, vaddrs: np.ndarray) -> np.ndarray:
-        """Boolean mask of which virtual addresses have a mapping.
-
-        Vectorized companion of :meth:`is_mapped`: the (typically few) distinct
-        pages are resolved through the entry dict once and broadcast back over
-        the address array.
-        """
-        v = np.asarray(vaddrs, dtype=np.int64)
-        shift = self.page_size.bit_length() - 1
-        uniq, inverse = np.unique(v >> shift, return_inverse=True)
-        entries = self._entries
-        hit = np.fromiter(
-            (vpn in entries for vpn in uniq.tolist()), dtype=bool, count=len(uniq)
-        )
-        return hit[inverse].reshape(v.shape)
-
     def translate_batch(self, vaddrs: Sequence[int]) -> np.ndarray:
         """Translate many virtual addresses at once.
 
@@ -176,9 +160,6 @@ class AddressSpace:
         if name not in self._regions:
             raise KeyError(f"no region named {name!r}")
         return self._regions[name]
-
-    def regions(self) -> Iterable[str]:
-        return self._regions.keys()
 
     def translate(self, vaddr: int) -> int:
         return self.page_table.translate(vaddr)
@@ -267,10 +248,9 @@ class PageTableWalker:
 
         Equivalent to calling :meth:`walk` per address in order (same walk-cache
         evolution and stats), with the translation itself vectorized and the
-        cache charging done in one tight loop.  The batch must be fully mapped:
-        an unmapped address raises :class:`PageFaultError` before any state is
-        touched, so callers that need the scalar loop's partial-progress fault
-        semantics must pre-filter with :meth:`PageTable.mapped_mask`.
+        cache charging done in one tight loop.  An unmapped address raises
+        :class:`PageFaultError` for the first such address in order, before
+        any walker state is touched.
         """
         v = np.asarray(vaddrs, dtype=np.int64)
         paddrs = page_table.translate_batch(v)

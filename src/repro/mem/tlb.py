@@ -63,34 +63,6 @@ class TLB:
         self.stats.hits += 1
         return pfn * self.page_size + page_offset(vaddr, self.page_size)
 
-    def lookup_batch(self, asid: int, vaddrs: Sequence[int]) -> np.ndarray:
-        """Look up many addresses at once; misses yield ``-1``.
-
-        Equivalent to calling :meth:`lookup` per address in order: the same
-        hit/miss counts accrue and hits refresh the LRU order in sequence.
-        Lookups never change TLB membership, so the per-address work reduces to
-        one dict probe (plus the LRU touch on hits).
-        """
-        v = np.asarray(vaddrs, dtype=np.int64)
-        shift = self.page_size.bit_length() - 1
-        entries = self._entries
-        get = entries.get
-        move = entries.move_to_end
-        pfns = np.empty(len(v), dtype=np.int64)
-        hits = 0
-        for index, vpn in enumerate((v >> shift).tolist()):
-            pfn = get((asid, vpn))
-            if pfn is None:
-                pfns[index] = -1
-            else:
-                move((asid, vpn))
-                hits += 1
-                pfns[index] = pfn
-        self.stats.hits += hits
-        self.stats.misses += len(v) - hits
-        mask = pfns >= 0
-        return np.where(mask, (pfns << shift) | (v & (self.page_size - 1)), -1)
-
     def probe(self, asid: int, vaddr: int) -> bool:
         """Check for a translation without touching LRU state or stats."""
         return (asid, page_number(vaddr, self.page_size)) in self._entries
@@ -131,16 +103,15 @@ class TranslationResult:
 
 
 #: Per-address level codes used by the batched translation path.
-LEVEL_L1, LEVEL_L2, LEVEL_WALK, LEVEL_FAULT = 0, 1, 2, 3
+LEVEL_L1, LEVEL_L2, LEVEL_WALK = 0, 1, 2
 
 
 @dataclass
 class BatchTranslationResult:
     """Outcome of translating a batch of addresses through the hierarchy.
 
-    ``levels`` holds one of ``LEVEL_L1``/``LEVEL_L2``/``LEVEL_WALK``/
-    ``LEVEL_FAULT`` per address; faulted addresses (skip mode only) carry
-    ``paddr == -1`` and zero cycles.
+    ``levels`` holds one of ``LEVEL_L1``/``LEVEL_L2``/``LEVEL_WALK`` per
+    address.
     """
 
     paddrs: np.ndarray
@@ -157,15 +128,6 @@ class BatchTranslationResult:
     @property
     def walk_cycles_total(self) -> int:
         return int(self.cycles[self.levels == LEVEL_WALK].sum())
-
-    @property
-    def fault_count(self) -> int:
-        return int(np.count_nonzero(self.levels == LEVEL_FAULT))
-
-    @property
-    def ok_cycles_total(self) -> int:
-        """Total cycles over the non-faulted addresses."""
-        return int(self.cycles[self.levels != LEVEL_FAULT].sum())
 
 
 class TLBHierarchy:
@@ -218,29 +180,17 @@ class TLBHierarchy:
         """
         return self.translate(page_table, vaddr)
 
-    def translate_batch(
-        self,
-        page_table: PageTable,
-        vaddrs: Sequence[int],
-        on_fault: str = "raise",
-    ) -> BatchTranslationResult:
+    def translate_batch(self, page_table: PageTable, vaddrs: Sequence[int]) -> BatchTranslationResult:
         """Translate a batch of addresses exactly as per-address :meth:`translate` calls.
 
         The per-address hit levels, charged cycles, L1/L2 stats and LRU/eviction
         behaviour match the scalar loop bit for bit; page-table walks are issued
         through :meth:`PageTableWalker.walk_batch` in access order once the
-        lookup pass has decided which addresses miss both TLB levels.
-
-        ``on_fault`` selects the scalar caller being replicated: ``"raise"``
-        propagates :class:`PageFaultError` at the first unmapped address (after
-        charging the walker for the walks that preceded it, as the scalar loop
-        would have); ``"skip"`` marks the address ``LEVEL_FAULT`` and continues,
-        mirroring callers that catch the fault per address and move on.  In
-        raise mode the exception carries ``batch_processed``/``batch_walks``/
-        ``batch_walk_cycles`` attributes so upstream stats stay exact.
+        lookup pass has decided which addresses miss both TLB levels.  An
+        address that misses both levels and has no mapping raises
+        :class:`PageFaultError` for the first such address in order; the
+        TLB and walker state after a fault is unspecified.
         """
-        if on_fault not in ("raise", "skip"):
-            raise ValueError(f"on_fault must be 'raise' or 'skip', got {on_fault!r}")
         v = np.asarray(vaddrs, dtype=np.int64)
         count = len(v)
         pfns = np.empty(count, dtype=np.int64)
@@ -253,7 +203,6 @@ class TLBHierarchy:
         shift = self.page_size.bit_length() - 1
         pt_shift = page_table.page_size.bit_length() - 1
         pt_mask = page_table.page_size - 1
-        mapped = page_table.mapped_mask(v).tolist()
         vaddr_list = v.tolist()
 
         l1_entries = self.l1._entries
@@ -266,7 +215,6 @@ class TLBHierarchy:
         l1_hits = l1_misses = l2_hits = l2_misses = 0
         walk_indices: List[int] = []
 
-        fault_index = -1
         for index, vaddr in enumerate(vaddr_list):
             key = (asid, vaddr >> shift)
             pfn = l1_entries.get(key)
@@ -290,18 +238,13 @@ class TLBHierarchy:
                 cycles[index] = l2_cost
                 continue
             l2_misses += 1
-            if not mapped[index]:
-                if on_fault == "skip":
-                    pfns[index] = -1
-                    levels[index] = LEVEL_FAULT
-                    continue
-                fault_index = index
-                break
             # Miss at both levels: the walk's translation is known from the page
             # table, so the entry installs immediately (later duplicates in the
             # batch must hit it) and only the walk-cycle charging is deferred.
-            paddr = (pt_lookup(vaddr >> pt_shift) << pt_shift) | (vaddr & pt_mask)
-            pfn = paddr >> shift
+            frame = pt_lookup(vaddr >> pt_shift)
+            if frame is None:
+                raise PageFaultError(asid, vaddr)
+            pfn = ((frame << pt_shift) | (vaddr & pt_mask)) >> shift
             if len(l1_entries) >= l1_capacity:
                 l1_entries.popitem(last=False)
             l1_entries[key] = pfn
@@ -317,32 +260,14 @@ class TLBHierarchy:
         self.l2.stats.hits += l2_hits
         self.l2.stats.misses += l2_misses
 
-        walk_cycles_total = 0
         if walk_indices:
             walk_idx = np.asarray(walk_indices, dtype=np.int64)
             _, walk_cycles = self.walker.walk_batch(page_table, v[walk_idx])
             cycles[walk_idx] = l2_cost + walk_cycles
-            walk_cycles_total = int((l2_cost + walk_cycles).sum())
 
-        if fault_index >= 0:
-            error = PageFaultError(asid, int(vaddr_list[fault_index]))
-            error.batch_processed = fault_index + 1
-            error.batch_walks = len(walk_indices)
-            error.batch_walk_cycles = walk_cycles_total
-            raise error
-
-        mask = pfns >= 0
-        paddrs = np.where(mask, (pfns << shift) | (v & (self.page_size - 1)), -1)
+        paddrs = (pfns << shift) | (v & (self.page_size - 1))
         return BatchTranslationResult(paddrs, cycles, levels)
 
     def flush(self, asid: Optional[int] = None) -> None:
         self.l1.flush(asid)
         self.l2.flush(asid)
-
-    @property
-    def total_misses(self) -> int:
-        return self.l2.stats.misses
-
-    @property
-    def total_accesses(self) -> int:
-        return self.l1.stats.accesses

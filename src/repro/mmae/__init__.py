@@ -15,10 +15,8 @@ Fig. 2).  The MMAE contains:
   streams (paper Section IV.A).
 """
 
-from repro.mmae.pe import ProcessingElement
 from repro.mmae.systolic_array import (
     SystolicArray,
-    SystolicArrayEmulator,
     TileComputeResult,
     VectorizedSystolicArrayEmulator,
 )
@@ -37,9 +35,7 @@ from repro.mmae.dataflow import (
 from repro.mmae.controller import AcceleratorController, TaskResult
 
 __all__ = [
-    "ProcessingElement",
     "SystolicArray",
-    "SystolicArrayEmulator",
     "VectorizedSystolicArrayEmulator",
     "TileComputeResult",
     "ScratchpadBuffer",

@@ -31,6 +31,7 @@ from repro.isa.instructions import GEMMDescriptor, InitDescriptor, MoveDescripto
 from repro.mem.address import AddressRange
 from repro.mem.hostmem import HostMemory
 from repro.mem.l3cache import DistributedL3Cache, StashRequest
+from repro.mem.page_table import PageFaultError
 from repro.mmae.buffers import BufferAllocationError, BufferSet
 from repro.mmae.data_engine import AcceleratorDataEngine
 from repro.mmae.dataflow import (
@@ -69,10 +70,9 @@ class AcceleratorController:
 
     #: Functional execution is only attempted below this operand size, to keep
     #: the NumPy tile loop affordable in the test-suite.  The batched page
-    #: prediction / translation fast path (translate_tile_batch) made the
-    #: per-tile overhead cheap enough to raise this 4x over the scalar-era
-    #: limit, which brings BERT-sized layers (M*K + K*N ~ 7.5M elements)
-    #: within functional reach.
+    #: prediction and translation (AcceleratorDataEngine.translate_tile) keep
+    #: the per-tile overhead cheap enough for BERT-sized layers
+    #: (M*K + K*N ~ 7.5M elements).
     FUNCTIONAL_LIMIT_ELEMENTS = 1 << 24
 
     def __init__(
@@ -110,14 +110,6 @@ class AcceleratorController:
         self.busy_cycles = 0.0
 
     # --------------------------------------------------------------- configuration
-    def set_memory_environment(self, env: MemoryEnvironment) -> None:
-        """Update the memory environment (called when the active node count changes)."""
-        self.env = env
-
-    def set_prediction(self, enabled: bool) -> None:
-        """Enable/disable predictive address translation (the Fig. 6 knob)."""
-        self.prediction_enabled = enabled
-
     def peak_gflops(self, precision: Precision = Precision.FP64) -> float:
         return self.array.peak_gflops(precision)
 
@@ -153,18 +145,21 @@ class AcceleratorController:
             "init": self._run_init,
             "stash": self._run_stash,
         }[entry.kind]
+        exception = ExceptionType.NONE
         try:
             result = handler(entry)
         except MMAETaskException as exc:
-            result = TaskResult(maid=entry.maid, kind=entry.kind, cycles=0.0, exception=exc.exception_type)
-            self.stq.fail(entry, exc.exception_type)
+            exception = exc.exception_type
         except BufferAllocationError:
-            result = TaskResult(
-                maid=entry.maid, kind=entry.kind, cycles=0.0, exception=ExceptionType.BUFFER_OVERFLOW
-            )
-            self.stq.fail(entry, ExceptionType.BUFFER_OVERFLOW)
-        else:
+            exception = ExceptionType.BUFFER_OVERFLOW
+        except PageFaultError:
+            # A DMA address with no translation terminates the task (Table III).
+            exception = ExceptionType.PAGE_FAULT
+        if exception is ExceptionType.NONE:
             self.stq.complete(entry, result.cycles)
+        else:
+            result = TaskResult(maid=entry.maid, kind=entry.kind, cycles=0.0, exception=exception)
+            self.stq.fail(entry, exception)
         self.results.append(result)
         self.busy_cycles += result.cycles
         return result
@@ -254,7 +249,7 @@ class AcceleratorController:
             for tile2 in tiling.level2_tiles(tile1):
                 a_block, b_block, _ = self.ade.load_operands(memory, descriptor, tile2)
                 if self.mmu is not None:
-                    self.ade.translate_tile_batch(
+                    self.ade.translate_tile(
                         self.mmu,
                         asid,
                         layout_a,

@@ -11,7 +11,6 @@ the timing model charges for.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -20,7 +19,6 @@ import numpy as np
 from repro.gemm.tiling import Tile
 from repro.isa.instructions import GEMMDescriptor
 from repro.mem.hostmem import HostMemory
-from repro.mem.page_table import PageFaultError
 from repro.mmae.buffers import BufferSet
 from repro.mmae.dma import DMAEngine
 from repro.mmae.matlb import MATLB, MatrixLayout
@@ -64,25 +62,6 @@ class AcceleratorDataEngine:
         self.translation_stall_cycles = 0
         self.demand_translations = 0
 
-    # ------------------------------------------------------------------ planning
-    @staticmethod
-    def plan_tile(tile: Tile, element_bytes: int, accumulate: bool) -> TileTransferPlan:
-        """Transfer plan for one second-level tile.
-
-        ``accumulate`` is True when the C tile holds partial sums from a
-        previous K block and must therefore be read before the MACs and written
-        back afterwards; the first K block only writes.
-        """
-        a_bytes = tile.rows * tile.depth * element_bytes
-        b_bytes = tile.depth * tile.cols * element_bytes
-        c_bytes = tile.rows * tile.cols * element_bytes
-        return TileTransferPlan(
-            a_bytes=a_bytes,
-            b_bytes=b_bytes,
-            c_read_bytes=c_bytes if accumulate else 0,
-            c_write_bytes=c_bytes,
-        )
-
     def transfer_cycles(self, plan: TileTransferPlan, round_trip_latency_cycles: float = 0.0) -> int:
         """Cycles to move a tile's data, splitting the load across both engines."""
         per_engine = plan.total_bytes / len(self.engines)
@@ -108,17 +87,6 @@ class AcceleratorDataEngine:
         c_block = c[tile.row_start : tile.row_end, tile.col_start : tile.col_end]
         return a_block, b_block, c_block
 
-    def store_result(
-        self,
-        memory: HostMemory,
-        descriptor: GEMMDescriptor,
-        tile: Tile,
-        values: np.ndarray,
-    ) -> None:
-        """Write a computed C sub-block back to host memory in the C matrix's dtype."""
-        c = memory.matrix_at(descriptor.addr_c)
-        c[tile.row_start : tile.row_end, tile.col_start : tile.col_end] = values.astype(c.dtype)
-
     # ---------------------------------------------------------------- translation
     def translate_tile(
         self,
@@ -131,44 +99,17 @@ class AcceleratorDataEngine:
     ) -> int:
         """Translate every page a tile touches; returns the exposed stall cycles.
 
-        With prediction the mATLB pre-walks the pages (walk cycles are treated
-        as hidden) and the demand lookups hit; without prediction each page
-        missing from the mATLB costs a demand walk through the shared MMU.
-        """
-        row_start, row_count = tile_rows
-        col_start, col_count = tile_cols
-        pages = self.matlb.predictor.tile_page_addresses_scalar(
-            layout, row_start, row_count, col_start, col_count
-        )
-        stall_cycles = 0
-        if prediction_enabled:
-            self.matlb.prewalk_pages(mmu, asid, pages)
-        for page_vaddr in pages:
-            if self.matlb.lookup(page_vaddr) is None:
-                result = mmu.translate_data(asid, page_vaddr)
-                self.demand_translations += 1
-                stall_cycles += result.cycles
-        self.translation_stall_cycles += stall_cycles
-        return stall_cycles
-
-    def translate_tile_batch(
-        self,
-        mmu,
-        asid: int,
-        layout: MatrixLayout,
-        tile_rows: Tuple[int, int],
-        tile_cols: Tuple[int, int],
-        prediction_enabled: bool,
-    ) -> int:
-        """Batched :meth:`translate_tile`: one prewalk and one demand stream per tile.
-
-        Bit-identical to the scalar loop — the same pages in the same access
-        order reach the mATLB and the MMU, and every hit/miss/prewalk/walk
-        counter advances identically (the scalar loop interleaves mATLB lookups
-        with demand MMU translations, but the two never touch each other's
-        state, so splitting them into two batched passes preserves every
-        outcome).  A page fault on the demand path propagates at the same page
-        with the same partial counter updates as the scalar loop.
+        With prediction the mATLB pre-walks the tile's pages through the shared
+        MMU (walk cycles are treated as hidden) and the demand lookups hit;
+        without it each page missing from the mATLB costs a demand walk.  The
+        prewalk and the demand stream each go to the MMU as one batch: the
+        mATLB and the MMU never touch each other's state, so splitting the
+        per-page loop of :func:`repro.conformance.functional_oracle.translate_tile`
+        into two passes leaves every counter and LRU order as the loop leaves
+        them.  A page with no translation raises
+        :class:`~repro.mem.page_table.PageFaultError` for the first unmapped
+        page in access order; the translation state after a fault is
+        unspecified.
         """
         row_start, row_count = tile_rows
         col_start, col_count = tile_cols
@@ -185,54 +126,16 @@ class AcceleratorDataEngine:
             return 0
         if prediction_enabled:
             self.matlb.prewalk_pages_batch(mmu, asid, pages)
-        # Snapshot the mATLB's lookup-visible state so the (in practice dead)
-        # demand-fault path below can rewind to exactly what the scalar loop
-        # would have touched; lookups never change membership or values, so
-        # the key order plus the two counters is the whole state.
-        matlb_entries = self.matlb._entries
-        lru_snapshot = list(matlb_entries.keys())
-        stats_snapshot = (self.matlb.stats.hits, self.matlb.stats.misses)
         paddrs = self.matlb.lookup_batch(pages)
         missing = pages[paddrs < 0]
         stall_cycles = 0
         if missing.size:
-            if not mmu.mapped_mask(asid, missing).all():
-                self._demand_fault(mmu, asid, page_list, missing, lru_snapshot, stats_snapshot)
             demand = mmu.translate_data_batch(asid, missing)
             self.demand_translations += int(missing.size)
             stall_cycles = int(demand.cycles.sum())
         self.translation_stall_cycles += stall_cycles
         return stall_cycles
 
-    def _demand_fault(self, mmu, asid, page_list, missing, lru_snapshot, stats_snapshot):
-        """Replay the scalar loop's partial progress for a faulting demand page.
-
-        The scalar loop stops at the first mATLB-missing page that faults: mATLB
-        lookups (stats + LRU refreshes) cover only the pages up to and including
-        the faulter, demand translations cover only the missing pages before it.
-        The batched lookup above already touched every page, so rewind the mATLB
-        to the snapshot, replay the prefix, and let the batched demand
-        translation raise at the faulter with exact MMU-side partial stats.
-        """
-        matlb = self.matlb
-        matlb._entries = OrderedDict(
-            (page, matlb._entries[page]) for page in lru_snapshot
-        )
-        matlb.stats.hits, matlb.stats.misses = stats_snapshot
-        missing_list = missing.tolist()
-        fault_index = next(
-            index for index, mapped in enumerate(mmu.mapped_mask(asid, missing).tolist())
-            if not mapped
-        )
-        cutoff = page_list.index(missing_list[fault_index])
-        matlb.lookup_batch(page_list[: cutoff + 1])
-        try:
-            mmu.translate_data_batch(asid, missing_list[: fault_index + 1])
-        except PageFaultError as error:
-            self.demand_translations += getattr(error, "batch_processed", 1) - 1
-            raise
-        raise RuntimeError("unreachable: an unmapped demand page must fault")
-
-    @property
-    def total_bytes_transferred(self) -> int:
-        return sum(engine.bytes_transferred for engine in self.engines)
+    #: The batched name of :meth:`translate_tile`, kept for callers that
+    #: address it by that name.
+    translate_tile_batch = translate_tile

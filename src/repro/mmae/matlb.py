@@ -13,8 +13,8 @@ size, page size) that the CPU configures in advance:
 3. the DMA engines consume translations from the buffer, so the walk latency
    overlaps with computation instead of stalling the transfer.
 
-Two views are provided: a functional mATLB used by the small-scale tests, and
-a closed-form :func:`estimate_translation_stalls` used by the parameter
+Two views are provided: a functional mATLB used by the controller's functional
+mode, and a closed-form :func:`estimate_translation_stalls` used by the parameter
 sweeps of Fig. 6 (see DESIGN.md for the derivation and calibration).
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -62,9 +62,9 @@ class PageTablePredictor:
     depends only on its geometry (row count, segment bytes, row stride) and on
     the first element's offset within its page, interior tiles of a sweep share
     one cached *offset template* that is rebased per tile instead of being
-    re-enumerated.  :meth:`tile_page_addresses_scalar` retains the original
-    element-at-a-time reference; the two are bit-identical, page order
-    included, which the parity tests enforce.
+    re-enumerated.  The element-at-a-time reference is
+    :func:`repro.conformance.functional_oracle.tile_page_addresses`; the two
+    are bit-identical, page order included, which the parity tests enforce.
     """
 
     #: Geometry templates kept before the memo is reset (each is a small array).
@@ -75,37 +75,6 @@ class PageTablePredictor:
             raise ValueError("page size must be a positive power of two")
         self.page_size = page_size
         self._templates: Dict[Tuple[int, int, int, int], np.ndarray] = {}
-
-    def _check_tile(
-        self, layout: MatrixLayout, row_start: int, row_count: int, col_start: int, col_count: int
-    ) -> None:
-        if row_start < 0 or col_start < 0:
-            raise ValueError("tile origin must be non-negative")
-        if row_start + row_count > layout.rows or col_start + col_count > layout.cols:
-            raise ValueError("tile exceeds the matrix bounds")
-
-    def tile_page_addresses_scalar(
-        self,
-        layout: MatrixLayout,
-        row_start: int,
-        row_count: int,
-        col_start: int,
-        col_count: int,
-    ) -> List[int]:
-        """Element-at-a-time reference enumeration (the pre-vectorization path)."""
-        self._check_tile(layout, row_start, row_count, col_start, col_count)
-        pages: List[int] = []
-        seen: Set[int] = set()
-        for row in range(row_start, row_start + row_count):
-            first = layout.element_vaddr(row, col_start)
-            last = layout.element_vaddr(row, col_start + col_count - 1) + layout.element_bytes - 1
-            page = align_down(first, self.page_size)
-            while page <= last:
-                if page not in seen:
-                    seen.add(page)
-                    pages.append(page)
-                page += self.page_size
-        return pages
 
     def _page_offsets(self, first_offset: int, row_count: int, segment_bytes: int,
                       row_stride_bytes: int) -> np.ndarray:
@@ -142,8 +111,15 @@ class PageTablePredictor:
         col_start: int,
         col_count: int,
     ) -> np.ndarray:
-        """Vectorized :meth:`tile_page_addresses`, returned as an ``int64`` array."""
-        self._check_tile(layout, row_start, row_count, col_start, col_count)
+        """Page-aligned virtual addresses the tile touches, in access order.
+
+        This reproduces the observation of Fig. 4: the first element located
+        in each page determines the pages the DMA stream will need translated.
+        """
+        if row_start < 0 or col_start < 0:
+            raise ValueError("tile origin must be non-negative")
+        if row_start + row_count > layout.rows or col_start + col_count > layout.cols:
+            raise ValueError("tile exceeds the matrix bounds")
         element = layout.element_bytes
         stride_bytes = layout.row_stride_elements * element
         first = layout.base_vaddr + (row_start * layout.row_stride_elements + col_start) * element
@@ -156,21 +132,6 @@ class PageTablePredictor:
                 self._templates.clear()
             self._templates[key] = offsets
         return (first - first_offset) + offsets
-
-    def tile_page_addresses(
-        self,
-        layout: MatrixLayout,
-        row_start: int,
-        row_count: int,
-        col_start: int,
-        col_count: int,
-    ) -> List[int]:
-        """Page-aligned virtual addresses touched by the tile, in access order.
-
-        This reproduces the observation of Fig. 4: the first element located in
-        each page determines the pages the DMA stream will need translated.
-        """
-        return self.tile_page_vaddrs(layout, row_start, row_count, col_start, col_count).tolist()
 
     def pages_per_tile(
         self, layout: MatrixLayout, row_count: int, col_count: int
@@ -190,7 +151,6 @@ class MATLBStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    page_faults: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -213,55 +173,21 @@ class MATLB:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def prewalk_pages(self, mmu, asid: int, page_vaddrs: Iterable[int]) -> int:
-        """Walk the given pages through the shared MMU and buffer the results.
-
-        Returns the total walk cycles spent (the caller decides whether they are
-        hidden).  Pages that fault are skipped and counted; the demand access
-        will later raise the PAGE_FAULT exception through the normal path.
-        """
-        total_cycles = 0
-        for vaddr in page_vaddrs:
-            page_vaddr = align_down(vaddr, self.page_size)
-            if page_vaddr in self._entries:
-                continue
-            try:
-                result = mmu.prewalk(asid, page_vaddr)
-            except PageFaultError:
-                self.stats.page_faults += 1
-                continue
-            self.stats.prewalks += 1
-            total_cycles += result.cycles
-            self._insert(page_vaddr, align_down(result.paddr, self.page_size))
-        return total_cycles
-
-    def prewalk_tile(
-        self,
-        mmu,
-        asid: int,
-        layout: MatrixLayout,
-        row_start: int,
-        row_count: int,
-        col_start: int,
-        col_count: int,
-    ) -> int:
-        """Predict and pre-walk every page of one tile; returns the walk cycles."""
-        pages = self.predictor.tile_page_addresses(layout, row_start, row_count, col_start, col_count)
-        return self.prewalk_pages(mmu, asid, pages)
-
     def prewalk_pages_batch(self, mmu, asid: int, page_vaddrs: Sequence[int]) -> int:
-        """Batched :meth:`prewalk_pages`: one MMU prewalk request stream per tile.
+        """Walk the pages the buffer lacks through the shared MMU and buffer them.
 
-        Bit-identical to the scalar loop: the same pages reach the MMU in the
-        same order (pages already buffered are skipped, pages made resident or
-        evicted earlier in this very batch are accounted for), faulting pages
-        are counted and skipped, and the same walk cycles are returned.  The
-        buffer inserts resolve translations directly against the page table so
-        the membership scan stays a tight dict loop; the MMU/TLB/walker charge
-        for the misses happens in one batched prewalk afterwards, which cannot
-        change the outcome because the MMU never touches the mATLB state.
-        (Like the batched TLB path, this assumes the TLBs are consistent with
-        the page table — i.e. no unmap without a flush, which no caller does.)
+        Returns the walk cycles spent (the caller decides whether they are
+        hidden).  Pages already buffered are skipped, and pages made resident
+        or evicted earlier in this very batch are accounted for, as the
+        per-page loop of :func:`repro.conformance.functional_oracle.prewalk_pages`
+        does.  The buffer inserts resolve translations directly against the
+        page table so the membership scan stays a tight dict loop; the
+        MMU/TLB/walker charge for the walked pages happens in one batched
+        prewalk afterwards, which cannot change the outcome because the MMU
+        never touches the mATLB state.  (Like the batched TLB path, this
+        assumes the TLBs are consistent with the page table, i.e. no unmap
+        without a flush, which no caller does.)  A page with no translation
+        raises :class:`~repro.mem.page_table.PageFaultError`.
         """
         v = np.asarray(page_vaddrs, dtype=np.int64)
         if v.size == 0:
@@ -272,33 +198,30 @@ class MATLB:
         capacity = self.capacity
         to_walk: List[int] = []
         page_table = None
-        prewalks = faults = evictions = 0
+        evictions = 0
         for page_vaddr in pages:
             if page_vaddr in entries:
                 continue
             if page_table is None:
-                # Deferred so an unregistered ASID raises exactly where the
-                # scalar loop's first mmu.prewalk() call would.
+                # Deferred so a fully buffered batch never asks the MMU for
+                # the ASID's page table, as the per-page loop never does.
                 page_table = mmu.page_table(asid)
                 pt_shift = page_table.page_size.bit_length() - 1
                 pt_lookup = page_table.lookup
             pfn = pt_lookup(page_vaddr >> pt_shift)
-            to_walk.append(page_vaddr)
             if pfn is None:
-                faults += 1
-                continue
-            prewalks += 1
+                raise PageFaultError(asid, page_vaddr)
+            to_walk.append(page_vaddr)
             if len(entries) >= capacity:
                 entries.popitem(last=False)
                 evictions += 1
             paddr = (pfn << pt_shift) | (page_vaddr & (page_table.page_size - 1))
             entries[page_vaddr] = paddr & ~page_mask
-        self.stats.prewalks += prewalks
-        self.stats.page_faults += faults
+        self.stats.prewalks += len(to_walk)
         self.stats.evictions += evictions
         if not to_walk:
             return 0
-        return mmu.prewalk_batch(asid, to_walk).ok_cycles_total
+        return int(mmu.prewalk_batch(asid, to_walk).cycles.sum())
 
     def buffer_matches(self, page_vaddrs: List[int]) -> bool:
         """True iff the buffer holds exactly these pages, in this LRU order.
@@ -315,11 +238,12 @@ class MATLB:
         return len(entries) == len(page_vaddrs) and list(entries.keys()) == page_vaddrs
 
     def lookup_batch(self, vaddrs: Sequence[int]) -> np.ndarray:
-        """Batched :meth:`lookup`; misses yield ``-1``.
+        """Translated physical addresses of buffered pages; misses yield ``-1``.
 
-        Hit/miss counts and the LRU refresh order match the scalar per-address
-        sequence exactly (lookups never change membership, so one pass over the
-        batch suffices).
+        Hits refresh the LRU order and the hit/miss counts advance as the
+        per-address :func:`repro.conformance.functional_oracle.lookup` calls
+        would (lookups never change membership, so one pass over the batch
+        suffices).
         """
         v = np.asarray(vaddrs, dtype=np.int64)
         page_mask = self.page_size - 1
@@ -342,32 +266,12 @@ class MATLB:
         self.stats.misses += len(v) - hits
         return np.array(paddrs, dtype=np.int64)
 
-    def lookup(self, vaddr: int) -> Optional[int]:
-        """Return the translated physical address if the page is buffered."""
-        page_vaddr = align_down(vaddr, self.page_size)
-        paddr_page = self._entries.get(page_vaddr)
-        if paddr_page is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(page_vaddr)
-        self.stats.hits += 1
-        return paddr_page + (vaddr - page_vaddr)
-
     def invalidate(self, vaddr: int) -> None:
         """Drop the entry for a page (the paper removes entries that stop matching)."""
         self._entries.pop(align_down(vaddr, self.page_size), None)
 
     def flush(self) -> None:
         self._entries.clear()
-
-    def _insert(self, page_vaddr: int, page_paddr: int) -> None:
-        if page_vaddr in self._entries:
-            self._entries.move_to_end(page_vaddr)
-            return
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        self._entries[page_vaddr] = page_paddr
 
 
 # ------------------------------------------------------------------- closed-form stall model

@@ -98,13 +98,6 @@ class SlaveTaskQueue:
                 return entry
         return None
 
-    def entry_for(self, maid: int) -> Optional[STQEntry]:
-        """Most recent entry with the given MAID (entries are retired lazily)."""
-        for entry in reversed(self._entries):
-            if entry.maid == maid:
-                return entry
-        return None
-
     # --------------------------------------------------------------- completion
     def complete(self, entry: STQEntry, cycles: float) -> None:
         """Mark an entry done and notify the MTQ."""

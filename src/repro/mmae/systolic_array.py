@@ -6,10 +6,11 @@ Two levels of fidelity are provided:
   tile GEMMs numerically with NumPy in the selected precision (so functional
   results are exact for the datapath width) and returns a cycle count from the
   input-stationary schedule;
-* :class:`SystolicArrayEmulator` — a cycle-stepped, PE-by-PE emulation of the
-  wavefront for small tiles, used by tests to validate that the dataflow the
-  cycle formula assumes actually produces the right answer and finishes in the
-  predicted number of cycles.
+* :class:`VectorizedSystolicArrayEmulator` — a cycle-stepped emulation of the
+  wavefront, used to validate that the dataflow the cycle formula assumes
+  actually produces the right answer and finishes in the predicted number of
+  cycles.  Its PE-by-PE reference lives in
+  :mod:`repro.conformance.functional_oracle`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.gemm.precision import Precision
-from repro.mmae.pe import ProcessingElement
 
 
 @dataclass
@@ -134,149 +134,23 @@ class SystolicArray:
         self.total_cycles += cycles
         return TileComputeResult(output=result.astype(acc_dtype), cycles=cycles, macs=macs)
 
-    def compute_gemm(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: Optional[np.ndarray] = None,
-        precision: Precision = Precision.FP64,
-        level1=None,
-        level2=None,
-    ) -> TileComputeResult:
-        """Compute a full GEMM through the two-level MACO tile schedule.
-
-        The operands are blocked with :class:`~repro.gemm.tiling.TwoLevelTiling`
-        and every second-level tile runs through :meth:`compute_tile` in the
-        exact visit order ``tiled_gemm_trace`` records, accumulating into the
-        output in the mode's accumulator precision.  This is the functional
-        twin of the MMAE controller's tiled execution, small enough for the
-        conformance harness to check against a plain NumPy golden.
-        """
-        from repro.gemm.tiling import PAPER_LEVEL1, PAPER_LEVEL2, TwoLevelTiling
-        from repro.gemm.workloads import GEMMShape
-
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("operands must be 2-D")
-        m, k = a.shape
-        k2, n = b.shape
-        if k != k2:
-            raise ValueError(f"inner dimensions do not match: {a.shape} @ {b.shape}")
-        level1 = PAPER_LEVEL1 if level1 is None else level1
-        level2 = PAPER_LEVEL2 if level2 is None else level2
-        tiling = TwoLevelTiling(GEMMShape(m, n, k, precision), level1, level2)
-        acc_dtype = precision.accumulate_dtype
-        out = np.zeros((m, n), dtype=acc_dtype)
-        if c is not None:
-            if c.shape != (m, n):
-                raise ValueError(f"C has shape {c.shape}, expected {(m, n)}")
-            out += c.astype(acc_dtype)
-        cycles = 0
-        macs = 0
-        for tile1 in tiling.level1_tiles():
-            for tile in tiling.level2_tiles(tile1):
-                result = self.compute_tile(
-                    a[tile.row_start : tile.row_end, tile.k_start : tile.k_end],
-                    b[tile.k_start : tile.k_end, tile.col_start : tile.col_end],
-                    precision=precision,
-                )
-                out[tile.row_start : tile.row_end, tile.col_start : tile.col_end] += (
-                    result.output
-                )
-                cycles += result.cycles
-                macs += result.macs
-        return TileComputeResult(output=out, cycles=cycles, macs=macs)
-
-
-class SystolicArrayEmulator:
-    """Cycle-stepped emulation of the input-stationary wavefront.
-
-    The emulator instantiates real :class:`ProcessingElement` objects and
-    advances the array cycle by cycle: A elements enter from the west edge
-    skewed by row, partial sums propagate south, and results exit the south
-    edge skewed by column.  It is quadratic in tile size and therefore only
-    used on small tiles in the test-suite, where it validates both the
-    numerical result and the ``rows + cols + tr - 2``-cycle latency the
-    analytical model assumes for a single stationary block.
-    """
-
-    def __init__(self, rows: int = 4, cols: int = 4, precision: Precision = Precision.FP64) -> None:
-        self.rows = rows
-        self.cols = cols
-        self.precision = precision
-        self.pes = [
-            [ProcessingElement(row=r, col=c, precision=precision) for c in range(cols)]
-            for r in range(rows)
-        ]
-
-    def run_block(self, a_block: np.ndarray, b_block: np.ndarray) -> TileComputeResult:
-        """Run one stationary block: ``a_block (tr x rows) @ b_block (rows x cols)``.
-
-        The B block must match the array dimensions exactly (one stationary
-        element per PE, single-lane mode).
-        """
-        if self.precision.simd_ways != 1:
-            raise NotImplementedError("the emulator models the single-lane (FP64) dataflow")
-        tr, depth = a_block.shape
-        if depth != self.rows or b_block.shape != (self.rows, self.cols):
-            raise ValueError(
-                f"expected A (tr x {self.rows}) and B ({self.rows} x {self.cols}), "
-                f"got {a_block.shape} and {b_block.shape}"
-            )
-        # Load stationary operands.
-        for r in range(self.rows):
-            for c in range(self.cols):
-                self.pes[r][c].load_weights([float(b_block[r, c])])
-
-        acc_dtype = self.precision.accumulate_dtype
-        output = np.zeros((tr, self.cols), dtype=acc_dtype)
-        total_cycles = self.rows + self.cols + tr - 2
-        # a_wavefront[r] holds the skewed stream of A values entering row r.
-        # partial[r][c] holds the value travelling from PE (r-1, c) to PE (r, c).
-        partial = np.zeros((self.rows + 1, self.cols), dtype=acc_dtype)
-        a_in_flight = np.zeros((self.rows, self.cols + 1), dtype=acc_dtype)
-        for cycle in range(total_cycles):
-            new_partial = np.zeros_like(partial)
-            new_a = np.zeros_like(a_in_flight)
-            for r in range(self.rows):
-                # A value entering row r this cycle (skewed injection).
-                inject_index = cycle - r
-                if 0 <= inject_index < tr:
-                    new_a[r, 0] = a_block[inject_index, r]
-                for c in range(self.cols):
-                    # The value arriving at PE (r, c) travelled from the west;
-                    # column 0 consumes this cycle's injection directly.
-                    a_value = new_a[r, 0] if c == 0 else a_in_flight[r, c]
-                    p_value = partial[r, c]
-                    result = self.pes[r][c].mac([float(a_value)], [float(p_value)])[0]
-                    new_partial[r + 1, c] = result
-                    new_a[r, c + 1] = a_value
-            partial = new_partial
-            a_in_flight = new_a
-            # Collect results leaving the south edge: row index of the output is
-            # determined by the injection skew.
-            for c in range(self.cols):
-                out_index = cycle - (self.rows - 1) - c
-                if 0 <= out_index < tr:
-                    output[out_index, c] = partial[self.rows, c]
-        return TileComputeResult(output=output, cycles=total_cycles, macs=tr * self.rows * self.cols)
-
 
 class VectorizedSystolicArrayEmulator:
     """NumPy wavefront emulator: the whole array advances one cycle per step.
 
-    Models the same input-stationary dataflow as :class:`SystolicArrayEmulator`
-    but replaces the per-PE ``mac()`` calls with whole-array shifts: each cycle
-    the skewed A injections enter the west edge as one vector, every PE's
-    multiply-accumulate happens as one elementwise ``partial + a * w``, and the
-    south-edge drain is collected with one fancy-indexed store.  The per-cycle
-    cost is O(1) NumPy calls instead of O(rows x cols) Python MACs, so the
-    emulator stops being quadratic-Python and can validate wavefronts far above
-    the scalar emulator's toy sizes.
+    A elements enter from the west edge skewed by row, partial sums propagate
+    south, and results exit the south edge skewed by column, which validates
+    the ``rows + cols + tr - 2``-cycle latency the analytical model assumes for
+    a single stationary block.  Each cycle the skewed A injections enter as
+    one vector, every PE's multiply-accumulate happens as one elementwise
+    ``partial + a * w``, and the south-edge drain is collected with one
+    fancy-indexed store, so the per-cycle cost is O(1) NumPy calls.
 
     Outputs, cycle counts and the aggregate MAC count are bit-identical to the
-    scalar emulator: the elementwise operations are the same IEEE multiplies
-    and adds, applied to the same operands in the same cycle order (the parity
-    tests assert ``array_equal``, not closeness).
+    PE-by-PE emulator of :mod:`repro.conformance.functional_oracle`: the
+    elementwise operations are the same IEEE multiplies and adds, applied to
+    the same operands in the same cycle order (the parity tests assert
+    ``array_equal``, not closeness).
     """
 
     def __init__(self, rows: int = 4, cols: int = 4, precision: Precision = Precision.FP64) -> None:
@@ -289,7 +163,7 @@ class VectorizedSystolicArrayEmulator:
         """Run one stationary block: ``a_block (tr x rows) @ b_block (rows x cols)``.
 
         The B block must match the array dimensions exactly (one stationary
-        element per PE, single-lane mode), as in the scalar emulator.
+        element per PE, single-lane mode).
         """
         if self.precision.simd_ways != 1:
             raise NotImplementedError("the emulator models the single-lane (FP64) dataflow")
@@ -301,8 +175,7 @@ class VectorizedSystolicArrayEmulator:
                 f"got {a_block.shape} and {b_block.shape}"
             )
         acc_dtype = self.precision.accumulate_dtype
-        # Stationary operands, cast through the input precision exactly as
-        # ProcessingElement.load_weights does.
+        # Stationary operands, cast through the input precision.
         weights = b_block.astype(self.precision.dtype).astype(acc_dtype)
         a_cast = np.asarray(a_block, dtype=acc_dtype)
 

@@ -380,6 +380,12 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
         nonlocal next_window, window_peak, served, misses
         while next_window <= now:
             t = next_window
+            # A drain completes when the last resident's iteration ends; the
+            # capacity merges back at the first window boundary after it.
+            if any(draining):
+                for s in servers:
+                    if draining[s] and not batch[s] and free_at[s] <= t:
+                        stop_group(s, free_at[s], pending_stop[s])
             if len(policy) > window_peak:
                 window_peak = len(policy)
             groups = sum(committed)
@@ -406,12 +412,15 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
                     target = min((s for s in servers if committed[s] and not draining[s]),
                                  key=lambda s: (len(batch[s]), -s))
                     event[6] = target
-                    if batch[target]:
+                    if batch[target] or free_at[target] > t:
+                        # Residents, a last iteration or the provisioning
+                        # delay still occupy the group: it stays committed,
+                        # draining, until they end.
                         draining[target] = True
                         pending_stop[target] = event
                         drain_marks[target] = len(admissions)
                     else:
-                        stop_group(target, max(t, free_at[target]), event)
+                        stop_group(target, t, event)
             window_peak = served = misses = 0
             next_window += window
 
@@ -539,16 +548,14 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
             members[:] = [rank for rank in members if step_index[rank] < steps[pair[rank]]]
             if not members:
                 busy -= 1
-                if draining[server]:
-                    # The last resident finished: the drain completes at the
-                    # end of this iteration and the capacity merges back.
-                    stop_group(server, end, pending_stop[server])
 
     timeline: List[Tuple[int, int]] = []
     if apolicy is not None:
         seg_end = max(finish)
         for s in servers:
-            if committed[s]:
+            if draining[s]:
+                stop_group(s, free_at[s], pending_stop[s])
+            elif committed[s]:
                 group_ticks += seg_end - serving_since[s]
         fleet = apolicy.min_groups
         timeline.append((seg_start, fleet))

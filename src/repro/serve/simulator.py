@@ -112,6 +112,10 @@ TENANT_SWITCH_FLUSH_CYCLES = 1024
 #: :func:`~repro.serve.autoscale.derive_kv_budget` and DESIGN.md section 8.
 DEFAULT_KV_BUDGET_BYTES = 4 << 30
 
+#: The engine's clock is int64 nanosecond ticks: arrivals and completions
+#: must stay below this.
+_TICK_LIMIT = 2**63
+
 
 @dataclass(frozen=True)
 class StepSpec:
@@ -713,6 +717,14 @@ class ServeSimulator:
         differences of the ceilinged cumulative step boundaries, so a
         request's steps sum exactly to its request-mode latency ticks.
         """
+        outside = ~((columns.arrival_s >= 0)
+                    & (columns.arrival_s < _TICK_LIMIT / TICKS_PER_SECOND))
+        if outside.any():
+            row = int(np.flatnonzero(outside)[0])
+            raise ValueError(
+                f"request {int(columns.request_id[row])}: arrival "
+                f"{float(columns.arrival_s[row])!r} s lies outside the engine's "
+                f"tick range [0, 2**63) ns")
         arrival_all = np.rint(columns.arrival_s * TICKS_PER_SECOND).astype(np.int64)
         canonical = bool(np.all(
             (arrival_all[1:] > arrival_all[:-1])
@@ -754,6 +766,10 @@ class ServeSimulator:
                 first_table[row, server] = math.ceil(
                     profile.steps[0].seconds * TICKS_PER_SECOND)
             tokens_table[row] = self.service_profile(workload, precision, 0).total_tokens
+        if len(arrival) and int(arrival[-1]) + int(latency_table.max()) >= _TICK_LIMIT:
+            raise ValueError(
+                f"the last arrival, {int(arrival[-1])} ns, plus the longest service, "
+                f"{int(latency_table.max())} ns, overflows the engine's int64 clock")
         # The policy-key columns are pre-expanded only for the policies that
         # consume them on every push; fcfs/rr never read them.
         empty = np.empty(0, np.int64)

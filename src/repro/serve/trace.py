@@ -137,16 +137,17 @@ class TenantSpec:
     tpot_slo_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError(f"tenant {self.name!r}: rate must be positive, got {self.rate_rps}")
+        if not (math.isfinite(self.rate_rps) and self.rate_rps > 0):
+            raise ValueError(
+                f"tenant {self.name!r}: rate must be finite and positive, got {self.rate_rps!r}")
         if not self.mix:
             raise ValueError(f"tenant {self.name!r}: workload mix cannot be empty")
         if any(weight <= 0 for _, weight in self.mix):
             raise ValueError(f"tenant {self.name!r}: mix weights must be positive")
-        if self.ttft_slo_s is not None and self.ttft_slo_s <= 0:
-            raise ValueError(f"tenant {self.name!r}: TTFT SLO must be positive")
-        if self.tpot_slo_s is not None and self.tpot_slo_s <= 0:
-            raise ValueError(f"tenant {self.name!r}: TPOT SLO must be positive")
+        # The fields every generated request carries pass the request checks.
+        problem = _field_problem(0.0, self.priority, self.ttft_slo_s, self.tpot_slo_s)
+        if problem is not None:
+            raise ValueError(f"tenant {self.name!r}: {problem}")
 
     def with_rate(self, rate_rps: float) -> "TenantSpec":
         """Copy of this spec with a different mean arrival rate."""

@@ -57,13 +57,11 @@ def assert_matches_oracle(simulator, trace, shards=None):
 
 
 def run_emulator_pair(rows, cols, tr, seed):
-    """Run one random block through the scalar and vectorized systolic
-    emulators and return ``(scalar_result, vector_result)`` for bit-identity
-    assertions."""
-    from repro.mmae.systolic_array import (
-        SystolicArrayEmulator,
-        VectorizedSystolicArrayEmulator,
-    )
+    """Run one random block through the oracle's PE-by-PE emulator and the
+    vectorized systolic emulator and return ``(scalar_result, vector_result)``
+    for bit-identity assertions."""
+    from repro.conformance.functional_oracle import SystolicArrayEmulator
+    from repro.mmae.systolic_array import VectorizedSystolicArrayEmulator
 
     gen = np.random.default_rng(seed)
     a_block = gen.standard_normal((tr, rows))

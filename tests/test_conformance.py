@@ -340,6 +340,24 @@ class TestPinnedEdgeScenarios:
             "rate": 0.01, "duration": 2.0, "num_nodes": 4, "shards": 5, "jobs": 2,
         }.items()))))
 
+    def test_drain_of_a_still_busy_group_keeps_the_fleet_in_bounds(self):
+        """A group drained while its last iteration still runs stays committed
+        until that iteration ends, so no scale-out in between can push the
+        fleet timeline past ``max_groups``."""
+        run_scenario(ScenarioSpec("autoscale-invariants", tuple(sorted({
+            "scheduler": "slo", "seed": 7084, "tenants": 3, "rate": 33.9,
+            "duration": 2.0, "min_groups": 1, "max_groups": 4, "max_batch": 2,
+            "shards": 2, "jobs": 1,
+        }.items()))))
+
+    def test_tile_stream_that_outruns_its_mapping(self):
+        run_scenario(ScenarioSpec("tile-translation", tuple(sorted({
+            "rows": 40, "cols": 300, "stride": 517, "element_bytes": 8,
+            "base_offset": 1000, "mapped_pages": 9, "tile_rows": 16,
+            "tile_cols": 64, "repeats": 2, "matlb_entries": 12, "tlb_l1": 4,
+            "tlb_l2": 16, "prediction": True,
+        }.items()))))
+
     def test_single_tenant_bursty_saturation(self):
         run_scenario(ScenarioSpec("trace-roundtrip", tuple(sorted({
             "generator": "bursty", "seed": 12, "tenants": 1, "rate": 0.05,

@@ -86,12 +86,23 @@ class TestCheckerCatchesRot:
         problems = self.check(tmp_path, "see src/repro/no_such_module.py for details\n")
         assert any("does not exist" in problem for problem in problems)
 
+    @pytest.mark.parametrize("name", [
+        "repro.no_such_package",
+        "repro.mmae.no_such_module",
+        "repro.mmae.systolic_array.SystolicArrayEmulator",
+        "repro.core.MACOSystem.no_such_method",
+    ])
+    def test_flags_unresolved_qualified_name(self, tmp_path, name):
+        problems = self.check(tmp_path, f"see `{name}` for details\n")
+        assert problems == [f"{tmp_path / 'doc.md'}: referenced name does not resolve: {name}"]
+
     def test_accepts_valid_snippets(self, tmp_path):
         body = (
             "```python\nprint('ok')\n```\n"
             "```sh\nPYTHONPATH=src python -m repro.cli serve --tenants 2  # comment\n"
             "python -m repro.cli explore --sample lhs \\\n    --points 4\n```\n"
-            "see src/repro/cli.py\n"
+            "see src/repro/cli.py, `repro.serve`, `repro.core.MACOSystem.run_workload`\n"
+            "and `repro.conformance.functional_oracle.translate_tile`\n"
         )
         assert self.check(tmp_path, body) == []
 

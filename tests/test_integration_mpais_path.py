@@ -8,8 +8,9 @@ with MA_CLEAR — including across process switches.
 """
 
 import numpy as np
+import pytest
 
-from repro.core import MACORuntime, maco_default_config
+from repro.core import MACORuntime, MACOSystem, maco_default_config
 from repro.cpu.exceptions import ExceptionType
 from repro.cpu.mtq import MTQState, StatusWord
 from repro.gemm import Precision
@@ -134,6 +135,27 @@ class TestExceptionsAndMultiprocess:
         node.cpu.registers.write(1, submission.maid)
         node.executor.execute_program(assemble_program("MA_CLEAR X1"))
         assert node.cpu.mtq.state_of(submission.maid) is MTQState.FREE
+
+    @pytest.mark.parametrize("prediction", [True, False])
+    def test_unmapped_operand_page_ends_the_task_with_page_fault(self, prediction, rng):
+        """An A operand held in host memory at a virtual address its process
+        never mapped faults in the ADE's translation: the task ends with
+        PAGE_FAULT in its status word (Table III) and C is left untouched."""
+        node = MACOSystem(maco_default_config(num_nodes=1, prediction_enabled=prediction)).node(0)
+        addr_a = 0xDEAD_0000
+        node.host_memory.register_matrix(addr_a, rng.standard_normal((64, 64)))
+        addr_b, _ = node.allocate_matrix(64, 64, data=rng.standard_normal((64, 64)))
+        addr_c, c_array = node.allocate_matrix(64, 64, data=rng.standard_normal((64, 64)))
+        c_before = c_array.copy()
+        descriptor = GEMMDescriptor(
+            addr_a=addr_a, addr_b=addr_b, addr_c=addr_c,
+            m=64, n=64, k=64, tile_rows=64, tile_cols=64, ttr=64, ttc=64,
+        )
+        submission = node.submit_gemm(descriptor)
+        assert submission.status.done and submission.status.exception_en
+        assert submission.status.exception_type is ExceptionType.PAGE_FAULT
+        assert node.mmae.failed_tasks == 1
+        np.testing.assert_array_equal(c_array, c_before)
 
     def test_buffer_overflow_exception_through_full_path(self, single_node_system, rng):
         node = single_node_system.node(0)

@@ -8,6 +8,7 @@ from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig
 from repro.gemm.workloads import GEMMShape
+from repro.mem.page_table import PageFaultError
 from repro.mmae.matlb import (
     MATLB,
     MatrixLayout,
@@ -23,32 +24,32 @@ class TestPageTablePredictor:
         layout = MatrixLayout(base_vaddr=0, rows=1024, cols=1024, row_stride_elements=1024, element_bytes=8)
         predictor = PageTablePredictor(page_size=4096)
         # A 4x64 tile starting at column 512 sits in the second page of each row.
-        pages = predictor.tile_page_addresses(layout, row_start=0, row_count=4, col_start=512, col_count=64)
+        pages = predictor.tile_page_vaddrs(layout, row_start=0, row_count=4, col_start=512, col_count=64)
         assert len(pages) == 4
-        assert all(page % 4096 == 0 for page in pages)
+        assert all(page % 4096 == 0 for page in pages.tolist())
 
     def test_fig4_case2_row_within_one_page(self):
         """A 512-column FP64 matrix: a row maps exactly to one page."""
         layout = MatrixLayout(0, 512, 512, 512, 8)
         predictor = PageTablePredictor(4096)
-        pages = predictor.tile_page_addresses(layout, 0, 4, 0, 64)
+        pages = predictor.tile_page_vaddrs(layout, 0, 4, 0, 64)
         assert len(pages) == 4  # one page per row
 
     def test_small_matrix_shares_pages_across_rows(self):
         layout = MatrixLayout(0, 64, 64, 64, 8)  # 512-byte rows: 8 rows per page
         predictor = PageTablePredictor(4096)
-        pages = predictor.tile_page_addresses(layout, 0, 16, 0, 64)
+        pages = predictor.tile_page_vaddrs(layout, 0, 16, 0, 64)
         assert len(pages) == 2
 
     def test_tile_beyond_matrix_rejected(self):
         layout = MatrixLayout(0, 64, 64, 64, 8)
         with pytest.raises(ValueError):
-            PageTablePredictor().tile_page_addresses(layout, 60, 8, 0, 8)
+            PageTablePredictor().tile_page_vaddrs(layout, 60, 8, 0, 8)
 
     def test_pages_per_tile_upper_bound(self):
         layout = MatrixLayout(0, 1024, 1024, 1024, 8)
         predictor = PageTablePredictor()
-        exact = len(predictor.tile_page_addresses(layout, 0, 64, 0, 64))
+        exact = len(predictor.tile_page_vaddrs(layout, 0, 64, 0, 64))
         assert predictor.pages_per_tile(layout, 64, 64) >= exact
 
     @settings(max_examples=25, deadline=None)
@@ -59,7 +60,7 @@ class TestPageTablePredictor:
     def test_predicted_pages_cover_every_accessed_byte(self, rows, cols, row_start, col_start):
         layout = MatrixLayout(0x10_0000, 256, 256, 256, 8)
         predictor = PageTablePredictor()
-        pages = set(predictor.tile_page_addresses(layout, row_start, rows, col_start, cols))
+        pages = set(predictor.tile_page_vaddrs(layout, row_start, rows, col_start, cols).tolist())
         # Every element of the tile must fall in a predicted page.
         for row in (row_start, row_start + rows - 1):
             for col in (col_start, col_start + cols - 1):
@@ -81,47 +82,49 @@ class TestMATLB:
         mmu, asid, base = _mmu_with_region(1 << 20)
         matlb = MATLB(entries=32)
         layout = MatrixLayout(base, 128, 128, 128, 8)
-        cycles = matlb.prewalk_tile(mmu, asid, layout, 0, 32, 0, 64)
+        pages = matlb.predictor.tile_page_vaddrs(layout, 0, 32, 0, 64)
+        cycles = matlb.prewalk_pages_batch(mmu, asid, pages)
         assert cycles > 0
-        assert matlb.lookup(layout.element_vaddr(5, 10)) is not None
+        assert matlb.lookup_batch([layout.element_vaddr(5, 10)])[0] >= 0
         assert matlb.stats.hit_rate > 0
 
     def test_lookup_miss_without_prewalk(self):
         matlb = MATLB()
-        assert matlb.lookup(0x1234) is None
+        assert matlb.lookup_batch([0x1234]).tolist() == [-1]
         assert matlb.stats.misses == 1
 
     def test_translation_offset_preserved(self):
         mmu, asid, base = _mmu_with_region(1 << 16)
         matlb = MATLB()
-        matlb.prewalk_pages(mmu, asid, [base])
-        paddr = matlb.lookup(base + 123)
-        assert paddr is not None
+        matlb.prewalk_pages_batch(mmu, asid, [base])
+        paddr = int(matlb.lookup_batch([base + 123])[0])
+        assert paddr >= 0
         assert paddr % 4096 == 123
 
     def test_capacity_eviction_fifo(self):
         mmu, asid, base = _mmu_with_region(1 << 20)
         matlb = MATLB(entries=4)
         pages = [base + i * 4096 for i in range(8)]
-        matlb.prewalk_pages(mmu, asid, pages)
+        matlb.prewalk_pages_batch(mmu, asid, pages)
         assert len(matlb) == 4
         assert matlb.stats.evictions == 4
-        assert matlb.lookup(pages[0]) is None      # oldest evicted
-        assert matlb.lookup(pages[-1]) is not None  # newest resident
+        oldest, newest = matlb.lookup_batch([pages[0], pages[-1]]).tolist()
+        assert oldest == -1    # oldest evicted
+        assert newest >= 0     # newest resident
 
-    def test_unmapped_page_counts_fault_and_is_skipped(self):
+    def test_unmapped_page_raises_page_fault(self):
         mmu, asid, base = _mmu_with_region(4096)
         matlb = MATLB()
-        matlb.prewalk_pages(mmu, asid, [0xDEAD_0000])
-        assert matlb.stats.page_faults == 1
-        assert len(matlb) == 0
+        with pytest.raises(PageFaultError) as excinfo:
+            matlb.prewalk_pages_batch(mmu, asid, [base, 0xDEAD_0000])
+        assert excinfo.value.vaddr == 0xDEAD_0000
 
     def test_invalidate_and_flush(self):
         mmu, asid, base = _mmu_with_region(1 << 16)
         matlb = MATLB()
-        matlb.prewalk_pages(mmu, asid, [base, base + 4096])
+        matlb.prewalk_pages_batch(mmu, asid, [base, base + 4096])
         matlb.invalidate(base)
-        assert matlb.lookup(base) is None
+        assert matlb.lookup_batch([base]).tolist() == [-1]
         matlb.flush()
         assert len(matlb) == 0
 

@@ -1,12 +1,12 @@
-"""Tests for the PE, the systolic array model and the cycle-stepped emulator."""
+"""Tests for the systolic array model and the oracle's PE and cycle-stepped emulator."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conformance.functional_oracle import ProcessingElement, SystolicArrayEmulator
 from repro.gemm.precision import Precision
-from repro.mmae.pe import ProcessingElement
-from repro.mmae.systolic_array import SystolicArray, SystolicArrayEmulator
+from repro.mmae.systolic_array import SystolicArray
 
 
 class TestProcessingElement:

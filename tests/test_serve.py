@@ -384,6 +384,42 @@ class TestHostileReplay:
         assert "error" in captured.err and captured.out == ""
 
 
+class TestHostileGeneratedInputs:
+    """Generator parameters that would poison or overflow the engine fail cleanly."""
+
+    @pytest.mark.parametrize("field, value, phrase", [
+        ("rate_rps", float("nan"), "rate"),
+        ("rate_rps", float("inf"), "rate"),
+        ("ttft_slo_s", float("nan"), "TTFT"),
+        ("tpot_slo_s", float("inf"), "TPOT"),
+    ])
+    def test_tenant_spec_rejects_what_request_rejects(self, field, value, phrase):
+        with pytest.raises(ValueError, match=phrase):
+            TenantSpec(name="t0", **{field: value})
+
+    @pytest.mark.parametrize("flags, phrase", [
+        (["--slo", "nan:0.1"], "--slo"),
+        (["--rate", "nan"], "rate"),
+        (["--utilization", "1e-300"], "arrival"),
+    ])
+    def test_cli_exits_2_naming_the_input(self, capsys, flags, phrase):
+        from repro.cli import main
+
+        argv = ["serve", "--trace", "poisson", "--tenants", "2", "--requests", "30",
+                "--nodes", "4", "--format", "json", *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert phrase in captured.err and captured.out == ""
+
+    def test_arrival_plus_service_overflow_is_rejected(self):
+        # 2**63 ns is 9223372036.85 s: a BERT request arriving 6.85 s before
+        # that would finish past the end of the engine's int64 clock.
+        trace = replay_trace([{"tenant": "t0", "workload": "bert", "arrival_s": 9.22337203e9}])
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=1), scheduler="fcfs")
+        with pytest.raises(ValueError, match="overflows"):
+            simulator.run(trace)
+
+
 class TestLLMServing:
     """LLM prefill/decode tenants through the phase-aware service estimator."""
 

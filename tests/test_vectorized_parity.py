@@ -1,12 +1,13 @@
-"""Scalar/vectorized parity for the functional fast path.
+"""Oracle/production parity for the functional fast path.
 
 The vectorized kernels (page prediction, batch translation, the NumPy
-wavefront emulator) must be *bit-identical* to the retained scalar
-references: same pages in the same access order, identical mATLB/TLB/walker
+wavefront emulator) must be *bit-identical* to the scalar references of
+:mod:`repro.conformance.functional_oracle` and the per-address MMU/TLB API:
+same pages in the same access order, identical mATLB/TLB/walker
 hit/miss/prewalk counters and internal LRU/FIFO orders, identical emulator
-outputs and cycle counts.  These tests drive both implementations over the
-same randomized workloads (including edge tiles and non-power-of-two strides)
-and compare exhaustively.
+outputs and cycle counts, and page faults at the same address.  These tests
+drive both implementations over the same randomized workloads (including edge
+tiles and non-power-of-two strides) and compare exhaustively.
 """
 
 import numpy as np
@@ -14,17 +15,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from parity_utils import run_emulator_pair
+from repro.conformance.functional_oracle import (
+    SystolicArrayEmulator,
+    lookup,
+    prewalk_pages,
+    tile_page_addresses,
+    translate_tile,
+    translation_state,
+)
 from repro.cpu.mmu import MMU
 from repro.gemm.precision import Precision
 from repro.mem.page_table import FrameAllocator, AddressSpace, PageFaultError, PageTableWalker
-from repro.mem.tlb import LEVEL_FAULT, LEVEL_L1, LEVEL_L2, LEVEL_WALK, TLB, TLBHierarchy
+from repro.mem.tlb import LEVEL_L1, LEVEL_L2, LEVEL_WALK, TLB, TLBHierarchy
 from repro.mmae.data_engine import AcceleratorDataEngine
 from repro.mmae.matlb import MATLB, MatrixLayout, PageTablePredictor
-from repro.mmae.systolic_array import (
-    SystolicArray,
-    SystolicArrayEmulator,
-    VectorizedSystolicArrayEmulator,
-)
+from repro.mmae.systolic_array import SystolicArray, VectorizedSystolicArrayEmulator
 
 
 # ------------------------------------------------------------------ helpers
@@ -78,17 +83,11 @@ class TestPredictorParity:
             row_stride_elements=max(stride, col_start + col_count),
             element_bytes=element_bytes,
         )
-        predictor = PageTablePredictor()
-        scalar = predictor.tile_page_addresses_scalar(
-            layout, row_start, row_count, col_start, col_count
-        )
-        vectorized = predictor.tile_page_vaddrs(
+        scalar = tile_page_addresses(layout, row_start, row_count, col_start, col_count)
+        vectorized = PageTablePredictor().tile_page_vaddrs(
             layout, row_start, row_count, col_start, col_count
         )
         assert vectorized.tolist() == scalar  # same pages, same access order
-        assert predictor.tile_page_addresses(
-            layout, row_start, row_count, col_start, col_count
-        ) == scalar
 
     def test_template_memo_is_rebased_not_stale(self):
         """Two tiles with identical geometry but different bases share a template."""
@@ -97,7 +96,7 @@ class TestPredictorParity:
         first = predictor.tile_page_vaddrs(layout, 0, 64, 0, 64)
         second = predictor.tile_page_vaddrs(layout, 64, 64, 0, 64)
         assert len(predictor._templates) == 1  # one geometry, memoized once
-        assert second.tolist() == predictor.tile_page_addresses_scalar(layout, 64, 64, 0, 64)
+        assert second.tolist() == tile_page_addresses(layout, 64, 64, 0, 64)
         assert first.tolist() != second.tolist()
 
     def test_bounds_errors_match_scalar(self):
@@ -105,7 +104,7 @@ class TestPredictorParity:
         predictor = PageTablePredictor()
         for args in [(-1, 4, 0, 4), (0, 4, -1, 4), (60, 8, 0, 8), (0, 8, 60, 8)]:
             with pytest.raises(ValueError):
-                predictor.tile_page_addresses_scalar(layout, *args)
+                tile_page_addresses(layout, *args)
             with pytest.raises(ValueError):
                 predictor.tile_page_vaddrs(layout, *args)
 
@@ -186,73 +185,36 @@ class TestWalkerParity:
 class TestTLBBatchParity:
     @settings(max_examples=25, deadline=None)
     @given(
-        vpns=st.lists(st.integers(0, 40), min_size=1, max_size=100),
-        capacity=st.integers(1, 8),
-    )
-    def test_lookup_batch_matches_scalar_lookups(self, vpns, capacity):
-        scalar = TLB(entries=capacity)
-        batched = TLB(entries=capacity)
-        for tlb in (scalar, batched):
-            for vpn in range(0, 20, 2):
-                tlb.insert(0, vpn * 4096, (100 + vpn) * 4096)
-        vaddrs = [vpn * 4096 + 5 for vpn in vpns]
-        expected = [scalar.lookup(0, vaddr) for vaddr in vaddrs]
-        got = batched.lookup_batch(0, vaddrs)
-        assert got.tolist() == [-1 if paddr is None else paddr for paddr in expected]
-        assert tlb_state(scalar) == tlb_state(batched)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
         vpns=st.lists(st.integers(0, 60), min_size=1, max_size=120),
         l1_entries=st.integers(1, 6),
         l2_entries=st.integers(2, 16),
         mapped_pages=st.integers(1, 61),
     )
-    def test_translate_batch_skip_mode_matches_scalar_loop(
+    def test_translate_batch_matches_scalar_loop(
         self, vpns, l1_entries, l2_entries, mapped_pages
     ):
-        """Mixed hit/miss/walk/fault streams behave identically, per address."""
+        """Mixed hit/miss/walk streams behave identically, per address, and a
+        stream that reaches an unmapped page faults at the same address."""
         space = make_space(pages=mapped_pages)
         table = space.page_table
         scalar = TLBHierarchy(l1_entries=l1_entries, l2_entries=l2_entries)
         batched = TLBHierarchy(l1_entries=l1_entries, l2_entries=l2_entries)
         vaddrs = [0x10_0000 + vpn * 4096 + 7 for vpn in vpns]
         expected = []
-        for vaddr in vaddrs:
-            try:
+        try:
+            for vaddr in vaddrs:
                 result = scalar.translate(table, vaddr)
-            except PageFaultError:
-                expected.append((-1, 0, LEVEL_FAULT))
-            else:
                 code = {"l1": LEVEL_L1, "l2": LEVEL_L2, "walk": LEVEL_WALK}[result.level]
                 expected.append((result.paddr, result.cycles, code))
-        result = batched.translate_batch(table, vaddrs, on_fault="skip")
+        except PageFaultError as fault:
+            with pytest.raises(PageFaultError) as excinfo:
+                batched.translate_batch(table, vaddrs)
+            assert excinfo.value.vaddr == fault.vaddr
+            return
+        result = batched.translate_batch(table, vaddrs)
         got = list(zip(result.paddrs.tolist(), result.cycles.tolist(), result.levels.tolist()))
         assert got == expected
         assert hierarchy_state(scalar) == hierarchy_state(batched)
-
-    def test_translate_batch_raise_mode_matches_scalar_partial_progress(self):
-        space = make_space(pages=4)
-        table = space.page_table
-        scalar = TLBHierarchy(l1_entries=2, l2_entries=4)
-        batched = TLBHierarchy(l1_entries=2, l2_entries=4)
-        # Two mapped pages, then an unmapped one, then a mapped page that must
-        # never be reached.
-        vaddrs = [0x10_0000, 0x10_1000, 0x90_0000, 0x10_2000]
-        with pytest.raises(PageFaultError):
-            for vaddr in vaddrs:
-                scalar.translate(table, vaddr)
-        with pytest.raises(PageFaultError) as excinfo:
-            batched.translate_batch(table, vaddrs, on_fault="raise")
-        assert excinfo.value.vaddr == 0x90_0000
-        assert excinfo.value.batch_processed == 3
-        assert hierarchy_state(scalar) == hierarchy_state(batched)
-
-    def test_translate_batch_rejects_unknown_fault_mode(self):
-        space = make_space(pages=1)
-        hierarchy = TLBHierarchy()
-        with pytest.raises(ValueError):
-            hierarchy.translate_batch(space.page_table, [0x10_0000], on_fault="ignore")
 
 
 # ---------------------------------------------------------------- MMU parity
@@ -268,33 +230,33 @@ class TestMMUBatchParity:
 
     def test_prewalk_batch_matches_scalar_prewalks_with_faults(self):
         scalar, batched, space = self._mmu_pair(pages=8)
-        vaddrs = [0x10_0000 + i * 4096 for i in range(8)] + [0xDEAD_0000, 0x10_0000]
-        expected_cycles = []
-        for vaddr in vaddrs:
-            try:
-                expected_cycles.append(scalar.prewalk(0, vaddr).cycles)
-            except PageFaultError:
-                expected_cycles.append(None)
+        vaddrs = [0x10_0000 + i * 4096 for i in range(8)] + [0x10_0000]
+        expected_cycles = [scalar.prewalk(0, vaddr).cycles for vaddr in vaddrs]
         result = batched.prewalk_batch(0, vaddrs)
-        got = [None if lvl == LEVEL_FAULT else cycles
-               for cycles, lvl in zip(result.cycles.tolist(), result.levels.tolist())]
-        assert got == expected_cycles
+        assert result.cycles.tolist() == expected_cycles
         assert mmu_state(scalar) == mmu_state(batched)
+        # An unmapped page faults at its own address in both.
+        faulting = [0x10_1000, 0xDEAD_0000, 0x10_2000]
+        with pytest.raises(PageFaultError) as scalar_fault:
+            for vaddr in faulting:
+                scalar.prewalk(0, vaddr)
+        with pytest.raises(PageFaultError) as batch_fault:
+            batched.prewalk_batch(0, faulting)
+        assert batch_fault.value.vaddr == scalar_fault.value.vaddr == 0xDEAD_0000
 
-    def test_translate_data_batch_matches_scalar_and_fault_counts(self):
+    def test_translate_data_batch_matches_scalar_faults(self):
         scalar, batched, space = self._mmu_pair(pages=4)
         good = [0x10_0000 + i * 4096 for i in range(4)]
         expected = [scalar.translate_data(0, vaddr).cycles for vaddr in good]
         result = batched.translate_data_batch(0, good)
         assert result.cycles.tolist() == expected
         assert mmu_state(scalar) == mmu_state(batched)
-        # Now a faulting batch: stats advance for the prefix plus the faulter.
-        with pytest.raises(PageFaultError):
-            for vaddr in [0x10_0000, 0xBAD_F000]:
+        with pytest.raises(PageFaultError) as scalar_fault:
+            for vaddr in [0x10_0000, 0xBAD_F000, 0xBAD_E000]:
                 scalar.translate_data(0, vaddr)
-        with pytest.raises(PageFaultError):
-            batched.translate_data_batch(0, [0x10_0000, 0xBAD_F000])
-        assert mmu_state(scalar) == mmu_state(batched)
+        with pytest.raises(PageFaultError) as batch_fault:
+            batched.translate_data_batch(0, [0x10_0000, 0xBAD_F000, 0xBAD_E000])
+        assert batch_fault.value.vaddr == scalar_fault.value.vaddr == 0xBAD_F000
 
     def test_unregistered_asid_raises_keyerror(self):
         _, batched, _ = self._mmu_pair()
@@ -315,13 +277,20 @@ class TestMATLBBatchParity:
 
     @settings(max_examples=20, deadline=None)
     @given(vpns=st.lists(st.integers(0, 40), min_size=1, max_size=60),
-           entries=st.integers(1, 10))
-    def test_prewalk_pages_batch_matches_scalar(self, vpns, entries):
-        (mmu_s, matlb_s), (mmu_b, matlb_b) = self._stack(pages=32, matlb_entries=entries)
-        pages = [0x10_0000 + vpn * 4096 for vpn in vpns]  # vpns > 31 are unmapped
-        scalar_cycles = matlb_s.prewalk_pages(mmu_s, 0, pages)
-        batch_cycles = matlb_b.prewalk_pages_batch(mmu_b, 0, pages)
-        assert batch_cycles == scalar_cycles
+           entries=st.integers(1, 10),
+           mapped_pages=st.sampled_from([32, 41]))
+    def test_prewalk_pages_batch_matches_scalar(self, vpns, entries, mapped_pages):
+        (mmu_s, matlb_s), (mmu_b, matlb_b) = self._stack(pages=mapped_pages,
+                                                         matlb_entries=entries)
+        pages = [0x10_0000 + vpn * 4096 for vpn in vpns]  # vpns >= mapped_pages fault
+        try:
+            scalar_cycles = prewalk_pages(matlb_s, mmu_s, 0, pages)
+        except PageFaultError as fault:
+            with pytest.raises(PageFaultError) as excinfo:
+                matlb_b.prewalk_pages_batch(mmu_b, 0, pages)
+            assert excinfo.value.vaddr == fault.vaddr
+            return
+        assert matlb_b.prewalk_pages_batch(mmu_b, 0, pages) == scalar_cycles
         assert matlb_state(matlb_s) == matlb_state(matlb_b)
         assert mmu_state(mmu_s) == mmu_state(mmu_b)
 
@@ -329,9 +298,9 @@ class TestMATLBBatchParity:
         (mmu_s, matlb_s), (mmu_b, matlb_b) = self._stack()
         pages = [0x10_0000 + i * 4096 for i in range(6)]
         for matlb, mmu in ((matlb_s, mmu_s), (matlb_b, mmu_b)):
-            matlb.prewalk_pages(mmu, 0, pages[:4])
+            prewalk_pages(matlb, mmu, 0, pages[:4])
         vaddrs = [page + 123 for page in pages] + [pages[0] + 4]
-        expected = [matlb_s.lookup(vaddr) for vaddr in vaddrs]
+        expected = [lookup(matlb_s, vaddr) for vaddr in vaddrs]
         got = matlb_b.lookup_batch(vaddrs)
         assert got.tolist() == [-1 if paddr is None else paddr for paddr in expected]
         assert matlb_state(matlb_s) == matlb_state(matlb_b)
@@ -339,7 +308,7 @@ class TestMATLBBatchParity:
     def test_buffer_matches_detects_exact_order_only(self):
         (mmu, matlb), _ = self._stack(matlb_entries=4)
         pages = [0x10_0000 + i * 4096 for i in range(3)]
-        matlb.prewalk_pages(mmu, 0, pages)
+        matlb.prewalk_pages_batch(mmu, 0, pages)
         assert matlb.buffer_matches(pages)
         assert not matlb.buffer_matches(list(reversed(pages)))
         assert not matlb.buffer_matches(pages[:2])
@@ -359,6 +328,20 @@ def edge_tile_stream(layout: MatrixLayout):
     return tiles
 
 
+def fault_vaddr(space, layout, tiles, prediction, translate, matlb_entries=64):
+    """Run ``tiles`` through ``translate`` on a fresh stack; the faulting
+    address of the last tile, which must fault."""
+    mmu = MMU()
+    mmu.register_page_table(space.page_table)
+    ade = AcceleratorDataEngine(matlb=MATLB(entries=matlb_entries))
+    for row, rows, k, depth in tiles[:-1]:
+        translate(ade, mmu, 0, layout, (row, rows), (k, depth), prediction)
+    row, rows, k, depth = tiles[-1]
+    with pytest.raises(PageFaultError) as excinfo:
+        translate(ade, mmu, 0, layout, (row, rows), (k, depth), prediction)
+    return excinfo.value.vaddr
+
+
 class TestADETileTranslationParity:
     @pytest.mark.parametrize("prediction", [True, False])
     @pytest.mark.parametrize("stride,rows,cols,eb,matlb_entries", [
@@ -371,70 +354,39 @@ class TestADETileTranslationParity:
         layout = MatrixLayout(0x10_0000, rows, cols, stride, eb)
         tiles = edge_tile_stream(layout)
 
-        def run(batched):
+        def run(translate):
             mmu = MMU()
             mmu.register_page_table(space.page_table)
             ade = AcceleratorDataEngine(matlb=MATLB(entries=matlb_entries))
-            translate = ade.translate_tile_batch if batched else ade.translate_tile
             stalls = [
-                translate(mmu, 0, layout, (row, tile_rows), (k, depth), prediction)
+                translate(ade, mmu, 0, layout, (row, tile_rows), (k, depth), prediction)
                 for row, tile_rows, k, depth in tiles
             ]
-            return stalls, mmu, ade
+            return stalls, translation_state(mmu, ade)
 
-        scalar_stalls, mmu_s, ade_s = run(batched=False)
-        batch_stalls, mmu_b, ade_b = run(batched=True)
-        assert batch_stalls == scalar_stalls
-        assert matlb_state(ade_s.matlb) == matlb_state(ade_b.matlb)
-        assert mmu_state(mmu_s) == mmu_state(mmu_b)
-        assert ade_s.translation_stall_cycles == ade_b.translation_stall_cycles
-        assert ade_s.demand_translations == ade_b.demand_translations
+        assert run(AcceleratorDataEngine.translate_tile) == run(translate_tile)
 
     def test_demand_page_fault_parity(self):
-        """Unmapped pages on the demand path fault identically in both paths."""
+        """An unmapped page on the demand path faults at the same address in both paths."""
         space = make_space(pages=4)
         layout = MatrixLayout(0x10_0000, 16, 1024, 1024, 8)  # needs 32 pages; 4 mapped
+        tiles = [(0, 16, 0, 1024)]
+        first_unmapped = 0x10_0000 + 4 * 4096
+        assert fault_vaddr(space, layout, tiles, False, translate_tile) == first_unmapped
+        assert fault_vaddr(space, layout, tiles, False,
+                           AcceleratorDataEngine.translate_tile) == first_unmapped
 
-        def run(batched):
-            mmu = MMU()
-            mmu.register_page_table(space.page_table)
-            ade = AcceleratorDataEngine(matlb=MATLB(entries=64))
-            translate = ade.translate_tile_batch if batched else ade.translate_tile
-            with pytest.raises(PageFaultError) as excinfo:
-                translate(mmu, 0, layout, (0, 16), (0, 1024), False)
-            return excinfo.value.vaddr, mmu, ade
-
-        scalar_vaddr, mmu_s, ade_s = run(batched=False)
-        batch_vaddr, mmu_b, ade_b = run(batched=True)
-        assert batch_vaddr == scalar_vaddr
-        assert mmu_state(mmu_s) == mmu_state(mmu_b)
-        assert matlb_state(ade_s.matlb) == matlb_state(ade_b.matlb)
-        assert ade_s.demand_translations == ade_b.demand_translations
-        assert ade_s.translation_stall_cycles == ade_b.translation_stall_cycles
-
-    @pytest.mark.parametrize("prediction", [True, False])
-    def test_demand_fault_mid_stream_preserves_partial_state(self, prediction):
-        """Stats/LRU stop at the faulting page exactly as the scalar loop's do."""
+    def test_mid_stream_demand_fault_page(self):
+        """After a mapped tile, a tile reaching past the mapping faults at its
+        first unmapped page in access order, with prediction on or off."""
         space = make_space(pages=20)
         layout = MatrixLayout(0x10_0000, 40, 1024, 1024, 8)  # 80 pages; 20 mapped
-
-        def run(batched):
-            mmu = MMU()
-            mmu.register_page_table(space.page_table)
-            ade = AcceleratorDataEngine(matlb=MATLB(entries=8))
-            translate = ade.translate_tile_batch if batched else ade.translate_tile
-            translate(mmu, 0, layout, (0, 8), (0, 1024), prediction)  # mapped tile
-            with pytest.raises(PageFaultError) as excinfo:
-                translate(mmu, 0, layout, (8, 16), (0, 1024), prediction)
-            return excinfo.value.vaddr, mmu, ade
-
-        scalar_vaddr, mmu_s, ade_s = run(batched=False)
-        batch_vaddr, mmu_b, ade_b = run(batched=True)
-        assert batch_vaddr == scalar_vaddr
-        assert mmu_state(mmu_s) == mmu_state(mmu_b)
-        assert matlb_state(ade_s.matlb) == matlb_state(ade_b.matlb)
-        assert ade_s.demand_translations == ade_b.demand_translations
-        assert ade_s.translation_stall_cycles == ade_b.translation_stall_cycles
+        tiles = [(0, 8, 0, 1024), (8, 16, 0, 1024)]
+        first_unmapped = 0x10_0000 + 20 * 4096
+        for prediction in (True, False):
+            for translate in (translate_tile, AcceleratorDataEngine.translate_tile):
+                assert fault_vaddr(space, layout, tiles, prediction, translate,
+                                   matlb_entries=8) == first_unmapped
 
 
 # --------------------------------------------------------- emulator parity

@@ -8,7 +8,10 @@ Keeps README.md, DESIGN.md and docs/*.md honest against the code:
   parse against the real argument parser (unknown subcommands or flags fail);
 * every repo-relative path mentioned anywhere in the documents
   (``src/...``, ``docs/...``, ``examples/...``, ``benchmarks/...``,
-  ``tests/...``, ``tools/...``) must exist.
+  ``tests/...``, ``tools/...``) must exist;
+* every backticked ``repro.``-qualified name (`` `repro.core.MACOSystem` ``)
+  must resolve: its longest importable module prefix is imported and the
+  rest looked up as attributes.
 
 Usage::
 
@@ -20,6 +23,7 @@ README.md, DESIGN.md and everything under docs/.
 
 from __future__ import annotations
 
+import importlib
 import re
 import shlex
 import sys
@@ -30,6 +34,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 PATH_RE = re.compile(r"\b(?:src|docs|examples|benchmarks|tests|tools)/[\w./-]+")
+NAME_RE = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def iter_code_blocks(text: str) -> Iterator[Tuple[str, int, str]]:
@@ -83,6 +88,26 @@ def _cli_argv(command: str) -> List[str]:
     return []
 
 
+def resolves(name: str) -> bool:
+    """Whether a dotted ``repro.`` name names a module or an attribute of one."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module_name = ".".join(parts[:cut])
+        try:
+            target = importlib.import_module(module_name)
+        except ModuleNotFoundError as error:
+            if error.name and (module_name + ".").startswith(error.name + "."):
+                continue  # not a module: the rest is an attribute path
+            return False
+        try:
+            for attribute in parts[cut:]:
+                target = getattr(target, attribute)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
 def check_file(path: Path) -> List[str]:
     """Return a list of problem descriptions for one markdown file."""
     from repro.cli import build_parser
@@ -117,6 +142,9 @@ def check_file(path: Path) -> List[str]:
         target = match.group(0).rstrip(".")
         if not (REPO_ROOT / target).exists():
             problems.append(f"{rel}: referenced path does not exist: {target}")
+    for name in sorted(set(NAME_RE.findall(text))):
+        if not resolves(name):
+            problems.append(f"{rel}: referenced name does not resolve: {name}")
     return problems
 
 
