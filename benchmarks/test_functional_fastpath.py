@@ -43,6 +43,12 @@ class TestFunctionalFastPath:
         assert result["parity"]
         assert result["speedup"] > 2.0
 
+    def test_tile_schedule_parity_and_speedup(self, report):
+        result = report["results"]["tile_schedule"]
+        assert result["parity"]
+        assert result["calls"] == 66
+        assert result["speedup"] > 2.0
+
     def test_functional_gemm_reports_throughput(self, report):
         result = report["results"]["functional_gemm"]
         assert result["seconds"] > 0

@@ -14,6 +14,10 @@ each other on a BERT-sized layer and writes the measurements to
   per-page loop, with and without predictive translation;
 * ``emulator`` — :class:`VectorizedSystolicArrayEmulator` vs the oracle's
   PE-by-PE emulator;
+* ``tile_schedule`` — the analytic :func:`estimate_gemm_timing`, which
+  evaluates each distinct tile shape once, vs the per-tile loops of
+  :mod:`repro.conformance.analytic_oracle` on the Fig. 7 sweep (here
+  ``scalar_s`` is the oracle and ``vectorized_s`` the class-based path);
 * ``functional_gemm`` — end-to-end functional GEMM throughput through the
   controller (batch path), recorded for trend tracking;
 * ``serve_throughput`` — requests simulated per wall-clock second by the
@@ -40,6 +44,7 @@ from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.conformance import analytic_oracle
 from repro.conformance.functional_oracle import (
     SystolicArrayEmulator,
     tile_page_addresses,
@@ -49,10 +54,12 @@ from repro.conformance.functional_oracle import (
 from repro.cpu.mmu import MMU
 from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
+from repro.gemm.workloads import FIG7_MATRIX_SIZES, GEMMShape
 from repro.isa.instructions import GEMMDescriptor
 from repro.mem.hostmem import HostMemory
 from repro.mmae.controller import AcceleratorController
 from repro.mmae.data_engine import AcceleratorDataEngine
+from repro.mmae.dataflow import estimate_gemm_timing
 from repro.mmae.matlb import MATLB, MatrixLayout, PageTablePredictor
 from repro.mmae.systolic_array import VectorizedSystolicArrayEmulator
 
@@ -201,6 +208,50 @@ def bench_emulator(quick: bool, repeat: int) -> Dict[str, object]:
         "geometry": f"{rows}x{cols}",
         "tr": tr,
         "parity": parity,
+    }
+
+
+def bench_tile_schedule(quick: bool, repeat: int) -> Dict[str, object]:
+    """Class-based vs per-tile analytic GEMM timing on the Fig. 7 sweep.
+
+    Every Fig. 7 size at 1 and 16 active nodes, in all three precisions, is
+    timed under the default configuration by
+    :func:`~repro.mmae.dataflow.estimate_gemm_timing` and by
+    :func:`repro.conformance.analytic_oracle.estimate_gemm_timing`.  Parity
+    is exact: the two breakdowns must have the same ``repr``, which keeps
+    every float bit.  ``quick`` changes nothing here; the sweep is small.
+    """
+    from repro.core.config import maco_default_config
+    from repro.core.perf import memory_environment
+
+    config = maco_default_config()
+    params = config.mmae.timing_parameters()
+    cases = [
+        (GEMMShape(size, size, size, precision), memory_environment(config, nodes))
+        for size in FIG7_MATRIX_SIZES for nodes in (1, 16) for precision in Precision
+    ]
+
+    def run(estimate) -> Tuple[float, List[str]]:
+        start = time.perf_counter()
+        breakdowns = [
+            estimate(shape, config.level1_tile, config.level2_tile, params, env,
+                     config.prediction_enabled, config.memory.page_size)
+            for shape, env in cases
+        ]
+        return time.perf_counter() - start, [repr(breakdown) for breakdown in breakdowns]
+
+    # A class-based sweep lasts milliseconds, so one cold run is mostly
+    # noise: each side keeps the best of at least three sweeps.
+    repeat = max(repeat, 3)
+    oracle_s, oracle_breakdowns = _best_of_with(
+        repeat, lambda: run(analytic_oracle.estimate_gemm_timing))
+    class_s, breakdowns = _best_of_with(repeat, lambda: run(estimate_gemm_timing))
+    return {
+        "scalar_s": oracle_s,
+        "vectorized_s": class_s,
+        "speedup": oracle_s / class_s,
+        "calls": len(cases),
+        "parity": breakdowns == oracle_breakdowns,
     }
 
 
@@ -423,6 +474,7 @@ def run_benchmarks(quick: bool = False, repeat: int = 1) -> Dict[str, object]:
         "tile_translation": bench_tile_translation(quick, repeat, prediction=True),
         "tile_translation_nopred": bench_tile_translation(quick, repeat, prediction=False),
         "emulator": bench_emulator(quick, repeat),
+        "tile_schedule": bench_tile_schedule(quick, repeat),
         "functional_gemm": bench_functional_gemm(quick, repeat),
         "serve_throughput": bench_serve_throughput(quick, repeat),
         "serve_scale": bench_serve_scale(quick, repeat),

@@ -39,7 +39,14 @@ the properties the repo stakes out as exact:
 * ``tile-translation`` — ``AcceleratorDataEngine.translate_tile`` equals the
   per-page oracle of :mod:`repro.conformance.functional_oracle` in per-tile
   stall cycles and mATLB/MMU/TLB/walker state over controller-ordered tile
-  streams, and both fault at the same page when the mapping runs short.
+  streams, and both fault at the same page when the mapping runs short;
+* ``tile-schedule`` — the class-based ``build_tile_schedule``,
+  ``estimate_translation_stalls`` and ``estimate_gemm_timing`` equal the
+  per-tile loops of :mod:`repro.conformance.analytic_oracle` in every field,
+  float bits included, over ragged edges at both tiling levels, explicit
+  ``depth`` blocking, every precision, L3 shares below the working set, three
+  page sizes, shared TLBs small enough to thrash and prediction on and off;
+  an invalid tiling raises the same ``ValueError`` on both sides.
 
 Everything is seeded stdlib :mod:`random` (no new dependency): case ``i`` of
 run seed ``S`` draws from ``random.Random(f"{S}:{i}")``, and kinds rotate
@@ -699,6 +706,67 @@ def _check_tile_translation(spec: ScenarioSpec) -> None:
         raise ScenarioFailure(f"{mismatch} ({len(tiles)} tiles, {mapped} pages mapped)")
 
 
+# ------------------------------------------------------------ tile-schedule
+def _sample_tile_schedule(rng: random.Random) -> ScenarioSpec:
+    l2_rows, l2_cols = rng.randint(1, 48), rng.randint(1, 48)
+    l2_depth = rng.choice([0, rng.randint(1, 48)])
+    # Level 1 is a multiple of level 2, sometimes with a ragged extra; about
+    # one case in twelve puts level 2 past level 1, which both sides reject.
+    l1_rows = l2_rows * rng.randint(1, 4) + rng.choice([0, rng.randint(1, 7)])
+    l1_cols = l2_cols * rng.randint(1, 4) + rng.choice([0, rng.randint(1, 7)])
+    if rng.random() < 1 / 12:
+        l2_rows = l1_rows + rng.randint(1, 8)
+    l1_depth = rng.choice([0, rng.randint(1, 160)])
+
+    def extent(level1_tile: int, level2_tile: int) -> int:
+        # Below, at and one past a multiple of either level's tile.
+        tile = rng.choice([level1_tile, level2_tile])
+        return max(1, tile * rng.randint(1, 4) + rng.choice([-1, 0, 1]))
+
+    return _spec(
+        "tile-schedule",
+        m=extent(l1_rows, l2_rows), n=extent(l1_cols, l2_cols),
+        k=extent(l1_depth or l1_cols, l2_depth or l2_cols),
+        l1_rows=l1_rows, l1_cols=l1_cols, l1_depth=l1_depth,
+        l2_rows=l2_rows, l2_cols=l2_cols, l2_depth=l2_depth,
+        precision=rng.choice(["fp64", "fp32", "fp16"]),
+        # L3 share as a fraction of a full level-1 tile's working set: below
+        # 1 the reuse fraction drops under 1 and the DRAM sum turns fractional.
+        l3_fraction=rng.choice([0.02, round(rng.uniform(0.1, 0.95), 3), 4.0]),
+        page_size=rng.choice([4096, 64 * 1024, 2 * 1024 * 1024]),
+        # A small shared TLB makes these small tiles thrash, so the re-touch
+        # walks (rounded per tile) are sampled too.
+        tlb_entries=rng.choice([1024, rng.randint(1, 64)]),
+        prediction=rng.choice([True, False]),
+    )
+
+
+def _check_tile_schedule(spec: ScenarioSpec) -> None:
+    from repro.conformance.analytic_oracle import check_tile_schedule
+    from repro.gemm import GEMMShape, Precision, TileConfig
+    from repro.mmae.dataflow import MemoryEnvironment, MMAETimingParameters
+    from repro.mmae.matlb import TranslationTimingParameters
+
+    precision = Precision.from_string(str(spec.param("precision")))
+    level1 = TileConfig(int(spec.param("l1_rows")), int(spec.param("l1_cols")),
+                        int(spec.param("l1_depth")))
+    level2 = TileConfig(int(spec.param("l2_rows")), int(spec.param("l2_cols")),
+                        int(spec.param("l2_depth")))
+    shape = GEMMShape(int(spec.param("m")), int(spec.param("n")), int(spec.param("k")),
+                      precision)
+    working_set = (level1.rows * level1.k_block + level1.k_block * level1.cols
+                   + level1.rows * level1.cols) * precision.bytes_per_element
+    env = MemoryEnvironment(l3_share_bytes=float(spec.param("l3_fraction")) * working_set)
+    params = MMAETimingParameters(translation=TranslationTimingParameters(
+        shared_tlb_entries=int(spec.param("tlb_entries"))))
+    mismatch = check_tile_schedule(
+        shape, level1, level2, params, env,
+        bool(spec.param("prediction")), int(spec.param("page_size")))
+    if mismatch is not None:
+        raise ScenarioFailure(f"{mismatch} (shape {shape.m}x{shape.n}x{shape.k} {precision}, "
+                              f"level 1 {level1}, level 2 {level2})")
+
+
 # ----------------------------------------------------------------- registry
 @dataclass(frozen=True)
 class _Kind:
@@ -737,6 +805,10 @@ SCENARIO_KINDS: Dict[str, _Kind] = {
         _Kind("tile-translation", _sample_tile_translation, _check_tile_translation,
               (("repeats", 1), ("rows", 1), ("base_offset", 0), ("tlb_l1", 48),
                ("tlb_l2", 1024), ("matlb_entries", 64), ("prediction", False))),
+        _Kind("tile-schedule", _sample_tile_schedule, _check_tile_schedule,
+              (("prediction", False), ("page_size", 4096), ("precision", "fp64"),
+               ("l3_fraction", 4.0), ("tlb_entries", 1024), ("m", 1), ("n", 1),
+               ("k", 1))),
     )
 }
 

@@ -21,8 +21,8 @@ Two pieces are modelled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Literal
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Literal, Tuple
 
 from repro.gemm.workloads import GEMMShape, GEMMWorkload
 
@@ -45,20 +45,47 @@ class NodeAssignment:
         return self.end - self.start
 
 
-@dataclass
+@dataclass(frozen=True)
 class MappingPlan:
-    """How one GEMM is split across compute nodes (Fig. 5(a))."""
+    """How one GEMM is split across compute nodes (Fig. 5(a)).
+
+    An even split of the partitioned dimension gives its first
+    ``extent % num_nodes`` nodes one row (or column) more than the rest, so a
+    plan has at most two distinct sub-GEMMs.  :attr:`sub_shapes` holds them
+    in node order (the ``base + 1`` slice, if any node takes one, then the
+    ``base`` slice); timing a plan needs only those.  :attr:`assignments`
+    expands them into the per-node slices.
+    """
 
     original: GEMMShape
     dimension: SplitDimension
-    assignments: List[NodeAssignment] = field(default_factory=list)
+    #: Nodes that actually received work (can be fewer than requested).
+    num_nodes: int
+    sub_shapes: Tuple[GEMMShape, ...]
     shared_operand_bytes: int = 0
     per_node_private_bytes: int = 0
 
     @property
-    def num_nodes(self) -> int:
-        """Nodes that actually received work (can be fewer than requested)."""
-        return len(self.assignments)
+    def assignments(self) -> List[NodeAssignment]:
+        """Each node's slice, in node order."""
+        extent = self.original.m if self.dimension == "rows" else self.original.n
+        base, extra = divmod(extent, self.num_nodes)
+        assignments = []
+        cursor = 0
+        for node_id in range(self.num_nodes):
+            wide = node_id < extra
+            length = base + 1 if wide else base
+            assignments.append(
+                NodeAssignment(
+                    node_id=node_id,
+                    shape=self.sub_shapes[0] if wide else self.sub_shapes[-1],
+                    dimension=self.dimension,
+                    start=cursor,
+                    end=cursor + length,
+                )
+            )
+            cursor += length
+        return assignments
 
     @property
     def stash_bytes(self) -> int:
@@ -95,24 +122,13 @@ def partition_gemm(shape: GEMMShape, num_nodes: int) -> MappingPlan:
     extent = shape.m if dimension == "rows" else shape.n
     usable_nodes = min(num_nodes, extent)
     base, extra = divmod(extent, usable_nodes)
+    lengths = (base + 1, base) if extra else (base,)
+    if dimension == "rows":
+        sub_shapes = tuple(GEMMShape(length, shape.n, shape.k, shape.precision) for length in lengths)
+    else:
+        sub_shapes = tuple(GEMMShape(shape.m, length, shape.k, shape.precision) for length in lengths)
 
-    assignments = []
-    cursor = 0
-    for node_id in range(usable_nodes):
-        length = base + (1 if node_id < extra else 0)
-        if dimension == "rows":
-            sub_shape = GEMMShape(length, shape.n, shape.k, shape.precision)
-        else:
-            sub_shape = GEMMShape(shape.m, length, shape.k, shape.precision)
-        assignments.append(
-            NodeAssignment(
-                node_id=node_id, shape=sub_shape, dimension=dimension,
-                start=cursor, end=cursor + length,
-            )
-        )
-        cursor += length
-
-    largest = base + (1 if extra else 0)
+    largest = lengths[0]
     if dimension == "rows":
         # Every node reads the whole B; each node owns its A rows and C rows.
         shared_bytes = shape.k * shape.n * element
@@ -125,7 +141,8 @@ def partition_gemm(shape: GEMMShape, num_nodes: int) -> MappingPlan:
     return MappingPlan(
         original=shape,
         dimension=dimension,
-        assignments=assignments,
+        num_nodes=usable_nodes,
+        sub_shapes=sub_shapes,
         shared_operand_bytes=shared_bytes,
         per_node_private_bytes=private_bytes,
     )
@@ -141,12 +158,16 @@ def layer_stream_seconds(
     Layers are data dependent, so each starts when the previous one ends and
     lasts as long as its slowest node: ``node_seconds`` times one node's
     sub-GEMM, and ``layer_overhead_s`` is a fixed per-layer cost (e.g. a host
-    fence).  The loop adds left to right with ``+=`` on purpose; ``sum()``
-    over floats rounds differently on newer Pythons.
+    fence).  Nodes with the same sub-GEMM take the same time, so
+    ``node_seconds`` is called once per distinct sub-shape
+    (:attr:`MappingPlan.sub_shapes`, in node order); the maximum over those
+    equals the maximum over the nodes.  The loop adds left to right with
+    ``+=`` on purpose; ``sum()`` over floats rounds differently on newer
+    Pythons.
     """
     total = 0.0
     for plan in plans:
-        layer = max(node_seconds(assignment.shape) for assignment in plan.assignments)
+        layer = max(node_seconds(shape) for shape in plan.sub_shapes)
         total += layer + layer_overhead_s
     return total
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -115,6 +115,13 @@ class TimingCache:
     schedule.  Entries are evicted FIFO past ``max_entries``.  Hits return
     the stored instance directly; that is safe because
     :class:`~repro.mmae.dataflow.GEMMTimingBreakdown` is frozen.
+
+    The key holds the :class:`~repro.mmae.dataflow.MemoryEnvironment`
+    itself: it is a frozen dataclass, so it hashes and compares by value,
+    and a lookup costs one field-tuple hash rather than a deep copy.  Callers
+    time each distinct sub-GEMM of a partitioned layer once
+    (:func:`repro.core.mapping.layer_stream_seconds`), so lookups track
+    distinct shapes, not nodes.
     """
 
     def __init__(self, max_entries: int = 65536) -> None:
@@ -148,8 +155,7 @@ class TimingCache:
         prediction_enabled: bool,
         env: Optional[MemoryEnvironment],
     ) -> Tuple:
-        env_key = None if env is None else astuple(env)
-        return (config_fingerprint(config), shape, active_nodes, prediction_enabled, env_key)
+        return (config_fingerprint(config), shape, active_nodes, prediction_enabled, env)
 
     def estimate(
         self,

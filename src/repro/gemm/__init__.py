@@ -18,7 +18,7 @@ from repro.gemm.workloads import (
     random_workloads,
     hpl_like_workloads,
 )
-from repro.gemm.tiling import TileConfig, Tile, TwoLevelTiling, tile_ranges
+from repro.gemm.tiling import TileConfig, Tile, TwoLevelTiling, tile_classes, tile_ranges
 from repro.gemm.reference import (
     reference_gemm,
     blocked_gemm,
@@ -40,6 +40,7 @@ __all__ = [
     "Tile",
     "TwoLevelTiling",
     "tile_ranges",
+    "tile_classes",
     "reference_gemm",
     "blocked_gemm",
     "conv2d_reference",

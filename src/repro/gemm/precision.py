@@ -24,21 +24,17 @@ class Precision(enum.Enum):
     @property
     def bytes_per_element(self) -> int:
         """Storage size of one element in bytes."""
-        return {Precision.FP64: 8, Precision.FP32: 4, Precision.FP16: 2}[self]
+        return _BYTES_PER_ELEMENT[self]
 
     @property
     def simd_ways(self) -> int:
         """Number of MAC lanes one PE provides in this mode (Fig. 2(b)-(d))."""
-        return {Precision.FP64: 1, Precision.FP32: 2, Precision.FP16: 4}[self]
+        return _SIMD_WAYS[self]
 
     @property
     def dtype(self) -> np.dtype:
         """NumPy dtype used by the functional models."""
-        return {
-            Precision.FP64: np.dtype(np.float64),
-            Precision.FP32: np.dtype(np.float32),
-            Precision.FP16: np.dtype(np.float16),
-        }[self]
+        return _DTYPES[self]
 
     @property
     def accumulate_dtype(self) -> np.dtype:
@@ -50,7 +46,7 @@ class Precision(enum.Enum):
     @property
     def matmul_tolerance(self) -> float:
         """Relative tolerance used when comparing against a NumPy reference."""
-        return {Precision.FP64: 1e-12, Precision.FP32: 1e-5, Precision.FP16: 2e-2}[self]
+        return _MATMUL_TOLERANCES[self]
 
     @classmethod
     def from_string(cls, name: str) -> "Precision":
@@ -63,3 +59,15 @@ class Precision(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value.upper()
+
+
+# Per-precision lookup tables, built once (the properties above are called on
+# every tile and layer of the timing models).
+_BYTES_PER_ELEMENT = {Precision.FP64: 8, Precision.FP32: 4, Precision.FP16: 2}
+_SIMD_WAYS = {Precision.FP64: 1, Precision.FP32: 2, Precision.FP16: 4}
+_DTYPES = {
+    Precision.FP64: np.dtype(np.float64),
+    Precision.FP32: np.dtype(np.float32),
+    Precision.FP16: np.dtype(np.float16),
+}
+_MATMUL_TOLERANCES = {Precision.FP64: 1e-12, Precision.FP32: 1e-5, Precision.FP16: 2e-2}

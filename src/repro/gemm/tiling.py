@@ -97,6 +97,28 @@ def tile_ranges(extent: int, tile: int) -> List[Tuple[int, int]]:
     return ranges
 
 
+def tile_classes(extent: int, tile: int) -> List[Tuple[int, int]]:
+    """The distinct range lengths of :func:`tile_ranges` with their counts.
+
+    Every range but the last spans a full ``tile``, so a dimension has at most
+    two classes, in schedule order: ``(tile, extent // tile)`` and the
+    remainder ``(extent % tile, 1)``.  A grid of tiles therefore has at most
+    eight distinct tile shapes, which lets the timing model evaluate each once
+    and weight it by its count instead of visiting every tile.
+    """
+    if extent <= 0:
+        raise ValueError(f"extent must be positive, got {extent}")
+    if tile <= 0:
+        raise ValueError(f"tile must be positive, got {tile}")
+    full, remainder = divmod(extent, tile)
+    classes = []
+    if full:
+        classes.append((tile, full))
+    if remainder:
+        classes.append((remainder, 1))
+    return classes
+
+
 class TwoLevelTiling:
     """Enumerates the two-level tile hierarchy for a GEMM shape.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.mem.address import cache_index, cache_tag
 
@@ -90,15 +90,19 @@ class SetAssociativeCache:
     stashed GEMM tiles resident in the L3 while the CPU runs the non-GEMM tail
     (paper Fig. 5(b)).  Locked lines are never chosen as eviction victims; if a
     set is entirely locked, the fill is treated as a bypass (uncached access).
+
+    A set's ordered dict is allocated on its first fill: an untouched set is
+    empty either way, and the whole-cache queries (residency and lock counts,
+    unlock/invalidate all) only visit allocated sets, so a cache nobody
+    accesses (the analytic models build whole systems) costs no memory.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.stats = CacheStats()
-        # One ordered dict per set: key = tag, ordered oldest -> newest.
-        self._sets: list[OrderedDict[int, CacheLine]] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        # Set index -> ordered dict of that set's lines: key = tag, ordered
+        # oldest -> newest.  Sets appear on their first fill.
+        self._sets: Dict[int, "OrderedDict[int, CacheLine]"] = {}
 
     # ----------------------------------------------------------------- helpers
     def _locate(self, address: int) -> Tuple[int, int]:
@@ -113,13 +117,13 @@ class SetAssociativeCache:
     def probe(self, address: int) -> bool:
         """Check residency without updating LRU or statistics."""
         index, tag = self._locate(address)
-        return tag in self._sets[index]
+        return tag in self._sets.get(index, ())
 
     def access(self, address: int, write: bool = False) -> AccessResult:
         """Access one cache line; on miss the line is filled (allocate-on-miss)."""
         index, tag = self._locate(address)
-        cache_set = self._sets[index]
-        line = cache_set.get(tag)
+        cache_set = self._sets.get(index)
+        line = None if cache_set is None else cache_set.get(tag)
         if line is not None:
             cache_set.move_to_end(tag)
             if write:
@@ -141,7 +145,7 @@ class SetAssociativeCache:
         Returns the address of the evicted line, if any.
         """
         index, tag = self._locate(address)
-        cache_set = self._sets[index]
+        cache_set = self._sets.get(index, {})
         if tag in cache_set:
             line = cache_set[tag]
             line.dirty = line.dirty or dirty
@@ -154,7 +158,9 @@ class SetAssociativeCache:
     def _fill(
         self, index: int, tag: int, dirty: bool, locked: bool = False
     ) -> Tuple[Optional[int], bool]:
-        cache_set = self._sets[index]
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
         evicted_address: Optional[int] = None
         writeback = False
         if len(cache_set) >= self.config.associativity:
@@ -182,7 +188,7 @@ class SetAssociativeCache:
     def lock(self, address: int) -> bool:
         """Pin the line holding ``address``; returns False if it is not resident."""
         index, tag = self._locate(address)
-        line = self._sets[index].get(tag)
+        line = self._sets.get(index, {}).get(tag)
         if line is None:
             return False
         line.locked = True
@@ -190,7 +196,7 @@ class SetAssociativeCache:
 
     def unlock(self, address: int) -> bool:
         index, tag = self._locate(address)
-        line = self._sets[index].get(tag)
+        line = self._sets.get(index, {}).get(tag)
         if line is None:
             return False
         line.locked = False
@@ -199,7 +205,7 @@ class SetAssociativeCache:
     def unlock_all(self) -> int:
         """Unlock every line; returns how many lines were locked."""
         count = 0
-        for cache_set in self._sets:
+        for cache_set in self._sets.values():
             for line in cache_set.values():
                 if line.locked:
                     line.locked = False
@@ -209,20 +215,19 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------- state
     def invalidate(self, address: int) -> bool:
         index, tag = self._locate(address)
-        return self._sets[index].pop(tag, None) is not None
+        return self._sets.get(index, {}).pop(tag, None) is not None
 
     def invalidate_all(self) -> None:
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets.clear()
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(cache_set) for cache_set in self._sets)
+        return sum(len(cache_set) for cache_set in self._sets.values())
 
     @property
     def locked_lines(self) -> int:
         return sum(
-            1 for cache_set in self._sets for line in cache_set.values() if line.locked
+            1 for cache_set in self._sets.values() for line in cache_set.values() if line.locked
         )
 
     @property

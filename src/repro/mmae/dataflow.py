@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.gemm.precision import Precision
-from repro.gemm.tiling import TileConfig, TwoLevelTiling
+from repro.gemm.tiling import TileConfig, TwoLevelTiling, tile_classes
 from repro.gemm.workloads import GEMMShape
 from repro.mmae.matlb import (
     TranslationStallEstimate,
@@ -147,30 +147,25 @@ class GEMMTimingBreakdown:
 def _level1_tile_compute_cycles(
     array: SystolicArray, tile_rows: int, tile_cols: int, tile_depth: int,
     level2: TileConfig, precision: Precision,
-) -> float:
+) -> int:
     """Systolic-array cycles for one first-level tile, summed over its level-2 tiles.
 
-    The level-2 grid contains at most two distinct extents per dimension (the
-    full tile size and one edge remainder), so the sum is computed from the
-    up-to-eight distinct (rows, cols, depth) combinations instead of iterating
-    every micro tile.
+    The level-2 grid has at most eight distinct tile shapes
+    (:func:`~repro.gemm.tiling.tile_classes`), so each is timed once and
+    weighted by its count instead of iterating every micro tile.
     """
-    def split(extent: int, tile: int) -> List[tuple[int, int]]:
-        full, remainder = divmod(extent, tile)
-        parts = []
-        if full:
-            parts.append((tile, full))
-        if remainder:
-            parts.append((remainder, 1))
-        return parts
-
-    total = 0.0
-    for rows, rows_count in split(tile_rows, level2.rows):
-        for cols, cols_count in split(tile_cols, level2.cols):
-            for depth, depth_count in split(tile_depth, level2.k_block):
+    total = 0
+    for rows, rows_count in tile_classes(tile_rows, level2.rows):
+        for cols, cols_count in tile_classes(tile_cols, level2.cols):
+            for depth, depth_count in tile_classes(tile_depth, level2.k_block):
                 count = rows_count * cols_count * depth_count
                 total += count * array.tile_cycles(rows, cols, depth, precision)
     return total
+
+
+def _schedule_order(classes: List[Tuple[int, int]]) -> List[int]:
+    """Class index of every tile along one dimension, in schedule order."""
+    return [index for index, (_, count) in enumerate(classes) for _ in range(count)]
 
 
 def build_tile_schedule(
@@ -180,36 +175,64 @@ def build_tile_schedule(
     params: MMAETimingParameters,
     env: MemoryEnvironment,
 ) -> TileSchedule:
-    """Compute the static schedule statistics (compute cycles and traffic volumes)."""
-    array = SystolicArray(params.sa_rows, params.sa_cols, params.frequency_hz)
-    tiling = TwoLevelTiling(shape, level1, level2)
-    element = shape.precision.bytes_per_element
+    """Compute the static schedule statistics (compute cycles and traffic volumes).
 
-    compute_cycles = 0.0
-    l3_traffic = 0.0
-    dram_traffic = 0.0
+    Each distinct first-level tile shape (at most eight, see
+    :func:`~repro.gemm.tiling.tile_classes`) is evaluated once.  The
+    integer-valued sums (tile counts, compute cycles, L3 bytes) are its value
+    times its count, exact because every term is an integer below 2**53.  A
+    tile's DRAM traffic turns fractional once its working set overflows the
+    L3 share, so that sum is still added tile by tile in schedule order, as
+    the per-tile reference
+    :func:`repro.conformance.analytic_oracle.build_tile_schedule` does.
+    """
+    TwoLevelTiling(shape, level1, level2)  # rejects a level-2 tile larger than level 1
+    array = SystolicArray(params.sa_rows, params.sa_cols, params.frequency_hz)
+    element = shape.precision.bytes_per_element
+    row_classes = tile_classes(shape.m, level1.rows)
+    col_classes = tile_classes(shape.n, level1.cols)
+    depth_classes = tile_classes(shape.k, level1.k_block)
+
+    compute_cycles = 0
+    l3_traffic = 0
     num_level1 = 0
     num_level2 = 0
-    for tile in tiling.level1_tiles():
-        num_level1 += 1
-        num_level2 += tiling.num_level2_tiles(tile)
-        compute_cycles += _level1_tile_compute_cycles(
-            array, tile.rows, tile.cols, tile.depth, level2, shape.precision
-        )
-        reloads_a = math.ceil(tile.cols / level2.cols)
-        reloads_b = math.ceil(tile.rows / level2.rows)
-        a_panel = tile.rows * tile.depth * element
-        b_panel = tile.depth * tile.cols * element
-        c_tile = tile.rows * tile.cols * element
-        tile_l3 = reloads_a * a_panel + reloads_b * b_panel + 2 * c_tile
-        # DRAM traffic: the compulsory panel reads plus the fraction of the
-        # re-reads that do not fit in this node's share of the L3.
-        compulsory = a_panel + b_panel + 2 * c_tile
-        working_set = a_panel + b_panel + c_tile
-        reuse_fraction = min(1.0, env.l3_share_bytes / working_set) if working_set else 1.0
-        tile_dram = compulsory + (tile_l3 - compulsory) * (1.0 - reuse_fraction)
-        l3_traffic += tile_l3
-        dram_traffic += tile_dram
+    depth_order = _schedule_order(depth_classes)
+    # dram_runs[r][c]: the DRAM bytes of each tile of row class r and column
+    # class c, one entry per tile in depth (schedule) order.
+    dram_runs: List[List[List[float]]] = []
+    for rows, rows_count in row_classes:
+        reloads_b = math.ceil(rows / level2.rows)
+        row_runs = []
+        for cols, cols_count in col_classes:
+            reloads_a = math.ceil(cols / level2.cols)
+            depth_dram = []
+            for depth, depth_count in depth_classes:
+                count = rows_count * cols_count * depth_count
+                num_level1 += count
+                num_level2 += count * reloads_b * reloads_a * math.ceil(depth / level2.k_block)
+                compute_cycles += count * _level1_tile_compute_cycles(
+                    array, rows, cols, depth, level2, shape.precision
+                )
+                a_panel = rows * depth * element
+                b_panel = depth * cols * element
+                c_tile = rows * cols * element
+                tile_l3 = reloads_a * a_panel + reloads_b * b_panel + 2 * c_tile
+                l3_traffic += count * tile_l3
+                # DRAM traffic: the compulsory panel reads plus the fraction of the
+                # re-reads that do not fit in this node's share of the L3.
+                compulsory = a_panel + b_panel + 2 * c_tile
+                working_set = a_panel + b_panel + c_tile
+                reuse_fraction = min(1.0, env.l3_share_bytes / working_set)
+                depth_dram.append(compulsory + (tile_l3 - compulsory) * (1.0 - reuse_fraction))
+            row_runs.append([depth_dram[d] for d in depth_order])
+        dram_runs.append(row_runs)
+
+    dram_traffic = 0.0
+    for r in _schedule_order(row_classes):
+        for c in _schedule_order(col_classes):
+            for tile_dram in dram_runs[r][c]:
+                dram_traffic += tile_dram
 
     return TileSchedule(
         shape=shape,
@@ -217,8 +240,8 @@ def build_tile_schedule(
         level2=level2,
         num_level1_tiles=num_level1,
         num_level2_tiles=num_level2,
-        compute_cycles=compute_cycles,
-        l3_traffic_bytes=l3_traffic,
+        compute_cycles=float(compute_cycles),
+        l3_traffic_bytes=float(l3_traffic),
         dram_traffic_bytes=dram_traffic,
     )
 
@@ -252,14 +275,31 @@ def estimate_gemm_timing(
     prediction_enabled: bool = True,
     page_size: int = 4096,
 ) -> GEMMTimingBreakdown:
-    """Estimate the execution time of one GEMM on one MMAE.
+    """Estimate the execution time of one GEMM on one MMAE."""
+    schedule = build_tile_schedule(shape, level1, level2, params, env)
+    translation = estimate_translation_stalls(
+        shape, level1, level2,
+        page_size=page_size,
+        prediction_enabled=prediction_enabled,
+        params=params.translation,
+    )
+    return timing_from_schedule(schedule, translation, params, env)
+
+
+def timing_from_schedule(
+    schedule: TileSchedule,
+    translation: TranslationStallEstimate,
+    params: MMAETimingParameters,
+    env: MemoryEnvironment,
+) -> GEMMTimingBreakdown:
+    """Combine a tile schedule and its translation stalls into the GEMM's time.
 
     The per-first-level-tile time is ``max(compute, dma)`` (double buffering
     overlaps transfers with computation); the first tile's buffer fill, the
     task setup/drain handshakes, and the exposed translation stalls are serial.
     """
+    shape, level2 = schedule.shape, schedule.level2
     array = SystolicArray(params.sa_rows, params.sa_cols, params.frequency_hz)
-    schedule = build_tile_schedule(shape, level1, level2, params, env)
 
     dram_fraction = (
         schedule.dram_traffic_bytes / schedule.l3_traffic_bytes
@@ -279,13 +319,6 @@ def estimate_gemm_timing(
     overlapped = max(schedule.compute_cycles, dma_cycles)
     exposed_dma = max(0.0, dma_cycles - schedule.compute_cycles)
 
-    translation = estimate_translation_stalls(
-        shape, level1, level2,
-        page_size=page_size,
-        prediction_enabled=prediction_enabled,
-        params=params.translation,
-    )
-
     # First fill: the first level-2 tile's A and B blocks cannot be overlapped.
     element = shape.precision.bytes_per_element
     ttr = min(level2.rows, shape.m)
@@ -304,7 +337,7 @@ def estimate_gemm_timing(
 
     return GEMMTimingBreakdown(
         shape=shape,
-        prediction_enabled=prediction_enabled,
+        prediction_enabled=translation.prediction_enabled,
         frequency_hz=params.frequency_hz,
         peak_gflops=array.peak_gflops(shape.precision),
         compute_cycles=schedule.compute_cycles,

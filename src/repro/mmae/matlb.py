@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.gemm.tiling import TileConfig, TwoLevelTiling
+from repro.gemm.tiling import TileConfig, TwoLevelTiling, tile_classes
 from repro.gemm.workloads import GEMMShape
 from repro.mem.address import DEFAULT_PAGE_SIZE, align_down
 from repro.mem.page_table import PageFaultError
@@ -335,27 +335,35 @@ def estimate_translation_stalls(
     column/row block) then re-walks the evicted entries.  With prediction the
     mATLB issues those walks ahead of the DMA streams and only a small residual
     remains exposed.
+
+    Every count is an integer per first-level tile, so each distinct tile
+    shape (at most eight, see :func:`~repro.gemm.tiling.tile_classes`) is
+    evaluated once and weighted by its count; the per-tile reference is
+    :func:`repro.conformance.analytic_oracle.estimate_translation_stalls`.
     """
     element = shape.precision.bytes_per_element
-    tiling = TwoLevelTiling(shape, level1, level2)
+    TwoLevelTiling(shape, level1, level2)  # rejects a level-2 tile larger than level 1
     total_first = 0
     total_retouch = 0
     total_unique = 0
-    for tile in tiling.level1_tiles():
-        pages_a = _unique_pages(tile.rows, tile.depth * element, shape.k * element, page_size)
-        pages_b = _unique_pages(tile.depth, tile.cols * element, shape.n * element, page_size)
-        pages_c = _unique_pages(tile.rows, tile.cols * element, shape.n * element, page_size)
-        unique = pages_a + pages_b + pages_c
-        total_unique += unique
-        thrash_fraction = max(0.0, (unique - params.shared_tlb_entries) / unique) if unique else 0.0
-        touches_a = math.ceil(tile.cols / level2.cols)
-        touches_b = math.ceil(tile.rows / level2.rows)
-        retouch = (
-            (touches_a - 1) * pages_a * thrash_fraction
-            + (touches_b - 1) * pages_b * thrash_fraction
-        )
-        total_first += unique
-        total_retouch += int(round(retouch))
+    for rows, rows_count in tile_classes(shape.m, level1.rows):
+        for cols, cols_count in tile_classes(shape.n, level1.cols):
+            for depth, depth_count in tile_classes(shape.k, level1.k_block):
+                count = rows_count * cols_count * depth_count
+                pages_a = _unique_pages(rows, depth * element, shape.k * element, page_size)
+                pages_b = _unique_pages(depth, cols * element, shape.n * element, page_size)
+                pages_c = _unique_pages(rows, cols * element, shape.n * element, page_size)
+                unique = pages_a + pages_b + pages_c
+                thrash_fraction = max(0.0, (unique - params.shared_tlb_entries) / unique)
+                touches_a = math.ceil(cols / level2.cols)
+                touches_b = math.ceil(rows / level2.rows)
+                retouch = (
+                    (touches_a - 1) * pages_a * thrash_fraction
+                    + (touches_b - 1) * pages_b * thrash_fraction
+                )
+                total_unique += count * unique
+                total_first += count * unique
+                total_retouch += count * int(round(retouch))
 
     stall_cycles = (
         total_first * params.first_touch_walk_cycles

@@ -64,6 +64,11 @@ class CollectiveCostModel:
     ``protocol_overhead`` matches the default of
     :class:`~repro.noc.contention.NocContentionModel` so the collective and
     streaming sides of the model stay calibrated together.
+
+    A ring step's bottleneck link load and longest route depend only on its
+    edges and the background groups, so the instance memoises them per
+    ``(edges, background)``: a plan re-prices the same rings for every GEMM
+    of every phase, and only the first pays for the X-Y routing.
     """
 
     config: NocConfig = field(default_factory=NocConfig)
@@ -79,6 +84,7 @@ class CollectiveCostModel:
         if self.gather_asymmetry <= 0:
             raise ValueError("gather_asymmetry must be positive")
         self.topology = MeshTopology(self.config.width, self.config.height)
+        self._routes: Dict[Tuple, Tuple[int, int]] = {}
 
     # --------------------------------------------------------------- ring shape
     def ring_edges(self, group: Sequence[int]) -> List[Link]:
@@ -148,10 +154,16 @@ class CollectiveCostModel:
         background: Sequence[Sequence[int]],
     ) -> float:
         """Time of one ring step: every edge moves ``chunk_bytes`` concurrently."""
-        load = self._bottleneck_load(edges, background)
+        key = (tuple(edges), tuple(tuple(group) for group in background))
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = (
+                self._bottleneck_load(edges, background),
+                max(route_hops(self.topology, src, dst) for src, dst in edges),
+            )
+        load, max_hops = route
         wire_bytes = chunk_bytes * (1.0 + self.protocol_overhead)
         serialization = wire_bytes * load / self.config.link_bandwidth_bytes_per_s
-        max_hops = max(route_hops(self.topology, src, dst) for src, dst in edges)
         latency = (max_hops + 1) * self.config.router_pipeline_cycles * self.config.cycle_time_s
         return serialization + latency
 

@@ -358,6 +358,25 @@ class TestPinnedEdgeScenarios:
             "tlb_l2": 16, "prediction": True,
         }.items()))))
 
+    @pytest.mark.parametrize("params", [
+        # Ragged edges at both levels, explicit depth blocking on both, an L3
+        # share below the working set (fractional DRAM traffic), huge pages.
+        {"m": 75, "n": 71, "k": 300, "l1_rows": 37, "l1_cols": 48, "l1_depth": 100,
+         "l2_rows": 16, "l2_cols": 24, "l2_depth": 40, "precision": "fp16",
+         "l3_fraction": 0.3, "page_size": 2 * 1024 * 1024, "tlb_entries": 1024,
+         "prediction": True},
+        # A thrashing shared TLB: every re-touch count is rounded per tile.
+        {"m": 97, "n": 200, "k": 130, "l1_rows": 48, "l1_cols": 99, "l1_depth": 0,
+         "l2_rows": 16, "l2_cols": 33, "l2_depth": 0, "precision": "fp64",
+         "l3_fraction": 4.0, "page_size": 4096, "tlb_entries": 7, "prediction": False},
+        # Level 2 wider than level 1: both sides must raise the same error.
+        {"m": 9, "n": 9, "k": 9, "l1_rows": 8, "l1_cols": 8, "l1_depth": 0,
+         "l2_rows": 9, "l2_cols": 4, "l2_depth": 0, "precision": "fp64",
+         "l3_fraction": 4.0, "page_size": 4096, "tlb_entries": 1024, "prediction": False},
+    ])
+    def test_tile_schedule_edges(self, params):
+        run_scenario(ScenarioSpec("tile-schedule", tuple(sorted(params.items()))))
+
     def test_single_tenant_bursty_saturation(self):
         run_scenario(ScenarioSpec("trace-roundtrip", tuple(sorted({
             "generator": "bursty", "seed": 12, "tenants": 1, "rate": 0.05,

@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import maco_default_config, partition_gemm, partition_workload, schedule_gemm_plus
+from repro.core import (
+    layer_stream_seconds,
+    maco_default_config,
+    partition_gemm,
+    partition_workload,
+    schedule_gemm_plus,
+)
 from repro.core.config import CPUConfig, MemoryConfig, MMAEConfig
 from repro.gemm import GEMMShape, GEMMWorkload, Precision
 
@@ -119,6 +125,48 @@ class TestPartitionGEMM:
     def test_invalid_node_count(self):
         with pytest.raises(ValueError):
             partition_gemm(GEMMShape(8, 8, 8), 0)
+
+    @pytest.mark.parametrize("shape, nodes, expected", [
+        # Fewer rows than nodes: one row each, the surplus nodes get nothing.
+        (GEMMShape(3, 2, 5), 4, [(0, 0, 1, (1, 2, 5)), (1, 1, 2, (1, 2, 5)), (2, 2, 3, (1, 2, 5))]),
+        # As many columns as nodes.
+        (GEMMShape(2, 4, 5), 4, [(0, 0, 1, (2, 1, 5)), (1, 1, 2, (2, 1, 5)),
+                                 (2, 2, 3, (2, 1, 5)), (3, 3, 4, (2, 1, 5))]),
+        # More rows than nodes, uneven: the first ``7 % 3`` nodes take one more.
+        (GEMMShape(7, 5, 3), 3, [(0, 0, 3, (3, 5, 3)), (1, 3, 5, (2, 5, 3)), (2, 5, 7, (2, 5, 3))]),
+        # More columns than nodes, uneven.
+        (GEMMShape(4, 11, 6), 4, [(0, 0, 3, (4, 3, 6)), (1, 3, 6, (4, 3, 6)),
+                                  (2, 6, 9, (4, 3, 6)), (3, 9, 11, (4, 2, 6))]),
+        # More rows than nodes, even.
+        (GEMMShape(8, 8, 2), 4, [(0, 0, 2, (2, 8, 2)), (1, 2, 4, (2, 8, 2)),
+                                 (2, 4, 6, (2, 8, 2)), (3, 6, 8, (2, 8, 2))]),
+    ])
+    def test_assignments_are_the_expected_slices(self, shape, nodes, expected):
+        plan = partition_gemm(shape, nodes)
+        dimension = "rows" if shape.m >= shape.n else "cols"
+        assert [(a.node_id, a.start, a.end, (a.shape.m, a.shape.n, a.shape.k))
+                for a in plan.assignments] == expected
+        assert all(a.dimension == dimension and a.shape.precision is shape.precision
+                   for a in plan.assignments)
+        distinct = list(dict.fromkeys(a.shape for a in plan.assignments))
+        assert list(plan.sub_shapes) == distinct
+
+    def test_layer_stream_times_each_distinct_sub_shape_once(self):
+        calls = []
+
+        def node_seconds(shape):
+            calls.append(shape)
+            return shape.flops * 1e-9
+
+        workload = [GEMMShape(1027, 64, 64), GEMMShape(64, 4096, 512), GEMMShape(3, 2, 8)]
+        plans = [partition_gemm(shape, 8) for shape in workload]
+        seconds = layer_stream_seconds(plans, node_seconds)
+        assert calls == [GEMMShape(129, 64, 64), GEMMShape(128, 64, 64),
+                         GEMMShape(64, 512, 512), GEMMShape(1, 2, 8)]
+        expected = 0.0
+        for plan in plans:
+            expected += max(a.shape.flops * 1e-9 for a in plan.assignments)
+        assert seconds == expected
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -5,9 +5,12 @@ who wins, in which direction efficiency moves, and the approximate magnitudes
 of the headline claims.  Exact values are recorded in EXPERIMENTS.md.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.core import (
+    MACOSystem,
     SweepRunner,
     average_efficiency,
     estimate_node_gemm,
@@ -145,6 +148,22 @@ class TestMACOSystem:
 
     def test_peak_gflops_scales_with_requested_nodes(self, small_system):
         assert small_system.peak_gflops(Precision.FP64, 2) == pytest.approx(160.0)
+
+    def test_building_the_default_system_allocates_under_a_megabyte(self):
+        """Cache sets are allocated on first fill, so a system the analytic
+        models build and never access (Fig. 8, the baselines) stays small."""
+        config = maco_default_config()
+        MACOSystem(config)  # warm imports and memos off the measurement
+        systems = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            systems.append(MACOSystem(config))
+            allocated = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert systems[0].num_nodes == 16
+        assert allocated < 1024 * 1024
 
 
 class TestWorkloadRun:

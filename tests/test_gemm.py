@@ -16,6 +16,7 @@ from repro.gemm import (
     random_workloads,
     reference_gemm,
     sweep_square_sizes,
+    tile_classes,
     tile_ranges,
     tiled_gemm_trace,
 )
@@ -122,6 +123,20 @@ class TestTiling:
         assert ranges[0] == (0, 32)
         assert ranges[-1] == (96, 100)
         assert sum(end - start for start, end in ranges) == 100
+
+    @settings(max_examples=60, deadline=None)
+    @given(extent=st.integers(1, 5000), tile=st.integers(1, 700))
+    def test_tile_classes_count_the_range_lengths_in_order(self, extent, tile):
+        lengths = [end - start for start, end in tile_ranges(extent, tile)]
+        classes = tile_classes(extent, tile)
+        assert len(classes) <= 2
+        assert [length for length, count in classes for _ in range(count)] == lengths
+
+    def test_tile_classes_reject_empty_extents(self):
+        with pytest.raises(ValueError):
+            tile_classes(0, 4)
+        with pytest.raises(ValueError):
+            tile_classes(4, 0)
 
     def test_paper_tiling_constants(self):
         assert (PAPER_LEVEL1.rows, PAPER_LEVEL1.cols) == (1024, 1024)

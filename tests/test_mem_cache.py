@@ -1,5 +1,7 @@
 """Tests for the set-associative cache model."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,6 +126,58 @@ class TestCacheLocking:
             cache.lock(line * 64)
         assert cache.unlock_all() == 4
         assert cache.locked_lines == 0
+
+
+def traced_growth(action) -> int:
+    """Bytes still allocated after ``action()`` returns, per :mod:`tracemalloc`."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        action()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestLazySets:
+    #: A 32 MiB, 16-way L3-sized cache: 32,768 sets.
+    L3 = CacheConfig("l3", 32 * 1024 * 1024, 16)
+
+    def test_construction_allocates_no_sets(self):
+        caches = []
+        assert traced_growth(lambda: caches.append(SetAssociativeCache(self.L3))) < 64 * 1024
+        cache = caches[0]
+        assert cache.resident_lines == 0 and cache.locked_lines == 0
+        assert cache.occupancy == 0.0
+
+    def test_probe_of_untouched_sets_allocates_nothing(self):
+        cache = SetAssociativeCache(self.L3)
+        cache.access(0)
+        addresses = [line * 64 for line in range(1, 2048)]
+
+        def probe_all():
+            assert not any(cache.probe(address) for address in addresses)
+
+        assert traced_growth(probe_all) < 1024
+        assert cache.resident_lines == 1
+
+    def test_whole_cache_queries_over_touched_sets(self):
+        cache = small_cache(size=1024, assoc=2, line=64)  # 8 sets
+        for line in (0, 8, 16, 3, 11):  # sets 0 (three lines, two ways) and 3
+            cache.access(line * 64)
+        cache.fill(5 * 64, locked=True)
+        assert cache.lock(3 * 64)
+        assert cache.resident_lines == 5
+        assert cache.locked_lines == 2
+        assert [cache.probe(line * 64) for line in range(17)] == [
+            line in (8, 16, 3, 11, 5) for line in range(17)]
+        assert cache.unlock_all() == 2
+        assert cache.locked_lines == 0 and cache.unlock_all() == 0
+        cache.invalidate_all()
+        assert cache.resident_lines == 0
+        assert not any(cache.probe(line * 64) for line in range(17))
+        assert not cache.access(8 * 64).hit
+        assert cache.access(8 * 64).hit
 
 
 class TestCacheProperties:

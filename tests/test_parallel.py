@@ -191,6 +191,30 @@ class TestCollectiveCostModel:
         with pytest.raises(ValueError, match="gather_asymmetry"):
             CollectiveCostModel(gather_asymmetry=0.0)
 
+    def test_each_ring_and_background_is_routed_once(self, monkeypatch):
+        import repro.parallel.collective as collective
+
+        group, background, payload = [0, 1, 5, 4], [[2, 3, 7, 6]], 8 << 20
+        expected = [
+            CollectiveCostModel().ring_allreduce_seconds(group, payload, background),
+            CollectiveCostModel().all_gather_seconds(group, payload),
+        ]
+        routed = []
+        real_route_links = collective.route_links
+
+        def counting_route_links(topology, src, dst):
+            routed.append((src, dst))
+            return real_route_links(topology, src, dst)
+
+        monkeypatch.setattr(collective, "route_links", counting_route_links)
+        model = CollectiveCostModel()
+        for _ in range(3):
+            assert model.ring_allreduce_seconds(group, payload, background) == expected[0]
+            assert model.all_gather_seconds(group, payload) == expected[1]
+        # One routing pass per (ring, background): the overlay map routes the
+        # foreground and background edges, the bottleneck scan the foreground.
+        assert len(routed) == (4 + 4 + 4) + (4 + 4)
+
     def test_symmetric_gather_degenerates_to_all_gather(self):
         model = CollectiveCostModel(gather_asymmetry=1.0)
         group = [0, 1, 2, 3]
