@@ -10,12 +10,12 @@ buffers to stay efficient, and the paper's point sits near the perf/W front.
 
 from repro.analysis import format_gflops, format_percent, render_table
 from repro.core import DesignSpaceExplorer, pareto_front
-from repro.gemm import hpl_like_workloads
+from repro.workloads import hpl_graph
 
 
 def test_ablation_design_space(benchmark):
     explorer = DesignSpaceExplorer()
-    workload = hpl_like_workloads(max_size=4096, step=1024)
+    workload = hpl_graph(max_size=4096, step=1024)
     points = DesignSpaceExplorer.grid(sa_dims=(2, 4, 8), buffer_kbs=(32, 64, 128), node_counts=(16,))
 
     def regenerate():

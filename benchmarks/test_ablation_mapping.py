@@ -8,13 +8,13 @@ this harness isolates the mapping scheme's two ingredients on a GEMM+ workload
 
 from repro.analysis import format_gflops, render_table
 from repro.core import MACOSystem
-from repro.workloads import bert_workload
+from repro.workloads import bert_graph
 
 NUM_NODES = 8
 
 
 def test_ablation_mapping_scheme(benchmark, fig8_config):
-    workload = bert_workload(batch=4, seq_len=256)
+    workload = bert_graph(batch=4, seq_len=256)
 
     def regenerate():
         system = MACOSystem(fig8_config)

@@ -20,19 +20,20 @@ from repro.core import (
 )
 from repro.gemm import GEMMShape
 from repro.gemm.workloads import FIG7_MATRIX_SIZES
+from repro.workloads import WorkloadGraph
 
 
 def test_parallel_explore_bit_identical_on_120_points(benchmark):
     explorer = DesignSpaceExplorer()
     points = DesignSpaceExplorer.latin_hypercube(120, seed=2024)
-    shape = GEMMShape(2048, 2048, 2048)
+    square = WorkloadGraph.from_shapes("square-2048", [GEMMShape(2048, 2048, 2048)])
 
     start = time.perf_counter()
-    serial = explorer.explore(points, shape, jobs=1)
+    serial = explorer.explore(points, square, jobs=1)
     serial_seconds = time.perf_counter() - start
 
     def parallel():
-        return explorer.explore(points, shape, jobs=4)
+        return explorer.explore(points, square, jobs=4)
 
     results = benchmark.pedantic(parallel, rounds=1, iterations=1, warmup_rounds=0)
 

@@ -10,12 +10,13 @@ Pareto front and the roofline placement of the chosen workload.
 
 from repro.analysis import EnergyModel, format_gflops, format_percent, place_gemm, render_table
 from repro.core import DesignPoint, DesignSpaceExplorer, MACOSystem, maco_default_config, pareto_front
-from repro.gemm import GEMMShape, Precision, hpl_like_workloads
+from repro.gemm import GEMMShape, Precision
+from repro.workloads import hpl_graph
 
 
 def main() -> None:
     explorer = DesignSpaceExplorer()
-    workload = hpl_like_workloads(max_size=4096, step=1024)
+    workload = hpl_graph(max_size=4096, step=1024)
     points = DesignSpaceExplorer.grid(
         sa_dims=(2, 4, 8),
         buffer_kbs=(32, 64, 128),

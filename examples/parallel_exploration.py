@@ -22,20 +22,21 @@ from repro.core import (
 )
 from repro.gemm import GEMMShape
 from repro.gemm.workloads import FIG7_MATRIX_SIZES
+from repro.workloads import WorkloadGraph
 
 
 def main() -> None:
     explorer = DesignSpaceExplorer()
     points = DesignSpaceExplorer.latin_hypercube(200, seed=7)
-    shape = GEMMShape(4096, 4096, 4096)
+    square = WorkloadGraph.from_shapes("square-4096", [GEMMShape(4096, 4096, 4096)])
 
     start = time.perf_counter()
-    serial = explorer.explore(points, shape, jobs=1)
+    serial = explorer.explore(points, square, jobs=1)
     serial_s = time.perf_counter() - start
 
     jobs = os.cpu_count() or 1
     start = time.perf_counter()
-    parallel = explorer.explore(points, shape, jobs=jobs)
+    parallel = explorer.explore(points, square, jobs=jobs)
     parallel_s = time.perf_counter() - start
 
     identical = [(r.point, r.seconds, r.gflops) for r in serial] == \

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 
 from repro.core.config import MACOConfig, maco_default_config
 from repro.core.metrics import WorkloadResult, geometric_mean
-from repro.gemm.workloads import GEMMWorkload
+from repro.workloads.graph import WorkloadGraph
 
 
 class BaselineModel(abc.ABC):
@@ -20,7 +20,7 @@ class BaselineModel(abc.ABC):
         self.config = config if config is not None else maco_default_config()
 
     @abc.abstractmethod
-    def run_workload(self, workload: GEMMWorkload, num_nodes: Optional[int] = None) -> WorkloadResult:
+    def run_workload(self, workload: WorkloadGraph, num_nodes: Optional[int] = None) -> WorkloadResult:
         """Run the workload and return its throughput result."""
 
 
@@ -60,7 +60,7 @@ class BaselineComparison:
 
 def compare_systems(
     systems: List[BaselineModel],
-    workloads: List[GEMMWorkload],
+    workloads: List[WorkloadGraph],
     num_nodes: Optional[int] = None,
     jobs: Optional[int] = None,
 ) -> BaselineComparison:

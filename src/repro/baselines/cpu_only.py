@@ -15,7 +15,7 @@ from repro.core.mapping import layer_stream_seconds, partition_gemm
 from repro.core.metrics import WorkloadResult
 from repro.cpu.core import CPUCore
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMWorkload
+from repro.workloads.graph import WorkloadGraph
 
 
 class CPUOnlyBaseline(BaselineModel):
@@ -23,14 +23,14 @@ class CPUOnlyBaseline(BaselineModel):
 
     name = "baseline-1"
 
-    def run_workload(self, workload: GEMMWorkload, num_nodes: Optional[int] = None) -> WorkloadResult:
+    def run_workload(self, workload: WorkloadGraph, num_nodes: Optional[int] = None) -> WorkloadResult:
         nodes = num_nodes if num_nodes is not None else self.config.num_nodes
         if not 1 <= nodes <= self.config.num_nodes:
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
         core = CPUCore.from_config(self.config.cpu)
-        precision = workload.shapes[0].precision if workload.shapes else Precision.FP32
+        precision = workload.phases[0].shapes[0].precision
         gemm_seconds = layer_stream_seconds(
-            (partition_gemm(shape, nodes) for shape in workload),
+            (partition_gemm(shape, nodes) for shape in workload.layers()),
             lambda shape: core.run_gemm(shape).seconds,
         )
 

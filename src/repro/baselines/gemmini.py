@@ -28,8 +28,7 @@ from repro.core.perf import (
     unmapped_memory_environment,
 )
 from repro.cpu.core import CPUCore
-from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMWorkload
+from repro.workloads.graph import WorkloadGraph
 
 
 class GemminiLikeBaseline(BaselineModel):
@@ -47,17 +46,17 @@ class GemminiLikeBaseline(BaselineModel):
     #: the one calibration knob and is reported in EXPERIMENTS.md.
     utilization_ceiling: float = 0.80
 
-    def run_workload(self, workload: GEMMWorkload, num_nodes: Optional[int] = None) -> WorkloadResult:
+    def run_workload(self, workload: WorkloadGraph, num_nodes: Optional[int] = None) -> WorkloadResult:
         nodes = num_nodes if num_nodes is not None else self.config.num_nodes
         if not 1 <= nodes <= self.config.num_nodes:
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
-        precision = workload.shapes[0].precision if workload.shapes else Precision.FP32
+        precision = workload.phases[0].shapes[0].precision
 
         # Without stash/lock the accelerator cannot keep its re-read working set
         # resident in the shared L3 (same collapse as Baseline-2).
         env = unmapped_memory_environment(memory_environment(self.config, nodes))
         gemm_seconds = layer_stream_seconds(
-            (partition_gemm(shape, nodes) for shape in workload),
+            (partition_gemm(shape, nodes) for shape in workload.layers()),
             lambda shape: estimate_node_gemm_cached(
                 self.config, shape, active_nodes=nodes, prediction_enabled=False, env=env,
             ).seconds / self.utilization_ceiling,

@@ -20,7 +20,7 @@ from typing import Optional
 from repro.baselines.common import BaselineModel
 from repro.core.maco import MACOSystem
 from repro.core.metrics import WorkloadResult
-from repro.gemm.workloads import GEMMWorkload
+from repro.workloads.graph import WorkloadGraph
 
 
 class NoMappingBaseline(BaselineModel):
@@ -32,7 +32,7 @@ class NoMappingBaseline(BaselineModel):
         super().__init__(config)
         self._system = MACOSystem(self.config.with_mapping(False))
 
-    def run_workload(self, workload: GEMMWorkload, num_nodes: Optional[int] = None) -> WorkloadResult:
+    def run_workload(self, workload: WorkloadGraph, num_nodes: Optional[int] = None) -> WorkloadResult:
         result = self._system.run_workload(
             workload, num_nodes=num_nodes, mapping_enabled=False,
         )

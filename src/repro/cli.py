@@ -56,7 +56,7 @@ from repro.core import (
     maco_default_config,
     pareto_front,
 )
-from repro.gemm import GEMMShape, Precision, hpl_like_workloads
+from repro.gemm import GEMMShape, Precision
 from repro.gemm.workloads import FIG6_MATRIX_SIZES, FIG7_MATRIX_SIZES
 from repro.serve.scheduler import SCHEDULER_NAMES
 from repro.workloads import (
@@ -64,6 +64,7 @@ from repro.workloads import (
     catalog_entry,
     describe_workload,
     dl_benchmark_suite,
+    hpl_graph,
     workload_catalog,
     workload_graph_by_name,
 )
@@ -134,15 +135,14 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
     return 0
 
 
-def _explore_workload(args: argparse.Namespace):
+def _explore_workload(args: argparse.Namespace) -> WorkloadGraph:
     precision = Precision.from_string(args.precision)
     if args.workload == "hpl":
-        return hpl_like_workloads(max_size=args.size, step=max(args.size // 4, 256),
-                                  precision=precision)
+        return hpl_graph(max_size=args.size, step=max(args.size // 4, 256), precision=precision)
     if args.workload == "square":
-        return GEMMShape(args.size, args.size, args.size, precision)
-    # Anything else must be a workload-catalog name (base[@spec]), which
-    # evaluates per-phase through the WorkloadGraph IR.
+        shape = GEMMShape(args.size, args.size, args.size, precision)
+        return WorkloadGraph.from_shapes(f"square-{args.size}", [shape])
+    # Anything else must be a workload-catalog name (base[@spec]).
     return workload_graph_by_name(args.workload, precision)
 
 
@@ -166,20 +166,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         if not points:
             raise ValueError(f"--parallel {args.parallel}: no sampled design point "
                              f"has at least {degree} nodes")
-    runner = SweepRunner(jobs=args.jobs)
-    graph_results = None
-    if isinstance(workload, WorkloadGraph):
-        graph_results = explorer.explore_graph(points, workload, objective=args.objective,
-                                               runner=runner, parallelism=args.parallel)
-        results = [entry.aggregate for entry in graph_results]
-    else:
-        if args.per_phase:
-            raise ValueError("--per-phase needs a catalog workload "
-                             f"(options: {workload_catalog()}), not --workload {args.workload}")
-        if args.parallel:
-            raise ValueError("--parallel needs a catalog workload "
-                             f"(options: {workload_catalog()}), not --workload {args.workload}")
-        results = explorer.explore(points, workload, objective=args.objective, runner=runner)
+    graph_results = explorer.explore_graph(points, workload, objective=args.objective,
+                                           runner=SweepRunner(jobs=args.jobs),
+                                           parallelism=args.parallel)
+    results = [entry.aggregate for entry in graph_results]
 
     if args.per_phase:
         headers = ["design point", "phase", "kind", "step", "repeat",
@@ -718,11 +708,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="matrix size for --workload square/hpl")
     explore.add_argument("--precision", default="fp64", choices=["fp64", "fp32", "fp16"])
     explore.add_argument("--per-phase", action="store_true",
-                         help="emit one row per (design point, phase) instead of aggregates "
-                              "(catalog workloads only)")
+                         help="emit one row per (design point, phase) instead of aggregates")
     _add_parallel_spec_argument(
-        explore, "; shards the workload across a node group at every design "
-                 "point (catalog workloads only)")
+        explore, "; shards the workload across a node group at every design point")
     explore.add_argument("--top", type=int, default=10,
                          help="rows shown in table output (<= 0 for all)")
     explore.add_argument("--format", default="table", choices=["table", "csv", "json"])

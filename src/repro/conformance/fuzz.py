@@ -6,8 +6,9 @@ and parallel configurations — under their validity constraints and asserts
 the properties the repo stakes out as exact:
 
 * ``graph-roundtrip`` — ``WorkloadGraph`` JSON serialisation is lossless;
-* ``catalog-build`` — catalog builds are deterministic and their aggregate
-  FLOP/byte accounting is internally consistent;
+* ``catalog-build`` — catalog builds are deterministic, their aggregate
+  FLOP/byte accounting is internally consistent, and the ``layers()`` walk
+  yields every phase's shapes ``repeat`` times with the graph's GEMM FLOPs;
 * ``tp-conservation`` — with communication zeroed, tensor-parallel per-node
   compute seconds sum to the unsharded phase (rel 1e-9), and ``tp:1`` is
   bit-identical to the unsharded timing;
@@ -214,12 +215,21 @@ def _check_catalog_build(spec: ScenarioSpec) -> None:
         )
     if graph.total_flops != graph.gemm_flops + graph.non_gemm_flops:
         raise ScenarioFailure(f"{name}: total_flops does not decompose")
-    flat = graph.flatten()
+    layers = list(graph.layers())
     expected_shapes = sum(len(phase.shapes) * phase.repeat for phase in graph.phases)
-    if len(flat.shapes) != expected_shapes:
+    if len(layers) != expected_shapes:
         raise ScenarioFailure(
-            f"{name}: flatten() produced {len(flat.shapes)} shapes, "
-            f"expected {expected_shapes}"
+            f"{name}: layers() yielded {len(layers)} shapes, expected {expected_shapes}"
+        )
+    layer_flops = sum(shape.flops for shape in layers)
+    if layer_flops != graph.gemm_flops:
+        raise ScenarioFailure(
+            f"{name}: layers() sum to {layer_flops} FLOPs, graph.gemm_flops {graph.gemm_flops}"
+        )
+    expected_bytes = sum(phase.non_gemm_bytes * phase.repeat for phase in graph.phases)
+    if graph.non_gemm_bytes != expected_bytes:
+        raise ScenarioFailure(
+            f"{name}: graph.non_gemm_bytes {graph.non_gemm_bytes} != phase sum {expected_bytes}"
         )
 
 

@@ -47,7 +47,6 @@ from repro.core.perf import (
     estimate_node_gemm,
     estimate_node_gemm_cached,
     memory_environment,
-    noc_contention_model,
     unmapped_memory_environment,
 )
 from repro.core.runtime import MACORuntime, AsyncHandle
@@ -97,7 +96,6 @@ __all__ = [
     "estimate_node_gemm",
     "estimate_node_gemm_cached",
     "memory_environment",
-    "noc_contention_model",
     "unmapped_memory_environment",
     "MACORuntime",
     "AsyncHandle",

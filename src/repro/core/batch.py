@@ -34,7 +34,8 @@ from repro.core.perf import (
     estimate_node_gemm_cached,
 )
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMShape, GEMMWorkload
+from repro.gemm.workloads import GEMMShape
+from repro.workloads.graph import WorkloadGraph
 
 __all__ = ["SweepRunner"]
 
@@ -237,7 +238,7 @@ class SweepRunner:
     def run_workloads(
         self,
         systems: Sequence,
-        workloads: Sequence[GEMMWorkload],
+        workloads: Sequence[WorkloadGraph],
         num_nodes: Optional[int] = None,
     ) -> List[WorkloadResult]:
         """Run every workload on every system (row-major: systems outer).

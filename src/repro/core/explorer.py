@@ -21,7 +21,7 @@ from repro.core.mapping import layer_stream_seconds, partition_gemm
 from repro.core.perf import TimingCache, estimate_node_gemm_cached, memory_environment
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig
-from repro.gemm.workloads import GEMMShape, GEMMWorkload
+from repro.gemm.workloads import GEMMShape
 from repro.mmae.buffers import BufferAllocationError, BufferSet
 from repro.workloads.graph import WorkloadGraph
 
@@ -331,15 +331,14 @@ class DesignSpaceExplorer:
     def evaluate(
         self,
         point: DesignPoint,
-        workload: GEMMWorkload | GEMMShape,
+        graph: WorkloadGraph,
         cache: Optional[TimingCache] = None,
     ) -> EvaluationResult:
-        """Evaluate one design point on a workload (or a single GEMM shape).
+        """Evaluate one design point on a workload graph.
 
-        The workload is evaluated as a one-phase graph; the result is the
-        aggregate of :meth:`evaluate_graph`.
+        The result is the aggregate of :meth:`evaluate_graph`.
         """
-        return self.evaluate_graph(point, _as_graph(workload), cache=cache).aggregate
+        return self.evaluate_graph(point, graph, cache=cache).aggregate
 
     def evaluate_graph(
         self,
@@ -490,20 +489,18 @@ class DesignSpaceExplorer:
     def explore(
         self,
         points: Iterable[DesignPoint],
-        workload: GEMMWorkload | GEMMShape,
+        graph: WorkloadGraph,
         objective: Callable[[EvaluationResult], float] | str = "gflops",
         jobs: Optional[int] = None,
         runner: Optional[object] = None,
     ) -> List[EvaluationResult]:
         """Evaluate every point and return the results sorted best-first.
 
-        The aggregates of :meth:`explore_graph` on the one-phase graph of
-        ``workload``: serial (with the shared timing cache) by default, fanned
-        out over ``jobs`` worker processes when requested.  Both paths produce
-        bit-identical results.
+        The aggregates of :meth:`explore_graph`: serial (with the shared
+        timing cache) by default, fanned out over ``jobs`` worker processes
+        when requested.  Both paths produce bit-identical results.
         """
-        ranked = self.explore_graph(
-            points, _as_graph(workload), objective, jobs=jobs, runner=runner)
+        ranked = self.explore_graph(points, graph, objective, jobs=jobs, runner=runner)
         return [result.aggregate for result in ranked]
 
     def explore_graph(
@@ -535,13 +532,13 @@ class DesignSpaceExplorer:
     def best(
         self,
         points: Iterable[DesignPoint],
-        workload: GEMMWorkload | GEMMShape,
+        graph: WorkloadGraph,
         objective: Callable[[EvaluationResult], float] | str = "gflops",
         jobs: Optional[int] = None,
         runner: Optional[object] = None,
     ) -> EvaluationResult:
         """The best design point under the chosen objective."""
-        ranked = self.explore(points, workload, objective, jobs=jobs, runner=runner)
+        ranked = self.explore(points, graph, objective, jobs=jobs, runner=runner)
         return ranked[0]
 
     @staticmethod
@@ -557,13 +554,6 @@ class DesignSpaceExplorer:
         if objective not in known:
             raise ValueError(f"unknown objective {objective!r}; options: {sorted(known)}")
         return known[objective]
-
-
-def _as_graph(workload: GEMMWorkload | GEMMShape) -> WorkloadGraph:
-    """A flat workload (or one GEMM) as a one-phase :class:`WorkloadGraph`."""
-    if isinstance(workload, GEMMShape):
-        workload = GEMMWorkload(str(workload), [workload])
-    return WorkloadGraph.from_workload(workload)
 
 
 def pareto_front(

@@ -1,4 +1,4 @@
-"""The full MACO system: compute nodes, NoC, distributed L3, DDR controllers.
+"""The full MACO system: compute nodes, distributed L3, DDR controllers.
 
 :class:`MACOSystem` is the top-level object users interact with.  It offers
 two execution entry points:
@@ -28,10 +28,10 @@ from repro.core.perf import (
     unmapped_memory_environment,
 )
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMShape, GEMMWorkload
+from repro.gemm.workloads import GEMMShape
 from repro.mem.dram import DRAMModel
 from repro.mem.l3cache import DistributedL3Cache
-from repro.noc.network import MeshNetwork
+from repro.workloads.graph import WorkloadGraph
 
 
 class MACOSystem:
@@ -39,7 +39,6 @@ class MACOSystem:
 
     def __init__(self, config: Optional[MACOConfig] = None) -> None:
         self.config = config if config is not None else maco_default_config()
-        self.noc = MeshNetwork(self.config.noc)
         self.l3 = DistributedL3Cache(
             num_slices=self.config.memory.l3_slices,
             slice_size_bytes=self.config.memory.l3_slice_bytes,
@@ -108,7 +107,7 @@ class MACOSystem:
     # ------------------------------------------------------------- full workload
     def run_workload(
         self,
-        workload: GEMMWorkload,
+        workload: WorkloadGraph,
         num_nodes: Optional[int] = None,
         mapping_enabled: Optional[bool] = None,
         prediction_enabled: Optional[bool] = None,
@@ -126,7 +125,7 @@ class MACOSystem:
             raise ValueError(f"num_nodes must be in 1..{self.num_nodes}")
         if mapping_enabled is None:
             mapping_enabled = self.config.mapping_scheme_enabled
-        precision = workload.shapes[0].precision if workload.shapes else Precision.FP32
+        precision = workload.phases[0].shapes[0].precision
 
         env = memory_environment(self.config, nodes)
         if not mapping_enabled:
@@ -136,7 +135,7 @@ class MACOSystem:
         # partition yields at most two distinct sub-shapes per layer, and DL
         # workloads repeat the same layer shapes many times (e.g. one GEMM set
         # per BERT encoder block), so most estimates are cache hits.
-        plans = [partition_gemm(shape, nodes) for shape in workload]
+        plans = [partition_gemm(shape, nodes) for shape in workload.layers()]
         mmae_seconds = layer_stream_seconds(
             plans,
             lambda shape: estimate_node_gemm_cached(

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Literal, Tuple
 
-from repro.gemm.workloads import GEMMShape, GEMMWorkload
+from repro.gemm.workloads import GEMMShape
+from repro.workloads.graph import WorkloadGraph
 
 SplitDimension = Literal["rows", "cols"]
 
@@ -231,7 +232,7 @@ def schedule_gemm_plus(
 
 
 def partition_workload(
-    workload: GEMMWorkload, num_nodes: int
+    workload: WorkloadGraph, num_nodes: int
 ) -> List[List[GEMMShape]]:
     """Per-node GEMM lists for a full workload, partitioning every layer's GEMM.
 
@@ -239,7 +240,7 @@ def partition_workload(
     split across all nodes rather than assigning whole layers to nodes.
     """
     per_node: List[List[GEMMShape]] = [[] for _ in range(num_nodes)]
-    for shape in workload:
+    for shape in workload.layers():
         plan = partition_gemm(shape, num_nodes)
         for assignment in plan.assignments:
             per_node[assignment.node_id].append(assignment.shape)

@@ -3,9 +3,10 @@
 This module glues the substrates together for the evaluation sweeps: it
 derives the :class:`~repro.mmae.dataflow.MemoryEnvironment` one compute node
 sees when ``active_nodes`` nodes are streaming simultaneously (L3 capacity
-share, DRAM bandwidth share, queueing-inflated round-trip latencies, NoC link
-contention) and wraps :func:`~repro.mmae.dataflow.estimate_gemm_timing` with
-the system configuration.
+share, DRAM bandwidth share, queueing-inflated round-trip latencies, the
+node's NoC port bandwidth) and wraps
+:func:`~repro.mmae.dataflow.estimate_gemm_timing` with the system
+configuration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.mmae.dataflow import (
     MemoryEnvironment,
     estimate_gemm_timing,
 )
-from repro.noc.contention import NocContentionModel
 
 
 def memory_environment(config: MACOConfig, active_nodes: int) -> MemoryEnvironment:
@@ -217,8 +217,3 @@ class EfficiencyPoint:
     efficiency: float
     gflops: float
     seconds: float
-
-
-def noc_contention_model(config: MACOConfig) -> NocContentionModel:
-    """The transaction-independent NoC contention model for this configuration."""
-    return NocContentionModel(config=config.noc, dram=DRAMModel(config=config.memory.dram))

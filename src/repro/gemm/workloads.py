@@ -1,19 +1,20 @@
-"""GEMM workload descriptions and generators.
+"""GEMM shapes and the matrix sizes the paper sweeps.
 
 The paper evaluates MACO on two kinds of GEMM workloads:
 
 * synthetic square GEMMs of sizes 256 .. 9216 taken from an HPL-style
   benchmark package (Fig. 6 and Fig. 7), and
-* the GEMM streams of ResNet-50, BERT and GPT-3 inference (Fig. 8), which are
-  produced by :mod:`repro.workloads` on top of the :class:`GEMMShape` type
-  defined here.
+* the GEMM streams of ResNet-50, BERT and GPT-3 inference (Fig. 8).
+
+The figure sweeps time single :class:`GEMMShape` objects, the type defined
+here; :mod:`repro.workloads` builds every multi-GEMM workload (the DNN
+streams, the HPL ladder) as a :class:`~repro.workloads.graph.WorkloadGraph`.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.gemm.precision import Precision
 
@@ -97,57 +98,6 @@ class GEMMShape:
         return f"GEMM(M={self.m}, N={self.n}, K={self.k}, {self.precision})"
 
 
-@dataclass
-class GEMMWorkload:
-    """A named collection of GEMM shapes plus optional non-GEMM work.
-
-    ``non_gemm_flops`` and ``non_gemm_bytes`` describe the element-wise tail
-    operators (activation, normalisation, softmax) that follow the GEMMs in a
-    GEMM+ workload (paper Section IV.B); they are executed by the CPU cores.
-    """
-
-    name: str
-    shapes: List[GEMMShape] = field(default_factory=list)
-    non_gemm_flops: int = 0
-    non_gemm_bytes: int = 0
-
-    def __post_init__(self) -> None:
-        if self.non_gemm_flops < 0 or self.non_gemm_bytes < 0:
-            raise ValueError("non-GEMM work cannot be negative")
-
-    def __iter__(self) -> Iterator[GEMMShape]:
-        return iter(self.shapes)
-
-    def __len__(self) -> int:
-        return len(self.shapes)
-
-    @property
-    def gemm_flops(self) -> int:
-        return sum(shape.flops for shape in self.shapes)
-
-    @property
-    def total_flops(self) -> int:
-        return self.gemm_flops + self.non_gemm_flops
-
-    @property
-    def gemm_bytes(self) -> int:
-        return sum(shape.total_bytes for shape in self.shapes)
-
-    def add(self, shape: GEMMShape) -> None:
-        self.shapes.append(shape)
-
-    def scaled(self, repeat: int) -> "GEMMWorkload":
-        """Return a workload with every GEMM repeated ``repeat`` times (e.g. batching)."""
-        if repeat <= 0:
-            raise ValueError("repeat must be positive")
-        return GEMMWorkload(
-            name=f"{self.name}x{repeat}",
-            shapes=list(self.shapes) * repeat,
-            non_gemm_flops=self.non_gemm_flops * repeat,
-            non_gemm_bytes=self.non_gemm_bytes * repeat,
-        )
-
-
 def paper_matrix_sizes(figure: int = 7) -> Sequence[int]:
     """Return the matrix sizes swept by Fig. 6 (``figure=6``) or Fig. 7 (``figure=7``)."""
     if figure == 6:
@@ -155,55 +105,3 @@ def paper_matrix_sizes(figure: int = 7) -> Sequence[int]:
     if figure == 7:
         return FIG7_MATRIX_SIZES
     raise ValueError(f"no matrix-size sweep defined for figure {figure}")
-
-
-def square_workload(size: int, precision: Precision = Precision.FP64) -> GEMMShape:
-    """A single square GEMM of the given size (the unit of Figs. 6 and 7)."""
-    return GEMMShape(size, size, size, precision)
-
-
-def sweep_square_sizes(
-    sizes: Iterable[int], precision: Precision = Precision.FP64
-) -> List[GEMMShape]:
-    """Square GEMMs for every size in ``sizes``."""
-    return [square_workload(size, precision) for size in sizes]
-
-
-def random_workloads(
-    count: int,
-    min_dim: int = 64,
-    max_dim: int = 4096,
-    precision: Precision = Precision.FP32,
-    seed: Optional[int] = None,
-) -> List[GEMMShape]:
-    """Random rectangular GEMM shapes, useful for fuzzing the schedulers."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if min_dim <= 0 or max_dim < min_dim:
-        raise ValueError("invalid dimension bounds")
-    rng = random.Random(seed)
-    shapes = []
-    for _ in range(count):
-        m = rng.randint(min_dim, max_dim)
-        n = rng.randint(min_dim, max_dim)
-        k = rng.randint(min_dim, max_dim)
-        shapes.append(GEMMShape(m, n, k, precision))
-    return shapes
-
-
-def hpl_like_workloads(
-    max_size: int = 9216, step: int = 1024, precision: Precision = Precision.FP64
-) -> GEMMWorkload:
-    """An HPL-style workload: a ladder of square GEMMs up to ``max_size``.
-
-    The paper sources its GEMM problems from the HPL benchmark package [7];
-    HPL's LU factorisation spends its time in trailing-matrix updates whose
-    GEMM sizes shrink as the factorisation proceeds, which this ladder mimics.
-    """
-    if max_size <= 0 or step <= 0:
-        raise ValueError("max_size and step must be positive")
-    sizes = list(range(step, max_size + 1, step))
-    if not sizes:
-        sizes = [max_size]
-    shapes = [GEMMShape(size, size, size, precision) for size in reversed(sizes)]
-    return GEMMWorkload(name=f"hpl-like-{max_size}", shapes=shapes)

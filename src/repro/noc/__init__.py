@@ -1,26 +1,19 @@
-"""Network-on-chip substrate: 4x4 2D mesh, X-Y routing, virtual channels, bandwidth model.
+"""Network-on-chip substrate: 4x4 2D mesh, X-Y routing and the NoC configuration.
 
 The paper's NoC is a classical 4x4 2D mesh running at 2 GHz with 256-bit links
-(128 GB/s bidirectional per compute node), X-Y dimension-order routing and
-virtual-channel flow control (Section III.A).  Two views are provided:
+(128 GB/s bidirectional per compute node) and X-Y dimension-order routing
+(Section III.A).  The NoC is modelled at two points:
 
-* a transaction-level model (:class:`MeshNetwork`) that routes individual
-  packets hop by hop, used by the functional tests; and
-* a contention model (:class:`NocContentionModel`) that estimates the
-  sustained per-node bandwidth when ``n`` nodes stream to the distributed L3
-  simultaneously — the quantity that drives the Fig. 7 scalability results.
-
-:mod:`repro.parallel` builds a third consumer on the same substrate: its
-collective cost model prices ring all-reduce / all-gather / point-to-point
-transfers over these X-Y routes for sharded multi-node execution.
+* the GEMM timing model reads only :attr:`NocConfig.node_bandwidth_bytes_per_s`,
+  the per-node port bandwidth that caps a node's DMA streams; and
+* :mod:`repro.parallel`'s collective cost model prices ring all-reduce /
+  all-gather / point-to-point transfers over the X-Y routes
+  (:func:`route_links`) for sharded multi-node execution.
 """
 
 from repro.noc.mesh import MeshTopology, NodeCoordinate
 from repro.noc.routing import xy_route, route_hops, route_links
-from repro.noc.flit import Flit, Packet, FlitType
-from repro.noc.router import Router, VirtualChannel
-from repro.noc.network import MeshNetwork, NocConfig, TransferResult
-from repro.noc.contention import NocContentionModel
+from repro.noc.network import NocConfig
 
 __all__ = [
     "MeshTopology",
@@ -28,13 +21,5 @@ __all__ = [
     "xy_route",
     "route_hops",
     "route_links",
-    "Flit",
-    "Packet",
-    "FlitType",
-    "Router",
-    "VirtualChannel",
-    "MeshNetwork",
     "NocConfig",
-    "TransferResult",
-    "NocContentionModel",
 ]

@@ -1,22 +1,16 @@
-"""Transaction-level mesh network model.
+"""NoC configuration: the paper's 4x4 mesh with 256-bit links at 2 GHz.
 
-:class:`MeshNetwork` routes packets hop by hop with X-Y routing, charging
-router pipeline latency and link serialization on every hop and modelling
-contention through per-link virtual-channel occupancy.  It is used by the
-functional/integration tests and by the coherence-traffic accounting; the
-large parameter sweeps use the closed-form :class:`~repro.noc.contention.NocContentionModel`.
+The timing model reads one number from it: the per-node injection/ejection
+bandwidth (:attr:`NocConfig.node_bandwidth_bytes_per_s`), which caps the
+node's aggregate DMA bandwidth in :mod:`repro.mmae.dataflow`.  The collective cost model in
+:mod:`repro.parallel.collective` prices transfers over the X-Y routes of
+:mod:`repro.noc.routing` with the link bandwidth and router pipeline depth
+configured here.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-from repro.noc.flit import Packet
-from repro.noc.mesh import MeshTopology
-from repro.noc.router import Router
-from repro.noc.routing import xy_route
 
 
 @dataclass(frozen=True)
@@ -27,7 +21,6 @@ class NocConfig:
     height: int = 4
     link_width_bytes: int = 32
     frequency_hz: float = 2.0e9
-    virtual_channels: int = 4
     router_pipeline_cycles: int = 3
 
     def __post_init__(self) -> None:
@@ -47,82 +40,3 @@ class NocConfig:
     def node_bandwidth_bytes_per_s(self) -> float:
         """Bidirectional injection/ejection bandwidth available to one node (128 GB/s)."""
         return 2 * self.link_bandwidth_bytes_per_s
-
-
-@dataclass
-class TransferResult:
-    """Outcome of sending one packet through the network."""
-
-    packet: Packet
-    path: List[int]
-    latency_s: float
-    hops: int
-
-
-class MeshNetwork:
-    """The 4x4 mesh with a router per node."""
-
-    def __init__(self, config: Optional[NocConfig] = None) -> None:
-        self.config = config if config is not None else NocConfig()
-        self.topology = MeshTopology(self.config.width, self.config.height)
-        self.routers: Dict[int, Router] = {
-            node_id: Router(
-                node_id,
-                num_virtual_channels=self.config.virtual_channels,
-                pipeline_latency_cycles=self.config.router_pipeline_cycles,
-            )
-            for node_id in range(self.topology.num_nodes)
-        }
-        self._packet_ids = itertools.count()
-        self.packets_sent = 0
-        self.bytes_sent = 0
-        self.total_latency_s = 0.0
-
-    def make_packet(self, src: int, dst: int, payload_bytes: int, virtual_channel: int = 0) -> Packet:
-        """Build a packet with a fresh id, sized for this network's link width."""
-        return Packet(
-            packet_id=next(self._packet_ids),
-            src=src,
-            dst=dst,
-            payload_bytes=payload_bytes,
-            link_width_bytes=self.config.link_width_bytes,
-            virtual_channel=virtual_channel,
-        )
-
-    def send(self, src: int, dst: int, payload_bytes: int, time: float = 0.0, virtual_channel: int = 0) -> TransferResult:
-        """Send a packet and return its delivery result.
-
-        A zero-hop (src == dst) transfer only pays the local ejection latency.
-        """
-        packet = self.make_packet(src, dst, payload_bytes, virtual_channel)
-        packet.injection_time = time
-        path = xy_route(self.topology, src, dst)
-        cycle_time = self.config.cycle_time_s
-        current_time = time
-        for hop_src, hop_dst in zip(path[:-1], path[1:]):
-            router = self.routers[hop_src]
-            current_time = router.forward(packet, hop_dst, current_time, cycle_time)
-        # Ejection at the destination router.
-        current_time += self.config.router_pipeline_cycles * cycle_time
-        packet.delivery_time = current_time
-        self.packets_sent += 1
-        self.bytes_sent += payload_bytes
-        self.total_latency_s += packet.latency
-        return TransferResult(
-            packet=packet,
-            path=path,
-            latency_s=packet.latency,
-            hops=len(path) - 1,
-        )
-
-    def zero_load_latency_s(self, src: int, dst: int, payload_bytes: int) -> float:
-        """Latency of a packet on an otherwise idle network."""
-        hops = self.topology.hop_distance(src, dst)
-        cycle_time = self.config.cycle_time_s
-        serialization = max(1, -(-payload_bytes // self.config.link_width_bytes)) * cycle_time
-        return (hops + 1) * self.config.router_pipeline_cycles * cycle_time + hops * serialization
-
-    @property
-    def average_latency_s(self) -> float:
-        """Mean injection-to-delivery latency over every packet sent so far."""
-        return self.total_latency_s / self.packets_sent if self.packets_sent else 0.0

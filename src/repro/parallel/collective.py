@@ -61,10 +61,6 @@ DEFAULT_GATHER_ASYMMETRY = 2.9
 class CollectiveCostModel:
     """Prices collectives on the mesh described by a :class:`NocConfig`.
 
-    ``protocol_overhead`` matches the default of
-    :class:`~repro.noc.contention.NocContentionModel` so the collective and
-    streaming sides of the model stay calibrated together.
-
     A ring step's bottleneck link load and longest route depend only on its
     edges and the background groups, so the instance memoises them per
     ``(edges, background)``: a plan re-prices the same rings for every GEMM
@@ -72,7 +68,7 @@ class CollectiveCostModel:
     """
 
     config: NocConfig = field(default_factory=NocConfig)
-    #: Flit-header / flow-control overhead applied to every payload byte.
+    #: Header / flow-control overhead applied to every payload byte.
     protocol_overhead: float = 0.08
     #: Per-byte cost of collecting relative to distributing (>= applied to
     #: :meth:`gather_seconds` only; broadcasts and rings stay symmetric).

@@ -913,7 +913,9 @@ class ServeSimulator:
         runtime = MACORuntime(config=self.config)
         rng = np.random.default_rng(0)
         verified = 0
-        for request in trace.requests[:max_requests]:
+        # Read the ids from the columns: ``trace.requests`` would build a
+        # Request for every row of the trace, not just the first few.
+        for request_id in trace.columns.request_id[:max_requests]:
             node_id = verified % self.config.num_nodes
             a = rng.standard_normal((size, size))
             b = rng.standard_normal((size, size))
@@ -921,8 +923,6 @@ class ServeSimulator:
             runtime.poll(handle)  # MA_READ must not release the entry
             result = runtime.wait(handle)
             if not np.allclose(result, a @ b):
-                raise AssertionError(
-                    f"functional GEMM mismatch for request {request.request_id} on node {node_id}"
-                )
+                raise AssertionError(f"functional GEMM mismatch for request {request_id} on node {node_id}")
             verified += 1
         return verified

@@ -1,12 +1,14 @@
-"""Deep-learning workload models and the phase-aware workload IR.
+"""Workload models (the DNN networks, the HPL ladder) and the phase-aware workload IR.
 
 The Fig. 8 comparison runs ResNet-50, BERT and GPT-3 in FP32 inference; the
 scenario catalog extends the set with LLM prefill/decode
 (:mod:`repro.workloads.llm`), conv-only ResNet stages and mixture-of-experts
-FFNs (:mod:`repro.workloads.moe`).  Every network is described as a
-:class:`~repro.workloads.graph.WorkloadGraph` — an ordered list of GEMM
-phases with footprint/reuse/state metadata — which ``flatten()`` lowers to
-the legacy :class:`~repro.gemm.workloads.GEMMWorkload` for flat consumers.
+FFNs (:mod:`repro.workloads.moe`).  Every workload — these networks and the
+HPL-style square-GEMM ladder alike — is a
+:class:`~repro.workloads.graph.WorkloadGraph`: an ordered list of GEMM
+phases with footprint/reuse/state metadata, whose
+:meth:`~repro.workloads.graph.WorkloadGraph.layers` walk gives phase-blind
+consumers the plain GEMM stream.
 """
 
 from repro.workloads.layers import (
@@ -18,9 +20,9 @@ from repro.workloads.layers import (
     elementwise_cost,
 )
 from repro.workloads.graph import Phase, PhaseKind, WorkloadGraph
-from repro.workloads.resnet50 import resnet50_graph, resnet50_workload, RESNET50_LAYERS
-from repro.workloads.bert import bert_graph, bert_workload, encoder_layer_phase, BERT_BASE, BERT_LARGE
-from repro.workloads.gpt3 import gpt3_graph, gpt3_workload, GPT3_CONFIGS
+from repro.workloads.resnet50 import resnet50_graph, RESNET50_LAYERS
+from repro.workloads.bert import bert_graph, encoder_layer_phase, BERT_BASE, BERT_LARGE
+from repro.workloads.gpt3 import gpt3_graph, GPT3_CONFIGS
 from repro.workloads.llm import (
     LLAMA_CONFIGS,
     kv_cache_bytes,
@@ -39,7 +41,7 @@ from repro.workloads.registry import (
     catalog_entry,
     describe_workload,
     dl_benchmark_suite,
-    workload_by_name,
+    hpl_graph,
     workload_catalog,
     workload_graph_by_name,
     workload_names,
@@ -56,15 +58,12 @@ __all__ = [
     "PhaseKind",
     "WorkloadGraph",
     "resnet50_graph",
-    "resnet50_workload",
     "RESNET50_LAYERS",
     "bert_graph",
-    "bert_workload",
     "encoder_layer_phase",
     "BERT_BASE",
     "BERT_LARGE",
     "gpt3_graph",
-    "gpt3_workload",
     "GPT3_CONFIGS",
     "LLAMA_CONFIGS",
     "kv_cache_bytes",
@@ -79,7 +78,7 @@ __all__ = [
     "catalog_entry",
     "describe_workload",
     "dl_benchmark_suite",
-    "workload_by_name",
+    "hpl_graph",
     "workload_catalog",
     "workload_graph_by_name",
     "workload_names",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMWorkload
 from repro.workloads.graph import Phase, PhaseKind, WorkloadGraph
 from repro.workloads.layers import attention_gemms, elementwise_cost, linear_gemm
 
@@ -94,12 +93,3 @@ def bert_graph(
                 "precision": precision.value},
     )
 
-
-def bert_workload(
-    config: TransformerConfig = BERT_LARGE,
-    batch: int = 8,
-    seq_len: int = 384,
-    precision: Precision = Precision.FP32,
-) -> GEMMWorkload:
-    """BERT inference for a batch of sequences, expressed as a GEMM workload."""
-    return bert_graph(config, batch, seq_len, precision).flatten()

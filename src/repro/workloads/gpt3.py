@@ -17,7 +17,6 @@ from dataclasses import replace
 from typing import Dict
 
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMWorkload
 from repro.workloads.bert import TransformerConfig, encoder_layer_phase
 from repro.workloads.graph import WorkloadGraph
 from repro.workloads.llm import kv_cache_bytes
@@ -69,13 +68,3 @@ def gpt3_graph(
                 "layers": layers, "precision": precision.value},
     )
 
-
-def gpt3_workload(
-    variant: str = "gpt3-2.7b",
-    batch: int = 4,
-    seq_len: int = 1024,
-    num_layers: int | None = None,
-    precision: Precision = Precision.FP32,
-) -> GEMMWorkload:
-    """GPT-3 prefill for a batch of prompts, expressed as a flat GEMM workload."""
-    return gpt3_graph(variant, batch, seq_len, num_layers, precision).flatten()

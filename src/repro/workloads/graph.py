@@ -16,10 +16,9 @@ GEMM shapes plus the metadata the consumers need —
   records the resident state (e.g. the KV cache) at that step, so consumers
   can see the footprint grow token by token.
 
-``flatten()`` lowers a graph back to the legacy
-:class:`~repro.gemm.workloads.GEMMWorkload` for consumers that do not care
-about phases (Fig. 8, the baselines); ``to_json``/``from_json`` round-trip
-the IR for export and replay.
+Consumers that do not care about phases (Fig. 8, the baselines, the GEMM+
+mapping) walk :meth:`WorkloadGraph.layers`, the GEMM stream in execution
+order; ``to_json``/``from_json`` round-trip the IR for export and replay.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMShape, GEMMWorkload
+from repro.gemm.workloads import GEMMShape
 
 __all__ = ["PhaseKind", "Phase", "WorkloadGraph"]
 
@@ -43,7 +42,7 @@ class PhaseKind(enum.Enum):
     CONV = "conv"  # im2col-lowered convolution stage
     LINEAR = "linear"  # fully-connected layers
     MOE = "moe"  # routed mixture-of-experts FFN
-    GENERIC = "generic"  # anything else (legacy flat workloads)
+    GENERIC = "generic"  # an unstructured GEMM list (square GEMMs, the HPL ladder)
 
 
 @dataclass(frozen=True)
@@ -226,6 +225,24 @@ class WorkloadGraph:
     def __len__(self) -> int:
         return len(self.phases)
 
+    @classmethod
+    def from_shapes(
+        cls,
+        name: str,
+        shapes: Sequence[GEMMShape],
+        non_gemm_flops: int = 0,
+        non_gemm_bytes: int = 0,
+    ) -> "WorkloadGraph":
+        """A one-phase ``GENERIC`` graph over an unstructured GEMM list."""
+        phase = Phase(
+            name=name,
+            kind=PhaseKind.GENERIC,
+            shapes=tuple(shapes),
+            non_gemm_flops=non_gemm_flops,
+            non_gemm_bytes=non_gemm_bytes,
+        )
+        return cls(name=name, phases=[phase])
+
     # ------------------------------------------------------------------- totals
     @property
     def gemm_flops(self) -> int:
@@ -236,6 +253,11 @@ class WorkloadGraph:
     def non_gemm_flops(self) -> int:
         """Total non-GEMM (element-wise tail) FLOPs across every phase."""
         return sum(phase.non_gemm_flops * phase.repeat for phase in self.phases)
+
+    @property
+    def non_gemm_bytes(self) -> int:
+        """Total bytes the non-GEMM tails touch across every phase."""
+        return sum(phase.non_gemm_bytes * phase.repeat for phase in self.phases)
 
     @property
     def total_flops(self) -> int:
@@ -288,39 +310,15 @@ class WorkloadGraph:
         return [(phase.name, phase.state_bytes) for phase in self.phases]
 
     # ------------------------------------------------------------------ lowering
-    def flatten(self, name: Optional[str] = None) -> GEMMWorkload:
-        """Lower to the legacy flat :class:`GEMMWorkload` (phases expanded in order)."""
-        shapes: List[GEMMShape] = []
-        non_gemm_flops = 0
-        non_gemm_bytes = 0
+    def layers(self) -> Iterator[GEMMShape]:
+        """Every GEMM in execution order: each phase's shapes ``repeat`` times.
+
+        Consumers that time a plain layer stream (Fig. 8, the baselines, the
+        GEMM+ mapping) walk this; the order fixes the order of their float sums.
+        """
         for phase in self.phases:
             for _ in range(phase.repeat):
-                shapes.extend(phase.shapes)
-            non_gemm_flops += phase.non_gemm_flops * phase.repeat
-            non_gemm_bytes += phase.non_gemm_bytes * phase.repeat
-        return GEMMWorkload(
-            name=name if name is not None else self.name,
-            shapes=shapes,
-            non_gemm_flops=non_gemm_flops,
-            non_gemm_bytes=non_gemm_bytes,
-        )
-
-    @classmethod
-    def from_workload(
-        cls,
-        workload: GEMMWorkload,
-        kind: PhaseKind = PhaseKind.GENERIC,
-        params: Optional[Mapping[str, object]] = None,
-    ) -> "WorkloadGraph":
-        """Wrap a legacy flat workload as a single-phase graph."""
-        phase = Phase(
-            name=workload.name,
-            kind=kind,
-            shapes=tuple(workload.shapes),
-            non_gemm_flops=workload.non_gemm_flops,
-            non_gemm_bytes=workload.non_gemm_bytes,
-        )
-        return cls(name=workload.name, phases=[phase], params=dict(params or {}))
+                yield from phase.shapes
 
     # --------------------------------------------------------------- serialization
     def to_dict(self) -> dict:

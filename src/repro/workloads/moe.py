@@ -156,7 +156,7 @@ def moe_workload_graph(
     ffn_shapes = [linear_gemm(tokens, hidden, experts, precision)]  # router logits
     for _ in range(experts):
         ffn_shapes.extend(expert_pair)
-    # Router softmax/top-k over the expert logits, GELU over every routed
+    # The router's softmax/top-k over the expert logits, GELU over every routed
     # token's hidden activations, and the weighted combine of top_k outputs.
     router_flops, router_bytes = elementwise_cost(tokens * experts, 8.0, precision)
     gelu_flops, gelu_bytes = elementwise_cost(routed_tokens * experts * intermediate, 8.0, precision)

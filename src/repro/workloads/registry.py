@@ -4,7 +4,8 @@ Two layers of naming coexist:
 
 * the **Fig. 8 benchmark suite** — ``resnet50``, ``bert``, ``gpt3`` — the
   three fixed-shape networks the paper compares systems on
-  (:func:`workload_names`, :func:`dl_benchmark_suite`);
+  (:func:`workload_names`, :func:`dl_benchmark_suite`), beside the HPL-style
+  square-GEMM ladder of Figs. 6-7 (:func:`hpl_graph`);
 * the **scenario catalog** — every registered variant, each of which builds a
   phase-aware :class:`~repro.workloads.graph.WorkloadGraph` and accepts
   parameter overrides in the name itself::
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMWorkload
+from repro.gemm.workloads import GEMMShape
 from repro.workloads.bert import BERT_LARGE, bert_graph
 from repro.workloads.gpt3 import gpt3_graph
 from repro.workloads.graph import WorkloadGraph
@@ -40,10 +41,10 @@ __all__ = [
     "catalog_entry",
     "workload_names",
     "workload_catalog",
-    "workload_by_name",
     "workload_graph_by_name",
     "describe_workload",
     "dl_benchmark_suite",
+    "hpl_graph",
 ]
 
 #: The three Fig. 8 benchmarks, in paper order.
@@ -260,11 +261,6 @@ def workload_graph_by_name(name: str, precision: Precision = Precision.FP32) -> 
     return graph
 
 
-def workload_by_name(name: str, precision: Precision = Precision.FP32) -> GEMMWorkload:
-    """Build a catalog workload by name, flattened to the legacy GEMM stream."""
-    return workload_graph_by_name(name, precision).flatten()
-
-
 def describe_workload(
     name: str,
     precision: Precision = Precision.FP32,
@@ -294,6 +290,24 @@ def describe_workload(
     }
 
 
-def dl_benchmark_suite(precision: Precision = Precision.FP32) -> List[GEMMWorkload]:
+def dl_benchmark_suite(precision: Precision = Precision.FP32) -> List[WorkloadGraph]:
     """The three Fig. 8 benchmarks (ResNet-50, BERT, GPT-3) in paper order."""
-    return [workload_by_name(name, precision) for name in _SUITE]
+    return [workload_graph_by_name(name, precision) for name in _SUITE]
+
+
+def hpl_graph(
+    max_size: int = 9216, step: int = 1024, precision: Precision = Precision.FP64
+) -> WorkloadGraph:
+    """An HPL-style workload: a ladder of square GEMMs up to ``max_size``.
+
+    The paper sources its GEMM problems from the HPL benchmark package [7];
+    HPL's LU factorisation spends its time in trailing-matrix updates whose
+    GEMM sizes shrink as the factorisation proceeds, which this ladder mimics.
+    """
+    if max_size <= 0 or step <= 0:
+        raise ValueError("max_size and step must be positive")
+    sizes = list(range(step, max_size + 1, step))
+    if not sizes:
+        sizes = [max_size]
+    shapes = [GEMMShape(size, size, size, precision) for size in reversed(sizes)]
+    return WorkloadGraph.from_shapes(f"hpl-like-{max_size}", shapes)

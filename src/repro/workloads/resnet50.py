@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMShape, GEMMWorkload
+from repro.gemm.workloads import GEMMShape
 from repro.workloads.graph import Phase, PhaseKind, WorkloadGraph
 from repro.workloads.layers import LayerKind, LayerSpec, conv2d_gemm, elementwise_cost, linear_gemm
 
@@ -56,7 +56,7 @@ def _build_layers() -> List[LayerSpec]:
     return layers
 
 
-#: The full ResNet-50 layer table used by :func:`resnet50_workload`.
+#: The full ResNet-50 layer table used by :func:`resnet50_graph`.
 RESNET50_LAYERS: List[LayerSpec] = _build_layers()
 
 
@@ -84,9 +84,11 @@ def resnet50_graph(
 
     Phases follow the network's stages (``stem``, ``stage1`` .. ``stage4``,
     ``fc``); each conv phase carries the stage's im2col GEMMs in layer order,
-    so ``flatten()`` reproduces :func:`resnet50_workload` exactly.
-    ``conv_only`` drops the FC classifier, leaving the pure conv stream (the
-    ``resnet50-conv`` registry variant).
+    so :meth:`~repro.workloads.graph.WorkloadGraph.layers` walks
+    :data:`RESNET50_LAYERS` in order.  ``batch = 8`` gives GEMM sizes large
+    enough to exercise the MMAE tiling while keeping the per-image latency
+    realistic for inference serving.  ``conv_only`` drops the FC classifier,
+    leaving the pure conv stream (the ``resnet50-conv`` registry variant).
     """
     if batch <= 0:
         raise ValueError("batch must be positive")
@@ -128,12 +130,3 @@ def resnet50_graph(
         params={"batch": batch, "precision": precision.value, "conv_only": conv_only},
     )
 
-
-def resnet50_workload(batch: int = 8, precision: Precision = Precision.FP32) -> GEMMWorkload:
-    """ResNet-50 inference for a batch, expressed as a flat GEMM workload.
-
-    ``batch = 8`` gives GEMM sizes large enough to exercise the MMAE tiling
-    while keeping the per-image latency realistic for inference serving.
-    This is :func:`resnet50_graph` flattened back to the legacy form.
-    """
-    return resnet50_graph(batch=batch, precision=precision).flatten(name=f"resnet50-b{batch}")

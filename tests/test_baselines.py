@@ -11,10 +11,31 @@ from repro.baselines import (
     compare_systems,
 )
 from repro.core import MACOSystem, maco_default_config
-from repro.gemm import GEMMShape, GEMMWorkload, Precision
-from repro.workloads import resnet50_workload
+from repro.gemm import GEMMShape, Precision
+from repro.workloads import WorkloadGraph, dl_benchmark_suite, resnet50_graph
 
 NODES = 8
+
+#: ``repr`` of every Fig. 8 ``WorkloadResult.seconds`` at 8 nodes.  Each
+#: system sums its layer times in :meth:`WorkloadGraph.layers` order, so a
+#: reordered layer walk or a changed non-GEMM tail moves a bit here.
+FIG8_SECONDS = {
+    "baseline-1": {"resnet50-b8": "0.22033220054545444",
+                   "bert-large-b8-s384": "5.322939458493516",
+                   "gpt3-2.7b-b4-s1024-l8": "14.516908297974032"},
+    "baseline-2": {"resnet50-b8": "0.0959700480076428",
+                   "bert-large-b8-s384": "1.9973196777572428",
+                   "gpt3-2.7b-b4-s1024-l8": "5.095125048070769"},
+    "rasa-like": {"resnet50-b8": "0.07617766611019287",
+                  "bert-large-b8-s384": "2.2381204776198307",
+                  "gpt3-2.7b-b4-s1024-l8": "6.21171319137558"},
+    "gemmini-like": {"resnet50-b8": "0.07135710206955351",
+                     "bert-large-b8-s384": "2.0568110080765525",
+                     "gpt3-2.7b-b4-s1024-l8": "5.757893539848463"},
+    "maco": {"resnet50-b8": "0.0568581879814231",
+             "bert-large-b8-s384": "1.6068763130928203",
+             "gpt3-2.7b-b4-s1024-l8": "4.409403338382339"},
+}
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +46,9 @@ def config():
 @pytest.fixture(scope="module")
 def small_workload():
     """A small GEMM+ workload (keeps baseline tests fast)."""
-    workload = GEMMWorkload(
-        name="mini-dl",
-        shapes=[
+    return WorkloadGraph.from_shapes(
+        "mini-dl",
+        [
             GEMMShape(2048, 1024, 1024, Precision.FP32),
             GEMMShape(4096, 512, 2048, Precision.FP32),
             GEMMShape(1024, 4096, 1024, Precision.FP32),
@@ -35,7 +56,6 @@ def small_workload():
         non_gemm_flops=40_000_000,
         non_gemm_bytes=160_000_000,
     )
-    return workload
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +125,8 @@ class TestGemminiLikeBaseline:
 
     def test_per_task_sync_overhead_counted(self, config):
         baseline = GemminiLikeBaseline(config)
-        many_small = GEMMWorkload("many", [GEMMShape(256, 256, 256, Precision.FP32)] * 64)
-        few_large = GEMMWorkload("few", [GEMMShape(1024, 1024, 1024, Precision.FP32)])
+        many_small = WorkloadGraph.from_shapes("many", [GEMMShape(256, 256, 256, Precision.FP32)] * 64)
+        few_large = WorkloadGraph.from_shapes("few", [GEMMShape(1024, 1024, 1024, Precision.FP32)])
         # Same total FLOPs; the many-task workload pays 64 host round trips.
         assert many_small.gemm_flops == few_large.gemm_flops
         slow = baseline.run_workload(many_small, num_nodes=NODES)
@@ -134,10 +154,19 @@ class TestComparisonHarness:
             ))
         assert comparison.average_speedup("a", "b") == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_fig8_seconds_are_pinned(self, config, jobs):
+        systems = [CPUOnlyBaseline(config), NoMappingBaseline(config), RASALikeBaseline(config),
+                   GemminiLikeBaseline(config), MACOSystem(config)]
+        comparison = compare_systems(systems, dl_benchmark_suite(), num_nodes=NODES, jobs=jobs)
+        seconds = {system: {name: repr(result.seconds) for name, result in by_name.items()}
+                   for system, by_name in comparison.results.items()}
+        assert seconds == FIG8_SECONDS
+
     def test_paper_ordering_on_resnet(self, config):
         """On a real DL workload the throughput ordering of Fig. 8 must hold:
         Baseline-1 slowest, MACO fastest, accelerated baselines in between."""
-        workload = resnet50_workload(batch=4)
+        workload = resnet50_graph(batch=4)
         maco = MACOSystem(config).run_workload(workload, num_nodes=NODES)
         cpu = CPUOnlyBaseline(config).run_workload(workload, num_nodes=NODES)
         rasa = RASALikeBaseline(config).run_workload(workload, num_nodes=NODES)

@@ -16,7 +16,8 @@ from repro.core import (
     maco_default_config,
     pareto_front,
 )
-from repro.gemm import GEMMShape, GEMMWorkload, Precision
+from repro.gemm import GEMMShape, Precision
+from repro.workloads import WorkloadGraph
 
 SIZES = [256, 512, 1024]
 
@@ -93,9 +94,9 @@ class TestSweepRunner:
         explorer = DesignSpaceExplorer()
         points = DesignSpaceExplorer.grid(
             sa_dims=(2, 4), buffer_kbs=(32, 64), node_counts=(4, 8))
-        shape = GEMMShape(1024, 1024, 1024)
-        serial = explorer.explore(points, shape)
-        parallel = explorer.explore(points, shape, jobs=4)
+        square = WorkloadGraph.from_shapes("square", [GEMMShape(1024, 1024, 1024)])
+        serial = explorer.explore(points, square)
+        parallel = explorer.explore(points, square, jobs=4)
         assert [(r.point, r.seconds, r.gflops, r.efficiency) for r in serial] == \
                [(r.point, r.seconds, r.gflops, r.efficiency) for r in parallel]
 
@@ -116,7 +117,7 @@ class TestSweepRunner:
         # once per distinct partition sub-shape, not once per layer.
         cache = TimingCache()
         runner = SweepRunner(jobs=1, cache=cache)
-        workload = GEMMWorkload("repeat", [GEMMShape(1024, 1024, 1024)] * 6)
+        workload = WorkloadGraph.from_shapes("repeat", [GEMMShape(1024, 1024, 1024)] * 6)
         runner_results = DesignSpaceExplorer().explore(
             [DesignPoint(name="p", num_nodes=4)], workload, runner=runner)
         assert runner_results[0].seconds > 0
@@ -125,8 +126,8 @@ class TestSweepRunner:
 
     def test_run_workloads_matches_direct_calls(self, small_config):
         workloads = [
-            GEMMWorkload("w1", [GEMMShape(512, 512, 512, Precision.FP32)]),
-            GEMMWorkload("w2", [GEMMShape(256, 1024, 256, Precision.FP32)]),
+            WorkloadGraph.from_shapes("w1", [GEMMShape(512, 512, 512, Precision.FP32)]),
+            WorkloadGraph.from_shapes("w2", [GEMMShape(256, 1024, 256, Precision.FP32)]),
         ]
         runner = SweepRunner(jobs=2)
         results = runner.run_workloads(
@@ -163,7 +164,7 @@ class TestSweepRunner:
         assert runner_parallel.sweep_prediction(config, SIZES) == serial
 
     def test_compare_systems_parallel_matches_serial(self, small_config):
-        workloads = [GEMMWorkload("w", [GEMMShape(512, 512, 512, Precision.FP32)])]
+        workloads = [WorkloadGraph.from_shapes("w", [GEMMShape(512, 512, 512, Precision.FP32)])]
         systems = [CPUOnlyBaseline(small_config), RASALikeBaseline(small_config)]
         serial = compare_systems(systems, workloads, num_nodes=2)
         parallel = compare_systems(systems, workloads, num_nodes=2, jobs=2)

@@ -318,10 +318,18 @@ class TestPhaseAwareExplore:
         assert {"design point", "phase", "kind", "seconds"} <= set(records[0])
         assert all(record["kind"] == "decode" for record in records)
 
-    def test_per_phase_requires_catalog_workload(self, capsys):
-        assert main(["explore", "--sample", "random", "--points", "2", "--jobs", "1",
-                     "--size", "1024", "--per-phase"]) == 2
-        assert "needs a catalog workload" in capsys.readouterr().err
+    def test_per_phase_square_is_one_generic_phase_per_point(self, capsys):
+        import json
+
+        argv = ["explore", "--sample", "random", "--points", "2", "--jobs", "1",
+                "--size", "1024", "--format", "json"]
+        assert main(argv) == 0
+        aggregates = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--per-phase"]) == 0
+        phases = json.loads(capsys.readouterr().out)
+        assert [record["kind"] for record in phases] == ["generic"] * len(aggregates)
+        assert [(record["design point"], record["seconds"]) for record in phases] == \
+               [(record["design point"], record["seconds"]) for record in aggregates]
 
     def test_unknown_catalog_workload_errors_cleanly(self, capsys):
         assert main(["explore", "--sample", "random", "--points", "2", "--jobs", "1",

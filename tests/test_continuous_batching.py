@@ -1,6 +1,6 @@
 """Tests for iteration-level continuous batching (repro.serve, batching="step").
 
-Covers the public surface (exports, scheduler-name round-trips), the
+Covers the public surface (scheduler-name round-trips), the
 determinism guarantees from docs/ARCHITECTURE.md section 4, the byte-exact
 degenerate parity with the request-level loop (DESIGN.md section 8.3), the
 preemption/victim policy, the SLO metrics, and the CLI flags.
@@ -11,7 +11,6 @@ import json
 import numpy as np
 import pytest
 
-import repro.serve
 from repro.cli import _parse_slo, build_parser, main
 from repro.core import maco_default_config
 from repro.gemm import Precision
@@ -76,10 +75,6 @@ def pops(policy, ranks):
 
 
 class TestPublicSurface:
-    def test_every_export_resolves(self):
-        for name in repro.serve.__all__:
-            assert getattr(repro.serve, name) is not None, name
-
     def test_scheduler_names_round_trip(self):
         for name in SCHEDULER_NAMES:
             policy = scheduler_by_name(name, **key_columns(3))

@@ -11,7 +11,8 @@ from repro.core import (
     schedule_gemm_plus,
 )
 from repro.core.config import CPUConfig, MemoryConfig, MMAEConfig
-from repro.gemm import GEMMShape, GEMMWorkload, Precision
+from repro.gemm import GEMMShape, Precision
+from repro.workloads import WorkloadGraph
 
 
 class TestCPUConfig:
@@ -203,13 +204,13 @@ class TestGemmPlusSchedule:
 
 class TestPartitionWorkload:
     def test_every_node_gets_a_list(self):
-        workload = GEMMWorkload("w", [GEMMShape(512, 512, 512), GEMMShape(256, 1024, 64)])
+        workload = WorkloadGraph.from_shapes("w", [GEMMShape(512, 512, 512), GEMMShape(256, 1024, 64)])
         per_node = partition_workload(workload, 4)
         assert len(per_node) == 4
         assert all(len(shapes) == 2 for shapes in per_node)
 
     def test_total_flops_conserved(self):
-        workload = GEMMWorkload("w", [GEMMShape(300, 200, 100), GEMMShape(128, 128, 128)])
+        workload = WorkloadGraph.from_shapes("w", [GEMMShape(300, 200, 100), GEMMShape(128, 128, 128)])
         per_node = partition_workload(workload, 3)
         total = sum(shape.flops for shapes in per_node for shape in shapes)
         assert total == workload.gemm_flops

@@ -168,18 +168,18 @@ class TestMACOSystem:
 
 class TestWorkloadRun:
     def test_run_workload_reports_throughput(self, small_system):
-        from repro.workloads import resnet50_workload
+        from repro.workloads import resnet50_graph
 
-        workload = resnet50_workload(batch=2)
+        workload = resnet50_graph(batch=2)
         result = small_system.run_workload(workload, num_nodes=4)
         assert result.gflops > 0
         assert result.efficiency <= 1.0
         assert result.gemm_seconds > 0
 
     def test_mapping_scheme_improves_throughput(self, small_system):
-        from repro.workloads import resnet50_workload
+        from repro.workloads import resnet50_graph
 
-        workload = resnet50_workload(batch=2)
+        workload = resnet50_graph(batch=2)
         mapped = small_system.run_workload(workload, num_nodes=4, mapping_enabled=True)
         unmapped = small_system.run_workload(workload, num_nodes=4, mapping_enabled=False)
         assert mapped.gflops > unmapped.gflops

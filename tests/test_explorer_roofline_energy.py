@@ -12,7 +12,13 @@ from repro.analysis import (
 )
 from repro.core import DesignPoint, DesignSpaceExplorer, maco_default_config, pareto_front
 from repro.core.metrics import WorkloadResult
-from repro.gemm import GEMMShape, GEMMWorkload, Precision
+from repro.gemm import GEMMShape, Precision
+from repro.workloads import WorkloadGraph, hpl_graph
+
+
+def one_gemm(size, precision=Precision.FP64):
+    """A one-GEMM workload graph: one square ``size``-cubed GEMM."""
+    return WorkloadGraph.from_shapes(f"square-{size}", [GEMMShape(size, size, size, precision)])
 
 
 class TestDesignPoint:
@@ -45,7 +51,7 @@ class TestExploration:
         return DesignSpaceExplorer()
 
     def test_evaluate_reports_positive_metrics(self, explorer):
-        result = explorer.evaluate(DesignPoint(name="paper", num_nodes=4), GEMMShape(2048, 2048, 2048))
+        result = explorer.evaluate(DesignPoint(name="paper", num_nodes=4), one_gemm(2048))
         assert result.gflops > 0
         assert 0 < result.efficiency <= 1.0
         assert result.gflops_per_mm2 > 0
@@ -53,13 +59,13 @@ class TestExploration:
 
     def test_explore_sorts_best_first(self, explorer):
         points = DesignSpaceExplorer.grid(sa_dims=(2, 4), buffer_kbs=(64,), node_counts=(4,))
-        ranked = explorer.explore(points, GEMMShape(1024, 1024, 1024))
+        ranked = explorer.explore(points, one_gemm(1024))
         assert ranked[0].gflops >= ranked[-1].gflops
 
     def test_bigger_array_needs_bigger_buffers_to_stay_efficient(self, explorer):
         """The co-design insight the explorer must expose: scaling the array
         without scaling the scratchpads sacrifices efficiency."""
-        shape = GEMMShape(2048, 2048, 2048)
+        shape = one_gemm(2048)
         small_buf = explorer.evaluate(DesignPoint(name="8x8-small", sa_rows=8, sa_cols=8, buffer_kb=64, num_nodes=8), shape)
         big_buf = explorer.evaluate(DesignPoint(name="8x8-big", sa_rows=8, sa_cols=8, buffer_kb=256, num_nodes=8), shape)
         assert big_buf.efficiency > small_buf.efficiency
@@ -69,7 +75,7 @@ class TestExploration:
             DesignPoint(name="fast", sa_rows=8, sa_cols=8, num_nodes=8),
             DesignPoint(name="lean", sa_rows=4, sa_cols=4, num_nodes=8),
         ]
-        shape = GEMMShape(1024, 1024, 1024)
+        shape = one_gemm(1024)
         by_throughput = explorer.best(points, shape, objective="gflops")
         by_efficiency = explorer.best(points, shape, objective="efficiency")
         assert by_throughput.point.name == "fast"
@@ -77,16 +83,25 @@ class TestExploration:
 
     def test_unknown_objective_rejected(self, explorer):
         with pytest.raises(ValueError):
-            explorer.explore([DesignPoint(name="x")], GEMMShape(64, 64, 64), objective="speed")
+            explorer.explore([DesignPoint(name="x")], one_gemm(64), objective="speed")
 
     def test_workload_evaluation(self, explorer):
-        workload = GEMMWorkload("w", [GEMMShape(1024, 1024, 1024), GEMMShape(512, 2048, 256)])
+        workload = WorkloadGraph.from_shapes("w", [GEMMShape(1024, 1024, 1024), GEMMShape(512, 2048, 256)])
         result = explorer.evaluate(DesignPoint(name="paper", num_nodes=4), workload)
         assert result.seconds > 0
 
+    def test_hpl_ladder_aggregate_is_pinned(self, explorer):
+        """The paper's design point on the HPL ladder of
+        ``examples/design_space_exploration.py``, bit for bit."""
+        point = DesignPoint(name="paper-4x4-64k-16n", sa_rows=4, sa_cols=4, buffer_kb=64,
+                            num_nodes=16)
+        result = explorer.evaluate(point, hpl_graph(max_size=4096, step=1024))
+        assert (repr(result.seconds), repr(result.gflops), repr(result.efficiency)) == (
+            "0.17266196701540612", "1243.7502509214355", "0.9716798835323714")
+
     def test_pareto_front_excludes_dominated_points(self, explorer):
         points = DesignSpaceExplorer.grid(sa_dims=(2, 4, 8), buffer_kbs=(64,), node_counts=(8,))
-        results = explorer.explore(points, GEMMShape(2048, 2048, 2048))
+        results = explorer.explore(points, one_gemm(2048))
         front = pareto_front(results)
         assert 0 < len(front) <= len(results)
         best_gflops = max(results, key=lambda r: r.gflops)
@@ -104,8 +119,8 @@ class TestExplorerRegressions:
             GEMMShape(2048, 2048, 2048, Precision.FP64),
             GEMMShape(2048, 2048, 2048, Precision.FP16),
         ]
-        forward = explorer.evaluate(point, GEMMWorkload("mixed", shapes))
-        reverse = explorer.evaluate(point, GEMMWorkload("mixed-rev", list(reversed(shapes))))
+        forward = explorer.evaluate(point, WorkloadGraph.from_shapes("mixed", shapes))
+        reverse = explorer.evaluate(point, WorkloadGraph.from_shapes("mixed-rev", list(reversed(shapes))))
         assert forward.efficiency == pytest.approx(reverse.efficiency)
 
     def test_mixed_precision_efficiency_uses_per_shape_peaks(self):
@@ -115,7 +130,7 @@ class TestExplorerRegressions:
             GEMMShape(2048, 2048, 2048, Precision.FP64),
             GEMMShape(2048, 2048, 2048, Precision.FP16),
         ]
-        result = explorer.evaluate(point, GEMMWorkload("mixed", shapes))
+        result = explorer.evaluate(point, WorkloadGraph.from_shapes("mixed", shapes))
         config = result.config
         ideal_seconds = sum(
             shape.flops / (config.peak_gflops(shape.precision) * 1e9) for shape in shapes
@@ -127,8 +142,7 @@ class TestExplorerRegressions:
         """The uniform-precision path keeps the seed's gflops/peak definition."""
         explorer = DesignSpaceExplorer()
         point = DesignPoint(name="paper", num_nodes=4)
-        shape = GEMMShape(2048, 2048, 2048, Precision.FP64)
-        result = explorer.evaluate(point, shape)
+        result = explorer.evaluate(point, one_gemm(2048, Precision.FP64))
         assert result.efficiency == pytest.approx(
             result.gflops / result.config.peak_gflops(Precision.FP64))
 

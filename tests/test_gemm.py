@@ -1,4 +1,4 @@
-"""Tests for precisions, GEMM shapes/workloads, two-level tiling and reference kernels."""
+"""Tests for precisions, GEMM shapes, paper sweep sizes, two-level tiling and reference kernels."""
 
 import numpy as np
 import pytest
@@ -6,21 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gemm import (
     GEMMShape,
-    GEMMWorkload,
     Precision,
     TileConfig,
     TwoLevelTiling,
     blocked_gemm,
-    hpl_like_workloads,
     paper_matrix_sizes,
-    random_workloads,
     reference_gemm,
-    sweep_square_sizes,
     tile_classes,
     tile_ranges,
     tiled_gemm_trace,
 )
 from repro.gemm.tiling import PAPER_LEVEL1, PAPER_LEVEL2, Tile
+from repro.workloads import WorkloadGraph, hpl_graph
 
 
 class TestPrecision:
@@ -82,39 +79,20 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             paper_matrix_sizes(9)
 
-    def test_sweep_square_sizes(self):
-        shapes = sweep_square_sizes([128, 256])
-        assert [s.m for s in shapes] == [128, 256]
-        assert all(s.m == s.n == s.k for s in shapes)
-
-    def test_random_workloads_reproducible(self):
-        a = random_workloads(5, seed=3)
-        b = random_workloads(5, seed=3)
-        assert a == b
-
-    def test_random_workloads_respect_bounds(self):
-        for shape in random_workloads(20, min_dim=100, max_dim=200, seed=0):
-            assert 100 <= shape.m <= 200
-            assert 100 <= shape.n <= 200
-            assert 100 <= shape.k <= 200
-
     def test_hpl_like_ladder(self):
-        workload = hpl_like_workloads(max_size=4096, step=1024)
-        sizes = [shape.m for shape in workload]
+        workload = hpl_graph(max_size=4096, step=1024)
+        sizes = [shape.m for shape in workload.layers()]
         assert sizes == [4096, 3072, 2048, 1024]
+        assert workload.name == "hpl-like-4096"
 
     def test_workload_aggregates(self):
-        workload = GEMMWorkload("w", [GEMMShape(10, 10, 10), GEMMShape(20, 20, 20)],
-                                non_gemm_flops=100, non_gemm_bytes=200)
+        workload = WorkloadGraph.from_shapes(
+            "w", [GEMMShape(10, 10, 10), GEMMShape(20, 20, 20)],
+            non_gemm_flops=100, non_gemm_bytes=200)
         assert workload.gemm_flops == 2 * 1000 + 2 * 8000
         assert workload.total_flops == workload.gemm_flops + 100
-        assert len(workload) == 2
-
-    def test_workload_scaled(self):
-        workload = GEMMWorkload("w", [GEMMShape(8, 8, 8)], non_gemm_flops=10)
-        scaled = workload.scaled(3)
-        assert len(scaled) == 3
-        assert scaled.non_gemm_flops == 30
+        assert workload.non_gemm_bytes == 200
+        assert len(list(workload.layers())) == 2
 
 
 class TestTiling:

@@ -1,18 +1,9 @@
-"""Tests for the NoC substrate: mesh, X-Y routing, packets, routers, network, contention."""
+"""Tests for the NoC substrate: mesh, X-Y routing and the NoC configuration."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.noc import (
-    FlitType,
-    MeshNetwork,
-    MeshTopology,
-    NocConfig,
-    NocContentionModel,
-    Packet,
-    Router,
-    xy_route,
-)
+from repro.noc import MeshTopology, NocConfig, xy_route
 from repro.noc.routing import route_links
 
 
@@ -89,115 +80,9 @@ class TestXYRouting:
         assert len(route_links(mesh, 0, 5)) == mesh.hop_distance(0, 5)
 
 
-class TestPackets:
-    def test_flit_count_from_payload(self):
-        packet = Packet(packet_id=0, src=0, dst=1, payload_bytes=100, link_width_bytes=32)
-        assert packet.num_flits == 4
-
-    def test_zero_payload_still_one_flit(self):
-        packet = Packet(packet_id=0, src=0, dst=1, payload_bytes=0)
-        assert packet.num_flits == 1
-        assert packet.flits()[0].flit_type is FlitType.HEAD_TAIL
-
-    def test_flit_sequence_structure(self):
-        packet = Packet(packet_id=1, src=0, dst=3, payload_bytes=96, link_width_bytes=32)
-        flits = packet.flits()
-        assert flits[0].flit_type is FlitType.HEAD
-        assert flits[-1].flit_type is FlitType.TAIL
-        assert all(flit.flit_type is FlitType.BODY for flit in flits[1:-1])
-
-    def test_negative_payload_rejected(self):
-        with pytest.raises(ValueError):
-            Packet(packet_id=0, src=0, dst=1, payload_bytes=-1)
-
-
-class TestRouter:
-    def test_forward_serialises_flits(self):
-        router = Router(node_id=0)
-        packet = Packet(packet_id=0, src=0, dst=1, payload_bytes=128, link_width_bytes=32)
-        done = router.forward(packet, next_hop=1, now=0.0, cycle_time=1.0)
-        # 3-cycle pipeline + 4 flits of serialization.
-        assert done == pytest.approx(7.0)
-
-    def test_contention_queues_second_packet(self):
-        router = Router(node_id=0, num_virtual_channels=1)
-        p1 = Packet(packet_id=0, src=0, dst=1, payload_bytes=320, link_width_bytes=32)
-        p2 = Packet(packet_id=1, src=0, dst=1, payload_bytes=320, link_width_bytes=32)
-        first = router.forward(p1, 1, 0.0, 1.0)
-        second = router.forward(p2, 1, 0.0, 1.0)
-        assert second > first
-
-    def test_virtual_channels_reduce_blocking(self):
-        single = Router(node_id=0, num_virtual_channels=1)
-        multi = Router(node_id=0, num_virtual_channels=4)
-        payload = 320
-        times_single = [
-            single.forward(Packet(i, 0, 1, payload, 32), 1, 0.0, 1.0) for i in range(4)
-        ]
-        times_multi = [
-            multi.forward(Packet(i, 0, 1, payload, 32), 1, 0.0, 1.0) for i in range(4)
-        ]
-        assert max(times_multi) < max(times_single)
-
-
-class TestMeshNetwork:
+class TestNocConfig:
     def test_config_bandwidth_matches_paper(self):
         config = NocConfig()
         # 256-bit links at 2 GHz -> 64 GB/s per direction, 128 GB/s bidirectional.
         assert config.link_bandwidth_bytes_per_s == pytest.approx(64e9)
         assert config.node_bandwidth_bytes_per_s == pytest.approx(128e9)
-
-    def test_send_delivers_with_positive_latency(self):
-        network = MeshNetwork()
-        result = network.send(0, 15, payload_bytes=256)
-        assert result.hops == 6
-        assert result.latency_s > 0
-
-    def test_longer_routes_take_longer(self):
-        network = MeshNetwork()
-        near = network.send(0, 1, 256).latency_s
-        far = network.send(0, 15, 256).latency_s
-        assert far > near
-
-    def test_zero_load_latency_monotonic_in_payload(self):
-        network = MeshNetwork()
-        assert network.zero_load_latency_s(0, 15, 64) < network.zero_load_latency_s(0, 15, 4096)
-
-    def test_traffic_accounting(self):
-        network = MeshNetwork()
-        network.send(0, 5, 100)
-        network.send(3, 9, 200)
-        assert network.packets_sent == 2
-        assert network.bytes_sent == 300
-        assert network.average_latency_s > 0
-
-
-class TestContentionModel:
-    def test_link_load_grows_with_active_nodes(self):
-        model = NocContentionModel()
-        # With X-Y routing and uniform slice-interleaved traffic, the hottest
-        # link already carries a full node's worth of flow with two active
-        # nodes; adding more nodes never reduces it.
-        assert model.max_link_load_factor(16) > model.max_link_load_factor(1)
-        assert model.max_link_load_factor(16) >= model.max_link_load_factor(2)
-
-    def test_sustained_bandwidth_never_exceeds_demand(self):
-        model = NocContentionModel()
-        demand = 10e9
-        for nodes in (1, 4, 16):
-            assert model.sustained_node_bandwidth(nodes, demand) <= demand * 1.0001
-
-    def test_sustained_bandwidth_decreases_with_nodes_at_high_demand(self):
-        model = NocContentionModel()
-        demand = 60e9
-        assert model.sustained_node_bandwidth(16, demand) < model.sustained_node_bandwidth(1, demand)
-
-    def test_slowdown_at_least_one(self):
-        model = NocContentionModel()
-        assert model.slowdown(8, 20e9) >= 1.0
-
-    def test_saturation_node_count(self):
-        model = NocContentionModel()
-        light = model.saturation_node_count(1e9)
-        heavy = model.saturation_node_count(50e9)
-        assert heavy <= light

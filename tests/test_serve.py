@@ -250,6 +250,17 @@ class TestSimulator:
         simulator.run(trace)
         assert simulator.functional_smoke(trace, size=32, max_requests=3) == 3
 
+    def test_functional_smoke_builds_no_request_objects(self, monkeypatch):
+        """The smoke reads request ids from the trace columns only."""
+        from repro.serve.trace import TraceColumns
+
+        def refuse(self):
+            raise AssertionError("functional_smoke materialised the whole trace")
+
+        monkeypatch.setattr(TraceColumns, "materialize", refuse)
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=2))
+        assert simulator.functional_smoke(quick_trace(seed=1, duration=5.0), size=32) == 4
+
     @pytest.mark.parametrize("mode", ["request", "step", "autoscaled step"])
     def test_serving_builds_no_functional_machine(self, monkeypatch, mode):
         """Pricing and simulation read only the MACOConfig."""

@@ -11,14 +11,11 @@ from repro.workloads import (
     Phase,
     PhaseKind,
     WorkloadGraph,
-    bert_workload,
-    gpt3_workload,
+    bert_graph,
     kv_cache_bytes,
     llm_workload_graph,
     moe_workload_graph,
     resnet50_graph,
-    resnet50_workload,
-    workload_by_name,
     workload_catalog,
     workload_graph_by_name,
     workload_names,
@@ -64,29 +61,28 @@ class TestPhase:
 
 
 class TestWorkloadGraph:
-    def test_flatten_expands_repeats_in_order(self):
+    def test_layers_expand_repeats_in_order(self):
         first = small_phase(name="a", repeat=2)
         second = Phase(name="b", kind=PhaseKind.GENERIC, shapes=(GEMMShape(4, 4, 4),),
                        non_gemm_flops=1, non_gemm_bytes=2)
         graph = WorkloadGraph(name="g", phases=[first, second])
-        flat = graph.flatten()
-        assert [shape.m for shape in flat] == [8, 8, 4]
-        assert flat.non_gemm_flops == 2 * 16 + 1
-        assert flat.non_gemm_bytes == 2 * 64 + 2
-        assert flat.name == "g"
+        assert [shape.m for shape in graph.layers()] == [8, 8, 4]
+        assert graph.non_gemm_flops == 2 * 16 + 1
+        assert graph.non_gemm_bytes == 2 * 64 + 2
 
-    def test_totals_match_flatten(self):
+    def test_totals_match_the_layer_walk(self):
         graph = workload_graph_by_name("llama-7b@layers=2")
-        flat = graph.flatten()
-        assert graph.gemm_flops == flat.gemm_flops
-        assert graph.non_gemm_flops == flat.non_gemm_flops
-        assert graph.total_flops == flat.total_flops
+        assert graph.gemm_flops == sum(shape.flops for shape in graph.layers())
+        assert graph.total_flops == graph.gemm_flops + graph.non_gemm_flops
 
-    def test_from_workload_wraps_single_phase(self):
-        flat = bert_workload(batch=1, seq_len=64)
-        graph = WorkloadGraph.from_workload(flat)
+    def test_from_shapes_builds_one_generic_phase(self):
+        shapes = list(bert_graph(batch=1, seq_len=64).layers())
+        graph = WorkloadGraph.from_shapes("flat", shapes, non_gemm_flops=5, non_gemm_bytes=7)
         assert len(graph) == 1
-        assert graph.flatten().shapes == flat.shapes
+        (phase,) = graph.phases
+        assert phase.kind is PhaseKind.GENERIC and phase.name == graph.name == "flat"
+        assert list(graph.layers()) == shapes
+        assert (graph.non_gemm_flops, graph.non_gemm_bytes) == (5, 7)
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
@@ -140,13 +136,13 @@ class TestExportExplicitness:
         clone = WorkloadGraph.from_json(target.read_text())
         original = workload_graph_by_name("resnet50")
         assert clone == original
-        assert clone.flatten().shapes == original.flatten().shapes
+        assert list(clone.layers()) == list(original.layers())
 
     @pytest.mark.parametrize("name", sorted(workload_catalog()))
-    def test_flatten_is_invariant_under_round_trip(self, name):
+    def test_layers_survive_round_trip(self, name):
         graph = workload_graph_by_name(name)
         clone = WorkloadGraph.from_json(graph.to_json())
-        assert clone.flatten().shapes == graph.flatten().shapes
+        assert list(clone.layers()) == list(graph.layers())
         assert clone.total_flops == graph.total_flops
         assert clone.footprint_bytes == graph.footprint_bytes
 
@@ -208,13 +204,6 @@ class TestConvGraphs:
         assert graph.phase_names == ["stem", "stage1", "stage2", "stage3", "stage4", "fc"]
         assert sum(len(phase.shapes) for phase in graph) == 54
 
-    def test_flatten_matches_legacy_workload(self):
-        flat = resnet50_graph(batch=8).flatten()
-        legacy = resnet50_workload(batch=8)
-        assert flat.shapes == legacy.shapes
-        assert flat.non_gemm_flops == legacy.non_gemm_flops
-        assert flat.non_gemm_bytes == legacy.non_gemm_bytes
-
     def test_conv_only_drops_classifier(self):
         conv = resnet50_graph(batch=8, conv_only=True)
         assert "fc" not in conv.phase_names
@@ -226,7 +215,7 @@ class TestMoEGraphs:
     def test_expert_fan_out_shapes(self):
         graph = moe_workload_graph(experts=8, top_k=2, batch=2, seq_len=64, num_layers=2)
         moe_phase = next(phase for phase in graph if phase.kind is PhaseKind.MOE)
-        # Router + (up, down) per expert.
+        # The router GEMM + (up, down) per expert.
         assert len(moe_phase.shapes) == 1 + 2 * 8
         router = moe_phase.shapes[0]
         assert router.n == 8 and router.m == 2 * 64
@@ -262,7 +251,7 @@ class TestRegistryCatalog:
 
     def test_unknown_name_lists_sorted_options(self):
         with pytest.raises(ValueError) as excinfo:
-            workload_by_name("alexnet")
+            workload_graph_by_name("alexnet")
         assert str(workload_catalog()) in str(excinfo.value)
 
     def test_unknown_parameter_lists_options(self):
@@ -305,11 +294,6 @@ class TestRegistryCatalog:
         assert all(phase.kind is PhaseKind.DECODE for phase in decode)
         assert len(both) == len(prefill) + len(decode)
 
-    def test_legacy_flat_builders_unchanged(self):
-        assert workload_by_name("bert").shapes == bert_workload().shapes
-        assert workload_by_name("gpt3").shapes == gpt3_workload(
-            "gpt3-2.7b", batch=4, seq_len=1024, num_layers=8).shapes
-
     def test_describe_reports_actual_build_parameters(self):
         from repro.workloads import describe_workload
 
@@ -344,7 +328,8 @@ class TestPhaseSweeps:
         explorer = DesignSpaceExplorer(maco_default_config(num_nodes=2))
         point = DesignPoint(name="p", num_nodes=2)
         graph_result = explorer.evaluate_graph(point, tiny_graph)
-        flat_result = explorer.evaluate(point, tiny_graph.flatten())
+        flat = WorkloadGraph.from_shapes("flat", list(tiny_graph.layers()))
+        flat_result = explorer.evaluate(point, flat)
         assert graph_result.aggregate.seconds == pytest.approx(flat_result.seconds, rel=1e-9)
         assert graph_result.aggregate.gflops == pytest.approx(flat_result.gflops, rel=1e-9)
 

@@ -8,14 +8,14 @@ from repro.workloads import (
     BERT_LARGE,
     GPT3_CONFIGS,
     attention_gemms,
-    bert_workload,
+    bert_graph,
     conv2d_gemm,
     dl_benchmark_suite,
     elementwise_cost,
-    gpt3_workload,
+    gpt3_graph,
     linear_gemm,
-    resnet50_workload,
-    workload_by_name,
+    resnet50_graph,
+    workload_graph_by_name,
 )
 
 
@@ -59,54 +59,54 @@ class TestLayerLowering:
 
 class TestResNet50:
     def test_layer_count_matches_architecture(self):
-        workload = resnet50_workload(batch=1)
+        workload = resnet50_graph(batch=1)
         # 1 stem + 16 bottlenecks x 3 convs + 4 downsample shortcuts + 1 FC = 54 GEMMs.
-        assert len(workload) == 54
+        assert len(list(workload.layers())) == 54
 
     def test_total_flops_in_expected_range(self):
         """ResNet-50 inference is ~4.1 GMACs, i.e. ~8.2 GFLOP, per 224x224 image."""
-        workload = resnet50_workload(batch=1)
+        workload = resnet50_graph(batch=1)
         per_image_gflops = workload.gemm_flops / 1e9
         assert 7.0 <= per_image_gflops <= 9.5
 
     def test_flops_scale_linearly_with_batch(self):
-        single = resnet50_workload(batch=1).gemm_flops
-        batched = resnet50_workload(batch=8).gemm_flops
+        single = resnet50_graph(batch=1).gemm_flops
+        batched = resnet50_graph(batch=8).gemm_flops
         assert batched == pytest.approx(8 * single, rel=1e-6)
 
     def test_has_non_gemm_tail(self):
-        workload = resnet50_workload(batch=4)
+        workload = resnet50_graph(batch=4)
         assert workload.non_gemm_flops > 0
         assert workload.non_gemm_bytes > 0
 
     def test_precision_propagates(self):
-        workload = resnet50_workload(batch=1, precision=Precision.FP16)
-        assert all(shape.precision is Precision.FP16 for shape in workload)
+        workload = resnet50_graph(batch=1, precision=Precision.FP16)
+        assert all(shape.precision is Precision.FP16 for shape in workload.layers())
 
     def test_invalid_batch_rejected(self):
         with pytest.raises(ValueError):
-            resnet50_workload(batch=0)
+            resnet50_graph(batch=0)
 
 
 class TestBERT:
     def test_gemms_per_layer(self):
-        workload = bert_workload(BERT_BASE, batch=1, seq_len=128)
-        assert len(workload) == BERT_BASE.layers * 8  # 6 attention + 2 MLP per layer
+        workload = bert_graph(BERT_BASE, batch=1, seq_len=128)
+        assert len(list(workload.layers())) == BERT_BASE.layers * 8  # 6 attention + 2 MLP per layer
 
     def test_base_flops_in_expected_range(self):
         """BERT-base at seq 128 is ~22.5 GFLOP of GEMMs per sequence."""
-        workload = bert_workload(BERT_BASE, batch=1, seq_len=128)
+        workload = bert_graph(BERT_BASE, batch=1, seq_len=128)
         gflops = workload.gemm_flops / 1e9
         assert 18 <= gflops <= 28
 
     def test_large_has_more_work_than_base(self):
-        base = bert_workload(BERT_BASE, batch=1, seq_len=128).gemm_flops
-        large = bert_workload(BERT_LARGE, batch=1, seq_len=128).gemm_flops
+        base = bert_graph(BERT_BASE, batch=1, seq_len=128).gemm_flops
+        large = bert_graph(BERT_LARGE, batch=1, seq_len=128).gemm_flops
         assert large > 2.5 * base
 
     def test_sequence_length_grows_attention_quadratically(self):
-        short = bert_workload(BERT_BASE, batch=1, seq_len=128)
-        long = bert_workload(BERT_BASE, batch=1, seq_len=512)
+        short = bert_graph(BERT_BASE, batch=1, seq_len=128)
+        long = bert_graph(BERT_BASE, batch=1, seq_len=512)
         assert long.gemm_flops > 3.9 * short.gemm_flops
 
 
@@ -115,22 +115,22 @@ class TestGPT3:
         assert {"gpt3-2.7b", "gpt3-6.7b", "gpt3-175b"} <= set(GPT3_CONFIGS)
 
     def test_layer_override(self):
-        full = gpt3_workload("gpt3-2.7b", batch=1, seq_len=256)
-        proxy = gpt3_workload("gpt3-2.7b", batch=1, seq_len=256, num_layers=4)
-        assert len(proxy) == 4 * 8
+        full = gpt3_graph("gpt3-2.7b", batch=1, seq_len=256)
+        proxy = gpt3_graph("gpt3-2.7b", batch=1, seq_len=256, num_layers=4)
+        assert len(list(proxy.layers())) == 4 * 8
         assert proxy.gemm_flops < full.gemm_flops
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
-            gpt3_workload("gpt3-13b")
+            gpt3_graph("gpt3-13b")
 
     def test_hidden_divisible_by_heads_for_all_variants(self):
         for config in GPT3_CONFIGS.values():
             assert config.hidden % config.heads == 0
 
     def test_prefill_flops_scale_with_hidden_squared(self):
-        small = gpt3_workload("gpt3-small", batch=1, seq_len=128, num_layers=2).gemm_flops
-        large = gpt3_workload("gpt3-xl", batch=1, seq_len=128, num_layers=2).gemm_flops
+        small = gpt3_graph("gpt3-small", batch=1, seq_len=128, num_layers=2).gemm_flops
+        large = gpt3_graph("gpt3-xl", batch=1, seq_len=128, num_layers=2).gemm_flops
         assert large > 4 * small
 
 
@@ -144,9 +144,9 @@ class TestRegistry:
 
     def test_suite_uses_fp32_by_default(self):
         for workload in dl_benchmark_suite():
-            assert all(shape.precision is Precision.FP32 for shape in workload)
+            assert all(shape.precision is Precision.FP32 for shape in workload.layers())
 
-    def test_workload_by_name(self):
-        assert workload_by_name("BERT").name.startswith("bert")
+    def test_workload_graph_by_name(self):
+        assert workload_graph_by_name("BERT").name.startswith("bert")
         with pytest.raises(ValueError):
-            workload_by_name("alexnet")
+            workload_graph_by_name("alexnet")
