@@ -38,6 +38,12 @@ class TestFunctionalFastPath:
         assert result["parity"]
         assert result["speedup"] > 1.0
 
+    def test_tile_translation_steady_parity_and_speedup(self, report):
+        result = report["results"]["tile_translation_steady"]
+        assert result["parity"]
+        assert result["calls"] == 1024
+        assert result["speedup"] > 2.0
+
     def test_emulator_parity_and_speedup(self, report):
         result = report["results"]["emulator"]
         assert result["parity"]

@@ -12,6 +12,11 @@ each other on a BERT-sized layer and writes the measurements to
 * ``tile_translation`` — :meth:`AcceleratorDataEngine.translate_tile`
   (enumeration + batched prewalk + batched lookup/demand) vs the oracle's
   per-page loop, with and without predictive translation;
+* ``tile_translation_steady`` — the same comparison on the steady A stream
+  of a FP32 512^3 GEMM (32-page tiles that repeat the tile before them),
+  prediction on and off in one case: the stream where tiles replay
+  (DESIGN.md section 6), which the BERT stream never reaches without
+  prediction;
 * ``emulator`` — :class:`VectorizedSystolicArrayEmulator` vs the oracle's
   PE-by-PE emulator;
 * ``tile_schedule`` — the analytic :func:`estimate_gemm_timing`, which
@@ -104,6 +109,27 @@ def _bert_layout_and_tiles(quick: bool) -> Tuple[ProcessManager, int, MatrixLayo
     return manager, process.asid, layout, tiles
 
 
+def _steady_layout_and_tiles() -> Tuple[ProcessManager, int, MatrixLayout, List[Tuple[int, int, int, int]]]:
+    """The A operand of a FP32 512^3 GEMM and its controller-ordered tile stream.
+
+    A row is half a page, so each 64-row tile touches 32 pages and every
+    k-block of a row block touches the same ones: all but the first tile of
+    each row block repeat the page list of the tile before.
+    """
+    manager = ProcessManager()
+    process = manager.create_process("bench-steady")
+    size = 512
+    base = process.address_space.allocate_region("A", size * size * 4)
+    layout = MatrixLayout(base, size, size, size, 4)
+    tiles = [
+        (row, 64, k, 64)
+        for row in range(0, size, 64)
+        for _col in range(0, size, 64)
+        for k in range(0, size, 64)
+    ]
+    return manager, process.asid, layout, tiles
+
+
 def _fresh_translation_stack(manager: ProcessManager) -> Tuple[MMU, AcceleratorDataEngine]:
     mmu = MMU()
     mmu.register_page_table(manager.current.address_space.page_table)
@@ -168,6 +194,39 @@ def bench_tile_translation(quick: bool, repeat: int, prediction: bool) -> Dict[s
         "calls": len(tiles),
         "prediction": prediction,
         "parity": parity,
+    }
+
+
+def bench_tile_translation_steady(quick: bool, repeat: int) -> Dict[str, object]:
+    """Oracle vs production tile translation on the steady FP32 512^3 stream.
+
+    Each side translates the stream once with prediction and once without,
+    each time on a fresh stack; the timings add the two, and parity requires
+    both runs to leave the oracle's :func:`translation_state`.  ``quick``
+    changes nothing here; the stream is small.
+    """
+    manager, asid, layout, tiles = _steady_layout_and_tiles()
+
+    def run(batched: bool) -> Tuple[float, list]:
+        translate = AcceleratorDataEngine.translate_tile if batched else translate_tile
+        elapsed, states = 0.0, []
+        for prediction in (True, False):
+            mmu, ade = _fresh_translation_stack(manager)
+            start = time.perf_counter()
+            for row, rows, k, depth in tiles:
+                translate(ade, mmu, asid, layout, (row, rows), (k, depth), prediction)
+            elapsed += time.perf_counter() - start
+            states.append(translation_state(mmu, ade))
+        return elapsed, states
+
+    scalar_s, oracle_states = _best_of_with(repeat, lambda: run(batched=False))
+    vector_s, states = _best_of_with(repeat, lambda: run(batched=True))
+    return {
+        "scalar_s": scalar_s,
+        "vectorized_s": vector_s,
+        "speedup": scalar_s / vector_s,
+        "calls": 2 * len(tiles),
+        "parity": states == oracle_states,
     }
 
 
@@ -473,6 +532,7 @@ def run_benchmarks(quick: bool = False, repeat: int = 1) -> Dict[str, object]:
         "page_enumeration": bench_page_enumeration(quick, repeat),
         "tile_translation": bench_tile_translation(quick, repeat, prediction=True),
         "tile_translation_nopred": bench_tile_translation(quick, repeat, prediction=False),
+        "tile_translation_steady": bench_tile_translation_steady(quick, repeat),
         "emulator": bench_emulator(quick, repeat),
         "tile_schedule": bench_tile_schedule(quick, repeat),
         "functional_gemm": bench_functional_gemm(quick, repeat),

@@ -669,12 +669,38 @@ def _check_trace_roundtrip(spec: ScenarioSpec) -> None:
 
 
 # --------------------------------------------------------- tile-translation
+def _tile_stream_pages(rows: int, cols: int, stride: int, element_bytes: int,
+                       base_offset: int) -> int:
+    """Pages from the first page of the operand through its last element."""
+    return -(-(base_offset + ((rows - 1) * stride + cols) * element_bytes) // 4096)
+
+
 def _sample_tile_translation(rng: random.Random) -> ScenarioSpec:
     element_bytes = rng.choice([2, 4, 8])
+    if rng.random() < 1 / 3:
+        # A steady stream (DESIGN.md section 6): rows of at most half a page
+        # and one k-block per row block, so each A tile repeats back to back,
+        # once per column block; at least two row blocks; and a mATLB and L1
+        # larger than a tile's (at most 18) pages, so the later row blocks
+        # replay with the earlier blocks' pages still below them.
+        cols = rng.randint(1, 2048 // element_bytes)
+        stride = rng.randint(cols, 2048 // element_bytes)
+        tile_rows = rng.randint(8, 32)
+        rows = rng.randint(2 * tile_rows, 64)
+        base_offset = rng.randrange(0, 4096, element_bytes)
+        return _spec(
+            "tile-translation",
+            rows=rows, cols=cols, stride=stride, element_bytes=element_bytes,
+            base_offset=base_offset, mapped_pages=_tile_stream_pages(
+                rows, cols, stride, element_bytes, base_offset),
+            tile_rows=tile_rows, tile_cols=cols, repeats=rng.randint(2, 3),
+            matlb_entries=rng.randint(19, 64), tlb_l1=48, tlb_l2=rng.choice([16, 1024]),
+            prediction=rng.choice([True, False]),
+        )
     rows, cols = rng.randint(1, 64), rng.randint(1, 512)
     stride = rng.choice([cols, 1 << (cols - 1).bit_length(), cols + rng.randint(1, 600)])
     base_offset = rng.randrange(0, 4096, element_bytes)
-    pages = -(-(base_offset + ((rows - 1) * stride + cols) * element_bytes) // 4096)
+    pages = _tile_stream_pages(rows, cols, stride, element_bytes, base_offset)
     # Most streams are fully mapped; the rest run out of mapping part-way.
     mapped = pages if rng.random() < 0.7 else rng.randint(0, pages - 1)
     return _spec(

@@ -62,7 +62,11 @@ from repro.conformance.functional_oracle import SystolicArrayEmulator
 from repro.isa.instructions import GEMMDescriptor
 from repro.mem.hostmem import HostMemory
 from repro.mmae.controller import AcceleratorController
-from repro.mmae.systolic_array import SystolicArray, VectorizedSystolicArrayEmulator
+from repro.mmae.systolic_array import (
+    SystolicArray,
+    VectorizedSystolicArrayEmulator,
+    datapath_operand,
+)
 from repro.workloads.layers import conv2d_gemm
 from repro.workloads.moe import route_topk
 
@@ -180,11 +184,20 @@ def _gemm_inputs(case: GoldenCase, rng: np.random.Generator) -> dict:
     return inputs
 
 
+def _array_gemm(a: np.ndarray, b: np.ndarray, c, precision: Precision) -> np.ndarray:
+    """``C + A @ B`` as one :meth:`SystolicArray.compute_tile` call, leaving the inputs unchanged."""
+    # The array accumulates in place, so it gets a C of its own: a copy of
+    # the case's C, or zeros.
+    acc_dtype = precision.accumulate_dtype
+    accumulator = (np.zeros((a.shape[0], b.shape[1]), dtype=acc_dtype) if c is None
+                   else c.astype(acc_dtype))
+    SystolicArray().compute_tile(
+        datapath_operand(a, precision), datapath_operand(b, precision), accumulator, precision)
+    return np.asarray(accumulator, dtype=np.float64)
+
+
 def _gemm_functional(case: GoldenCase, inputs: dict) -> np.ndarray:
-    result = SystolicArray().compute_tile(
-        inputs["a"], inputs["b"], inputs.get("c"), precision=case.precision
-    )
-    return np.asarray(result.output, dtype=np.float64)
+    return _array_gemm(inputs["a"], inputs["b"], inputs.get("c"), case.precision)
 
 
 def _gemm_golden(case: GoldenCase, inputs: dict) -> np.ndarray:
@@ -258,8 +271,7 @@ def _conv_functional(case: GoldenCase, inputs: dict) -> np.ndarray:
             f"conv2d_gemm geometry ({expected.m}, {expected.k})"
         )
     w_matrix = weights.reshape(weights.shape[0], -1).T
-    result = SystolicArray().compute_tile(patches, w_matrix, precision=case.precision)
-    return np.asarray(result.output, dtype=np.float64)
+    return _array_gemm(patches, w_matrix, None, case.precision)
 
 
 def _conv_golden(case: GoldenCase, inputs: dict) -> np.ndarray:

@@ -81,6 +81,7 @@ class ComputeNode:
             l3=l3,
             mmu=self.cpu.mmu,
             stq_capacity=config.mmae.stq_entries,
+            matlb_entries=config.mmae.matlb_entries,
             page_size=config.memory.page_size,
             prediction_enabled=config.prediction_enabled,
         )

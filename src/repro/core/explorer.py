@@ -429,8 +429,9 @@ class DesignSpaceExplorer:
         ``degree`` nodes executes every phase (tensor parallel) or a stage of
         phases each (pipeline parallel), with collective communication priced
         on the configuration's mesh.  Efficiency is fraction-of-peak over the
-        *group* — node-seconds in the denominator — so a plan that buys
-        latency with idle shards shows up as lower efficiency.
+        nodes the plan occupies (per phase, the nodes the phase occupies), not
+        the whole fleet — node-seconds in the denominator — so a plan that
+        buys latency with idle shards shows up as lower efficiency.
         """
         from repro.parallel import ParallelismSpec, plan_parallel
 
@@ -455,7 +456,7 @@ class DesignSpaceExplorer:
                     seconds=seconds,
                     gflops=gflops,
                     efficiency=self._efficiency(
-                        config, phase.shapes, gflops / busy, seconds * busy,
+                        config.with_nodes(busy), phase.shapes, gflops, seconds,
                         weights=[phase.repeat] * len(phase.shapes),
                     ),
                     state_bytes=phase.state_bytes,
@@ -476,7 +477,7 @@ class DesignSpaceExplorer:
             seconds=total_seconds,
             gflops=gflops,
             efficiency=self._efficiency(
-                config, all_shapes, gflops / spec.degree, total_seconds * spec.degree,
+                config.with_nodes(len(plan.group)), all_shapes, gflops, total_seconds,
                 weights=all_weights,
             ),
             node_area_mm2=config.cpu.area_mm2 + config.mmae.area_mm2,

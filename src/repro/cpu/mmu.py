@@ -8,7 +8,7 @@ requests through this MMU (paper Sections III.A and IV.A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.mem.address import DEFAULT_PAGE_SIZE
 from repro.mem.page_table import PageTable, PageTableWalker
@@ -109,6 +109,37 @@ class MMU:
         self.stats.walks += result.walk_count
         self.stats.walk_cycles += result.walk_cycles_total
         return result
+
+    def data_keys(self, asid: int, vaddrs: Sequence[int]) -> List[Tuple[int, int]]:
+        """The L1 DTLB keys of ``vaddrs`` in ``asid``, in order (see :meth:`translate_data_cycles`)."""
+        return self.dtlb.l1.keys(asid, vaddrs)
+
+    def translate_data_cycles(
+        self,
+        asid: int,
+        vaddrs: Sequence[int],
+        keys: Optional[Sequence[Tuple[int, int]]] = None,
+    ) -> int:
+        """Total cycles of :meth:`translate_data_batch` over ``vaddrs``, with the same effects.
+
+        When the addresses' L1 DTLB keys (``keys``, as :meth:`data_keys`
+        returns them, computed here when omitted) are the L1's most recently
+        used entries in order, the batch replays: every access hits the L1
+        and leaves its LRU order as it was, so it costs ``len(vaddrs)`` L1
+        hits, MMU translations and DTLB accesses, ``l1_latency_cycles`` each,
+        and no :class:`BatchTranslationResult` is built.  Any other batch
+        takes :meth:`translate_data_batch`.
+        """
+        if keys is None:
+            keys = self.data_keys(asid, vaddrs)
+        l1 = self.dtlb.l1
+        if l1.suffix_matches(keys):
+            count = len(keys)
+            l1.stats.hits += count
+            self.stats.translations += count
+            self.stats.dtlb_accesses += count
+            return count * self.dtlb.l1_latency_cycles
+        return int(self.translate_data_batch(asid, vaddrs).cycles.sum())
 
     def prewalk_batch(self, asid: int, vaddrs: Sequence[int]) -> BatchTranslationResult:
         """Batched mATLB prewalk; exact batch twin of per-address :meth:`prewalk` calls.

@@ -4,12 +4,27 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from operator import eq
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mem.address import DEFAULT_PAGE_SIZE, page_number, page_offset
 from repro.mem.page_table import PageFaultError, PageTable, PageTableWalker
+
+
+def mru_suffix_matches(entries: "OrderedDict", keys: Sequence[Hashable]) -> bool:
+    """True iff ``keys`` are the ``len(keys)`` most recently used keys of ``entries``, in order.
+
+    This is the replay rule of the functional path (DESIGN.md section 6).
+    When it holds, looking the keys up in order hits every one, and each
+    move-to-end leaves the map in the order it started, so the whole pass
+    reduces to hit counts.  The capacity test comes first: a stream longer
+    than the map's occupancy cannot be its suffix, and the pairwise scan
+    stops at the shorter of the two.  A stream with a repeated key never
+    matches, because a map's keys are distinct.
+    """
+    return len(keys) <= len(entries) and all(map(eq, reversed(entries), reversed(keys)))
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,15 @@ class TLB:
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return pfn * self.page_size + page_offset(vaddr, self.page_size)
+
+    def keys(self, asid: int, vaddrs: Sequence[int]) -> List[Tuple[int, int]]:
+        """The entry keys of ``vaddrs`` in ``asid``, in order."""
+        page_size = self.page_size
+        return [(asid, vaddr // page_size) for vaddr in vaddrs]
+
+    def suffix_matches(self, keys: Sequence[Tuple[int, int]]) -> bool:
+        """True iff ``keys`` are this TLB's most recently used entries, in LRU order."""
+        return mru_suffix_matches(self._entries, keys)
 
     def probe(self, asid: int, vaddr: int) -> bool:
         """Check for a translation without touching LRU state or stats."""
@@ -186,24 +210,22 @@ class TLBHierarchy:
         The per-address hit levels, charged cycles, L1/L2 stats and LRU/eviction
         behaviour match the scalar loop bit for bit; page-table walks are issued
         through :meth:`PageTableWalker.walk_batch` in access order once the
-        lookup pass has decided which addresses miss both TLB levels.  An
-        address that misses both levels and has no mapping raises
-        :class:`PageFaultError` for the first such address in order; the
-        TLB and walker state after a fault is unspecified.
+        lookup pass has decided which addresses miss both TLB levels.  The
+        lookup pass collects its per-address results in lists and builds each
+        result column with one ``np.array`` call at the end.  An address that
+        misses both levels and has no mapping raises :class:`PageFaultError`
+        for the first such address in order; the TLB and walker state after a
+        fault is unspecified.
         """
         v = np.asarray(vaddrs, dtype=np.int64)
-        count = len(v)
-        pfns = np.empty(count, dtype=np.int64)
-        levels = np.empty(count, dtype=np.uint8)
-        cycles = np.zeros(count, dtype=np.int64)
-        if count == 0:
-            return BatchTranslationResult(pfns, cycles, levels)
+        if len(v) == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return BatchTranslationResult(empty, empty.copy(), np.empty(0, dtype=np.uint8))
 
         asid = page_table.asid
         shift = self.page_size.bit_length() - 1
         pt_shift = page_table.page_size.bit_length() - 1
         pt_mask = page_table.page_size - 1
-        vaddr_list = v.tolist()
 
         l1_entries = self.l1._entries
         l2_entries = self.l2._entries
@@ -214,16 +236,19 @@ class TLBHierarchy:
         pt_lookup = page_table.lookup
         l1_hits = l1_misses = l2_hits = l2_misses = 0
         walk_indices: List[int] = []
+        pfns: List[int] = []
+        levels: List[int] = []
+        cycles: List[int] = []
 
-        for index, vaddr in enumerate(vaddr_list):
+        for index, vaddr in enumerate(v.tolist()):
             key = (asid, vaddr >> shift)
             pfn = l1_entries.get(key)
             if pfn is not None:
                 l1_entries.move_to_end(key)
                 l1_hits += 1
-                pfns[index] = pfn
-                levels[index] = LEVEL_L1
-                cycles[index] = l1_cost
+                pfns.append(pfn)
+                levels.append(LEVEL_L1)
+                cycles.append(l1_cost)
                 continue
             l1_misses += 1
             pfn = l2_entries.get(key)
@@ -233,9 +258,9 @@ class TLBHierarchy:
                 if len(l1_entries) >= l1_capacity:
                     l1_entries.popitem(last=False)
                 l1_entries[key] = pfn
-                pfns[index] = pfn
-                levels[index] = LEVEL_L2
-                cycles[index] = l2_cost
+                pfns.append(pfn)
+                levels.append(LEVEL_L2)
+                cycles.append(l2_cost)
                 continue
             l2_misses += 1
             # Miss at both levels: the walk's translation is known from the page
@@ -252,21 +277,23 @@ class TLBHierarchy:
                 l2_entries.popitem(last=False)
             l2_entries[key] = pfn
             walk_indices.append(index)
-            pfns[index] = pfn
-            levels[index] = LEVEL_WALK
+            pfns.append(pfn)
+            levels.append(LEVEL_WALK)
+            cycles.append(0)
 
         self.l1.stats.hits += l1_hits
         self.l1.stats.misses += l1_misses
         self.l2.stats.hits += l2_hits
         self.l2.stats.misses += l2_misses
 
+        cycle_column = np.array(cycles, dtype=np.int64)
         if walk_indices:
-            walk_idx = np.asarray(walk_indices, dtype=np.int64)
+            walk_idx = np.array(walk_indices, dtype=np.int64)
             _, walk_cycles = self.walker.walk_batch(page_table, v[walk_idx])
-            cycles[walk_idx] = l2_cost + walk_cycles
+            cycle_column[walk_idx] = l2_cost + walk_cycles
 
-        paddrs = (pfns << shift) | (v & (self.page_size - 1))
-        return BatchTranslationResult(paddrs, cycles, levels)
+        paddrs = (np.array(pfns, dtype=np.int64) << shift) | (v & (self.page_size - 1))
+        return BatchTranslationResult(paddrs, cycle_column, np.array(levels, dtype=np.uint8))
 
     def flush(self, asid: Optional[int] = None) -> None:
         self.l1.flush(asid)

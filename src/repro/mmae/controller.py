@@ -84,6 +84,7 @@ class AcceleratorController:
         l3: Optional[DistributedL3Cache] = None,
         mmu=None,
         stq_capacity: int = 8,
+        matlb_entries: int = 64,
         page_size: int = 4096,
         prediction_enabled: bool = True,
     ) -> None:
@@ -98,7 +99,7 @@ class AcceleratorController:
 
         self.array = SystolicArray(self.params.sa_rows, self.params.sa_cols, self.params.frequency_hz)
         self.buffers = BufferSet()
-        self.matlb = MATLB(page_size=page_size)
+        self.matlb = MATLB(entries=matlb_entries, page_size=page_size)
         self.ade = AcceleratorDataEngine(
             buffers=self.buffers,
             num_engines=self.params.dma_engines,
@@ -242,12 +243,16 @@ class AcceleratorController:
                        f"({shape.m}x{shape.k}, {shape.k}x{shape.n}, {shape.m}x{shape.n})",
             )
         tiling = TwoLevelTiling(shape, level1, level2)
-        element = shape.precision.bytes_per_element
-        accumulator = c.astype(shape.precision.accumulate_dtype, copy=True)
-        layout_a = MatrixLayout(descriptor.addr_a, shape.m, shape.k, descriptor.effective_lda, element)
+        layout_a = MatrixLayout(descriptor.addr_a, shape.m, shape.k, descriptor.effective_lda,
+                                shape.precision.bytes_per_element)
+        # The operands are cast to the datapath once.  A C tile stays resident
+        # while its k-run streams through the array, as the C buffer holds it:
+        # it leaves the accumulator when the run starts, each tile adds its
+        # product into it in place, and it goes back when the run ends.
+        a_op, b_op, accumulator = self.ade.load_operands(memory, descriptor)
+        c_rows = c_cols = c_tile = None
         for tile1 in tiling.level1_tiles():
             for tile2 in tiling.level2_tiles(tile1):
-                a_block, b_block, _ = self.ade.load_operands(memory, descriptor, tile2)
                 if self.mmu is not None:
                     self.ade.translate_tile(
                         self.mmu,
@@ -257,10 +262,17 @@ class AcceleratorController:
                         (tile2.k_start, tile2.depth),
                         self.prediction_enabled,
                     )
-                partial = accumulator[tile2.row_start : tile2.row_end, tile2.col_start : tile2.col_end]
-                result = self.array.compute_tile(a_block, b_block, partial, shape.precision)
-                accumulator[tile2.row_start : tile2.row_end, tile2.col_start : tile2.col_end] = result.output
-        c[...] = accumulator.astype(c.dtype)
+                rows = slice(tile2.row_start, tile2.row_end)
+                cols = slice(tile2.col_start, tile2.col_end)
+                depth = slice(tile2.k_start, tile2.k_end)
+                if rows != c_rows or cols != c_cols:
+                    if c_tile is not None:
+                        accumulator[c_rows, c_cols] = c_tile
+                    c_rows, c_cols, c_tile = rows, cols, accumulator[rows, cols].copy()
+                self.array.compute_tile(a_op[rows, depth], b_op[depth, cols], c_tile, shape.precision)
+        if c_tile is not None:
+            accumulator[c_rows, c_cols] = c_tile
+        c[...] = accumulator
 
     # ------------------------------------------------------------- data migration
     def _run_move(self, entry: STQEntry) -> TaskResult:

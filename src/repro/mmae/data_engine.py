@@ -2,26 +2,26 @@
 
 The ADE owns the MMAE's two DMA engines and is responsible for moving tile
 data between the L3 system cache and the A/B/C scratchpad buffers (paper
-Fig. 2(a)).  For the functional execution path it also performs the actual
-NumPy sub-block reads/writes against the :class:`~repro.mem.hostmem.HostMemory`
-view, translating virtual addresses through the mATLB (predictive path) or the
-shared MMU (demand path) so the tests exercise the same translation machinery
-the timing model charges for.
+Fig. 2(a)).  For the functional execution path it also fetches a GEMM's
+operands from the :class:`~repro.mem.hostmem.HostMemory` view in the
+datapath's form, and translates every tile's virtual addresses through the
+mATLB (predictive path) or the shared MMU (demand path) so the tests exercise
+the same translation machinery the timing model charges for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.gemm.tiling import Tile
 from repro.isa.instructions import GEMMDescriptor
 from repro.mem.hostmem import HostMemory
 from repro.mmae.buffers import BufferSet
 from repro.mmae.dma import DMAEngine
 from repro.mmae.matlb import MATLB, MatrixLayout
+from repro.mmae.systolic_array import datapath_operand
 
 
 @dataclass
@@ -61,6 +61,8 @@ class AcceleratorDataEngine:
         self.matlb = matlb if matlb is not None else MATLB()
         self.translation_stall_cycles = 0
         self.demand_translations = 0
+        self._tile_scope: Optional[tuple] = None
+        self._tile_memo: Dict[Tuple[int, ...], Tuple[List[int], List[Tuple[int, int]]]] = {}
 
     def transfer_cycles(self, plan: TileTransferPlan, round_trip_latency_cycles: float = 0.0) -> int:
         """Cycles to move a tile's data, splitting the load across both engines."""
@@ -76,18 +78,46 @@ class AcceleratorDataEngine:
         self,
         memory: HostMemory,
         descriptor: GEMMDescriptor,
-        tile: Tile,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read the A, B and C sub-blocks of a tile from host memory."""
-        a = memory.matrix_at(descriptor.addr_a)
-        b = memory.matrix_at(descriptor.addr_b)
-        c = memory.matrix_at(descriptor.addr_c)
-        a_block = a[tile.row_start : tile.row_end, tile.k_start : tile.k_end]
-        b_block = b[tile.k_start : tile.k_end, tile.col_start : tile.col_end]
-        c_block = c[tile.row_start : tile.row_end, tile.col_start : tile.col_end]
-        return a_block, b_block, c_block
+        """Fetch a GEMM's operands from host memory in the datapath's form, once per GEMM.
+
+        Returns A and B as :func:`~repro.mmae.systolic_array.datapath_operand`
+        casts them (through the storage precision into the accumulator
+        precision), and a fresh accumulator-precision copy of C.  Every cast
+        is elementwise, so each tile's block equals the cast of that block.
+        """
+        precision = descriptor.precision
+        a = datapath_operand(memory.matrix_at(descriptor.addr_a), precision)
+        b = datapath_operand(memory.matrix_at(descriptor.addr_b), precision)
+        accumulator = memory.matrix_at(descriptor.addr_c).astype(precision.accumulate_dtype)
+        return a, b, accumulator
 
     # ---------------------------------------------------------------- translation
+    def _tile_pages(
+        self,
+        mmu,
+        asid: int,
+        layout: MatrixLayout,
+        tile_rows: Tuple[int, int],
+        tile_cols: Tuple[int, int],
+    ) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """A tile's page list and those pages' L1 DTLB keys, memoised per tile rectangle.
+
+        The memo serves one (layout, ASID, MMU) triple and starts afresh when
+        any of them changes.  The controller builds one layout per GEMM, so
+        no memoised page crosses tasks.
+        """
+        scope = self._tile_scope
+        if scope is None or scope[0] is not layout or scope[1] != asid or scope[2] is not mmu:
+            self._tile_scope = (layout, asid, mmu)
+            self._tile_memo = {}
+        rectangle = (*tile_rows, *tile_cols)
+        found = self._tile_memo.get(rectangle)
+        if found is None:
+            pages = self.matlb.predictor.tile_page_vaddrs(layout, *rectangle).tolist()
+            found = self._tile_memo[rectangle] = (pages, mmu.data_keys(asid, pages))
+        return found
+
     def translate_tile(
         self,
         mmu,
@@ -106,33 +136,39 @@ class AcceleratorDataEngine:
         mATLB and the MMU never touch each other's state, so splitting the
         per-page loop of :func:`repro.conformance.functional_oracle.translate_tile`
         into two passes leaves every counter and LRU order as the loop leaves
-        them.  A page with no translation raises
-        :class:`~repro.mem.page_table.PageFaultError` for the first unmapped
-        page in access order; the translation state after a fault is
+        them.
+
+        A tile that re-streams the pages of the tiles before it replays
+        (DESIGN.md section 6).  With prediction, pages that are the mATLB's
+        most recently used entries in order cost ``len(pages)`` hits and no
+        stall.  Without prediction the mATLB stays empty (only prewalks fill
+        it), so every lookup misses, and the demand batch replays in the L1
+        DTLB by the same rule (:meth:`~repro.cpu.mmu.MMU.translate_data_cycles`).
+        Any other tile takes the batched path.  A page with no translation
+        raises :class:`~repro.mem.page_table.PageFaultError` for the first
+        unmapped page in access order; the translation state after a fault is
         unspecified.
         """
-        row_start, row_count = tile_rows
-        col_start, col_count = tile_cols
-        pages = self.matlb.predictor.tile_page_vaddrs(
-            layout, row_start, row_count, col_start, col_count
-        )
-        page_list = pages.tolist()
-        if self.matlb.buffer_matches(page_list):
-            # Steady-state reuse tile: the prewalk skips every page (no stats,
-            # no LRU change) and the lookup stream hits every page while
-            # leaving the LRU order exactly as it is, so the whole pass
-            # reduces to the bulk hit count with zero stall cycles.
-            self.matlb.stats.hits += len(page_list)
-            return 0
+        pages, keys = self._tile_pages(mmu, asid, layout, tile_rows, tile_cols)
+        matlb = self.matlb
         if prediction_enabled:
-            self.matlb.prewalk_pages_batch(mmu, asid, pages)
-        paddrs = self.matlb.lookup_batch(pages)
-        missing = pages[paddrs < 0]
-        stall_cycles = 0
-        if missing.size:
-            demand = mmu.translate_data_batch(asid, missing)
-            self.demand_translations += int(missing.size)
-            stall_cycles = int(demand.cycles.sum())
+            if matlb.suffix_matches(pages):
+                # Replay: every prewalk skips and every lookup hits.
+                matlb.stats.hits += len(pages)
+                return 0
+            matlb.prewalk_pages_batch(mmu, asid, pages)
+        if prediction_enabled or len(matlb):
+            paddrs = matlb.lookup_batch(pages).tolist()
+            missing = [page for page, paddr in zip(pages, paddrs) if paddr < 0]
+            keys = None
+        else:
+            # An empty mATLB: every lookup misses and leaves it empty.
+            matlb.stats.misses += len(pages)
+            missing = pages
+        if not missing:
+            return 0
+        stall_cycles = mmu.translate_data_cycles(asid, missing, keys)
+        self.demand_translations += len(missing)
         self.translation_stall_cycles += stall_cycles
         return stall_cycles
 

@@ -31,6 +31,7 @@ from repro.gemm.tiling import TileConfig, TwoLevelTiling, tile_classes
 from repro.gemm.workloads import GEMMShape
 from repro.mem.address import DEFAULT_PAGE_SIZE, align_down
 from repro.mem.page_table import PageFaultError
+from repro.mem.tlb import mru_suffix_matches
 
 
 # --------------------------------------------------------------------------- prediction
@@ -223,19 +224,19 @@ class MATLB:
             return 0
         return int(mmu.prewalk_batch(asid, to_walk).cycles.sum())
 
-    def buffer_matches(self, page_vaddrs: List[int]) -> bool:
-        """True iff the buffer holds exactly these pages, in this LRU order.
+    def suffix_matches(self, page_vaddrs: Sequence[int]) -> bool:
+        """True iff these pages are the buffer's most recently used entries, in LRU order.
 
-        This is the steady-state of a tile sweep that re-streams the same
-        operand panel (the Fig. 4 reuse pattern): when it holds, a prewalk
+        This is the replay test of a tile that re-streams the pages of the
+        tile before it (the Fig. 4 reuse pattern).  When it holds, a prewalk
         skips every page without touching stats or LRU state, and a lookup
         stream over the pages hits every page while re-establishing the very
-        same LRU order — so the whole prewalk+lookup pass reduces to a bulk
-        hit-counter update.  Callers must pass page-aligned addresses in
+        same LRU order, so the whole prewalk and lookup pass reduces to a bulk
+        hit-counter update.  Older entries (a previous row block's pages) may
+        sit below the suffix.  Callers must pass page-aligned addresses in
         access order.
         """
-        entries = self._entries
-        return len(entries) == len(page_vaddrs) and list(entries.keys()) == page_vaddrs
+        return mru_suffix_matches(self._entries, page_vaddrs)
 
     def lookup_batch(self, vaddrs: Sequence[int]) -> np.ndarray:
         """Translated physical addresses of buffered pages; misses yield ``-1``.

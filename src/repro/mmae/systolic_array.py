@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -104,35 +104,53 @@ class SystolicArray:
         self,
         a_tile: np.ndarray,
         b_tile: np.ndarray,
-        c_tile: Optional[np.ndarray] = None,
+        c_tile: np.ndarray,
         precision: Precision = Precision.FP64,
     ) -> TileComputeResult:
-        """Compute ``C += A @ B`` for one tile in the datapath precision.
+        """Compute ``C += A @ B`` for one tile on the datapath, writing ``c_tile`` in place.
 
-        Inputs are cast to the mode's storage precision and accumulated in the
-        accumulator precision, which reproduces the numerical behaviour of the
-        FP16x4 mode (FP16 operands, FP32 accumulation).
+        ``a_tile`` and ``b_tile`` must already be in the mode's datapath form
+        (:func:`datapath_operand`: rounded to the storage precision, held in
+        the accumulator precision), which reproduces the numerical behaviour
+        of the FP16x4 mode (FP16 operands, FP32 accumulation).  ``c_tile`` is
+        an accumulator-precision array, the caller's accumulator or a view of
+        it; the product is added into it and it is returned as ``output``.  ``c_tile += A @ B`` rounds exactly like ``A @ B + C``
+        because IEEE addition commutes.  Operands of any other dtype are
+        rejected rather than cast, so the tile never lands in a copy the
+        caller cannot see; a caller that must keep its C passes a copy.
         """
         if a_tile.ndim != 2 or b_tile.ndim != 2:
             raise ValueError("tiles must be 2-D")
-        if a_tile.shape[1] != b_tile.shape[0]:
-            raise ValueError(f"tile shapes do not agree: {a_tile.shape} @ {b_tile.shape}")
-        in_dtype = precision.dtype
-        acc_dtype = precision.accumulate_dtype
-        a_cast = a_tile.astype(in_dtype).astype(acc_dtype)
-        b_cast = b_tile.astype(in_dtype).astype(acc_dtype)
-        result = a_cast @ b_cast
-        if c_tile is not None:
-            if c_tile.shape != result.shape:
-                raise ValueError(f"C tile shape {c_tile.shape} does not match {result.shape}")
-            result = result + c_tile.astype(acc_dtype)
         tr, tk = a_tile.shape
         tc = b_tile.shape[1]
+        if tk != b_tile.shape[0]:
+            raise ValueError(f"tile shapes do not agree: {a_tile.shape} @ {b_tile.shape}")
+        if c_tile.shape != (tr, tc):
+            raise ValueError(f"C tile shape {c_tile.shape} does not match {(tr, tc)}")
+        acc_dtype = precision.accumulate_dtype
+        if a_tile.dtype != acc_dtype or b_tile.dtype != acc_dtype or c_tile.dtype != acc_dtype:
+            raise ValueError(
+                f"{precision.name} tiles must be {acc_dtype} datapath operands, got "
+                f"{a_tile.dtype}, {b_tile.dtype} and {c_tile.dtype}"
+            )
+        c_tile += a_tile @ b_tile
         cycles = self.tile_cycles(tr, tc, tk, precision)
         macs = tr * tc * tk
         self.total_macs += macs
         self.total_cycles += cycles
-        return TileComputeResult(output=result.astype(acc_dtype), cycles=cycles, macs=macs)
+        return TileComputeResult(output=c_tile, cycles=cycles, macs=macs)
+
+
+def datapath_operand(matrix: np.ndarray, precision: Precision) -> np.ndarray:
+    """``matrix`` as the array's datapath reads it in ``precision``'s mode.
+
+    The values are rounded to the mode's storage precision and held in its
+    accumulator precision (FP16 operands widen to FP32).  The cast is
+    elementwise, so any block of the result equals the cast of that block;
+    a matrix already in this form is returned as is, not copied.
+    """
+    return matrix.astype(precision.dtype, copy=False).astype(
+        precision.accumulate_dtype, copy=False)
 
 
 class VectorizedSystolicArrayEmulator:

@@ -1,9 +1,8 @@
-"""2D mesh topology: node coordinates, neighbours and link enumeration."""
+"""2D mesh topology: the row-major mapping between node ids and coordinates."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -12,9 +11,6 @@ class NodeCoordinate:
 
     x: int
     y: int
-
-    def manhattan_distance(self, other: "NodeCoordinate") -> int:
-        return abs(self.x - other.x) + abs(self.y - other.y)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.x},{self.y})"
@@ -51,54 +47,3 @@ class MeshTopology:
     def _check_coordinate(self, coord: NodeCoordinate) -> None:
         if not (0 <= coord.x < self.width and 0 <= coord.y < self.height):
             raise ValueError(f"coordinate {coord} outside {self.width}x{self.height} mesh")
-
-    def neighbors(self, node_id: int) -> List[int]:
-        """Node ids adjacent to ``node_id`` (2 to 4 of them)."""
-        coord = self.coordinate(node_id)
-        candidates = [
-            NodeCoordinate(coord.x + 1, coord.y),
-            NodeCoordinate(coord.x - 1, coord.y),
-            NodeCoordinate(coord.x, coord.y + 1),
-            NodeCoordinate(coord.x, coord.y - 1),
-        ]
-        result = []
-        for candidate in candidates:
-            if 0 <= candidate.x < self.width and 0 <= candidate.y < self.height:
-                result.append(self.node_id(candidate))
-        return result
-
-    def links(self) -> Iterator[Tuple[int, int]]:
-        """All directed links (u, v) between adjacent nodes."""
-        for node in range(self.num_nodes):
-            for neighbor in self.neighbors(node):
-                yield (node, neighbor)
-
-    @property
-    def num_links(self) -> int:
-        return sum(1 for _ in self.links())
-
-    def bisection_links(self) -> int:
-        """Number of directed links crossing the vertical bisection of the mesh."""
-        if self.width < 2:
-            return 0
-        return 2 * self.height  # one link each way per row across the middle column split
-
-    def hop_distance(self, src: int, dst: int) -> int:
-        """Manhattan distance between two nodes — the X-Y route's hop count."""
-        return self.coordinate(src).manhattan_distance(self.coordinate(dst))
-
-    def average_hop_distance(self) -> float:
-        """Average Manhattan distance over all ordered node pairs (src != dst)."""
-        total = 0
-        pairs = 0
-        for src in range(self.num_nodes):
-            for dst in range(self.num_nodes):
-                if src == dst:
-                    continue
-                total += self.hop_distance(src, dst)
-                pairs += 1
-        return total / pairs if pairs else 0.0
-
-    def node_positions(self) -> Dict[int, NodeCoordinate]:
-        """Every node id mapped to its mesh coordinate (for plots and tests)."""
-        return {node_id: self.coordinate(node_id) for node_id in range(self.num_nodes)}

@@ -69,3 +69,24 @@ def run_emulator_pair(rows, cols, tr, seed):
     scalar = SystolicArrayEmulator(rows=rows, cols=cols).run_block(a_block, b_block)
     vector = VectorizedSystolicArrayEmulator(rows=rows, cols=cols).run_block(a_block, b_block)
     return scalar, vector
+
+
+def record_replays(monkeypatch):
+    """Record which structure replays each steady tile (DESIGN.md section 6).
+
+    Wraps ``MATLB.suffix_matches`` and ``TLB.suffix_matches`` and returns
+    the list they append to: the class name of the structure, once per
+    batch whose pages were its most recently used entries.
+    """
+    from repro.mem.tlb import TLB
+    from repro.mmae.matlb import MATLB
+
+    replays = []
+    for cls in (MATLB, TLB):
+        def recording(structure, keys, _match=cls.suffix_matches, _name=cls.__name__):
+            matched = _match(structure, keys)
+            if matched:
+                replays.append(_name)
+            return matched
+        monkeypatch.setattr(cls, "suffix_matches", recording)
+    return replays

@@ -358,6 +358,61 @@ class TestPinnedEdgeScenarios:
             "tlb_l2": 16, "prediction": True,
         }.items()))))
 
+    # Tile-translation replay (DESIGN.md section 6): the replay rule and its
+    # near misses, each diffed against the per-page oracle.  Rows of FP32
+    # 512-column operands are half a page, so a 64-row tile touches 32 pages
+    # and every k-block of a row block touches the same ones; rows of
+    # 1024-column operands are a page each (64-page tiles, the BERT stream).
+    @staticmethod
+    def _replay_stream(monkeypatch, tiles, prediction, cols=512, rows=192, matlb_entries=64,
+                       l1=48):
+        """``check_tile_stream``'s verdict on ``tiles`` and the replays production made."""
+        from parity_utils import record_replays
+        from repro.conformance.functional_oracle import check_tile_stream
+        from repro.mem.page_table import AddressSpace, FrameAllocator
+        from repro.mmae.matlb import MatrixLayout
+
+        space = AddressSpace(asid=1, frame_allocator=FrameAllocator(rows * cols * 4 // 4096 + 1))
+        layout = MatrixLayout(space.allocate_region("A", rows * cols * 4), rows, cols, cols, 4)
+        replays = record_replays(monkeypatch)
+        mismatch = check_tile_stream(space.page_table, layout, tiles, prediction,
+                                     matlb_entries, (l1, 1024))
+        return mismatch, len(replays)
+
+    @pytest.mark.parametrize("prediction", [True, False])
+    def test_second_row_block_replays_below_older_entries(self, monkeypatch, prediction):
+        """From the second row block on, the buffer also holds the previous
+        block's 32 pages; the repeats still replay, in the 64-entry mATLB with
+        prediction and in the 48-entry L1 without."""
+        tiles = [(row, 64, k, 64) for row in (0, 64, 128) for k in range(0, 512, 64)]
+        assert self._replay_stream(monkeypatch, tiles, prediction) == (None, 3 * 7)
+
+    @pytest.mark.parametrize("prediction", [True, False])
+    def test_same_pages_in_another_order_take_the_full_path(self, monkeypatch, prediction):
+        """A half tile re-orders the LRU, so its full tile is resident but not
+        the MRU suffix in order: the repeat must re-order, not replay."""
+        tiles = [(0, 64, 0, 64), (0, 32, 0, 64), (0, 64, 64, 64)]
+        assert self._replay_stream(monkeypatch, tiles, prediction) == (None, 0)
+
+    @pytest.mark.parametrize("prediction,matlb_entries", [(True, 48), (False, 64)])
+    def test_more_pages_than_the_structure_holds_take_the_full_path(self, monkeypatch,
+                                                                      prediction,
+                                                                      matlb_entries):
+        """64-page tiles against 48 entries (the L1 of the bench BERT stream,
+        or a 48-entry mATLB): the structure holds the tile's last 48 pages, in
+        order, yet the repeat must miss the first 16."""
+        tiles = [(0, 64, k, 64) for k in range(0, 256, 64)]
+        assert self._replay_stream(monkeypatch, tiles, prediction, cols=1024, rows=64,
+                                   matlb_entries=matlb_entries) == (None, 0)
+
+    @pytest.mark.parametrize("prediction", [True, False])
+    def test_repeat_after_an_eviction_takes_the_full_path(self, monkeypatch, prediction):
+        """An overlapping tile evicts the first page of a 32-entry structure,
+        so the repeat that follows must walk it again."""
+        tiles = [(0, 64, 0, 64), (62, 4, 0, 64), (0, 64, 64, 64)]
+        assert self._replay_stream(monkeypatch, tiles, prediction, matlb_entries=32,
+                                   l1=32) == (None, 0)
+
     @pytest.mark.parametrize("params", [
         # Ragged edges at both levels, explicit depth blocking on both, an L3
         # share below the working set (fractional DRAM traffic), huge pages.

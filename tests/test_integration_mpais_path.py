@@ -231,3 +231,106 @@ class TestExceptionsAndMultiprocess:
         node.mmae.execute_pending()
         assert single_node_system.l3.residency_of(AddressRange(addr, 8192)) == 1.0
         assert single_node_system.l3.total_locked_lines > 0
+
+
+# ------------------------------------------------ functional translation replay
+def runtime_gemm_translations(monkeypatch, config, precision, size, seed=5):
+    """Run one ``size``-cubed GEMM through :class:`MACORuntime` on node 0.
+
+    Returns the node and the A-tile stream its controller translated, as
+    ``(layout, [(row, rows, k, depth), ...])``, recorded by wrapping
+    ``AcceleratorDataEngine.translate_tile``.
+    """
+    from repro.mmae.data_engine import AcceleratorDataEngine
+
+    calls = []
+    translate = AcceleratorDataEngine.translate_tile
+
+    def recording(ade, mmu, asid, layout, tile_rows, tile_cols, prediction_enabled):
+        calls.append((layout, (*tile_rows, *tile_cols)))
+        return translate(ade, mmu, asid, layout, tile_rows, tile_cols, prediction_enabled)
+
+    monkeypatch.setattr(AcceleratorDataEngine, "translate_tile", recording)
+    rng = np.random.default_rng(seed)
+    runtime = MACORuntime(system=MACOSystem(config))
+    a, b = rng.standard_normal((size, size)), rng.standard_normal((size, size))
+    c = runtime.wait(runtime.gemm_async(a, b, precision=precision, node_id=0))
+    np.testing.assert_allclose(c, a @ b, rtol=0.1, atol=1.0)
+    monkeypatch.setattr(AcceleratorDataEngine, "translate_tile", translate)
+    layouts = {id(layout) for layout, _ in calls}
+    assert len(layouts) == 1
+    return runtime.system.node(0), calls[0][0], [tile for _, tile in calls]
+
+
+def schedule_a_tiles(size, tile=64):
+    """The A tiles of the controller's (row, col, k) schedule for a square GEMM."""
+    from repro.gemm import GEMMShape, TileConfig, TwoLevelTiling
+
+    tiling = TwoLevelTiling(GEMMShape(size, size, size), TileConfig(max(size, tile), max(size, tile)),
+                            TileConfig(min(tile, size), min(tile, size)))
+    return [(t.row_start, t.rows, t.k_start, t.depth)
+            for parent in tiling.level1_tiles() for t in tiling.level2_tiles(parent)]
+
+
+def oracle_state(node, layout, tiles, prediction, matlb_entries=64):
+    """:func:`translation_state` after the scalar oracle translates ``tiles`` on a fresh stack."""
+    from repro.conformance.functional_oracle import translate_tile, translation_state
+    from repro.cpu.mmu import MMU
+    from repro.mmae.data_engine import AcceleratorDataEngine
+    from repro.mmae.matlb import MATLB
+
+    dtlb = node.cpu.mmu.dtlb
+    mmu = MMU(dtlb_entries=dtlb.l1.capacity, l2_entries=dtlb.l2.capacity)
+    mmu.register_page_table(node.default_process.address_space.page_table)
+    ade = AcceleratorDataEngine(matlb=MATLB(matlb_entries))
+    asid = node.default_process.asid
+    for row, rows, k, depth in tiles:
+        translate_tile(ade, mmu, asid, layout, (row, rows), (k, depth), prediction)
+    return translation_state(mmu, ade)
+
+
+class TestFunctionalTranslationReplay:
+    """Steady-state tiles replay (DESIGN.md section 6) and stay exact."""
+
+    @pytest.mark.parametrize("prediction", [True, False])
+    def test_fp32_512_replays_all_but_the_first_tile_of_each_row_block(self, monkeypatch,
+                                                                      prediction):
+        from parity_utils import record_replays
+
+        replays = record_replays(monkeypatch)
+        config = maco_default_config(num_nodes=4, prediction_enabled=prediction)
+        _, _, tiles = runtime_gemm_translations(monkeypatch, config, Precision.FP32, 512)
+        assert len(tiles) == 512
+        # With prediction the mATLB replays; without, the L1 DTLB does.
+        assert replays == ["MATLB" if prediction else "TLB"] * 504
+
+    @pytest.mark.parametrize("prediction", [True, False])
+    @pytest.mark.parametrize("precision,size", [(Precision.FP64, 256), (Precision.FP16, 384)])
+    def test_final_translation_state_equals_the_oracle(self, monkeypatch, precision, size,
+                                                       prediction):
+        from repro.conformance.functional_oracle import translation_state
+
+        config = maco_default_config(num_nodes=4, prediction_enabled=prediction)
+        node, layout, tiles = runtime_gemm_translations(monkeypatch, config, precision, size)
+        assert tiles == schedule_a_tiles(size)
+        assert (translation_state(node.cpu.mmu, node.mmae.ade)
+                == oracle_state(node, layout, tiles, prediction))
+
+
+class TestMATLBCapacityConfig:
+    def test_config_matlb_entries_reach_every_node(self, monkeypatch):
+        """``MMAEConfig.matlb_entries`` sizes every node's mATLB, and an FP32
+        512^3 GEMM then translates as the oracle does with that capacity."""
+        import dataclasses
+
+        from repro.conformance.functional_oracle import check_tile_stream, translation_state
+
+        base = maco_default_config(num_nodes=4, prediction_enabled=True)
+        config = dataclasses.replace(base, mmae=dataclasses.replace(base.mmae, matlb_entries=8))
+        system = MACOSystem(config)
+        assert [system.node(i).mmae.matlb.capacity for i in range(4)] == [8] * 4
+        node, layout, tiles = runtime_gemm_translations(monkeypatch, config, Precision.FP32, 512)
+        page_table = node.default_process.address_space.page_table
+        assert check_tile_stream(page_table, layout, tiles, True, matlb_entries=8) is None
+        assert (translation_state(node.cpu.mmu, node.mmae.ade)
+                == oracle_state(node, layout, tiles, True, matlb_entries=8))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.conformance.functional_oracle import ProcessingElement, SystolicArrayEmulator
 from repro.gemm.precision import Precision
-from repro.mmae.systolic_array import SystolicArray
+from repro.mmae.systolic_array import SystolicArray, datapath_operand
 
 
 class TestProcessingElement:
@@ -87,32 +87,49 @@ class TestSystolicArrayFunctional:
         a = rng.standard_normal((32, 48))
         b = rng.standard_normal((48, 24))
         c = rng.standard_normal((32, 24))
+        expected = a @ b + c
         result = array.compute_tile(a, b, c, Precision.FP64)
-        np.testing.assert_allclose(result.output, a @ b + c, rtol=1e-12)
+        # C accumulates in place, rounding exactly like ``A @ B + C``.
+        assert result.output is c
+        np.testing.assert_array_equal(c, expected)
 
     def test_tile_matches_numpy_fp32_within_tolerance(self, rng):
         array = SystolicArray()
         a = rng.standard_normal((16, 16)).astype(np.float32)
         b = rng.standard_normal((16, 16)).astype(np.float32)
-        result = array.compute_tile(a, b, None, Precision.FP32)
+        result = array.compute_tile(a, b, np.zeros((16, 16), np.float32), Precision.FP32)
         np.testing.assert_allclose(result.output, a.astype(np.float64) @ b.astype(np.float64), rtol=1e-4)
 
     def test_fp16_accumulates_in_fp32(self, rng):
         array = SystolicArray()
         a = rng.standard_normal((8, 64))
         b = rng.standard_normal((64, 8))
-        result = array.compute_tile(a, b, None, Precision.FP16)
+        result = array.compute_tile(
+            datapath_operand(a, Precision.FP16), datapath_operand(b, Precision.FP16),
+            np.zeros((8, 8), np.float32), Precision.FP16)
         assert result.output.dtype == np.float32
         np.testing.assert_allclose(result.output, a @ b, rtol=5e-2, atol=5e-2)
 
     def test_mismatched_tiles_rejected(self):
         array = SystolicArray()
         with pytest.raises(ValueError):
-            array.compute_tile(np.zeros((4, 5)), np.zeros((6, 4)))
+            array.compute_tile(np.zeros((4, 5)), np.zeros((6, 4)), np.zeros((4, 4)))
+        with pytest.raises(ValueError):
+            array.compute_tile(np.zeros((4, 5)), np.zeros((5, 4)), np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("operand", ["a", "b", "c"])
+    def test_operands_outside_the_datapath_dtype_are_rejected_untouched(self, operand):
+        """A float64 operand in FP32 mode is refused, not cast, and C stays as it was."""
+        tiles = {"a": np.ones((4, 4), np.float32), "b": np.ones((4, 4), np.float32),
+                 "c": np.ones((4, 4), np.float32)}
+        tiles[operand] = np.ones((4, 4))
+        with pytest.raises(ValueError, match="datapath operands"):
+            SystolicArray().compute_tile(tiles["a"], tiles["b"], tiles["c"], Precision.FP32)
+        assert (tiles["c"] == 1).all()
 
     def test_stats_accumulate(self, rng):
         array = SystolicArray()
-        array.compute_tile(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
+        array.compute_tile(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)), np.zeros((8, 8)))
         assert array.total_macs == 8 * 8 * 8
         assert array.total_cycles > 0
 
@@ -126,8 +143,25 @@ class TestSystolicArrayFunctional:
         array = SystolicArray()
         a = rng.standard_normal((tr, tk))
         b = rng.standard_normal((tk, tc))
-        result = array.compute_tile(a, b, None, Precision.FP64)
+        result = array.compute_tile(a, b, np.zeros((tr, tc)), Precision.FP64)
         np.testing.assert_allclose(result.output, a @ b, rtol=1e-12, atol=1e-12)
+
+
+class TestDatapathOperand:
+    @pytest.mark.parametrize("precision", list(Precision))
+    def test_a_block_of_the_cast_equals_the_cast_of_the_block(self, rng, precision):
+        matrix = rng.standard_normal((96, 80)).astype(precision.dtype)
+        whole = datapath_operand(matrix, precision)
+        assert whole.dtype == precision.accumulate_dtype
+        block = whole[32:64, 16:48]
+        np.testing.assert_array_equal(block, datapath_operand(matrix[32:64, 16:48], precision))
+        np.testing.assert_array_equal(
+            block, matrix[32:64, 16:48].astype(precision.dtype).astype(precision.accumulate_dtype))
+
+    def test_an_operand_already_in_datapath_form_is_not_copied(self, rng):
+        matrix = rng.standard_normal((8, 8)).astype(np.float32)
+        assert datapath_operand(matrix, Precision.FP32) is matrix
+        assert datapath_operand(matrix, Precision.FP16) is not matrix
 
 
 class TestSystolicArrayEmulator:

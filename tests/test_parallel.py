@@ -692,6 +692,24 @@ class TestParallelCLI:
         records = json.loads(capsys.readouterr().out)
         assert records and all(record["nodes"] >= 2 for record in records)
 
+    def test_explore_parallel_efficiency_is_over_the_group_not_the_fleet(self, capsys):
+        """An 8-node point sharded tp:2 runs near its 2-node group's peak, and
+        both its aggregate and its phase rows report that fraction (the fleet
+        denominator reported about 1/8 of it)."""
+        from repro.cli import main
+
+        args = ["explore", "--workload", "hpl", "--parallel", "tp:2", "--sample", "lhs",
+                "--points", "6", "--seed", "1", "--jobs", "1", "--format", "json"]
+        assert main(args) == 0
+        [aggregate] = [record for record in json.loads(capsys.readouterr().out)
+                       if record["design point"] == "lhs0000-sa4x4-buf64k-n8"]
+        assert main(args + ["--per-phase"]) == 0
+        phases = [record for record in json.loads(capsys.readouterr().out)
+                  if record["design point"] == "lhs0000-sa4x4-buf64k-n8"]
+        assert phases
+        for efficiency in [aggregate["efficiency"]] + [row["efficiency"] for row in phases]:
+            assert 0.9 <= efficiency <= 1.0
+
     def test_parallel_spec_flag_plans_mixed_strategies(self, capsys):
         out = self._run(capsys, "parallel", "--workload", SMALL_LLM,
                         "--nodes", "4", "--parallel", "tp:4,tp2d:2x2",

@@ -258,6 +258,32 @@ class TestMMUBatchParity:
             batched.translate_data_batch(0, [0x10_0000, 0xBAD_F000, 0xBAD_E000])
         assert batch_fault.value.vaddr == scalar_fault.value.vaddr == 0xBAD_F000
 
+    @settings(max_examples=25, deadline=None)
+    @given(batches=st.lists(st.lists(st.integers(0, 12), min_size=1, max_size=8),
+                            min_size=1, max_size=8),
+           repeats=st.integers(1, 3))
+    def test_translate_data_cycles_matches_the_batch(self, batches, repeats):
+        """Replayed and full demand batches charge what translate_data_batch
+        charges and leave the same MMU, TLB and walker state."""
+        batch_mmu, cycles_mmu, _ = self._mmu_pair(pages=16)
+        for vpns in batches:
+            vaddrs = [0x10_0000 + vpn * 4096 + 5 for vpn in vpns]
+            for _ in range(repeats):
+                expected = int(batch_mmu.translate_data_batch(0, vaddrs).cycles.sum())
+                keys = cycles_mmu.data_keys(0, vaddrs)
+                assert cycles_mmu.translate_data_cycles(0, vaddrs, keys) == expected
+                assert mmu_state(batch_mmu) == mmu_state(cycles_mmu)
+
+    def test_a_repeated_batch_replays_in_the_l1(self):
+        _, mmu, _ = self._mmu_pair(pages=16)
+        vaddrs = [0x10_0000 + vpn * 4096 for vpn in (3, 1, 2)]
+        mmu.translate_data_cycles(0, vaddrs)
+        walks, l2_accesses = mmu.stats.walks, mmu.dtlb.l2.stats.accesses
+        assert mmu.translate_data_cycles(0, vaddrs) == 3 * mmu.dtlb.l1_latency_cycles
+        assert (mmu.stats.walks, mmu.dtlb.l2.stats.accesses) == (walks, l2_accesses)
+        assert mmu.dtlb.l1.stats.hits == 3
+        assert mmu.dtlb.l1.suffix_matches(mmu.data_keys(0, vaddrs))
+
     def test_unregistered_asid_raises_keyerror(self):
         _, batched, _ = self._mmu_pair()
         with pytest.raises(KeyError):
@@ -305,13 +331,17 @@ class TestMATLBBatchParity:
         assert got.tolist() == [-1 if paddr is None else paddr for paddr in expected]
         assert matlb_state(matlb_s) == matlb_state(matlb_b)
 
-    def test_buffer_matches_detects_exact_order_only(self):
+    def test_suffix_matches_detects_exact_order_only(self):
         (mmu, matlb), _ = self._stack(matlb_entries=4)
         pages = [0x10_0000 + i * 4096 for i in range(3)]
         matlb.prewalk_pages_batch(mmu, 0, pages)
-        assert matlb.buffer_matches(pages)
-        assert not matlb.buffer_matches(list(reversed(pages)))
-        assert not matlb.buffer_matches(pages[:2])
+        assert matlb.suffix_matches(pages)
+        assert matlb.suffix_matches(pages[1:])  # older entries may sit below the suffix
+        assert not matlb.suffix_matches(list(reversed(pages)))
+        assert not matlb.suffix_matches(pages[:2])
+        # More pages than the buffer holds never match, even when the buffer
+        # is the stream's tail.
+        assert not matlb.suffix_matches([0x20_0000] + pages)
 
 
 # ------------------------------------------------------------- ADE parity
