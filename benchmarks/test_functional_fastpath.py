@@ -55,6 +55,13 @@ class TestFunctionalFastPath:
         assert result["calls"] == 66
         assert result["speedup"] > 2.0
 
+    def test_serve_dispatch_parity_at_scale(self, report):
+        result = report["results"]["serve_dispatch"]
+        assert result["parity"]
+        assert result["requests"] > 90_000
+        assert result["speedup"] > 1.0
+        assert result["requests_per_s"] > 0
+
     def test_functional_gemm_reports_throughput(self, report):
         result = report["results"]["functional_gemm"]
         assert result["seconds"] > 0

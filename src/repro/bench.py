@@ -32,7 +32,10 @@ each other on a BERT-sized layer and writes the measurements to
 * ``serve_scale`` — the request runner vs the scalar oracle on a
   100k-request (quick) or million-request (full) trace, timing trace
   generation separately and recording ``requests_per_s`` at scale, with the
-  two runs' completion columns compared element for element.
+  two runs' completion columns compared element for element;
+* ``serve_dispatch`` — the same comparison on the perfbench serve-request
+  shape (three tenants, four nodes, sjf), where the multi-server dispatch
+  loop runs instead of the closed form.
 
 Every comparative benchmark re-verifies oracle/production parity on the timed
 runs (identical stats and outputs) and reports it in the JSON, so a bench report
@@ -407,6 +410,36 @@ def bench_serve_throughput(quick: bool, repeat: int) -> Dict[str, object]:
     }
 
 
+def _request_runner_vs_oracle(et, repeat: int) -> Dict[str, object]:
+    """Time the request runner and the scalar oracle on one lowered trace.
+
+    Both run the whole trace as one segment; their completion columns are
+    compared element for element, so the speedup doubles as a parity
+    witness.
+    """
+    from repro.conformance.serve_oracle import oracle_columns
+    from repro.serve.engine import simulate_segments
+
+    segments = [(0, len(et))]
+
+    def run(engine):
+        start = time.perf_counter()
+        done = engine(et, segments)
+        return time.perf_counter() - start, (done.start, done.first, done.finish,
+                                             done.accumulators)
+
+    run(simulate_segments)  # first-touch warm-up (page faults, numpy dispatch caches)
+    array_s, array_columns = _best_of_with(repeat, lambda: run(simulate_segments))
+    scalar_s, scalar_columns = _best_of_with(repeat, lambda: run(oracle_columns))
+    return {
+        "scalar_s": scalar_s,
+        "vectorized_s": array_s,
+        "speedup": scalar_s / array_s,
+        "parity": all(np.array_equal(a, b) for a, b in zip(array_columns, scalar_columns)),
+        "requests_per_s": len(et) / array_s,
+    }
+
+
 def bench_serve_scale(quick: bool, repeat: int) -> Dict[str, object]:
     """Serve-core throughput at scale: the request runner vs the scalar
     oracle on a 100k-request (quick) or million-request (full) trace.
@@ -421,10 +454,9 @@ def bench_serve_scale(quick: bool, repeat: int) -> Dict[str, object]:
     lowered trace with their completion columns compared element for
     element, so the speedup doubles as a parity witness at scale.
     """
-    from repro.conformance.serve_oracle import lower, oracle_columns
+    from repro.conformance.serve_oracle import lower
     from repro.core.config import maco_default_config
     from repro.serve import ServeSimulator, TenantSpec, poisson_trace
-    from repro.serve.engine import simulate_segments
 
     variant = "llama-7b@layers=2,prompt=128,decode=32,block=8"
     rate = 20_000.0
@@ -437,26 +469,29 @@ def bench_serve_scale(quick: bool, repeat: int) -> Dict[str, object]:
     trace = poisson_trace(specs, duration_s=target / (2 * rate), seed=2025)
     trace_gen_s = time.perf_counter() - gen_start
     et = lower(ServeSimulator(config=maco_default_config(num_nodes=1), scheduler="fcfs"), trace)
-    segments = [(0, len(et))]
+    return {"requests": len(trace), "trace_gen_s": trace_gen_s,
+            **_request_runner_vs_oracle(et, repeat)}
 
-    def run(engine):
-        start = time.perf_counter()
-        done = engine(et, segments)
-        return time.perf_counter() - start, (done.start, done.first, done.finish,
-                                             done.accumulators)
 
-    run(simulate_segments)  # first-touch warm-up (page faults, numpy dispatch caches)
-    array_s, array_columns = _best_of_with(repeat, lambda: run(simulate_segments))
-    scalar_s, scalar_columns = _best_of_with(repeat, lambda: run(oracle_columns))
-    return {
-        "requests": len(trace),
-        "trace_gen_s": trace_gen_s,
-        "scalar_s": scalar_s,
-        "vectorized_s": array_s,
-        "speedup": scalar_s / array_s,
-        "parity": all(np.array_equal(a, b) for a, b in zip(array_columns, scalar_columns)),
-        "requests_per_s": len(trace) / array_s,
-    }
+def bench_serve_dispatch(quick: bool, repeat: int) -> Dict[str, object]:
+    """The multi-server dispatch loop vs the scalar oracle at scale.
+
+    The perfbench serve-request shape: three ``default_tenants`` on four
+    nodes under sjf at 90% load, a Poisson trace of 100k (quick) or a
+    million (full) requests.  Four servers rule out the closed form, so
+    this times the request runner's heap loop, whose lone-dispatch and
+    window-push paths ``serve_scale`` never reaches.  The trace is lowered
+    once off the clock.
+    """
+    from repro.conformance.serve_oracle import lower
+    from repro.core.config import maco_default_config
+    from repro.serve import ServeSimulator, default_tenants, poisson_trace
+
+    simulator = ServeSimulator(config=maco_default_config(num_nodes=4), scheduler="sjf")
+    tenants = simulator.suggest_rates(default_tenants(3), utilization=0.9)
+    target = 100_000 if quick else 1_000_000
+    trace = poisson_trace(tenants, target / sum(spec.rate_rps for spec in tenants), seed=2026)
+    return {"requests": len(trace), **_request_runner_vs_oracle(lower(simulator, trace), repeat)}
 
 
 def bench_serve_autoscale(quick: bool, repeat: int) -> Dict[str, object]:
@@ -538,6 +573,7 @@ def run_benchmarks(quick: bool = False, repeat: int = 1) -> Dict[str, object]:
         "functional_gemm": bench_functional_gemm(quick, repeat),
         "serve_throughput": bench_serve_throughput(quick, repeat),
         "serve_scale": bench_serve_scale(quick, repeat),
+        "serve_dispatch": bench_serve_dispatch(quick, repeat),
         "serve_autoscale": bench_serve_autoscale(quick, repeat),
     }
     return {"schema": SCHEMA_VERSION, "quick": quick, "repeat": repeat, "results": results}

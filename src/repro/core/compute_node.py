@@ -143,6 +143,35 @@ class ComputeNode:
         submission.status = StatusWord.unpack(state_trace.status_word)
         return submission
 
+    def prepare_gemm(
+        self, a: np.ndarray, b: np.ndarray, c: Optional[np.ndarray] = None,
+        precision: Precision = Precision.FP64,
+        ttr: int = 64, ttc: int = 64,
+    ) -> Tuple[GEMMDescriptor, np.ndarray]:
+        """Allocate the operands and build the GEMM's descriptor; returns it and C.
+
+        The level-1 tile is the config's ``level1_tile``, shrunk to the matrix
+        (but never below one level-2 tile); the level-2 tile is ``ttr`` x
+        ``ttc``, shrunk to the matrix.  Every functional entry point builds its
+        descriptor here, so a GEMM is tiled the same way however it is
+        submitted.
+        """
+        m, k = a.shape
+        k2, n = b.shape
+        if k != k2:
+            raise ValueError(f"inner dimensions do not match: {a.shape} @ {b.shape}")
+        addr_a, _ = self.allocate_matrix(m, k, precision, data=a)
+        addr_b, _ = self.allocate_matrix(k, n, precision, data=b)
+        addr_c, array_c = self.allocate_matrix(m, n, precision, data=c)
+        descriptor = GEMMDescriptor(
+            addr_a=addr_a, addr_b=addr_b, addr_c=addr_c,
+            m=m, n=n, k=k, precision=precision,
+            tile_rows=min(self.config.level1_tile.rows, max(m, ttr)),
+            tile_cols=min(self.config.level1_tile.cols, max(n, ttc)),
+            ttr=min(ttr, m), ttc=min(ttc, n),
+        )
+        return descriptor, array_c
+
     def run_gemm_functional(
         self, a: np.ndarray, b: np.ndarray, c: Optional[np.ndarray] = None,
         precision: Precision = Precision.FP64,
@@ -153,20 +182,7 @@ class ComputeNode:
         Intended for examples and tests; the matrices must be small enough for
         functional execution (see the controller's FUNCTIONAL_LIMIT_ELEMENTS).
         """
-        m, k = a.shape
-        k2, n = b.shape
-        if k != k2:
-            raise ValueError(f"inner dimensions do not match: {a.shape} @ {b.shape}")
-        addr_a, _ = self.allocate_matrix(m, k, precision, data=a)
-        addr_b, _ = self.allocate_matrix(k, n, precision, data=b)
-        addr_c, array_c = self.allocate_matrix(m, n, precision, data=c if c is not None else None)
-        descriptor = GEMMDescriptor(
-            addr_a=addr_a, addr_b=addr_b, addr_c=addr_c,
-            m=m, n=n, k=k, precision=precision,
-            tile_rows=min(self.config.level1_tile.rows, max(m, ttr)),
-            tile_cols=min(self.config.level1_tile.cols, max(n, ttc)),
-            ttr=min(ttr, m), ttc=min(ttc, n),
-        )
+        descriptor, array_c = self.prepare_gemm(a, b, c, precision, ttr, ttc)
         submission = self.submit_gemm(descriptor)
         return array_c, submission
 

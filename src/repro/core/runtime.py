@@ -20,7 +20,6 @@ from repro.cpu.exceptions import ExceptionType
 from repro.cpu.mtq import StatusWord
 from repro.gemm.precision import Precision
 from repro.isa.assembler import assemble_program
-from repro.isa.instructions import GEMMDescriptor
 
 
 @dataclass
@@ -76,19 +75,10 @@ class MACORuntime:
         task; the caller later polls MA_READ / MA_STATE.
         """
         node = self.system.node(node_id)
-        m, k = a.shape
-        _, n = b.shape
-        addr_a, _ = node.allocate_matrix(m, k, precision, data=a)
-        addr_b, _ = node.allocate_matrix(k, n, precision, data=b)
-        addr_c, array_c = node.allocate_matrix(m, n, precision, data=c)
-        descriptor = GEMMDescriptor(
-            addr_a=addr_a, addr_b=addr_b, addr_c=addr_c, m=m, n=n, k=k,
-            precision=precision,
-            tile_rows=max(m, tile), tile_cols=max(n, tile),
-            ttr=min(tile, m), ttc=min(tile, n),
-        )
+        descriptor, array_c = node.prepare_gemm(a, b, c, precision, ttr=tile, ttc=tile)
         submission = node.submit_gemm(descriptor, execute=False)
-        return AsyncHandle(node_id=node_id, maid=submission.maid, c_address=addr_c, c_array=array_c)
+        return AsyncHandle(node_id=node_id, maid=submission.maid,
+                           c_address=descriptor.addr_c, c_array=array_c)
 
     def poll(self, handle: AsyncHandle) -> StatusWord:
         """MA_READ: query the task state without releasing the MTQ entry."""

@@ -16,14 +16,15 @@ produces bit-equal completion columns, and the shared
 into byte-identical JSON.
 
 **Two segment runners, one trace record.**  :func:`simulate_segments` runs
-the request runner (whole-request dispatch: bulk admission over the sorted
-arrival array, packed integer policy keys, and a fully vectorised closed form
-for the FCFS single-server case — with one server the dispatch order is the
-canonical order, so start times collapse to a max-plus prefix scan ``start =
-cumsum(cost) + running_max(arrival - cumsum(cost))``) or, when the
-:class:`EngineTrace` carries :class:`StepTables`, the step runner
-(iteration-level continuous batching with a paged KV budget, preemption and
-the autoscaled fleet lifecycle).  Both share the rank-keyed
+the request runner (whole-request dispatch: window admission over the sorted
+arrival array, with an arrival that finds an empty queue alone in its window
+handed straight to the free server, packed integer policy keys, and a fully
+vectorised closed form for the FCFS single-server case — with one server the
+dispatch order is the canonical order, so start times collapse to a max-plus
+prefix scan ``start = cumsum(cost) + running_max(arrival - cumsum(cost))``)
+or, when the :class:`EngineTrace` carries :class:`StepTables`, the step
+runner (iteration-level continuous batching with a paged KV budget,
+preemption and the autoscaled fleet lifecycle).  Both share the rank-keyed
 :class:`~repro.serve.scheduler.BatchingPolicy` queues.
 
 **Deterministic idle-point sharding.**  :func:`segment_bounds` computes a
@@ -48,6 +49,8 @@ reference the request runner is tested against lives in
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -205,79 +208,101 @@ def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int) -> SegmentColumn
 
 
 def _run_segment_array(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
-    """The request runner: closed form when eligible, else a bulk-admission loop.
+    """The request runner: closed form when eligible, else a dispatch loop.
 
     Semantics: pick the earliest free server (``(free_at, node)`` heap), admit
-    every arrival up to its clock, pop the policy, gate a tenant change on
-    the pipeline drain, charge the constant switch cost, occupy the server
-    for one pipeline interval and drain it at the full latency.  Arrivals
-    live in local Python lists (no per-element numpy boxing), admission
-    windows come from one binary search per event, and the policy heaps hold
-    precomputed packed integer keys.
+    every arrival up to ``max(free_at, next arrival)`` (the admission window),
+    pop the policy, gate a tenant change on the pipeline drain, charge the
+    constant switch cost, occupy the server for one pipeline interval and
+    drain it at the full latency.
+
+    A dispatch costs a handful of Python list operations.  The runner counts
+    the waiting ranks itself; a window of several ranks enters the policy in
+    one :meth:`~repro.serve.scheduler.BatchingPolicy.push_span` call, found
+    by a binary search only when a second rank falls inside it.  A rank that
+    arrives to an empty queue alone in its window is the one any policy
+    would pop, so it goes straight to the server and the policy only does
+    its :meth:`~repro.serve.scheduler.BatchingPolicy.bypass` bookkeeping.
+    The completion columns fill int64 buffers that numpy adopts once at the
+    end, the per-server accumulators are Python ints, and each (pair,
+    server) has one ``(latency, first-token, interval)`` tuple.
     """
     if et.policy == "fcfs" and et.num_servers == 1 and et.uniform_interval:
         return _run_segment_closed_form(et, lo, hi)
-    from bisect import bisect_right
-
     count = hi - lo
-    start = np.empty(count, np.int64)
-    first = np.empty(count, np.int64)
-    finish = np.empty(count, np.int64)
-    accumulators = np.zeros((et.num_servers, ACCUMULATORS), np.int64)
+    num_servers = et.num_servers
+    start = array("q", bytes(8 * count))
+    first = array("q", start)
+    finish = array("q", start)
     arrival = et.arrival[lo:hi].tolist()
     tenant = et.tenant[lo:hi].tolist()
     pair = et.pair[lo:hi].tolist()
-    latency_rows = et.latency_table.tolist()
-    interval_rows = et.interval_table.tolist()
-    first_rows = et.first_table.tolist()
+    service = [list(zip(*rows)) for rows in zip(
+        et.latency_table.tolist(), et.first_table.tolist(), et.interval_table.tolist())]
     switch_ticks = et.switch_ticks
     queue = scheduler_by_name(et.policy, lo, hi, tenant=et.tenant, service=et.svc0,
                               priority=et.priority, deadline=et.deadline)
-    servers = [(0, node) for node in range(et.num_servers)]
-    drain = [0] * et.num_servers
-    last_tenant: List[Optional[int]] = [None] * et.num_servers
-    admitted = 0
-    push = queue.push
-    while admitted < count or len(queue):
+    push_span, pop, bypass = queue.push_span, queue.pop, queue.bypass
+    servers = [(0, node) for node in range(num_servers)]
+    heapreplace = heapq.heapreplace
+    drain = [0] * num_servers
+    last_tenant = [-1] * num_servers  # a cold server adopts its first tenant for free
+    completed = [0] * num_servers
+    occupied = [0] * num_servers  # interval ticks; switch ticks are added at the end
+    switches = [0] * num_servers
+    admitted = waiting = 0
+    while admitted < count or waiting:
         free_at, node = servers[0]
-        if admitted < count:
-            # One binary search finds the whole admission window.
-            window = bisect_right(arrival, free_at, admitted)
-            for position in range(admitted, window):
-                push(lo + position)
-            admitted = window
-            if not len(queue):
-                now = arrival[admitted]
-                window = bisect_right(arrival, now, admitted)
-                for position in range(admitted, window):
-                    push(lo + position)
-                admitted = window
-                continue
-        rank = queue.pop()
-        position = rank - lo
+        if waiting:
+            if admitted < count and arrival[admitted] <= free_at:
+                stop = admitted + 1
+                if stop < count and arrival[stop] <= free_at:
+                    stop = bisect_right(arrival, free_at, stop + 1)
+                push_span(lo + admitted, lo + stop)
+                waiting += stop - admitted
+                admitted = stop
+            position = pop() - lo
+            waiting -= 1
+        else:
+            position = admitted
+            now = arrival[position]
+            if now < free_at:
+                now = free_at
+            admitted += 1
+            if admitted < count and arrival[admitted] <= now:
+                admitted = bisect_right(arrival, now, admitted + 1)
+                push_span(lo + position, lo + admitted)
+                waiting = admitted - position - 1
+                position = pop() - lo
+            else:
+                bypass(lo + position)
+        arrived = arrival[position]
+        begin = free_at if free_at > arrived else arrived
         this_tenant = tenant[position]
-        begin = free_at if free_at > arrival[position] else arrival[position]
-        switch = 0
+        latency, first_ticks, interval = service[pair[position]][node]
+        dispatch = begin
         was = last_tenant[node]
-        if was is not None and was != this_tenant:
-            if drain[node] > begin:
-                begin = drain[node]
-            switch = switch_ticks
-            accumulators[node, 3] += 1
-        row = pair[position]
-        dispatch = begin + switch
-        done = dispatch + latency_rows[row][node]
+        if was != this_tenant:
+            if was >= 0:
+                if drain[node] > begin:
+                    begin = drain[node]
+                switches[node] += 1
+                dispatch = begin + switch_ticks
+            last_tenant[node] = this_tenant
+        done = dispatch + latency
         start[position] = begin
-        first[position] = dispatch + first_rows[row][node]
+        first[position] = dispatch + first_ticks
         finish[position] = done
-        interval = interval_rows[row][node]
-        heapq.heapreplace(servers, (dispatch + interval, node))
+        heapreplace(servers, (dispatch + interval, node))
         drain[node] = done
-        last_tenant[node] = this_tenant
-        accumulators[node, 0] += 1
-        accumulators[node, 1] += switch + interval
-        accumulators[node, 2] += switch
-    return SegmentColumns(start, first, finish, accumulators)
+        completed[node] += 1
+        occupied[node] += interval
+    accumulators = np.array(
+        [(completed[node], occupied[node] + switches[node] * switch_ticks,
+          switches[node] * switch_ticks, switches[node], 0) for node in range(num_servers)],
+        np.int64)
+    return SegmentColumns(np.frombuffer(start, np.int64), np.frombuffer(first, np.int64),
+                          np.frombuffer(finish, np.int64), accumulators)
 
 
 # --------------------------------------------------------------- step runner

@@ -4,7 +4,11 @@ A :class:`BatchingPolicy` owns the *waiting* queue between request arrival
 and admission into a server's running batch, and decides three things:
 
 * **admission order** — ``push``/``peek``/``pop`` define which waiting
-  request is admitted next when a server has a free batch slot;
+  request is admitted next when a server has a free batch slot
+  (``push_span`` pushes a run of consecutive ranks in one call, and
+  ``bypass`` records a rank the request runner sends straight to a server
+  because it arrived to an empty queue alone in its admission window —
+  ``push`` then ``pop`` would have returned it at once);
 * **priority tiers** — requests carry a ``priority`` (larger is more
   important) plus optional TTFT/TPOT SLO deadlines; the ``priority`` and
   ``slo`` policies order admission by tier (and, for ``slo``, by the
@@ -62,9 +66,13 @@ class BatchingPolicy:
     ``push``/``peek``/``pop`` manage the policy-ordered waiting queue
     (``peek`` lets the event loop stop admission without disturbing the
     order when the head does not fit the KV budget or is not yet admissible
-    at the admitting server's clock).  ``victim`` picks the running batch
-    member to preempt; it is shared by every policy, so preemption order is
-    a property of the request metadata, not the admission policy.
+    at the admitting server's clock).  ``push_span`` and ``bypass`` are the
+    request runner's shortcuts for a window of arrivals and for a lone one;
+    their defaults are plain pushes and a ``push``/``pop`` round trip, so a
+    policy overrides them only to do the same work faster.  ``victim``
+    picks the running batch member to preempt; it is shared by every
+    policy, so preemption order is a property of the request metadata, not
+    the admission policy.
     """
 
     #: Policy name used by the CLI and the report.
@@ -88,6 +96,23 @@ class BatchingPolicy:
 
     def __len__(self) -> int:
         raise NotImplementedError
+
+    def push_span(self, first: int, stop: int) -> None:
+        """Push the ranks ``first .. stop - 1`` (one admission window), in order."""
+        for rank in range(first, stop):
+            self.push(rank)
+
+    def bypass(self, rank: int) -> None:
+        """Account for ``rank`` going to a server without waiting.
+
+        The request runner calls this instead of ``push(rank); pop()`` when
+        no rank waits and ``rank`` is alone in its admission window: every
+        policy would pop it straight back.  The default does that round
+        trip; a policy whose queue it leaves exactly as it was overrides
+        this to do nothing.
+        """
+        self.push(rank)
+        self.pop()
 
     def victim(self, running: Sequence[int]) -> int:
         """The running rank to preempt: the lowest priority tier, then the newest.
@@ -124,6 +149,15 @@ class _FifoPolicy(BatchingPolicy):
             insort(ranks, rank, self._head)
         else:
             ranks.append(rank)
+
+    def push_span(self, first: int, stop: int) -> None:
+        if self._ranks and first < self._ranks[-1]:
+            super().push_span(first, stop)
+        else:
+            self._ranks.extend(range(first, stop))
+
+    def bypass(self, rank: int) -> None:
+        """A lone rank is appended and popped at once: nothing to record."""
 
     def peek(self) -> int:
         return self._ranks[self._head]
@@ -162,6 +196,14 @@ class _KeyedPolicy(BatchingPolicy):
     def push(self, rank: int) -> None:
         heapq.heappush(self._heap, self._keys[rank - self._lo])
 
+    def push_span(self, first: int, stop: int) -> None:
+        heap, push = self._heap, heapq.heappush
+        for key in self._keys[first - self._lo:stop - self._lo]:
+            push(heap, key)
+
+    def bypass(self, rank: int) -> None:
+        """Pushing onto and popping from an empty heap leaves it empty."""
+
     def peek(self) -> int:
         return self._lo + self._heap[0] % self._n
 
@@ -179,7 +221,9 @@ class _RoundRobinPolicy(BatchingPolicy):
     FIFO in rank order (a preempted rank is inserted back at its rank
     position, so resume never jumps a tenant-mate that arrived earlier), and
     a pop advances the cursor past the served tenant, so every tenant with
-    queued work is visited before any tenant is served twice.
+    queued work is visited before any tenant is served twice.  A lone rank
+    takes the default :meth:`bypass` round trip: its push can enter a new
+    tenant into the rotation and its pop moves the cursor.
     """
 
     name = "rr"

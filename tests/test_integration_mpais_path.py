@@ -7,6 +7,8 @@ datapath), poll with MA_READ, release with MA_STATE, and handle exceptions
 with MA_CLEAR — including across process switches.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.core import MACORuntime, MACOSystem, maco_default_config
 from repro.cpu.exceptions import ExceptionType
 from repro.cpu.mtq import MTQState, StatusWord
 from repro.gemm import Precision
+from repro.gemm.tiling import TileConfig
 from repro.isa.assembler import assemble_program
 from repro.isa.instructions import GEMMDescriptor
 
@@ -106,6 +109,33 @@ class TestAsyncRuntime:
         a = rng.standard_normal((96, 64))
         b = rng.standard_normal((64, 32))
         np.testing.assert_allclose(runtime.gemm(a, b), a @ b, rtol=1e-10)
+
+    def test_async_and_blocking_gemms_share_the_config_tiling(self, rng, monkeypatch):
+        # Both entry points build their descriptor in ComputeNode.prepare_gemm,
+        # so a level-1 tile smaller than the matrix applies to either.
+        from repro.core.compute_node import ComputeNode
+
+        descriptors = []
+        submit = ComputeNode.submit_gemm
+
+        def recording(node, descriptor, execute=True):
+            descriptors.append(descriptor)
+            return submit(node, descriptor, execute)
+
+        monkeypatch.setattr(ComputeNode, "submit_gemm", recording)
+        config = dataclasses.replace(maco_default_config(num_nodes=1),
+                                     level1_tile=TileConfig(128, 128))
+        a = rng.standard_normal((256, 256)).astype(np.float32)
+        b = rng.standard_normal((256, 256)).astype(np.float32)
+        blocking = MACORuntime(config=config)
+        c_blocking = blocking.gemm(a, b, precision=Precision.FP32)
+        asynchronous = MACORuntime(config=config)
+        c_async = asynchronous.wait(asynchronous.gemm_async(a, b, precision=Precision.FP32))
+        assert [(d.tile_rows, d.tile_cols, d.ttr, d.ttc) for d in descriptors] == [
+            (128, 128, 64, 64)] * 2
+        assert (asynchronous.system.node(0).mmae.busy_cycles
+                == blocking.system.node(0).mmae.busy_cycles)
+        np.testing.assert_array_equal(c_async, c_blocking)
 
     def test_every_node_runs_gemms_after_node_zero(self, rng):
         # Every node's default address space starts at the same virtual base,

@@ -18,17 +18,25 @@ import pytest
 
 from repro.analysis import latency_summary, percentile
 from repro.core import maco_default_config
-from repro.conformance.serve_oracle import bursty_trace_scalar, poisson_trace_scalar
+from repro.conformance.serve_oracle import (
+    bursty_trace_scalar,
+    lower,
+    oracle_columns,
+    poisson_trace_scalar,
+)
 from repro.serve import (
     SCHEDULER_NAMES,
     RequestTrace,
     ServeSimulator,
     TraceColumns,
     bursty_trace,
+    default_tenants,
     llm_tenants,
     poisson_trace,
     replay_trace,
 )
+from repro.serve.engine import TICKS_PER_SECOND, simulate_segments
+from repro.serve.scheduler import NO_DEADLINE, scheduler_by_name
 
 # The tenant/trace/simulator factories live in parity_utils.py, shared with
 # the other parity suites and mirrored by the conformance fuzz layer's
@@ -202,3 +210,195 @@ class TestReplayStreaming:
         ]
         with pytest.raises(ValueError, match="record 1"):
             replay_trace(records)
+
+
+# ------------------------------------------------------------- lone dispatch
+def _service_ticks(nodes=2):
+    """``{workload: (latency, first, interval)}`` ticks on server 0."""
+    workloads = ("bert", "gpt3", "resnet50")
+    probe = replay_trace([{"tenant": "a", "workload": name, "arrival_s": float(index)}
+                          for index, name in enumerate(workloads)])
+    et = lower(ServeSimulator(config=maco_default_config(num_nodes=nodes)), probe)
+    return {name: tuple(int(table[et.pair[index], 0]) for table in (
+                et.latency_table, et.first_table, et.interval_table))
+            for index, name in enumerate(workloads)}
+
+
+def _replay_columns(scheduler, requests, nodes=2):
+    """Run ``(tenant, workload, arrival tick[, extra fields])`` requests on
+    the request runner and assert its columns equal the scalar oracle's."""
+    records = [{"tenant": tenant, "workload": workload,
+                "arrival_s": tick / TICKS_PER_SECOND, **(extra[0] if extra else {})}
+               for tenant, workload, tick, *extra in requests]
+    simulator = ServeSimulator(config=maco_default_config(num_nodes=nodes), scheduler=scheduler)
+    et = lower(simulator, replay_trace(records))
+    assert et.arrival.tolist() == [request[2] for request in requests]
+    segments = [(0, len(et))]
+    engine = simulate_segments(et, segments)
+    oracle = oracle_columns(et, segments)
+    for name in ("start", "first", "finish", "accumulators"):
+        assert np.array_equal(getattr(engine, name), getattr(oracle, name)), name
+    return et, engine
+
+
+class TestLoneDispatch:
+    """A rank that arrives to an empty queue, alone in its admission window,
+    goes straight to the earliest-free server (DESIGN.md section 9.2).  Two
+    servers and hand-built replay traces put each edge of that path on a
+    known tick."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_idle_server_takes_an_arrival_while_the_other_is_busy(self, scheduler):
+        service = _service_ticks()
+        second = 20 * TICKS_PER_SECOND
+        et, done = _replay_columns(scheduler, [
+            ("a", "gpt3", 0), ("a", "bert", 1_000_000), ("a", "resnet50", second)])
+        # Server 0 runs the GPT-3 request; server 1 is idle and nothing waits.
+        assert done.start.tolist() == [0, 1_000_000, second]
+        assert done.finish[1] == 1_000_000 + service["bert"][0]
+        # Server 1 drained at 12.5 s: the third request starts on arrival,
+        # with no tenant switch, on the server that is free.
+        assert done.finish[2] == second + service["resnet50"][0]
+        assert done.accumulators[:, 0].tolist() == [1, 2]
+        assert done.accumulators[:, 3].tolist() == [0, 0]
+
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_two_arrivals_on_one_tick_go_through_the_policy(self, scheduler):
+        # Server 1 frees at 12.5 s while server 0 stays busy until 34.7 s.
+        # GPT-3 (rank 2) and ResNet-50 (rank 3) then arrive on the same tick
+        # to an empty queue: a window of two, which the policy orders.
+        service = _service_ticks()
+        tick = 13 * TICKS_PER_SECOND
+        urgent = {"priority": 1, "ttft_slo_s": 1.0}
+        et, done = _replay_columns(scheduler, [
+            ("a", "gpt3", 0), ("a", "bert", 1_000_000),
+            ("a", "gpt3", tick), ("a", "resnet50", tick, urgent)])
+        # sjf runs the shorter job first; priority and slo the urgent one.
+        chosen, other = (3, 2) if scheduler in ("sjf", "priority", "slo") else (2, 3)
+        assert done.start[chosen] == tick
+        interval = service["resnet50" if chosen == 3 else "gpt3"][2]
+        assert done.start[other] == min(tick + interval, service["gpt3"][2])
+
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_arrival_on_a_free_tick_starts_on_it(self, scheduler):
+        service = _service_ticks()
+        free = service["bert"][2]  # server 0's free tick
+        et, done = _replay_columns(scheduler, [
+            ("a", "bert", 0), ("a", "gpt3", 1_000_000), ("a", "resnet50", free)])
+        assert done.finish[0] == free
+        assert done.start[2] == free
+        assert done.first[2] == free + service["resnet50"][1]
+
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_arrival_on_a_free_tick_joins_the_waiting_window(self, scheduler):
+        # Two GPT-3 requests (ranks 2 and 3) reach server 0 when it frees;
+        # rank 3 is left waiting.  The short, urgent ResNet-50 (rank 4)
+        # arrives exactly when server 1 frees, so the policy chooses
+        # between it and the waiting rank.
+        service = _service_ticks()
+        bert, gpt3, resnet = (service[name][2] for name in ("bert", "gpt3", "resnet50"))
+        free = 1_000_000 + gpt3  # server 1's free tick
+        et, done = _replay_columns(scheduler, [
+            ("a", "bert", 0), ("a", "gpt3", 1_000_000), ("a", "gpt3", 2 * TICKS_PER_SECOND),
+            ("a", "gpt3", 3 * TICKS_PER_SECOND), ("a", "resnet50", free,
+                                                  {"priority": 1, "ttft_slo_s": 1.0})])
+        assert done.start[2] == bert
+        if scheduler in ("sjf", "priority", "slo"):
+            assert done.start.tolist()[3:] == [free + resnet, free]
+        else:
+            assert done.start.tolist()[3:] == [free, bert + gpt3]
+
+    def test_round_robin_rotation_counts_lone_dispatches(self):
+        # Tenant a's two lone dispatches put it first in rr's rotation, so
+        # the queued burst is served a, b, a, b although b arrived first.
+        service = _service_ticks()
+        burst = [("b", "resnet50", 1_000_000_000), ("a", "resnet50", 1_100_000_000),
+                 ("b", "resnet50", 1_200_000_000), ("a", "resnet50", 1_300_000_000)]
+        et, done = _replay_columns("rr", [("a", "bert", 0), ("a", "bert", 1_000_000), *burst])
+        bert, resnet = service["bert"][2], service["resnet50"]
+        assert done.start[3] == bert  # server 0 frees first and serves tenant a
+        assert done.start[2] == bert + 1_000_000  # server 1 switches to tenant b
+        assert done.first[2] == bert + 1_000_000 + et.switch_ticks + resnet[1]
+        assert done.start[5] == bert + resnet[2]
+        assert done.accumulators[:, 3].tolist() == [0, 1]
+
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bypass_pops_like_a_push_then_pop(self, scheduler, seed):
+        # Random windows, pops, re-pushes of popped ranks (as preemption
+        # does) and lone ranks: a policy taking lone ranks through bypass and
+        # windows through push_span pops exactly what one-rank pushes and
+        # push-then-pop round trips would.
+        rng = random.Random(seed)
+        count = 200
+        columns = dict(
+            tenant=np.array([rng.randrange(3) for _ in range(count)]),
+            service=np.array([rng.randrange(50) for _ in range(count)]),
+            priority=np.array([rng.randrange(2) for _ in range(count)]),
+            deadline=np.array([rng.choice([NO_DEADLINE, rng.randrange(100)])
+                               for _ in range(count)]))
+        fast = scheduler_by_name(scheduler, **columns)
+        reference = scheduler_by_name(scheduler, **columns)
+        popped, queued, pops = [], set(), []
+        rank = 0
+        while rank < count:
+            if not queued and rng.random() < 0.5:
+                fast.bypass(rank)
+                reference.push(rank)
+                assert reference.pop() == rank
+                popped.append(rank)
+                rank += 1
+                continue
+            stop = min(count, rank + rng.randint(1, 3))
+            fast.push_span(rank, stop)
+            for pushed in range(rank, stop):
+                reference.push(pushed)
+            queued.update(range(rank, stop))
+            rank = stop
+            while queued and rng.random() < 0.6:
+                if popped and rng.random() < 0.2:
+                    again = popped.pop(rng.randrange(len(popped)))
+                    fast.push(again)
+                    reference.push(again)
+                    queued.add(again)
+                assert fast.peek() == reference.peek()
+                rank_out = fast.pop()
+                assert reference.pop() == rank_out
+                queued.discard(rank_out)
+                popped.append(rank_out)
+                pops.append(rank_out)
+        while queued:
+            rank_out = fast.pop()
+            assert reference.pop() == rank_out
+            queued.discard(rank_out)
+            pops.append(rank_out)
+        assert len(fast) == len(reference) == 0
+        assert pops
+
+    @pytest.mark.parametrize("scheduler", ["fcfs", "sjf"])
+    def test_lone_ranks_skip_the_queue(self, scheduler, monkeypatch):
+        # At half load most requests find an idle server and an empty queue:
+        # they never enter the policy queue.  The rest arrive in windows
+        # that do.
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=4), scheduler=scheduler)
+        tenants = simulator.suggest_rates(default_tenants(3), utilization=0.5)
+        trace = poisson_trace(tenants, 300 / sum(spec.rate_rps for spec in tenants), seed=3)
+        et = lower(simulator, trace)
+        policy = type(scheduler_by_name(scheduler, tenant=et.tenant, service=et.svc0,
+                                        priority=et.priority, deadline=et.deadline))
+        queued, bypassed = [], []
+        push, push_span, bypass = policy.push, policy.push_span, policy.bypass
+        monkeypatch.setattr(policy, "push", lambda queue, rank: (
+            queued.append(rank), push(queue, rank))[1])
+        monkeypatch.setattr(policy, "push_span", lambda queue, first, stop: (
+            queued.extend(range(first, stop)), push_span(queue, first, stop))[1])
+        monkeypatch.setattr(policy, "bypass", lambda queue, rank: (
+            bypassed.append(rank), bypass(queue, rank))[1])
+        segments = [(0, len(et))]
+        done = simulate_segments(et, segments)
+        monkeypatch.undo()
+        assert 0 < len(queued) < len(trace)
+        assert sorted(queued + bypassed) == list(range(len(trace)))
+        oracle = oracle_columns(et, segments)
+        for name in ("start", "first", "finish", "accumulators"):
+            assert np.array_equal(getattr(done, name), getattr(oracle, name)), name
