@@ -479,7 +479,7 @@ _AUTOSCALE_REASONS = {"queue-pressure": 1.0, "slo-pressure": 2.0, "idle": 3.0}
 
 
 def _autoscale_functional(case: GoldenCase, inputs: dict) -> np.ndarray:
-    from repro.serve.autoscale import AutoscalePolicy, Autoscaler, WindowStats
+    from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 
     policy = AutoscalePolicy(
         min_groups=int(case.param("min_groups")),
@@ -497,8 +497,8 @@ def _autoscale_functional(case: GoldenCase, inputs: dict) -> np.ndarray:
     rows = []
     for window, (depth, served, misses) in enumerate(
             zip(inputs["depth"], inputs["served"], inputs["misses"])):
-        stats = WindowStats(int(depth), int(served), int(misses))
-        decision = scaler.evaluate(float(window + 1), stats, committed, 0)
+        decision = scaler.evaluate(
+            float(window + 1), int(depth), int(served), int(misses), committed, 0)
         delta, code = 0, 0.0
         if decision is not None:
             direction, reason = decision

@@ -174,23 +174,28 @@ class TwoLevelTiling:
     # --------------------------------------------------------------- iteration
     def level1_tiles(self) -> Iterator[Tile]:
         """Yield the first-level tiles in schedule order."""
+        col_ranges = tile_ranges(self.shape.n, self.level1.cols)
+        k_ranges = tile_ranges(self.shape.k, self.level1.k_block)
         for row_start, row_end in tile_ranges(self.shape.m, self.level1.rows):
-            for col_start, col_end in tile_ranges(self.shape.n, self.level1.cols):
-                for k_start, k_end in tile_ranges(self.shape.k, self.level1.k_block):
+            for col_start, col_end in col_ranges:
+                for k_start, k_end in k_ranges:
                     yield Tile(row_start, row_end, col_start, col_end, k_start, k_end)
 
     def level2_tiles(self, parent: Tile) -> Iterator[Tile]:
         """Yield the second-level tiles of a first-level tile in schedule order."""
+        row0, col0, k0 = parent.row_start, parent.col_start, parent.k_start
+        col_ranges = tile_ranges(parent.cols, self.level2.cols)
+        k_ranges = tile_ranges(parent.depth, self.level2.k_block)
         for row_start, row_end in tile_ranges(parent.rows, self.level2.rows):
-            for col_start, col_end in tile_ranges(parent.cols, self.level2.cols):
-                for k_start, k_end in tile_ranges(parent.depth, self.level2.k_block):
+            for col_start, col_end in col_ranges:
+                for k_start, k_end in k_ranges:
                     yield Tile(
-                        parent.row_start + row_start,
-                        parent.row_start + row_end,
-                        parent.col_start + col_start,
-                        parent.col_start + col_end,
-                        parent.k_start + k_start,
-                        parent.k_start + k_end,
+                        row0 + row_start,
+                        row0 + row_end,
+                        col0 + col_start,
+                        col0 + col_end,
+                        k0 + k_start,
+                        k0 + k_end,
                     )
 
     # -------------------------------------------------------------- validation

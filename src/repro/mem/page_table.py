@@ -9,7 +9,7 @@ latency is what the mATLB's predictive translation hides (paper Section IV.A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -92,33 +92,6 @@ class PageTable:
         if pfn is None:
             raise PageFaultError(self.asid, vaddr)
         return pfn * self.page_size + page_offset(vaddr, self.page_size)
-
-    # ------------------------------------------------------------------- batch
-    def translate_batch(self, vaddrs: Sequence[int]) -> np.ndarray:
-        """Translate many virtual addresses at once.
-
-        Equivalent to calling :meth:`translate` per address, including raising
-        :class:`PageFaultError` for the first unmapped address in input order.
-        """
-        v = np.asarray(vaddrs, dtype=np.int64)
-        shift = self.page_size.bit_length() - 1
-        vpns = v >> shift
-        uniq, inverse = np.unique(vpns, return_inverse=True)
-        inverse = inverse.reshape(v.shape)
-        entries = self._entries
-        pfns = np.empty(len(uniq), dtype=np.int64)
-        missing = False
-        for index, vpn in enumerate(uniq.tolist()):
-            pfn = entries.get(vpn)
-            if pfn is None:
-                pfns[index] = -1
-                missing = True
-            else:
-                pfns[index] = pfn
-        if missing:
-            bad = int(v[pfns[inverse] < 0][0])
-            raise PageFaultError(self.asid, bad)
-        return (pfns[inverse] << shift) | (v & (self.page_size - 1))
 
     @property
     def mapped_pages(self) -> int:
@@ -243,29 +216,23 @@ class PageTableWalker:
         self.total_walk_cycles += cycles
         return WalkResult(paddr=paddr, cycles=cycles, memory_accesses=page_table.levels)
 
-    def walk_batch(self, page_table: PageTable, vaddrs: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Walk many addresses; returns ``(paddrs, cycles)`` arrays.
+    def walk_batch(self, page_table: PageTable, vpns: Sequence[int]) -> np.ndarray:
+        """Charge the walks of already-translated page numbers; returns their cycles.
 
-        Equivalent to calling :meth:`walk` per address in order (same walk-cache
-        evolution and stats), with the translation itself vectorized and the
-        cache charging done in one tight loop.  An unmapped address raises
-        :class:`PageFaultError` for the first such address in order, before
-        any walker state is touched.
+        Equivalent to calling :meth:`walk` per page in order (same cycles,
+        walk-cache evolution and stats), but it does not translate: its
+        caller, :meth:`~repro.mem.tlb.TLBHierarchy.translate_batch`, has
+        looked every page up, raised :class:`PageFaultError` for an unmapped
+        one and holds the physical addresses.
         """
-        v = np.asarray(vaddrs, dtype=np.int64)
-        paddrs = page_table.translate_batch(v)
-        shift = page_table.page_size.bit_length() - 1
         levels = page_table.levels
         asid = page_table.asid
         charge = self._walk_cycles
         cycles = np.fromiter(
-            (charge(asid, vpn, levels) for vpn in (v >> shift).tolist()),
-            dtype=np.int64,
-            count=len(v),
-        )
-        self.walks_performed += len(v)
+            (charge(asid, vpn, levels) for vpn in vpns), dtype=np.int64, count=len(vpns))
+        self.walks_performed += len(vpns)
         self.total_walk_cycles += int(cycles.sum())
-        return paddrs, cycles
+        return cycles
 
     @property
     def average_walk_cycles(self) -> float:

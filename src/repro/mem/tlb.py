@@ -210,7 +210,8 @@ class TLBHierarchy:
         The per-address hit levels, charged cycles, L1/L2 stats and LRU/eviction
         behaviour match the scalar loop bit for bit; page-table walks are issued
         through :meth:`PageTableWalker.walk_batch` in access order once the
-        lookup pass has decided which addresses miss both TLB levels.  The
+        lookup pass has decided which addresses miss both TLB levels (the
+        lookup pass translates them, so the walker only charges cycles).  The
         lookup pass collects its per-address results in lists and builds each
         result column with one ``np.array`` call at the end.  An address that
         misses both levels and has no mapping raises :class:`PageFaultError`
@@ -236,6 +237,7 @@ class TLBHierarchy:
         pt_lookup = page_table.lookup
         l1_hits = l1_misses = l2_hits = l2_misses = 0
         walk_indices: List[int] = []
+        walk_vpns: List[int] = []
         pfns: List[int] = []
         levels: List[int] = []
         cycles: List[int] = []
@@ -266,7 +268,8 @@ class TLBHierarchy:
             # Miss at both levels: the walk's translation is known from the page
             # table, so the entry installs immediately (later duplicates in the
             # batch must hit it) and only the walk-cycle charging is deferred.
-            frame = pt_lookup(vaddr >> pt_shift)
+            vpn = vaddr >> pt_shift
+            frame = pt_lookup(vpn)
             if frame is None:
                 raise PageFaultError(asid, vaddr)
             pfn = ((frame << pt_shift) | (vaddr & pt_mask)) >> shift
@@ -277,6 +280,7 @@ class TLBHierarchy:
                 l2_entries.popitem(last=False)
             l2_entries[key] = pfn
             walk_indices.append(index)
+            walk_vpns.append(vpn)
             pfns.append(pfn)
             levels.append(LEVEL_WALK)
             cycles.append(0)
@@ -288,9 +292,7 @@ class TLBHierarchy:
 
         cycle_column = np.array(cycles, dtype=np.int64)
         if walk_indices:
-            walk_idx = np.array(walk_indices, dtype=np.int64)
-            _, walk_cycles = self.walker.walk_batch(page_table, v[walk_idx])
-            cycle_column[walk_idx] = l2_cost + walk_cycles
+            cycle_column[walk_indices] = l2_cost + self.walker.walk_batch(page_table, walk_vpns)
 
         paddrs = (np.array(pfns, dtype=np.int64) << shift) | (v & (self.page_size - 1))
         return BatchTranslationResult(paddrs, cycle_column, np.array(levels, dtype=np.uint8))

@@ -35,7 +35,6 @@ from repro.serve.autoscale import (
     AutoscaleStats,
     KVBudget,
     ScaleEvent,
-    WindowStats,
     derive_kv_budget,
 )
 from repro.serve.report import NodeStats, ServeReport, TenantStats, build_report_from_columns
@@ -83,7 +82,6 @@ __all__ = [
     "DEFAULT_KV_BUDGET_BYTES",
     "AutoscalePolicy",
     "Autoscaler",
-    "WindowStats",
     "ScaleEvent",
     "AutoscaleStats",
     "KVBudget",

@@ -8,9 +8,10 @@ Two related pieces of the elasticity story live here:
   pressure; scale-in triggers on sustained idleness and *drains* a group
   (stop admitting, let residents finish, merge the capacity back).  New
   capacity pays a modeled provisioning delay before it serves.  The
-  controller is a pure state machine over per-window observations, so the
-  golden conformance corpus can replay it against an independently computed
-  scale-event timeline (``tests/golden/autoscale-*.json``).
+  controller is a pure state machine over per-window observations — the
+  peak queue depth, completions and SLO misses, passed as plain ints — so
+  the golden conformance corpus can replay it against an independently
+  computed scale-event timeline (``tests/golden/autoscale-*.json``).
 * :func:`derive_kv_budget` — sizes the per-server KV budget from the modeled
   hardware instead of a hand-picked knob: each node's DRAM capacity share
   (:meth:`repro.mem.dram.DRAMModel.node_capacity_bytes`) minus the resident
@@ -33,7 +34,6 @@ from repro.mem.dram import DRAMModel
 
 __all__ = [
     "AutoscalePolicy",
-    "WindowStats",
     "Autoscaler",
     "ScaleEvent",
     "AutoscaleStats",
@@ -92,24 +92,17 @@ class AutoscalePolicy:
             raise ValueError("cooldown_s and provision_delay_s cannot be negative")
 
 
-@dataclass(frozen=True)
-class WindowStats:
-    """What the event loop observed during one pressure window."""
-
-    queue_depth_peak: int
-    served: int
-    slo_misses: int
-
-
 class Autoscaler:
     """The pure decision state machine behind the fleet lifecycle.
 
     The event loop calls :meth:`evaluate` once per elapsed window with the
-    window's :class:`WindowStats`, the committed group count (serving,
-    draining or provisioning — everything that costs node-seconds) and how
-    many of those are draining.  The return value is ``None`` or a
-    ``(direction, reason)`` pair: ``("out", "queue-pressure")``,
-    ``("out", "slo-pressure")`` or ``("in", "idle")``.  Scale-out is bounded
+    window's three observations as plain ints — the peak waiting-queue
+    depth, the completions and how many of them missed an SLO — plus the
+    committed group count (serving, draining or provisioning — everything
+    that costs node-seconds) and how many of those are draining.  The
+    return value is ``None`` or a ``(direction, reason)`` pair:
+    ``("out", "queue-pressure")``, ``("out", "slo-pressure")`` or
+    ``("in", "idle")``.  Scale-out is bounded
     by the *committed* count (draining capacity still occupies nodes, so the
     fleet can never exceed ``max_groups`` at any instant); scale-in is
     bounded by the *serving* count (committed minus draining), so stacked
@@ -118,7 +111,7 @@ class Autoscaler:
     to the caller; keeping the controller pure makes it replayable by the
     golden conformance corpus.
 
-    ``time_s`` may be in any unit as long as ``cooldown`` — the policy's
+    ``time`` may be in any unit as long as ``cooldown`` — the policy's
     ``cooldown_s`` by default — is in the same one; the event engine
     evaluates windows in integer ticks and passes the cooldown in ticks.
     """
@@ -133,24 +126,24 @@ class Autoscaler:
 
     def evaluate(
         self,
-        time_s: float,
-        stats: WindowStats,
+        time: float,
+        queue_depth_peak: int,
+        served: int,
+        slo_misses: int,
         committed_groups: int,
         draining_groups: int = 0,
     ) -> Optional[Tuple[str, str]]:
-        """Digest one window; return a scale decision or ``None``."""
+        """Digest one window's observations; return a scale decision or ``None``."""
         policy = self.policy
         serving = committed_groups - draining_groups
-        depth_pressure = (
-            stats.queue_depth_peak > policy.scale_out_queue_depth * serving)
-        attainment = (
-            1.0 - stats.slo_misses / stats.served if stats.served else None)
+        depth_pressure = queue_depth_peak > policy.scale_out_queue_depth * serving
+        attainment = 1.0 - slo_misses / served if served else None
         slo_pressure = attainment is not None and attainment < policy.scale_out_attainment
         if depth_pressure or slo_pressure:
             self._out_streak += 1
             self._slo_streak = self._slo_streak + 1 if slo_pressure else 0
             self._in_streak = 0
-        elif stats.queue_depth_peak <= policy.scale_in_queue_depth * serving:
+        elif queue_depth_peak <= policy.scale_in_queue_depth * serving:
             self._in_streak += 1
             self._out_streak = 0
             self._slo_streak = 0
@@ -159,7 +152,7 @@ class Autoscaler:
             self._out_streak = 0
             self._slo_streak = 0
             self._in_streak = 0
-        if time_s < self._cooldown_until:
+        if time < self._cooldown_until:
             return None
         if self._out_streak >= policy.sustain_windows:
             if committed_groups < policy.max_groups:
@@ -167,21 +160,21 @@ class Autoscaler:
                     "slo-pressure"
                     if self._slo_streak >= policy.sustain_windows
                     else "queue-pressure")
-                self._reset(time_s)
+                self._reset(time)
                 return ("out", reason)
             return None
         if self._in_streak >= policy.sustain_windows:
             if serving > policy.min_groups:
-                self._reset(time_s)
+                self._reset(time)
                 return ("in", "idle")
             return None
         return None
 
-    def _reset(self, time_s: float) -> None:
+    def _reset(self, time: float) -> None:
         self._out_streak = 0
         self._slo_streak = 0
         self._in_streak = 0
-        self._cooldown_until = time_s + self.cooldown
+        self._cooldown_until = time + self.cooldown
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.serve.autoscale import AutoscalePolicy, Autoscaler, WindowStats
+from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.report import TICKS_PER_SECOND
 from repro.serve.scheduler import NO_DEADLINE, scheduler_by_name
 
@@ -330,6 +330,13 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
     Under ``autoscale`` the fleet starts at ``min_groups`` committed groups
     and the :class:`~repro.serve.autoscale.Autoscaler` is evaluated at every
     window boundary (in ticks) the acting server's clock has passed.
+
+    The runner keeps its bookkeeping in plain ints: the waiting count (+1
+    per push, -1 per pop; the policy is never asked its length), the
+    committed and draining group counts, and per server an ``admitting``
+    flag (committed and not draining) and the scale-in event a draining
+    group waits on.  The acting server's step tables, KV occupancy and
+    accumulator row are locals for the iteration.
     """
     st = et.step
     count = hi - lo
@@ -344,6 +351,7 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
         priority=priority, deadline=et.deadline[lo:hi])
     push, peek, pop, victim = policy.push, policy.peek, policy.pop, policy.victim
     steps = [len(row) for row in st.ticks[0]]
+    tables = list(zip(st.ticks, st.stage, st.restore, st.state))
     max_batch, budget, preemption, staged = st.max_batch, st.budget, st.preemption, st.staged
     switch_ticks = et.switch_ticks
 
@@ -363,10 +371,11 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
 
     apolicy = st.autoscale
     seg_start = arrival[0]
-    committed = [apolicy is None or s < apolicy.min_groups for s in servers]
-    draining = [False] * et.num_servers
+    admitting = [apolicy is None or s < apolicy.min_groups for s in servers]
+    draining: List[Optional[list]] = [None] * et.num_servers
+    groups = sum(admitting)
+    drain_count = 0
     serving_since = [seg_start] * et.num_servers
-    pending_stop: List[Optional[list]] = [None] * et.num_servers
     events: List[list] = []
     changes: List[Tuple[int, int]] = []
     admissions: List[Tuple[int, int]] = []
@@ -375,7 +384,7 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
     group_ticks = 0
     window_peak = served = misses = 0
     if apolicy is not None:
-        scaler = Autoscaler(apolicy, cooldown=_ticks(apolicy.cooldown_s))
+        evaluate = Autoscaler(apolicy, cooldown=_ticks(apolicy.cooldown_s)).evaluate
         window = _ticks(apolicy.window_s)
         delay = _ticks(apolicy.provision_delay_s)
         next_window = seg_start + window
@@ -383,80 +392,32 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
         ttft_slo = st.ttft_slo_s[lo:hi].tolist()
         tpot_slo = st.tpot_slo_s[lo:hi].tolist()
     else:
-        scaler = None
         next_window = NO_DEADLINE
 
     def stop_group(server: int, stopped: int, event: list) -> None:
         # The drained group's capacity merges back into the pool: it stops
         # accruing group ticks and becomes eligible for a future scale-out
         # (which re-provisions it from scratch).
-        nonlocal group_ticks
+        nonlocal group_ticks, groups, drain_count
         event[7] = stopped
         group_ticks += stopped - serving_since[server]
-        committed[server] = False
-        draining[server] = False
-        pending_stop[server] = None
+        groups -= 1
+        if draining[server] is not None:
+            drain_count -= 1
+        admitting[server] = False
+        draining[server] = None
         mark = drain_marks.pop(server, len(admissions))
         drains.append((server, mark, len(admissions)))
         changes.append((stopped, -1))
 
-    def tick(now: int) -> None:
-        """Evaluate every pressure window that has elapsed by ``now``."""
-        nonlocal next_window, window_peak, served, misses
-        while next_window <= now:
-            t = next_window
-            # A drain completes when the last resident's iteration ends; the
-            # capacity merges back at the first window boundary after it.
-            if any(draining):
-                for s in servers:
-                    if draining[s] and not batch[s] and free_at[s] <= t:
-                        stop_group(s, free_at[s], pending_stop[s])
-            if len(policy) > window_peak:
-                window_peak = len(policy)
-            groups = sum(committed)
-            decision = scaler.evaluate(
-                t, WindowStats(queue_depth_peak=window_peak, served=served, slo_misses=misses),
-                groups, sum(draining))
-            if decision is not None:
-                direction, reason = decision
-                event = [t, direction, reason, groups,
-                         groups + (1 if direction == "out" else -1), window_peak, None, None]
-                events.append(event)
-                if direction == "out":
-                    # A fresh provision: no resident tenant, and it serves
-                    # only after the provisioning delay.
-                    target = next(s for s in servers if not committed[s])
-                    committed[target] = True
-                    draining[target] = False
-                    last_tenant[target] = -1
-                    free_at[target] = t + delay
-                    serving_since[target] = t
-                    event[6] = target
-                    changes.append((t, 1))
-                else:
-                    target = min((s for s in servers if committed[s] and not draining[s]),
-                                 key=lambda s: (len(batch[s]), -s))
-                    event[6] = target
-                    if batch[target] or free_at[target] > t:
-                        # Residents, a last iteration or the provisioning
-                        # delay still occupy the group: it stays committed,
-                        # draining, until they end.
-                        draining[target] = True
-                        pending_stop[target] = event
-                        drain_marks[target] = len(admissions)
-                    else:
-                        stop_group(target, t, event)
-            window_peak = served = misses = 0
-            next_window += window
-
     index = 0
+    waiting = 0  # ranks in the policy queue
     busy = 0  # servers with a non-empty batch
-    while index < count or len(policy) or busy:
-        waiting = len(policy)
+    while index < count or waiting or busy:
         server = -1
         if waiting or busy:
             for s in servers:
-                if (batch[s] or (waiting and committed[s] and not draining[s])) and (
+                if (batch[s] or (waiting and admitting[s])) and (
                         server < 0 or free_at[s] < clock):
                     server, clock = s, free_at[s]
         else:
@@ -466,8 +427,53 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
             # the gap still tick, so an idle fleet can scale in.
             clock = arrival[index]
         if next_window <= clock:
-            tick(clock)
-            if server >= 0 and (not committed[server] or free_at[server] != clock):
+            # Evaluate every pressure window that has elapsed by the clock.
+            while next_window <= clock:
+                t = next_window
+                # A drain completes when the last resident's iteration ends;
+                # the capacity merges back at the first window boundary after it.
+                if drain_count:
+                    for s in servers:
+                        if draining[s] is not None and not batch[s] and free_at[s] <= t:
+                            stop_group(s, free_at[s], draining[s])
+                if waiting > window_peak:
+                    window_peak = waiting
+                decision = evaluate(t, window_peak, served, misses, groups, drain_count)
+                if decision is not None:
+                    direction, reason = decision
+                    event = [t, direction, reason, groups,
+                             groups + (1 if direction == "out" else -1), window_peak, None, None]
+                    events.append(event)
+                    if direction == "out":
+                        # A fresh provision: no resident tenant, and it serves
+                        # only after the provisioning delay.
+                        target = next(s for s in servers
+                                      if not admitting[s] and draining[s] is None)
+                        admitting[target] = True
+                        groups += 1
+                        last_tenant[target] = -1
+                        free_at[target] = t + delay
+                        serving_since[target] = t
+                        event[6] = target
+                        changes.append((t, 1))
+                    else:
+                        target = min((s for s in servers if admitting[s]),
+                                     key=lambda s: (len(batch[s]), -s))
+                        event[6] = target
+                        if batch[target] or free_at[target] > t:
+                            # Residents, a last iteration or the provisioning
+                            # delay still occupy the group: it stays
+                            # committed, draining, until they end.
+                            admitting[target] = False
+                            draining[target] = event
+                            drain_count += 1
+                            drain_marks[target] = len(admissions)
+                        else:
+                            stop_group(target, t, event)
+                window_peak = served = misses = 0
+                next_window += window
+            if server >= 0 and (free_at[server] != clock or not admitting[server]
+                                and draining[server] is None):
                 # The window drained (or re-provisioned) this very server:
                 # it has lost its turn.
                 continue
@@ -476,23 +482,26 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
             while index < count and arrival[index] <= clock:
                 push(index)
                 index += 1
-            if scaler is not None and len(policy) > window_peak:
-                window_peak = len(policy)
+                waiting += 1
+            if waiting > window_peak:
+                window_peak = waiting
         if server < 0:
             continue
         members = batch[server]
-        state = st.state[server]
+        ticks, stages, restores, state = tables[server]
+        held = occupancy[server]
         # Admission: policy order, head-of-line, between iterations.  A
         # draining group stops admitting; its residents run to completion.
-        if not draining[server]:
-            while len(members) < max_batch and len(policy):
+        if admitting[server]:
+            while waiting and len(members) < max_batch:
                 head = peek()
                 if members and ready[head] > clock:
                     break  # not yet admissible at this server's clock
                 need = state[pair[head]][step_index[head]]
-                if members and occupancy[server] + need > budget:
+                if members and held + need > budget:
                     break  # no room in the KV budget; wait for completions
                 pop()
+                waiting -= 1
                 admit = ready[head] if ready[head] > clock else clock
                 if not members:
                     clock = admit
@@ -501,28 +510,31 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
                     start[head] = admit
                 else:  # re-admitted: it waited from its preemption (its ready tick)
                     requeued.append((ready[head], admit))
-                if scaler is not None:
+                if apolicy is not None:
                     admissions.append((admit, server))
                 members.append(head)
-                occupancy[server] += need
+                held += need
         if not members:
             continue
-        # Preemption: the members' next steps grew past the budget.
-        while preemption and len(members) > 1 and occupancy[server] > budget:
-            rank = victim(members)
-            members.remove(rank)
-            occupancy[server] -= state[pair[rank]][step_index[rank]]
-            preempted[rank] += 1
-            restore_due[rank] = True
-            totals[server][4] += 1
-            # Re-queued, the rank is admissible only from its preemption.
-            ready[rank] = clock
-            push(rank)
-            if scaler is not None and len(policy) > window_peak:
-                window_peak = len(policy)
+        acc = totals[server]
+        # Preemption: the members' next steps grew past the budget.  The
+        # waiting count only grows in the burst, so its peak is its end.
+        if preemption and held > budget and len(members) > 1:
+            while len(members) > 1 and held > budget:
+                rank = victim(members)
+                members.remove(rank)
+                held -= state[pair[rank]][step_index[rank]]
+                preempted[rank] += 1
+                restore_due[rank] = True
+                acc[4] += 1
+                # Re-queued, the rank is admissible only from its preemption.
+                ready[rank] = clock
+                push(rank)
+                waiting += 1
+            if waiting > window_peak:
+                window_peak = waiting
         # One iteration: one step per member, rank order, per-stage clocks.
         members.sort()
-        ticks, stages, restores = st.ticks[server], st.stage[server], st.restore[server]
         stage_clock = {}
         last = last_tenant[server]
         now = clock
@@ -536,8 +548,8 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
             if this_tenant != last:
                 if last >= 0:
                     now += switch_ticks
-                    totals[server][2] += switch_ticks
-                    totals[server][3] += 1
+                    acc[2] += switch_ticks
+                    acc[3] += 1
                 last = this_tenant
             if restore_due[rank]:
                 now += restores[row][k]
@@ -551,13 +563,13 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
             if first[rank] < 0:
                 first[rank] = now
             if k < steps[row]:
-                occupancy[server] += row_state[k] - row_state[k - 1]
+                held += row_state[k] - row_state[k - 1]
                 continue
-            occupancy[server] -= row_state[k - 1]
+            held -= row_state[k - 1]
             finish[rank] = now
-            totals[server][0] += 1
+            acc[0] += 1
             done = True
-            if scaler is not None:
+            if apolicy is not None:
                 served += 1
                 first_tick = first[rank]
                 tpot = ((now - first_tick) / (tokens[row] * TICKS_PER_SECOND)
@@ -566,9 +578,10 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
                         or tpot > tpot_slo[rank]):
                     misses += 1
         last_tenant[server] = last
+        occupancy[server] = held
         end = max(stage_clock.values()) if staged else now
         free_at[server] = end
-        totals[server][1] += end - clock
+        acc[1] += end - clock
         if done:
             members[:] = [rank for rank in members if step_index[rank] < steps[pair[rank]]]
             if not members:
@@ -578,9 +591,9 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
     if apolicy is not None:
         seg_end = max(finish)
         for s in servers:
-            if draining[s]:
-                stop_group(s, free_at[s], pending_stop[s])
-            elif committed[s]:
+            if draining[s] is not None:
+                stop_group(s, free_at[s], draining[s])
+            elif admitting[s]:
                 group_ticks += seg_end - serving_since[s]
         fleet = apolicy.min_groups
         timeline.append((seg_start, fleet))

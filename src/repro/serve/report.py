@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -117,8 +117,12 @@ class ServeReport:
         return sum(node.utilization for node in self.nodes) / len(self.nodes)
 
     def to_dict(self) -> dict:
-        """The report as plain nested dicts/lists (JSON-able, round-trips)."""
-        return asdict(self)
+        """The report as plain nested dicts/lists (JSON-able, round-trips).
+
+        Equal to ``dataclasses.asdict(self)``, tuples still tuples, without
+        its ``copy.deepcopy`` of every leaf: the leaves are immutable scalars.
+        """
+        return _plain(self)
 
     def to_json(self, indent: int = 2) -> str:
         """Stable JSON text: sorted keys, so identical runs compare equal."""
@@ -180,6 +184,15 @@ class ServeReport:
                 f"{auto.goodput_per_node_second:.3f} req/node-s "
                 f"(provisioning delay {auto.provision_delay_s:.2f} s)")
         return "\n\n".join(sections)
+
+
+def _plain(value):
+    """Rebuild a record's dataclasses as dicts and its lists and tuples in kind."""
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return {spec.name: _plain(getattr(value, spec.name)) for spec in fields(value)}
+    return value
 
 
 # -------------------------------------------------------- columnar assembly

@@ -21,7 +21,6 @@ from repro.serve import (
     Autoscaler,
     KVBudget,
     ServeSimulator,
-    WindowStats,
     bursty_trace,
     default_tenants,
     derive_kv_budget,
@@ -102,59 +101,61 @@ class TestPolicyValidation:
 
 
 class TestController:
+    """Windows are ``(queue_depth_peak, served, slo_misses)`` triples."""
+
     POLICY = AutoscalePolicy(min_groups=1, max_groups=3, window_s=1.0,
                              sustain_windows=2, cooldown_s=2.0)
 
     def test_sustained_depth_pressure_scales_out(self):
         scaler = Autoscaler(self.POLICY)
-        deep = WindowStats(queue_depth_peak=9, served=0, slo_misses=0)
-        assert scaler.evaluate(1.0, deep, 1) is None  # one window is not sustained
-        assert scaler.evaluate(2.0, deep, 1) == ("out", "queue-pressure")
+        deep = (9, 0, 0)
+        assert scaler.evaluate(1.0, *deep, 1) is None  # one window is not sustained
+        assert scaler.evaluate(2.0, *deep, 1) == ("out", "queue-pressure")
 
     def test_sustained_slo_pressure_wins_the_reason(self):
         scaler = Autoscaler(self.POLICY)
-        missing = WindowStats(queue_depth_peak=0, served=10, slo_misses=5)
-        assert scaler.evaluate(1.0, missing, 1) is None
-        assert scaler.evaluate(2.0, missing, 1) == ("out", "slo-pressure")
+        missing = (0, 10, 5)
+        assert scaler.evaluate(1.0, *missing, 1) is None
+        assert scaler.evaluate(2.0, *missing, 1) == ("out", "slo-pressure")
 
     def test_cooldown_suppresses_flapping(self):
         scaler = Autoscaler(self.POLICY)
-        deep = WindowStats(queue_depth_peak=20, served=0, slo_misses=0)
-        assert scaler.evaluate(2.0, deep, 1) is None
-        assert scaler.evaluate(3.0, deep, 1) == ("out", "queue-pressure")
+        deep = (20, 0, 0)
+        assert scaler.evaluate(2.0, *deep, 1) is None
+        assert scaler.evaluate(3.0, *deep, 1) == ("out", "queue-pressure")
         # Pressure persists but the cooldown (until t=5) holds the line.
-        assert scaler.evaluate(4.0, deep, 2) is None
-        assert scaler.evaluate(4.9, deep, 2) is None
-        assert scaler.evaluate(5.0, deep, 2) == ("out", "queue-pressure")
+        assert scaler.evaluate(4.0, *deep, 2) is None
+        assert scaler.evaluate(4.9, *deep, 2) is None
+        assert scaler.evaluate(5.0, *deep, 2) == ("out", "queue-pressure")
 
     def test_idle_windows_scale_in_but_never_below_min(self):
         scaler = Autoscaler(self.POLICY)
-        idle = WindowStats(queue_depth_peak=0, served=0, slo_misses=0)
-        assert scaler.evaluate(1.0, idle, 2) is None
-        assert scaler.evaluate(2.0, idle, 2) == ("in", "idle")
-        assert scaler.evaluate(5.0, idle, 1) is None
-        assert scaler.evaluate(6.0, idle, 1) is None  # at min_groups: held
+        idle = (0, 0, 0)
+        assert scaler.evaluate(1.0, *idle, 2) is None
+        assert scaler.evaluate(2.0, *idle, 2) == ("in", "idle")
+        assert scaler.evaluate(5.0, *idle, 1) is None
+        assert scaler.evaluate(6.0, *idle, 1) is None  # at min_groups: held
 
     def test_out_bounded_by_committed_in_bounded_by_serving(self):
         scaler = Autoscaler(self.POLICY)
-        deep = WindowStats(queue_depth_peak=20, served=0, slo_misses=0)
-        scaler.evaluate(1.0, deep, 3)
+        deep = (20, 0, 0)
+        scaler.evaluate(1.0, *deep, 3)
         # Committed at max (even with one group draining): no scale-out.
-        assert scaler.evaluate(2.0, deep, 3, draining_groups=1) is None
+        assert scaler.evaluate(2.0, *deep, 3, draining_groups=1) is None
         scaler = Autoscaler(self.POLICY)
-        idle = WindowStats(queue_depth_peak=0, served=0, slo_misses=0)
-        scaler.evaluate(1.0, idle, 2, draining_groups=1)
+        idle = (0, 0, 0)
+        scaler.evaluate(1.0, *idle, 2, draining_groups=1)
         # Serving (committed - draining) is already at min: no stacked drain.
-        assert scaler.evaluate(2.0, idle, 2, draining_groups=1) is None
+        assert scaler.evaluate(2.0, *idle, 2, draining_groups=1) is None
 
     def test_band_between_thresholds_resets_streaks(self):
         scaler = Autoscaler(self.POLICY)
-        idle = WindowStats(queue_depth_peak=0, served=0, slo_misses=0)
-        band = WindowStats(queue_depth_peak=2, served=4, slo_misses=0)
-        assert scaler.evaluate(1.0, idle, 2) is None
-        assert scaler.evaluate(2.0, band, 2) is None  # streak broken
-        assert scaler.evaluate(3.0, idle, 2) is None  # must re-sustain
-        assert scaler.evaluate(4.0, idle, 2) == ("in", "idle")
+        idle = (0, 0, 0)
+        band = (2, 4, 0)
+        assert scaler.evaluate(1.0, *idle, 2) is None
+        assert scaler.evaluate(2.0, *band, 2) is None  # streak broken
+        assert scaler.evaluate(3.0, *idle, 2) is None  # must re-sustain
+        assert scaler.evaluate(4.0, *idle, 2) == ("in", "idle")
 
 
 # ------------------------------------------------------------ KV budget math
@@ -330,6 +331,17 @@ class TestElasticServing:
                 spans[event.group_id][-1][1] = event.stopped_s
         for admit_s, group in simulator.last_admissions:
             assert any(lo <= admit_s < hi for lo, hi in spans[group]), (admit_s, group)
+
+    def test_report_dict_equals_asdict_with_tuples_kept(self):
+        # to_dict skips asdict's per-leaf deepcopy; the autoscale section's
+        # events and timeline are tuples, which must stay tuples.
+        report = elastic_simulator().run(overload_trace(seed=7, utilization=1.1))
+        assert report.autoscale.events
+        plain = report.to_dict()
+        assert plain == dataclasses.asdict(report)
+        assert isinstance(plain["autoscale"]["events"], tuple)
+        assert isinstance(plain["autoscale"]["timeline"][0], tuple)
+        assert isinstance(plain["tenants"], list)
 
     def test_autoscale_section_renders(self):
         trace = overload_trace(seed=7, utilization=1.1, requests=20)

@@ -134,6 +134,21 @@ class TestTiling:
         for shape in (GEMMShape(1000, 900, 1100), GEMMShape(64, 64, 64), GEMMShape(4096, 128, 256)):
             assert TwoLevelTiling(shape).check_covers_shape()
 
+    def test_level2_tiles_of_a_ragged_parent_in_schedule_order(self):
+        """Row-major blocks, K innermost, every axis clipped at the parent's edge."""
+        tiling = TwoLevelTiling(GEMMShape(1100, 150, 600), TileConfig(1024, 150, 512),
+                                TileConfig(32, 32, 40))
+        parent = list(tiling.level1_tiles())[3]
+        assert parent == Tile(1024, 1100, 0, 150, 512, 600)
+        expected = [
+            Tile(row, min(row + 32, 1100), col, min(col + 32, 150), k, min(k + 40, 600))
+            for row in range(1024, 1100, 32)
+            for col in range(0, 150, 32)
+            for k in range(512, 600, 40)
+        ]
+        assert list(tiling.level2_tiles(parent)) == expected
+        assert len(expected) == tiling.num_level2_tiles(parent) == 3 * 5 * 3
+
     def test_level2_must_not_exceed_level1(self):
         with pytest.raises(ValueError):
             TwoLevelTiling(GEMMShape(128, 128, 128), TileConfig(32, 32), TileConfig(64, 64))

@@ -157,25 +157,27 @@ class TestWalkerParity:
         split=st.integers(0, 120),
     )
     def test_walk_batch_equals_scalar_walks(self, vpns, capacity, split):
-        """walk_batch after a scalar warm-up gives identical paddrs/cycles/stats."""
+        """walk_batch after a scalar warm-up charges identical cycles and stats.
+
+        It only charges walks; the batch's physical addresses come from the
+        TLB lookup pass and are covered by ``TestTLBBatchParity``.
+        """
         space = make_space(pages=201)
         table = space.page_table
         scalar = PageTableWalker(walk_cache_entries=capacity)
         batched = PageTableWalker(walk_cache_entries=capacity)
         vaddrs = [0x10_0000 + vpn * 4096 + 17 for vpn in vpns]
         warmup, batch = vaddrs[: split % (len(vaddrs) + 1)], vaddrs[split % (len(vaddrs) + 1):]
-        scalar_results = []
         for vaddr in warmup:
             scalar.walk(table, vaddr)
             batched.walk(table, vaddr)
-        for vaddr in batch:
-            result = scalar.walk(table, vaddr)
-            scalar_results.append((result.paddr, result.cycles))
-        if batch:
-            paddrs, cycles = batched.walk_batch(table, batch)
-            assert list(zip(paddrs.tolist(), cycles.tolist())) == scalar_results
+        scalar_cycles = [scalar.walk(table, vaddr).cycles for vaddr in batch]
+        cycles = batched.walk_batch(table, [vaddr >> 12 for vaddr in batch])
+        assert cycles.tolist() == scalar_cycles
         assert batched.walks_performed == scalar.walks_performed
         assert batched.total_walk_cycles == scalar.total_walk_cycles
+        assert batched._inserts == scalar._inserts
+        assert batched._walk_cache == scalar._walk_cache
         # Behavioural equivalence going forward, not just aggregate equality:
         probe = 0x10_0000 + 123 * 4096
         assert scalar.walk(table, probe).cycles == batched.walk(table, probe).cycles
