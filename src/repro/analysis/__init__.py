@@ -20,8 +20,6 @@ from repro.analysis.reporting import (
     render_csv,
     format_gflops,
     format_percent,
-    latency_summary,
-    percentile,
 )
 from repro.analysis.roofline import Roofline, RooflinePoint, node_roofline, place_gemm, roofline_sweep
 from repro.analysis.energy import EnergyBreakdown, EnergyModel, PowerParameters
@@ -50,6 +48,4 @@ __all__ = [
     "render_csv",
     "format_gflops",
     "format_percent",
-    "latency_summary",
-    "percentile",
 ]

@@ -10,55 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from typing import Dict, Iterable, Sequence
-
-import numpy as np
-
-#: Below this sample size ``sorted`` beats the array round-trip, so the
-#: scalar path stays the default for the small per-tenant samples.
-_VECTOR_THRESHOLD = 1024
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of ``values`` (``q`` in 0..100).
-
-    Nearest-rank (rather than interpolating) keeps the result an element of
-    the sample and is monotone in ``q``, so p99 >= p95 >= p50 holds by
-    construction — the property the serving report's regression tests rely on.
-
-    Large samples (and anything already an ``ndarray``) go through
-    ``np.partition``, which places the rank-th smallest element at its sorted
-    index in O(n) — it selects exactly the element ``sorted`` would, so both
-    paths are bit-identical.
-    """
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile must be in 0..100, got {q}")
-    size = len(values)
-    if size == 0:
-        raise ValueError("cannot take a percentile of an empty sample")
-    rank = max(1, math.ceil(q / 100.0 * size))
-    if isinstance(values, np.ndarray) or size >= _VECTOR_THRESHOLD:
-        return np.partition(np.asarray(values), rank - 1)[rank - 1].item()
-    return sorted(values)[rank - 1]
-
-
-def latency_summary(values: Sequence[float]) -> Dict[str, float]:
-    """Mean plus the p50/p95/p99 nearest-rank percentiles of a latency sample."""
-    if len(values) == 0:
-        raise ValueError("cannot summarise an empty latency sample")
-    if isinstance(values, np.ndarray) or len(values) >= _VECTOR_THRESHOLD:
-        data = np.asarray(values, dtype=float)
-        mean = float(data.mean())
-    else:
-        data = values
-        mean = sum(values) / len(values)
-    return {
-        "mean": mean,
-        "p50": percentile(data, 50),
-        "p95": percentile(data, 95),
-        "p99": percentile(data, 99),
-    }
 
 
 def format_percent(value: float, digits: int = 1) -> str:

@@ -33,8 +33,9 @@ the properties the repo stakes out as exact:
   pooled runs are byte-identical to the single-shard report, and a
   ``min_groups == max_groups`` policy is byte-identical to the fixed-fleet
   path once the ``autoscale`` section is stripped;
-* ``percentile`` — the ``np.partition`` fast path is bit-identical to the
-  sorted nearest-rank reference on either side of the size threshold;
+* ``percentile`` — the report's p50/p95/p99 selection
+  (``repro.serve.report._select_ranks``) picks exactly the sorted
+  nearest-rank elements;
 * ``trace-roundtrip`` — vectorized trace generators match their scalar twins
   element for element and traces survive a records round-trip;
 * ``tile-translation`` — ``AcceleratorDataEngine.translate_tile`` equals the
@@ -584,7 +585,7 @@ def _check_autoscale_invariants(spec: ScenarioSpec) -> None:
 
 # --------------------------------------------------------------- percentile
 def _sample_percentile(rng: random.Random) -> ScenarioSpec:
-    # Straddle the vector threshold (1024) so both code paths are sampled.
+    # Tiny samples, where the three ranks collide, and large ones.
     size = rng.choice([
         rng.randint(1, 16),
         rng.randint(900, 1100),
@@ -593,34 +594,26 @@ def _sample_percentile(rng: random.Random) -> ScenarioSpec:
     return _spec(
         "percentile",
         size=size,
-        q=round(rng.uniform(0.0, 100.0), 3),
         seed=rng.randint(0, 9999),
         scale=rng.choice([1.0, 1e-6, 1e6]),
     )
 
 
 def _check_percentile(spec: ScenarioSpec) -> None:
-    from repro.analysis import percentile
+    from repro.serve.report import _select_ranks
 
     rng = random.Random(int(spec.param("seed")))
     size = int(spec.param("size"))
     scale = float(spec.param("scale"))
     values = [rng.uniform(0.0, scale) for _ in range(size)]
-    q = float(spec.param("q"))
     # Nearest-rank reference, straight from the definition.
-    rank = max(1, int(np.ceil(q / 100.0 * size))) if q > 0 else 1
-    reference = sorted(values)[rank - 1]
-    from_list = percentile(values, q)
-    from_array = percentile(np.asarray(values), q)
-    if from_list != reference:
+    ordered = sorted(values)
+    reference = tuple(ordered[max(1, int(np.ceil(q / 100.0 * size))) - 1] for q in (50, 95, 99))
+    selected = _select_ranks(np.asarray(values))
+    if selected != reference:
         raise ScenarioFailure(
-            f"percentile(list, {q}) = {from_list!r} != nearest-rank {reference!r} "
+            f"_select_ranks = {selected!r} != nearest-rank p50/p95/p99 {reference!r} "
             f"(size={size})"
-        )
-    if from_array != reference:
-        raise ScenarioFailure(
-            f"percentile(ndarray, {q}) = {from_array!r} != nearest-rank "
-            f"{reference!r} (size={size}) — np.partition fast path diverged"
         )
 
 
@@ -835,7 +828,7 @@ SCENARIO_KINDS: Dict[str, _Kind] = {
                ("max_batch", 2), ("shards", 2), ("jobs", 1),
                ("scheduler", "fcfs"), ("min_groups", 1))),
         _Kind("percentile", _sample_percentile, _check_percentile,
-              (("size", 1), ("scale", 1.0), ("q", 50.0))),
+              (("size", 1), ("scale", 1.0))),
         _Kind("trace-roundtrip", _sample_trace_roundtrip, _check_trace_roundtrip,
               (("tenants", 1), ("duration", 1.0), ("rate", 1.0))),
         _Kind("tile-translation", _sample_tile_translation, _check_tile_translation,

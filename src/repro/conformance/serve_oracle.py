@@ -151,7 +151,7 @@ def oracle_columns(et: EngineTrace, segments: List[Tuple[int, int]]) -> SegmentC
 def lower(simulator, trace) -> EngineTrace:
     """The request-mode :class:`~repro.serve.engine.EngineTrace` a simulator runs."""
     simulator._prepare_services(trace)
-    return simulator._engine_trace(trace.columns)[0]
+    return simulator._engine_trace(trace.columns)
 
 
 def check_request_engine(simulator, trace, shards: Optional[int] = None) -> Optional[str]:

@@ -45,8 +45,6 @@ from repro.serve.simulator import (
     ServeSimulator,
     ServiceProfile,
     StepSpec,
-    estimate_phase_service_seconds,
-    estimate_service_seconds,
 )
 from repro.serve.trace import (
     Request,
@@ -76,8 +74,6 @@ __all__ = [
     "ServeSimulator",
     "ServiceProfile",
     "StepSpec",
-    "estimate_phase_service_seconds",
-    "estimate_service_seconds",
     "TENANT_SWITCH_FLUSH_CYCLES",
     "DEFAULT_KV_BUDGET_BYTES",
     "AutoscalePolicy",

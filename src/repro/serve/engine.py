@@ -66,6 +66,7 @@ __all__ = [
     "EngineTrace",
     "StepTables",
     "SegmentColumns",
+    "drain_costs",
     "segment_bounds",
     "shard_plan",
     "simulate_segments",
@@ -85,9 +86,7 @@ class StepTables:
     cumulative boundaries), pipeline stage, the resident state bytes the
     request holds *after* it, and the KV-restore ticks a preempted request
     pays before it.  ``staged`` says some step runs outside stage 0
-    (pipeline parallelism).  ``priority``/``ttft_slo_s``/``tpot_slo_s`` are
-    per rank: the victim tier and the SLO targets the autoscaler's windows
-    score completions against (``nan`` when absent).
+    (pipeline parallelism).
     """
 
     ticks: Tuple[Tuple[Tuple[int, ...], ...], ...]
@@ -98,9 +97,6 @@ class StepTables:
     max_batch: int
     budget: float
     preemption: bool
-    priority: np.ndarray
-    ttft_slo_s: np.ndarray
-    tpot_slo_s: np.ndarray
     autoscale: Optional[AutoscalePolicy] = None
 
 
@@ -113,10 +109,13 @@ class EngineTrace:
     ``latency/interval/first_table`` hold each pair's ceiling-tick service
     figures per server (one column per server — the np.take lookup that
     replaces a dict hit per event).  ``svc0`` (server-0 latency, the sjf key),
-    ``priority`` and ``deadline`` (arrival + TTFT SLO, :data:`NO_DEADLINE`
-    when absent) are pre-expanded per rank because the policy queues consume
-    them on every push.  ``step`` is set for step batching.  The whole record
-    is plain arrays and ints, so it pickles cheaply to shard workers.
+    ``priority`` (the policy and victim tier) and ``deadline`` (arrival + TTFT
+    SLO, :data:`NO_DEADLINE` when absent) are pre-expanded per rank because
+    the policy queues consume them on every push; ``ttft_slo_s`` and
+    ``tpot_slo_s`` are the per-rank SLO targets (``nan`` when absent) the
+    report and the autoscaler's windows score completions against.  ``step``
+    is set for step batching.  The whole record is plain arrays and ints, so
+    it pickles cheaply to shard workers.
     """
 
     policy: str
@@ -132,6 +131,8 @@ class EngineTrace:
     svc0: np.ndarray
     priority: np.ndarray
     deadline: np.ndarray
+    ttft_slo_s: np.ndarray
+    tpot_slo_s: np.ndarray
     uniform_interval: bool
     step: Optional[StepTables] = None
 
@@ -345,7 +346,7 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
     ready = list(arrival)
     pair = et.pair[lo:hi].tolist()
     tenant = et.tenant[lo:hi].tolist()
-    priority = st.priority[lo:hi].tolist()
+    priority = et.priority[lo:hi].tolist()
     policy = scheduler_by_name(
         et.policy, 0, count, tenant=tenant, service=et.svc0[lo:hi],
         priority=priority, deadline=et.deadline[lo:hi])
@@ -389,8 +390,8 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
         delay = _ticks(apolicy.provision_delay_s)
         next_window = seg_start + window
         tokens = et.tokens_table.tolist()
-        ttft_slo = st.ttft_slo_s[lo:hi].tolist()
-        tpot_slo = st.tpot_slo_s[lo:hi].tolist()
+        ttft_slo = et.ttft_slo_s[lo:hi].tolist()
+        tpot_slo = et.tpot_slo_s[lo:hi].tolist()
     else:
         next_window = NO_DEADLINE
 
@@ -614,28 +615,37 @@ def _ticks(seconds: float) -> int:
 
 
 # ------------------------------------------------------------------ sharding
-def segment_bounds(
-    et: EngineTrace, worst: Optional[np.ndarray] = None
-) -> List[Tuple[int, int]]:
+def drain_costs(et: EngineTrace) -> np.ndarray:
+    """Each pair's worst per-request cost in ticks, the serial drain bound's unit.
+
+    The switch ticks plus the slowest server's latency, and under step
+    batching one KV restore of the peak state on top.  Step batching can
+    exceed it: a preempted request may restore more than once, and batch
+    members of different tenants may switch once per step.
+    """
+    worst = et.latency_table
+    if et.step is not None:
+        peak_restore = np.array([[max(row) for row in rows] for rows in et.step.restore])
+        worst = worst + peak_restore.T
+    return worst.max(axis=1) + et.switch_ticks
+
+
+def segment_bounds(et: EngineTrace) -> List[Tuple[int, int]]:
     """Cut the trace at provable full-idle points, deterministically.
 
     ``bound_r`` is the drain time of a single server executing requests 0..r
-    serially in canonical order, each at its worst per-server cost (switch +
-    ``worst[pair]``, by default the max-over-servers latency): ``bound_r =
-    max(bound_{r-1}, arrival_r) + worst_r``, the same max-plus scan as the
-    closed-form runner.  Any work-conserving schedule on >= 1 servers
-    drains no later, so wherever ``bound_r < arrival_{r+1}`` the whole fleet
-    is provably idle and the trace can restart cold.  Step batching passes
-    the latency plus one KV restore of the peak state as ``worst``.  The
-    cuts depend only on the trace and the service tables — never on policy
-    or shard count — which is what makes sharded reports invariant.
+    serially in canonical order, each at its :func:`drain_costs` cost:
+    ``bound_r = max(bound_{r-1}, arrival_r) + cost_r``, the same max-plus
+    scan as the closed-form runner.  Any work-conserving schedule on >= 1
+    servers drains no later, so wherever ``bound_r < arrival_{r+1}`` the
+    whole fleet is provably idle and the trace can restart cold.  The cuts
+    depend only on the trace and the service tables — never on policy or
+    shard count — which is what makes sharded reports invariant.
     """
     count = len(et)
     if count == 0:
         return []
-    if worst is None:
-        worst = et.latency_table.max(axis=1)
-    cost = worst[et.pair] + et.switch_ticks
+    cost = drain_costs(et)[et.pair]
     inclusive = np.cumsum(cost)
     bound = inclusive + np.maximum.accumulate(et.arrival - (inclusive - cost))
     cuts = (np.flatnonzero(bound[:-1] < et.arrival[1:]) + 1).tolist()

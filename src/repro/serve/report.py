@@ -200,6 +200,11 @@ def _plain(value):
 #: here so the builder has no import cycle with :mod:`repro.serve.engine`).
 TICKS_PER_SECOND = 10**9
 
+#: The engine's int64 clock: every arrival, SLO deadline and completion tick
+#: lies in ``[0, TICK_LIMIT)``, so the int64 maximum itself stays free for
+#: the no-deadline sentinel (:data:`~repro.serve.scheduler.NO_DEADLINE`).
+TICK_LIMIT = 2**63 - 1
+
 
 def _exact_sum(values: np.ndarray) -> int:
     """Sum an int64 array exactly, immune to int64 overflow.

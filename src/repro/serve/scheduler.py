@@ -44,6 +44,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.serve.report import TICK_LIMIT
+
 __all__ = [
     "NO_DEADLINE",
     "BatchingPolicy",
@@ -55,9 +57,10 @@ __all__ = [
 SCHEDULER_NAMES = ("fcfs", "sjf", "rr", "priority", "slo")
 
 #: Deadline sentinel for requests without a TTFT SLO under the slo policy:
-#: far beyond any reachable tick, so deadline-less requests order after every
-#: deadline-carrying one of equal priority.
-NO_DEADLINE = 2**62
+#: the end of the engine's clock, past every deadline it accepts, so
+#: deadline-less requests order after every deadline-carrying one of equal
+#: priority.
+NO_DEADLINE = TICK_LIMIT
 
 
 class BatchingPolicy:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -75,13 +76,14 @@ from repro.serve.engine import (
     TICKS_PER_SECOND,
     EngineTrace,
     StepTables,
+    drain_costs,
     merge_segments,
     segment_bounds,
     shard_plan,
     shard_worker,
     simulate_segments,
 )
-from repro.serve.report import ServeReport, build_report_from_columns
+from repro.serve.report import TICK_LIMIT, ServeReport, build_report_from_columns
 from repro.serve.scheduler import SCHEDULER_NAMES
 from repro.serve.trace import RequestTrace, TenantSpec, TraceColumns
 
@@ -90,8 +92,6 @@ __all__ = [
     "DEFAULT_KV_BUDGET_BYTES",
     "StepSpec",
     "ServiceProfile",
-    "estimate_phase_service_seconds",
-    "estimate_service_seconds",
     "ServeSimulator",
 ]
 
@@ -111,10 +111,6 @@ TENANT_SWITCH_FLUSH_CYCLES = 1024
 #: :attr:`~repro.mem.dram.DRAMConfig.total_capacity_bytes` — see
 #: :func:`~repro.serve.autoscale.derive_kv_budget` and DESIGN.md section 8.
 DEFAULT_KV_BUDGET_BYTES = 4 << 30
-
-#: The engine's clock is int64 nanosecond ticks: arrivals and completions
-#: must stay below this.
-_TICK_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ class ServiceProfile:
         return max(step.state_bytes for step in self.steps)
 
 
-def estimate_phase_service_seconds(
+def _service_profile(
     config: MACOConfig,
     workload_name: str,
     precision: Precision,
@@ -171,56 +167,38 @@ def estimate_phase_service_seconds(
     parallelism: Optional[str] = None,
     group: Optional[Sequence[int]] = None,
     background: Sequence[Sequence[int]] = (),
-) -> List[Tuple[str, float]]:
-    """Per-phase analytic service time of one model invocation on one server.
+) -> ServiceProfile:
+    """Estimate the :class:`ServiceProfile` of one workload on one server.
 
     The request runs alone on its server but shares the memory system with
     the rest of the fleet, so the per-layer GEMM estimates use the
     ``active_nodes``-way contended :func:`~repro.core.perf.memory_environment`
     (the steady-state worst case for a loaded fleet).  Each phase of the
-    workload graph is scheduled independently — its GEMM stream on the MMAE,
-    its element-wise tail on the node's CPU core, its stash prefetch traffic
-    at the node's DRAM bandwidth share, combined through the same
-    :func:`~repro.core.mapping.schedule_gemm_plus` overlap model as
+    workload graph is one step, scheduled independently — its GEMM stream on
+    the MMAE, its element-wise tail on the node's CPU core, its stash
+    prefetch traffic at the node's DRAM bandwidth share, combined through
+    the same :func:`~repro.core.mapping.schedule_gemm_plus` overlap model as
     :meth:`~repro.core.maco.MACOSystem.run_workload` — and phases execute in
-    order (prefill feeds decode), so the request's service time is the sum.
-    A phase times its distinct shapes once and scales by the phase ``repeat``
-    count: every decode step after the first reuses the
-    :class:`~repro.core.perf.TimingCache` entries of its block.
+    order (prefill feeds decode), so ``latency_s`` is the sum of the step
+    seconds.  A phase times its distinct shapes once and scales by the phase
+    ``repeat`` count: every decode step after the first reuses the
+    :class:`~repro.core.perf.TimingCache` entries of its block.  Phase
+    boundaries are barriers, so a multi-phase graph reads slightly more
+    conservative than one whole-network overlap would.
 
     With ``parallelism`` (``"tp:4"``-style) the server is a node *group*:
     :func:`repro.parallel.plan_parallel` shards each phase's GEMM stream over
-    ``group`` (tensor parallel also divides the element-wise tail and stash
-    traffic across the group; a pipeline stage keeps its phases whole), and
-    the phase pays its collective-communication seconds — priced on the mesh
-    with every ``background`` group's traffic overlaid — on top of the
-    overlap schedule.  A ``tp:1`` plan reproduces the single-node estimate
+    ``group`` (tensor parallel also divides the element-wise tail, the stash
+    traffic and the resident state across the group's ``sharers``; a
+    pipeline stage keeps its phases whole), and the phase pays its exposed
+    collective-communication seconds — priced on the mesh with every
+    ``background`` group's traffic overlaid — on top of the overlap
+    schedule.  ``interval_s`` is the steady-state occupancy a request adds
+    to its server: under pipeline parallelism the busiest stage's seconds —
+    back-to-back same-tenant requests overlap across stages, so the group
+    admits the next request one interval after the last — and the latency
+    everywhere else.  A ``tp:1`` plan reproduces the single-node estimate
     bit for bit.
-    """
-    rows, _ = _phase_service_rows(
-        config, workload_name, precision, active_nodes, cache=cache,
-        parallelism=parallelism, group=group, background=background,
-    )
-    return [(name, seconds) for name, seconds, _, _ in rows]
-
-
-def _phase_service_rows(
-    config: MACOConfig,
-    workload_name: str,
-    precision: Precision,
-    active_nodes: int,
-    cache: Optional[TimingCache] = None,
-    parallelism: Optional[str] = None,
-    group: Optional[Sequence[int]] = None,
-    background: Sequence[Sequence[int]] = (),
-) -> Tuple[List[Tuple[str, float, int, int]], Optional[str]]:
-    """``(phase name, seconds, pipeline stage, sharers)`` rows plus the strategy.
-
-    The implementation behind :func:`estimate_phase_service_seconds`; the
-    stage index (0 outside pipeline parallelism) lets the simulator compute
-    the group's steady-state pipeline interval, and ``sharers`` — the nodes a
-    phase is sharded over — lets it divide the phase's resident state across
-    a tensor-parallel group (each node holds its KV shard).
     """
     from repro.workloads.registry import workload_graph_by_name
 
@@ -241,13 +219,15 @@ def _phase_service_rows(
             background=background,
         )
 
-    results: List[Tuple[str, float, int, int]] = []
+    steps: List[StepSpec] = []
+    per_stage: Dict[int, float] = {}
     for index, phase in enumerate(graph.phases):
         stash_bytes = 0
         for shape in phase.shapes:
             stash_bytes += partition_gemm(shape, 1).stash_bytes
         stash_bytes *= phase.repeat
         comm_seconds = 0.0
+        stage = 0
         if plan is None:
             gemm_seconds = sum(
                 estimate_node_gemm_cached(
@@ -265,6 +245,7 @@ def _phase_service_rows(
             # Tensor parallelism shards the tail and stash across the group;
             # a pipeline stage runs its phases whole on one node.
             sharers = len(phase_plan.nodes)
+            stage = phase_plan.stage
         cpu_seconds = core.run_elementwise(
             phase.non_gemm_flops * phase.repeat, phase.non_gemm_bytes * phase.repeat
         ).seconds / sharers
@@ -274,86 +255,16 @@ def _phase_service_rows(
             stash_seconds=stash_bytes / sharers / stash_bandwidth,
             mapping_enabled=config.mapping_scheme_enabled,
         )
-        stage = plan.phases[index].stage if plan is not None else 0
-        results.append((phase.name, schedule.total_seconds + comm_seconds, stage, sharers))
-    return results, (plan.strategy if plan is not None else None)
-
-
-def estimate_service_seconds(
-    config: MACOConfig,
-    workload_name: str,
-    precision: Precision,
-    active_nodes: int,
-    cache: Optional[TimingCache] = None,
-    parallelism: Optional[str] = None,
-    group: Optional[Sequence[int]] = None,
-    background: Sequence[Sequence[int]] = (),
-) -> float:
-    """Analytic service time of one model invocation on one server.
-
-    The sum of the per-phase estimates — see
-    :func:`estimate_phase_service_seconds` for the contention, overlap and
-    sharding models.  For single-phase graphs (``bert``, ``gpt3``) this
-    reduces to the flat GEMM-stream estimate of the whole workload;
-    multi-phase graphs (``resnet50`` is now one phase per conv stage, LLM
-    graphs one per prefill/decode block) schedule each phase's GEMM/CPU/stash
-    overlap independently, so their estimates are slightly more conservative
-    than the old whole-network overlap (phase boundaries are barriers).
-    """
-    return sum(
-        seconds
-        for _, seconds in estimate_phase_service_seconds(
-            config, workload_name, precision, active_nodes, cache=cache,
-            parallelism=parallelism, group=group, background=background,
-        )
-    )
-
-
-def _service_profile(
-    config: MACOConfig,
-    workload_name: str,
-    precision: Precision,
-    active_nodes: int,
-    cache: Optional[TimingCache] = None,
-    parallelism: Optional[str] = None,
-    group: Optional[Sequence[int]] = None,
-    background: Sequence[Sequence[int]] = (),
-) -> ServiceProfile:
-    """Build the :class:`ServiceProfile` of one workload on one server.
-
-    ``latency_s`` is the end-to-end service time a request observes.
-    ``interval_s`` is the steady-state occupancy the request adds to its
-    server: for pipeline parallelism the busiest stage's seconds —
-    back-to-back same-tenant requests overlap across stages, so the group
-    admits the next request one interval after the last — and simply the
-    latency everywhere else.  ``steps`` carries the per-phase timing plus the
-    resident-state and token metadata from the workload graph; a
-    tensor-parallel group holds each phase's state sharded ``sharers`` ways.
-    """
-    from repro.workloads.registry import workload_graph_by_name
-
-    rows, strategy = _phase_service_rows(
-        config, workload_name, precision, active_nodes, cache=cache,
-        parallelism=parallelism, group=group, background=background,
-    )
-    graph = workload_graph_by_name(workload_name, precision)
-    steps = tuple(
-        StepSpec(
-            name=name,
-            seconds=seconds,
-            stage=stage,
-            state_bytes=phase.state_bytes // sharers,
-            tokens=phase.tokens,
-        )
-        for (name, seconds, stage, sharers), phase in zip(rows, graph.phases)
-    )
-    latency = sum(seconds for _, seconds, _, _ in rows)
-    if strategy != "pp":
-        return ServiceProfile(latency_s=latency, interval_s=latency, steps=steps)
-    per_stage: Dict[int, float] = {}
-    for _, seconds, stage, _ in rows:
+        seconds = schedule.total_seconds + comm_seconds
+        steps.append(StepSpec(
+            name=phase.name, seconds=seconds, stage=stage,
+            state_bytes=phase.state_bytes // sharers, tokens=phase.tokens))
         per_stage[stage] = per_stage.get(stage, 0.0) + seconds
-    return ServiceProfile(latency_s=latency, interval_s=max(per_stage.values()), steps=steps)
+    latency = sum(step.seconds for step in steps)
+    pipelined = plan is not None and plan.strategy == "pp"
+    return ServiceProfile(
+        latency_s=latency, interval_s=max(per_stage.values()) if pipelined else latency,
+        steps=tuple(steps))
 
 
 def _service_worker(payload) -> ServiceProfile:
@@ -371,22 +282,34 @@ def _reorder(column: np.ndarray, order: Optional[np.ndarray]) -> np.ndarray:
     return column if order is None else column[order]
 
 
-def _trace_pairs(columns: TraceColumns) -> List[Tuple[str, Precision]]:
-    """The distinct ``(workload, precision)`` pairs of a trace, sorted.
+def _trace_pairs(columns: TraceColumns) -> Tuple[List[Tuple[str, Precision]], np.ndarray]:
+    """Intern a trace's ``(workload, precision)`` pairs.
 
-    One bincount over the tiny (workload x precision) code space: no
-    million-element hashing, no materialised requests.
+    Returns the distinct pairs in code order (workload id, then precision
+    id) and each row's index into them, from one bincount over the tiny
+    (workload x precision) code space: no million-element hashing, no
+    materialised requests.
     """
-    if not len(columns):
-        return []
     width = max(len(columns.precisions), 1)
-    counts = np.bincount(
-        columns.workload_id.astype(np.int64) * width + columns.precision_id,
-        minlength=len(columns.workloads) * width)
-    return sorted(
-        ((columns.workloads[int(code) // width], columns.precisions[int(code) % width])
-         for code in np.flatnonzero(counts)),
-        key=lambda pair: (pair[0], pair[1].name))
+    codes = columns.workload_id.astype(np.int64) * width + columns.precision_id
+    present = np.flatnonzero(np.bincount(codes, minlength=len(columns.workloads) * width))
+    remap = np.zeros(len(columns.workloads) * width, np.int64)
+    remap[present] = np.arange(len(present), dtype=np.int64)
+    pairs = [(columns.workloads[code // width], columns.precisions[code % width])
+             for code in present.tolist()]
+    return pairs, remap[codes]
+
+
+def _boundary_ticks(profile: ServiceProfile) -> List[int]:
+    """Ceiling ticks of a profile's cumulative step boundaries.
+
+    The partial sums run in ``latency_s``'s ``sum()`` order (``0 + s0`` is
+    ``s0`` exactly), so the last boundary is the request latency in ticks and
+    the first the first-token tick; the differences are the step ticks, which
+    therefore sum exactly to the latency.
+    """
+    return [math.ceil(seconds * TICKS_PER_SECOND)
+            for seconds in accumulate(step.seconds for step in profile.steps)]
 
 
 class ServeSimulator:
@@ -513,48 +436,20 @@ class ServeSimulator:
         return tuple(group for index, group in enumerate(self.groups) if index != server)
 
     # ------------------------------------------------------------ service times
-    def service_seconds(
-        self,
-        workload_name: str,
-        precision: Precision = Precision.FP32,
-        server: int = 0,
-    ) -> float:
-        """Memoised per-request service time on one server of this fleet.
+    def service_profile(
+        self, workload_name: str, precision: Precision = Precision.FP32, server: int = 0
+    ) -> ServiceProfile:
+        """Memoised :class:`ServiceProfile` of one workload on one server.
 
         Under parallelism the estimate depends on the group's mesh position
         (its ring shares different links with the background groups), so
         ``server`` selects the group; without parallelism every node is
         identical and the argument is ignored.
         """
-        return self.service_profile(workload_name, precision, server).latency_s
-
-    def service_profile(
-        self, workload_name: str, precision: Precision = Precision.FP32, server: int = 0
-    ) -> ServiceProfile:
-        """Memoised :class:`ServiceProfile` of one workload on one server."""
-        if self.parallelism is None:
-            server = 0
-        key = (workload_name, precision, server)
+        key = (workload_name, precision, server if self.parallelism is not None else 0)
         if key not in self._services:
-            self._services[key] = _service_profile(
-                self.config, workload_name, precision,
-                active_nodes=self.config.num_nodes, cache=self.runner.cache,
-                parallelism=self.parallelism,
-                group=self.groups[server] if self.parallelism is not None else None,
-                background=self._background(server),
-            )
+            self._ensure_services([(workload_name, precision)])
         return self._services[key]
-
-    def phase_profile(
-        self, workload_name: str, precision: Precision = Precision.FP32, server: int = 0
-    ) -> List[Tuple[str, float]]:
-        """Per-phase service seconds of one workload on this fleet.
-
-        The breakdown that :meth:`service_seconds` sums — useful to see why a
-        decode-heavy request behaves differently from a prefill-heavy one.
-        """
-        profile = self.service_profile(workload_name, precision, server)
-        return [(step.name, step.seconds) for step in profile.steps]
 
     def _ensure_services(self, pairs: Sequence[Tuple[str, Precision]]) -> None:
         """Estimate the given (workload, precision) pairs, fanning out over the runner's pool.
@@ -584,7 +479,7 @@ class ServeSimulator:
 
     def _prepare_services(self, trace: RequestTrace) -> None:
         """Estimate every distinct (workload, precision) in the trace, possibly in parallel."""
-        self._ensure_services(_trace_pairs(trace.columns))
+        self._ensure_services(_trace_pairs(trace.columns)[0])
 
     def suggest_rates(
         self,
@@ -613,7 +508,7 @@ class ServeSimulator:
         sized = []
         for spec in specs:
             mean_service = sum(
-                weight * self.service_seconds(workload, precision)
+                weight * self.service_profile(workload, precision).latency_s
                 for workload, weight in spec.mean_mix_weights()
             )
             rate = utilization * self.config.num_nodes / (len(specs) * mean_service)
@@ -650,21 +545,14 @@ class ServeSimulator:
         """
         if shards is not None and shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        self._prepare_services(trace)
-        columns = trace.columns
         step = self.batching == "step" and (
             self.max_batch > 1 or self.preemption or self.autoscale is not None)
-        et, order = self._engine_trace(columns, trace if step else None)
+        et = self._engine_trace(trace.columns, trace if step else None)
         count = len(et)
         if shards is None:
             chunks = [[(0, count)]] if count else []
         else:
-            worst = None
-            if et.step is not None:
-                # One KV restore of the peak state on top of the latency.
-                peak_restore = np.array([[max(row) for row in rows] for rows in et.step.restore])
-                worst = (et.latency_table + peak_restore.T).max(axis=1)
-            chunks = shard_plan(segment_bounds(et, worst), shards)
+            chunks = shard_plan(segment_bounds(et), shards)
         if len(chunks) > 1 and self.runner.jobs > 1:
             parts = self.runner.map(shard_worker, [(et, chunk) for chunk in chunks])
         else:
@@ -678,15 +566,15 @@ class ServeSimulator:
             trace_name=trace.name,
             scheduler_name=self.scheduler_name,
             num_nodes=self.config.num_nodes,
-            tenant_names=columns.tenants,
-            tenant_id=_reorder(columns.tenant_id, order),
+            tenant_names=trace.columns.tenants,
+            tenant_id=et.tenant,
             arrival_ticks=et.arrival,
             start_ticks=done.start,
             first_ticks=done.first,
             finish_ticks=done.finish,
             tokens=et.tokens_table[et.pair],
-            ttft_slo_s=_reorder(columns.ttft_slo_s, order),
-            tpot_slo_s=_reorder(columns.tpot_slo_s, order),
+            ttft_slo_s=et.ttft_slo_s,
+            tpot_slo_s=et.tpot_slo_s,
             node_accumulators=done.accumulators,
             batching=self.batching,
             preemptions=done.preemptions,
@@ -700,76 +588,60 @@ class ServeSimulator:
 
     def _engine_trace(
         self, columns: TraceColumns, step_trace: Optional[RequestTrace] = None
-    ) -> Tuple[EngineTrace, Optional[np.ndarray]]:
-        """Lower a columnar trace to the engine's tick arrays.
+    ) -> EngineTrace:
+        """Lower a columnar trace to the engine's tick record.
 
-        Returns the :class:`~repro.serve.engine.EngineTrace` plus the
-        canonical order (``(arrival tick, request id)`` lexsort) that maps
-        trace rows to engine ranks — ``None`` when the columns are already
-        canonical (every generator and replay emits them that way), so the
-        common case skips the sort and all the re-index gathers.  Service
-        times come from the memoised profiles as *ceiling* nanosecond ticks —
-        a request is never reported faster than its float estimate — batched
-        into one ``(pair, server)`` table so the runners do array lookups
-        instead of dict probes.  With ``step_trace`` (step batching) the
-        record also carries the per-``(server, pair)``
-        :class:`~repro.serve.engine.StepTables`: each step's ticks are the
-        differences of the ceilinged cumulative step boundaries, so a
-        request's steps sum exactly to its request-mode latency ticks.
+        Ranks are the rows in canonical ``(arrival tick, request id)`` order.
+        Every generator and replay emits canonical columns, so the common
+        case skips the sort and the record holds the trace's own arrays.
+        Each distinct ``(workload, precision)`` pair is estimated once per
+        server (through the memo) and lowered to its :func:`_boundary_ticks`
+        — *ceiling* ticks, so a request is never reported faster than its
+        float estimate — batched into ``(pair, server)`` tables so the
+        runners do array lookups instead of dict probes.  The last boundary
+        is the latency and the first the first-token tick; with
+        ``step_trace`` (step batching) their differences are the
+        :class:`~repro.serve.engine.StepTables` step ticks, so a request's
+        steps sum exactly to its request-mode latency.
+
+        Every tick must stay on the engine's clock ``[0, TICK_LIMIT)``: an
+        arrival off it, an slo deadline past it, or a last arrival plus the
+        serial drain bound (each request at its
+        :func:`~repro.serve.engine.drain_costs` cost) reaching it raises
+        ``ValueError``.
         """
-        outside = ~((columns.arrival_s >= 0)
-                    & (columns.arrival_s < _TICK_LIMIT / TICKS_PER_SECOND))
+        pairs, pair_all = _trace_pairs(columns)
+        self._ensure_services(pairs)
+        with np.errstate(over="ignore"):  # an overflow to inf is off the clock too
+            ticks = columns.arrival_s * TICKS_PER_SECOND
+        outside = ~((ticks >= 0) & (ticks < TICK_LIMIT))
         if outside.any():
             row = int(np.flatnonzero(outside)[0])
             raise ValueError(
                 f"request {int(columns.request_id[row])}: arrival "
                 f"{float(columns.arrival_s[row])!r} s lies outside the engine's "
-                f"tick range [0, 2**63) ns")
-        arrival_all = np.rint(columns.arrival_s * TICKS_PER_SECOND).astype(np.int64)
+                f"tick clock [0, 2**63 - 1) ns")
+        arrival_all = np.rint(ticks).astype(np.int64)
         canonical = bool(np.all(
             (arrival_all[1:] > arrival_all[:-1])
             | ((arrival_all[1:] == arrival_all[:-1])
                & (columns.request_id[1:] > columns.request_id[:-1]))
         )) if len(arrival_all) > 1 else True
-        if canonical:
-            order: Optional[np.ndarray] = None
-            arrival = arrival_all
-        else:
-            order = np.lexsort((columns.request_id, arrival_all))
-            arrival = arrival_all[order]
-        width = max(len(columns.precisions), 1)
-        codes_all = _reorder(
-            columns.workload_id.astype(np.int64) * width + columns.precision_id, order)
-        # Equivalent to np.unique(codes_all, return_inverse=True) but via a
-        # bincount over the tiny (workload x precision) code space.
-        counts = np.bincount(codes_all, minlength=len(columns.workloads) * width)
-        codes = np.flatnonzero(counts)
-        remap = np.zeros(len(counts), np.int64)
-        remap[codes] = np.arange(len(codes), dtype=np.int64)
-        pair = remap[codes_all]
-        servers = self.num_servers
-        latency_table = np.empty((len(codes), servers), np.int64)
-        interval_table = np.empty((len(codes), servers), np.int64)
-        first_table = np.empty((len(codes), servers), np.int64)
-        tokens_table = np.empty(len(codes), np.int64)
-        profiles = []
-        for row, code in enumerate(codes.tolist()):
-            workload = columns.workloads[code // width]
-            precision = columns.precisions[code % width]
-            profiles.append((workload, [self.service_profile(workload, precision, server)
-                                        for server in range(servers)]))
-            for server, profile in enumerate(profiles[-1][1]):
-                latency_table[row, server] = math.ceil(
-                    profile.latency_s * TICKS_PER_SECOND)
-                interval_table[row, server] = math.ceil(
-                    profile.interval_s * TICKS_PER_SECOND)
-                first_table[row, server] = math.ceil(
-                    profile.steps[0].seconds * TICKS_PER_SECOND)
-            tokens_table[row] = self.service_profile(workload, precision, 0).total_tokens
-        if len(arrival) and int(arrival[-1]) + int(latency_table.max()) >= _TICK_LIMIT:
-            raise ValueError(
-                f"the last arrival, {int(arrival[-1])} ns, plus the longest service, "
-                f"{int(latency_table.max())} ns, overflows the engine's int64 clock")
+        order = None if canonical else np.lexsort((columns.request_id, arrival_all))
+        arrival = _reorder(arrival_all, order)
+        pair = _reorder(pair_all, order)
+        servers = range(self.num_servers)
+        profiles = [[self.service_profile(workload, precision, server) for server in servers]
+                    for workload, precision in pairs]
+        edges = [[_boundary_ticks(profile) for profile in row] for row in profiles]
+        shape = (len(pairs), self.num_servers)
+        latency_table = np.array([[bounds[-1] for bounds in row] for row in edges],
+                                 np.int64).reshape(shape)
+        first_table = np.array([[bounds[0] for bounds in row] for row in edges],
+                               np.int64).reshape(shape)
+        interval_table = np.array(
+            [[math.ceil(profile.interval_s * TICKS_PER_SECOND) for profile in row]
+             for row in profiles], np.int64).reshape(shape)
         # The policy-key columns are pre-expanded only for the policies that
         # consume them on every push; fcfs/rr never read them.
         empty = np.empty(0, np.int64)
@@ -779,24 +651,27 @@ class ServeSimulator:
             priority = _reorder(columns.priority, order).astype(np.int64)
         else:
             priority = empty
+        ttft_slo_s = _reorder(columns.ttft_slo_s, order)
+        deadline = empty
         if policy == "slo":
-            ttft_slo = _reorder(columns.ttft_slo_s, order)
-            deadline = np.full(len(arrival), NO_DEADLINE, np.int64)
-            with_deadline = ~np.isnan(ttft_slo)
-            deadline[with_deadline] = arrival[with_deadline] + np.ceil(
-                ttft_slo[with_deadline] * TICKS_PER_SECOND).astype(np.int64)
-        else:
-            deadline = empty
-        step = None if step_trace is None else self._step_tables(
-            step_trace, profiles, priority=priority,
-            ttft_slo_s=_reorder(columns.ttft_slo_s, order),
-            tpot_slo_s=_reorder(columns.tpot_slo_s, order))
+            has_slo = ~np.isnan(ttft_slo_s)
+            slack = np.ceil(np.where(has_slo, ttft_slo_s, 0.0) * TICKS_PER_SECOND)
+            late = slack >= TICK_LIMIT  # too long to be a tick count at all
+            slack = np.where(late, 0.0, slack).astype(np.int64)
+            late |= slack >= TICK_LIMIT - arrival
+            if late.any():
+                rank = int(np.flatnonzero(late)[0])
+                raise ValueError(
+                    f"request {int(_reorder(columns.request_id, order)[rank])}: TTFT SLO "
+                    f"{float(ttft_slo_s[rank])!r} s puts its deadline past the engine's "
+                    f"tick clock [0, 2**63 - 1) ns")
+            deadline = np.where(has_slo, arrival + slack, NO_DEADLINE)
         # A tenant switch costs the ProcessManager's register save/restore
         # plus the ASID flush, in the CPU clock domain (DESIGN.md section 7.3).
         switch_cycles = ProcessManager.CONTEXT_SWITCH_CYCLES + TENANT_SWITCH_FLUSH_CYCLES
-        return EngineTrace(
+        et = EngineTrace(
             policy=policy,
-            num_servers=servers,
+            num_servers=self.num_servers,
             switch_ticks=math.ceil(
                 switch_cycles / self.config.cpu.frequency_hz * TICKS_PER_SECOND),
             arrival=arrival,
@@ -805,28 +680,43 @@ class ServeSimulator:
             latency_table=latency_table,
             interval_table=interval_table,
             first_table=first_table,
-            tokens_table=tokens_table,
+            tokens_table=np.array([row[0].total_tokens for row in profiles], np.int64),
             svc0=svc0,
             priority=priority,
             deadline=deadline,
+            ttft_slo_s=ttft_slo_s,
+            tpot_slo_s=_reorder(columns.tpot_slo_s, order),
             uniform_interval=bool(np.array_equal(latency_table, interval_table)),
-            step=step,
-        ), order
+            step=None if step_trace is None else self._step_tables(
+                step_trace, pairs, profiles, edges),
+        )
+        if len(arrival):
+            counts = np.bincount(pair, minlength=len(pairs)).tolist()
+            drain = sum(count * cost for count, cost in zip(counts, drain_costs(et).tolist()))
+            if int(arrival[-1]) + drain >= TICK_LIMIT:
+                raise ValueError(
+                    f"the last arrival, {int(arrival[-1])} ns, plus the serial drain "
+                    f"bound of every request, {drain} ns, overflows the engine's "
+                    f"int64 clock")
+        return et
 
     def _step_tables(
-        self, trace: RequestTrace, profiles: List[Tuple[str, List[ServiceProfile]]], **columns
+        self,
+        trace: RequestTrace,
+        pairs: List[Tuple[str, Precision]],
+        profiles: List[List[ServiceProfile]],
+        edges: List[List[List[int]]],
     ) -> StepTables:
         """The per-``(server, pair)`` step tables and the step-batching knobs.
 
-        ``profiles`` holds each pair's workload and per-server profiles, in
-        pair order; ``columns`` the per-rank victim-tier and SLO columns.
-        Checks that every request fits the resolved KV budget alone and
-        prices a KV restore as the step's resident bytes over the node's
-        DRAM-bandwidth share.
+        ``profiles`` and ``edges`` hold each pair's per-server profiles and
+        boundary ticks, in pair order.  Checks that every request fits the
+        resolved KV budget alone and prices a KV restore as the step's
+        resident bytes over the node's DRAM-bandwidth share.
         """
         kv = self.resolved_kv_budget(trace)
         budget = kv.budget_bytes
-        for workload, per_server in profiles:
+        for (workload, _), per_server in zip(pairs, profiles):
             peak = max(profile.peak_state_bytes for profile in per_server)
             if peak <= budget:
                 continue
@@ -844,25 +734,17 @@ class ServeSimulator:
         dram = DRAMModel(config=self.config.memory.dram)
         restore_bandwidth = (
             dram.effective_bandwidth(self.config.num_nodes) / self.config.num_nodes)
+        servers = range(self.num_servers)
 
         def table(row):
             return tuple(tuple(tuple(row(step) for step in per_server[server].steps)
-                               for _, per_server in profiles)
-                         for server in range(self.num_servers))
-
-        def step_ticks(steps):
-            # Ceilinged cumulative boundaries through the same sum() as
-            # ServiceProfile.latency_s (prefix sums of non-negative seconds
-            # never decrease), so the last is the request-mode latency tick.
-            seconds = [step.seconds for step in steps]
-            edges = [math.ceil(sum(seconds[:end]) * TICKS_PER_SECOND)
-                     for end in range(1, len(seconds) + 1)]
-            return tuple(np.diff(edges, prepend=0).tolist())
+                               for per_server in profiles)
+                         for server in servers)
 
         stage = table(lambda step: step.stage)
         return StepTables(
-            ticks=tuple(tuple(step_ticks(per_server[server].steps) for _, per_server in profiles)
-                        for server in range(self.num_servers)),
+            ticks=tuple(tuple(tuple(np.diff(row[server], prepend=0).tolist()) for row in edges)
+                        for server in servers),
             stage=stage,
             state=table(lambda step: step.state_bytes),
             restore=table(lambda step: math.ceil(
@@ -872,7 +754,6 @@ class ServeSimulator:
             budget=budget,
             preemption=self.preemption,
             autoscale=self.autoscale,
-            **columns,
         )
 
     def resolved_kv_budget(self, trace: RequestTrace) -> KVBudget:
@@ -889,7 +770,7 @@ class ServeSimulator:
             return KVBudget(
                 budget_bytes=float(self.kv_budget_bytes),
                 source=self._kv_budget_source)
-        pairs = _trace_pairs(trace.columns)
+        pairs = _trace_pairs(trace.columns)[0]
         if not pairs:
             return KVBudget(budget_bytes=float(DEFAULT_KV_BUDGET_BYTES), source="auto")
         return derive_kv_budget(

@@ -47,6 +47,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.gemm.precision import Precision
+from repro.serve.report import TICK_LIMIT, TICKS_PER_SECOND
 from repro.workloads.registry import workload_names
 
 __all__ = [
@@ -91,23 +92,18 @@ class Request:
             raise ValueError(f"request {self.request_id}: {problem}")
 
 
-#: Arrivals must stay below 2**63 nanosecond ticks, the event engine's int64
-#: time base.
-_MAX_ARRIVAL_TICKS = 2.0**63
-
-
 def _field_problem(
     arrival_s: float, priority: int, ttft_slo_s: Optional[float], tpot_slo_s: Optional[float]
 ) -> Optional[str]:
     """Why a request's scheduling fields are unusable, or ``None`` when they are fine.
 
-    Arrivals must be finite, non-negative and representable as int64
-    nanosecond ticks; SLO targets finite and positive; priorities must fit
-    int32 (the trace column type).
+    Arrivals must be finite, non-negative and on the event engine's tick
+    clock (:data:`~repro.serve.report.TICK_LIMIT`); SLO targets finite and
+    positive; priorities must fit int32 (the trace column type).
     """
     if not (math.isfinite(arrival_s) and 0 <= arrival_s
-            and arrival_s * 1e9 < _MAX_ARRIVAL_TICKS):
-        return (f"arrival time must be finite, non-negative and below 2**63 ns, "
+            and arrival_s * TICKS_PER_SECOND < TICK_LIMIT):
+        return (f"arrival time must be finite, non-negative and below 2**63 - 1 ns, "
                 f"got {arrival_s!r}")
     for name, slo in (("TTFT", ttft_slo_s), ("TPOT", tpot_slo_s)):
         if slo is not None and not (math.isfinite(slo) and slo > 0):

@@ -308,7 +308,7 @@ class TestFuzzFailureReporting:
         spec = ScenarioSpec(
             kind="percentile",
             params=tuple(sorted(
-                {"size": 8, "q": 50.0, "seed": 1, "scale": 1.0}.items())),
+                {"size": 8, "seed": 1, "scale": 1.0}.items())),
         )
         assert replay(spec.to_dict()) is None
 
@@ -321,9 +321,9 @@ class TestPinnedEdgeScenarios:
     """Edge probes from this PR's fuzz sweep, pinned as regressions."""
 
     @pytest.mark.parametrize("params", [
-        {"size": 1, "q": 0.0, "seed": 1, "scale": 1.0},
-        {"size": 1024, "q": 100.0, "seed": 2, "scale": 1e6},
-        {"size": 1023, "q": 0.001, "seed": 3, "scale": 1e-6},
+        {"size": 1, "seed": 1, "scale": 1.0},
+        {"size": 1024, "seed": 2, "scale": 1e6},
+        {"size": 1023, "seed": 3, "scale": 1e-6},
     ])
     def test_percentile_boundaries(self, params):
         run_scenario(ScenarioSpec("percentile", tuple(sorted(params.items()))))

