@@ -32,19 +32,7 @@ def test_table1_cpu_parameters(benchmark):
 
     def regenerate() -> str:
         # Building the core verifies the parameters are actually realisable in the model.
-        core = CPUCore(
-            frequency_hz=config.frequency_hz,
-            fmac_lanes=config.fmac_lanes,
-            issue_width=config.issue_width,
-            l1i_size=config.l1i_size_bytes,
-            l1d_size=config.l1d_size_bytes,
-            l1_associativity=config.l1d_associativity,
-            l2_size=config.l2_size_bytes,
-            l2_associativity=config.l2_associativity,
-            itlb_entries=config.itlb_entries,
-            dtlb_entries=config.dtlb_entries,
-            l2_tlb_entries=config.l2_tlb_entries,
-        )
+        core = CPUCore(config)
         assert core.l1d.config.num_sets == 192
         assert core.l2.config.size_bytes == 512 * 1024
         assert core.mmu.dtlb.l1.capacity == 48

@@ -10,7 +10,7 @@ report what a full-size version of the same GEMM would achieve.
 
 import numpy as np
 
-from repro.core import MACORuntime, MACOSystem, maco_default_config
+from repro.core import MACORuntime, MACOSystem, estimate_node_gemm, maco_default_config
 from repro.gemm import GEMMShape, Precision
 
 
@@ -39,7 +39,7 @@ def main() -> None:
     # ------------------------------------------------------------ cycle-accurate
     shape = GEMMShape(4096, 4096, 4096, Precision.FP64)
     print(f"\nEstimating a {shape} on a single MMAE...")
-    timing = system.node(0).run_gemm_timed(shape, active_nodes=1)
+    timing = estimate_node_gemm(config, shape, active_nodes=1)
     print(f"  total cycles       : {timing.total_cycles:,.0f}")
     print(f"  achieved           : {timing.achieved_gflops:.1f} GFLOPS "
           f"({timing.efficiency * 100:.1f}% of {timing.peak_gflops:.0f} GFLOPS peak)")

@@ -13,8 +13,6 @@ from typing import Optional
 from repro.baselines.common import BaselineModel
 from repro.core.mapping import layer_stream_seconds, partition_gemm
 from repro.core.metrics import WorkloadResult
-from repro.cpu.core import CPUCore
-from repro.gemm.precision import Precision
 from repro.workloads.graph import WorkloadGraph
 
 
@@ -27,23 +25,18 @@ class CPUOnlyBaseline(BaselineModel):
         nodes = num_nodes if num_nodes is not None else self.config.num_nodes
         if not 1 <= nodes <= self.config.num_nodes:
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
-        core = CPUCore.from_config(self.config.cpu)
+        cpu = self.config.cpu
         precision = workload.phases[0].shapes[0].precision
         gemm_seconds = layer_stream_seconds(
             (partition_gemm(shape, nodes) for shape in workload.layers()),
-            lambda shape: core.run_gemm(shape).seconds,
+            cpu.gemm_seconds,
         )
 
         per_core_flops = int(workload.non_gemm_flops / nodes)
         per_core_bytes = int(workload.non_gemm_bytes / nodes)
-        non_gemm_seconds = core.run_elementwise(per_core_flops, per_core_bytes).seconds
+        non_gemm_seconds = cpu.elementwise_seconds(per_core_flops, per_core_bytes)
 
         total = gemm_seconds + non_gemm_seconds
-        cpu_peak = (
-            self.config.cpu.peak_gflops_fp64
-            if precision is Precision.FP64
-            else self.config.cpu.peak_gflops_fp32
-        )
         return WorkloadResult(
             name=workload.name,
             system=self.name,
@@ -51,7 +44,7 @@ class CPUOnlyBaseline(BaselineModel):
             seconds=total,
             gemm_flops=workload.gemm_flops,
             total_flops=workload.total_flops,
-            peak_gflops=cpu_peak * nodes,
+            peak_gflops=cpu.peak_gflops(precision) * nodes,
             gemm_seconds=gemm_seconds,
             non_gemm_seconds=non_gemm_seconds,
             overlap_enabled=False,

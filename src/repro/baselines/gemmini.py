@@ -27,7 +27,6 @@ from repro.core.perf import (
     memory_environment,
     unmapped_memory_environment,
 )
-from repro.cpu.core import CPUCore
 from repro.workloads.graph import WorkloadGraph
 
 
@@ -66,10 +65,9 @@ class GemminiLikeBaseline(BaselineModel):
         # Tail operators are distributed across the CPU cores (that part needs
         # no accelerator support) but run after the accelerator finishes,
         # streaming unlocked (cold) data.
-        core = CPUCore.from_config(self.config.cpu)
-        non_gemm_seconds = core.run_elementwise(
+        non_gemm_seconds = self.config.cpu.elementwise_seconds(
             int(workload.non_gemm_flops / nodes), int(workload.non_gemm_bytes / nodes)
-        ).seconds * 2.0
+        ) * 2.0
 
         total = gemm_seconds + non_gemm_seconds
         return WorkloadResult(

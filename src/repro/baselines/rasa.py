@@ -28,7 +28,6 @@ from typing import Optional
 from repro.baselines.common import BaselineModel
 from repro.core.mapping import layer_stream_seconds, partition_gemm
 from repro.core.metrics import WorkloadResult
-from repro.cpu.core import CPUCore
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape
 from repro.workloads.graph import WorkloadGraph
@@ -50,33 +49,31 @@ class RASALikeBaseline(BaselineModel):
         lanes = self.config.mmae.sa_rows * self.config.mmae.sa_cols * precision.simd_ways
         return 2.0 * lanes * self.config.cpu.frequency_hz / 1e9
 
-    def _gemm_seconds(self, shape: GEMMShape, core: CPUCore) -> float:
+    def _gemm_seconds(self, shape: GEMMShape) -> float:
         peak = self._engine_peak_gflops(shape.precision) * 1e9
         sustained = peak * self.pipeline_utilization * (1.0 - self.resource_contention_penalty)
         compute_seconds = shape.flops / sustained
         # The engine streams operands through the core's cache hierarchy; the
         # same L2-blocked traffic model as the CPU GEMM bounds it.
+        cpu = self.config.cpu
         element = shape.precision.bytes_per_element
-        block = max(64, min(512, int((core.l2.config.size_bytes / (3 * element)) ** 0.5)))
-        effective_block = min(block, shape.m, shape.n, shape.k)
-        bytes_moved = shape.flops / 2.0 * 3.0 * element / effective_block
-        memory_seconds = bytes_moved / core.memory_bandwidth_bytes_per_s
+        bytes_moved = shape.flops / 2.0 * 3.0 * element / cpu.l2_block_edge(shape)
+        memory_seconds = bytes_moved / cpu.memory_bandwidth_bytes_per_s
         return max(compute_seconds, memory_seconds)
 
     def run_workload(self, workload: WorkloadGraph, num_nodes: Optional[int] = None) -> WorkloadResult:
         nodes = num_nodes if num_nodes is not None else self.config.num_nodes
         if not 1 <= nodes <= self.config.num_nodes:
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
-        core = CPUCore.from_config(self.config.cpu)
         precision = workload.phases[0].shapes[0].precision
         gemm_seconds = layer_stream_seconds(
             (partition_gemm(shape, nodes) for shape in workload.layers()),
-            lambda shape: self._gemm_seconds(shape, core),
+            self._gemm_seconds,
         )
 
         per_core_flops = int(workload.non_gemm_flops / nodes)
         per_core_bytes = int(workload.non_gemm_bytes / nodes)
-        non_gemm_seconds = core.run_elementwise(per_core_flops, per_core_bytes).seconds
+        non_gemm_seconds = self.config.cpu.elementwise_seconds(per_core_flops, per_core_bytes)
 
         total = gemm_seconds + non_gemm_seconds
         return WorkloadResult(

@@ -46,6 +46,7 @@ than the allowed factor; CI runs it via ``repro.cli bench --baseline``.
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from typing import Callable, Dict, List, Tuple
@@ -562,20 +563,32 @@ def _best_of_with(repeat: int, fn: Callable[[], Tuple[float, int]]) -> Tuple[flo
 
 
 def run_benchmarks(quick: bool = False, repeat: int = 1) -> Dict[str, object]:
-    """Run the full functional fast-path benchmark suite; returns the report."""
-    results = {
-        "page_enumeration": bench_page_enumeration(quick, repeat),
-        "tile_translation": bench_tile_translation(quick, repeat, prediction=True),
-        "tile_translation_nopred": bench_tile_translation(quick, repeat, prediction=False),
-        "tile_translation_steady": bench_tile_translation_steady(quick, repeat),
-        "emulator": bench_emulator(quick, repeat),
-        "tile_schedule": bench_tile_schedule(quick, repeat),
-        "functional_gemm": bench_functional_gemm(quick, repeat),
-        "serve_throughput": bench_serve_throughput(quick, repeat),
-        "serve_scale": bench_serve_scale(quick, repeat),
-        "serve_dispatch": bench_serve_dispatch(quick, repeat),
-        "serve_autoscale": bench_serve_autoscale(quick, repeat),
-    }
+    """Run the full functional fast-path benchmark suite; returns the report.
+
+    Like :mod:`timeit`, the suite runs with the cyclic garbage collector off
+    (after one full collection), so a collection over the caller's heap does
+    not land inside one side of a speedup ratio.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        results = {
+            "page_enumeration": bench_page_enumeration(quick, repeat),
+            "tile_translation": bench_tile_translation(quick, repeat, prediction=True),
+            "tile_translation_nopred": bench_tile_translation(quick, repeat, prediction=False),
+            "tile_translation_steady": bench_tile_translation_steady(quick, repeat),
+            "emulator": bench_emulator(quick, repeat),
+            "tile_schedule": bench_tile_schedule(quick, repeat),
+            "functional_gemm": bench_functional_gemm(quick, repeat),
+            "serve_throughput": bench_serve_throughput(quick, repeat),
+            "serve_scale": bench_serve_scale(quick, repeat),
+            "serve_dispatch": bench_serve_dispatch(quick, repeat),
+            "serve_autoscale": bench_serve_autoscale(quick, repeat),
+        }
+    finally:
+        if was_enabled:
+            gc.enable()
     return {"schema": SCHEMA_VERSION, "quick": quick, "repeat": repeat, "results": results}
 
 

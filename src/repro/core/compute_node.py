@@ -15,17 +15,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.config import MACOConfig
-from repro.core.perf import estimate_node_gemm, memory_environment
+from repro.core.perf import memory_environment
 from repro.cpu.core import CPUCore
 from repro.cpu.exceptions import ExceptionType
 from repro.cpu.mtq import StatusWord
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMShape
 from repro.isa.instructions import GEMMDescriptor
 from repro.mem.hostmem import HostMemory
 from repro.mem.l3cache import DistributedL3Cache
 from repro.mmae.controller import AcceleratorController, TaskResult
-from repro.mmae.dataflow import GEMMTimingBreakdown, MemoryEnvironment
 
 
 @dataclass
@@ -68,7 +66,7 @@ class ComputeNode:
         self.host_memory = HostMemory()
         self.l3 = l3
 
-        self.cpu = CPUCore.from_config(config.cpu, core_id=node_id)
+        self.cpu = CPUCore(config.cpu, core_id=node_id)
         # A default process so examples can allocate matrices immediately.
         self.default_process = self.cpu.processes.create_process(f"node{node_id}.main")
         self.cpu.mmu.register_page_table(self.default_process.address_space.page_table)
@@ -185,23 +183,6 @@ class ComputeNode:
         descriptor, array_c = self.prepare_gemm(a, b, c, precision, ttr, ttc)
         submission = self.submit_gemm(descriptor)
         return array_c, submission
-
-    # -------------------------------------------------------------- timing model
-    def run_gemm_timed(
-        self, shape: GEMMShape, active_nodes: int = 1, prediction_enabled: Optional[bool] = None,
-        env: Optional[MemoryEnvironment] = None,
-    ) -> GEMMTimingBreakdown:
-        """Cycle-approximate timing of a GEMM on this node's MMAE."""
-        return estimate_node_gemm(
-            self.config, shape, active_nodes=active_nodes,
-            prediction_enabled=prediction_enabled, env=env,
-        )
-
-    # ------------------------------------------------------------------- helpers
-    @property
-    def mmae_peak_gflops_fp64(self) -> float:
-        """This node's MMAE FP64 peak throughput."""
-        return self.config.mmae.peak_gflops_fp64
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ComputeNode(node_id={self.node_id})"

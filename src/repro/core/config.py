@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig
+from repro.gemm.workloads import GEMMShape
 from repro.mem.dram import DRAMConfig
 from repro.mmae.dataflow import MMAETimingParameters
 from repro.mmae.matlb import TranslationTimingParameters
@@ -20,7 +21,13 @@ from repro.noc.network import NocConfig
 
 @dataclass(frozen=True)
 class CPUConfig:
-    """Architectural parameters of one CPU core (paper Table I / Table IV)."""
+    """Architectural parameters of one CPU core (paper Table I / Table IV).
+
+    It is also the core's one throughput model for the FP work the core runs
+    itself: the CPU-only GEMM of Baseline-1 and the non-GEMM operators of
+    GEMM+ workloads.  The functional core (:class:`repro.cpu.core.CPUCore`)
+    is built from it and has no timing of its own.
+    """
 
     frequency_hz: float = 2.2e9
     instruction_width_bits: int = 64
@@ -51,13 +58,73 @@ class CPUConfig:
 
     @property
     def peak_gflops_fp64(self) -> float:
-        """Theoretical peak: 2 x freq x FMACs (Table IV footnote)."""
-        return 2.0 * self.frequency_ghz * self.fmac_lanes
+        """FP64 peak (Table IV)."""
+        return self.peak_gflops(Precision.FP64)
 
     @property
     def peak_gflops_fp32(self) -> float:
-        """FP32 peak: twice the FP64 rate (each lane splits in two)."""
-        return 2.0 * self.peak_gflops_fp64
+        """FP32 peak (Table IV)."""
+        return self.peak_gflops(Precision.FP32)
+
+    def peak_gflops(self, precision: Precision) -> float:
+        """Theoretical peak (Table IV footnote: 2 x freq x FMACs), scaled by SIMD width.
+
+        The CPU's vector units double their lane count at FP32 relative to FP64
+        (35.2 -> 71 GFLOPS in Table IV); FP16 is not a native CPU GEMM type in
+        the paper, so it reuses the FP32 rate.
+        """
+        base = 2.0 * self.frequency_hz * self.fmac_lanes / 1e9
+        if precision is Precision.FP64:
+            return base
+        return base * 2.0
+
+    def l2_block_edge(self, shape: GEMMShape) -> int:
+        """Block edge of an L2-blocked GEMM loop, clipped to the shape.
+
+        Three square operand blocks fill the private L2; the edge is kept in
+        64..512 and never exceeds a dimension of the GEMM.
+        """
+        element_bytes = shape.precision.bytes_per_element
+        block = max(64, min(512, int((self.l2_size_bytes / (3 * element_bytes)) ** 0.5)))
+        return min(block, shape.m, shape.n, shape.k)
+
+    def gemm_efficiency(self, shape: GEMMShape) -> float:
+        """Fraction of peak a cache-blocked CPU GEMM sustains for this shape.
+
+        The model combines a compute-bound ceiling (vector pipelines sustain
+        ~70% of peak on well-blocked code) with a bandwidth bound from the
+        operand traffic that the L2-blocked loop must move per FLOP.
+        """
+        compute_ceiling = 0.70
+        # Each operand element of the block is reused ~block times; traffic
+        # per FLOP falls as 1/block.
+        bytes_per_flop = 3.0 * shape.precision.bytes_per_element / (2.0 * self.l2_block_edge(shape))
+        peak_flops = self.peak_gflops(shape.precision) * 1e9
+        bandwidth_bound = self.memory_bandwidth_bytes_per_s / bytes_per_flop / peak_flops
+        efficiency = min(compute_ceiling, bandwidth_bound)
+        # Very small GEMMs lose additional time to loop and call overhead.
+        smallest_dim = min(shape.m, shape.n, shape.k)
+        if smallest_dim < 128:
+            efficiency *= smallest_dim / 128.0
+        return max(0.01, min(1.0, efficiency))
+
+    def gemm_seconds(self, shape: GEMMShape) -> float:
+        """Seconds of a GEMM run on the core itself (the Baseline-1 path)."""
+        sustained = self.peak_gflops(shape.precision) * 1e9 * self.gemm_efficiency(shape)
+        return shape.flops / sustained
+
+    def elementwise_seconds(self, flops: int, bytes_touched: int) -> float:
+        """Seconds of an element-wise operator (activation / normalisation / softmax).
+
+        These operators are memory-bound on the CPU: the time is the maximum of
+        the vector-FP time and the streaming-bandwidth time.
+        """
+        if flops < 0 or bytes_touched < 0:
+            raise ValueError("flops and bytes must be non-negative")
+        vector_rate = self.peak_gflops(Precision.FP32) * 1e9 * 0.5
+        compute_seconds = flops / vector_rate if vector_rate else 0.0
+        memory_seconds = bytes_touched / self.memory_bandwidth_bytes_per_s
+        return max(compute_seconds, memory_seconds)
 
 
 @dataclass(frozen=True)

@@ -147,11 +147,10 @@ class MACOSystem:
         # Non-GEMM tail operators.  The mapping scheme distributes them across
         # the active CPU cores (each core post-processes its own output tiles);
         # without it the launching core runs the whole tail by itself.
-        cpu = self.nodes[0].cpu
         tail_cores = nodes if mapping_enabled else 1
         per_core_flops = workload.non_gemm_flops / tail_cores
         per_core_bytes = workload.non_gemm_bytes / tail_cores
-        cpu_seconds = cpu.run_elementwise(int(per_core_flops), int(per_core_bytes)).seconds
+        cpu_seconds = self.config.cpu.elementwise_seconds(int(per_core_flops), int(per_core_bytes))
 
         # Stash traffic: the shared A panels plus each node's B/C columns are
         # prefetched from DRAM once per layer.

@@ -114,10 +114,6 @@ class MTQEntry:
         self.exception_type = ExceptionType.NONE
 
 
-class MTQFullError(Exception):
-    """Raised when a caller requires an entry but none is free."""
-
-
 class MasterTaskQueue:
     """A fixed-size pool of MTQ entries with the Fig. 3 state machine."""
 

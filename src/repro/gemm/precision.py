@@ -43,11 +43,6 @@ class Precision(enum.Enum):
             return np.dtype(np.float32)
         return self.dtype
 
-    @property
-    def matmul_tolerance(self) -> float:
-        """Relative tolerance used when comparing against a NumPy reference."""
-        return _MATMUL_TOLERANCES[self]
-
     @classmethod
     def from_string(cls, name: str) -> "Precision":
         """Parse a precision from names like ``"fp32"``, ``"FP32"`` or ``"float32"``."""
@@ -70,4 +65,3 @@ _DTYPES = {
     Precision.FP32: np.dtype(np.float32),
     Precision.FP16: np.dtype(np.float16),
 }
-_MATMUL_TOLERANCES = {Precision.FP64: 1e-12, Precision.FP32: 1e-5, Precision.FP16: 2e-2}

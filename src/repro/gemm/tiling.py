@@ -167,10 +167,6 @@ class TwoLevelTiling:
         grid_m, grid_n, grid_k = self.level2_grid(tile)
         return grid_m * grid_n * grid_k
 
-    @property
-    def total_level2_tiles(self) -> int:
-        return sum(self.num_level2_tiles(tile) for tile in self.level1_tiles())
-
     # --------------------------------------------------------------- iteration
     def level1_tiles(self) -> Iterator[Tile]:
         """Yield the first-level tiles in schedule order."""
@@ -203,9 +199,3 @@ class TwoLevelTiling:
         """True if the level-1 tiles exactly cover the output matrix and K extent."""
         covered_macs = sum(tile.macs for tile in self.level1_tiles())
         return covered_macs == self.shape.macs
-
-    def level1_working_set_bytes(self, tile: Tile) -> int:
-        """Bytes of A panel + B panel + C tile held in L3 for one first-level tile."""
-        element = self.shape.precision.bytes_per_element
-        a_bytes, b_bytes, c_bytes = tile.operand_bytes(element)
-        return a_bytes + b_bytes + c_bytes

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 
 class CoherenceState(enum.Enum):
@@ -184,9 +184,6 @@ class DirectoryController:
     def sharers_of(self, line_address: int) -> Set[int]:
         entry = self._directory.get(line_address)
         return set(entry.sharers) if entry else set()
-
-    def tracked_lines(self) -> List[int]:
-        return [addr for addr, entry in self._directory.items() if entry.state is not CoherenceState.INVALID]
 
     def check_all_invariants(self) -> None:
         for entry in self._directory.values():

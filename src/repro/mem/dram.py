@@ -12,7 +12,6 @@ per-node KV budget comes from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -106,13 +105,6 @@ class DRAMModel:
     @property
     def total_bytes(self) -> int:
         return self.bytes_read + self.bytes_written
-
-    def traffic_summary(self) -> Dict[str, float]:
-        return {
-            "bytes_read": float(self.bytes_read),
-            "bytes_written": float(self.bytes_written),
-            "requests": float(self.requests),
-        }
 
     def reset(self) -> None:
         self.bytes_read = 0

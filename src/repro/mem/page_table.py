@@ -38,10 +38,6 @@ class FrameAllocator:
             raise ValueError("total_frames must be positive")
 
     @property
-    def frames_allocated(self) -> int:
-        return self._next_frame
-
-    @property
     def frames_free(self) -> int:
         return self.total_frames - self._next_frame
 

@@ -89,16 +89,6 @@ class TileSchedule:
     l3_traffic_bytes: float
     dram_traffic_bytes: float
 
-    @property
-    def arithmetic_intensity_l3(self) -> float:
-        """FLOPs per byte of L3 traffic (reuse achieved by the on-chip buffers)."""
-        return self.shape.flops / self.l3_traffic_bytes if self.l3_traffic_bytes else float("inf")
-
-    @property
-    def arithmetic_intensity_dram(self) -> float:
-        """FLOPs per byte of DRAM traffic (reuse achieved by the L3)."""
-        return self.shape.flops / self.dram_traffic_bytes if self.dram_traffic_bytes else float("inf")
-
 
 @dataclass(frozen=True)
 class GEMMTimingBreakdown:

@@ -66,10 +66,6 @@ class DMAEngine:
         latency_limited = window_bytes / round_trip_latency_cycles
         return min(self.peak_bytes_per_cycle, latency_limited)
 
-    def sustained_bandwidth_bytes_per_s(self, round_trip_latency_s: float) -> float:
-        latency_cycles = round_trip_latency_s * self.frequency_hz
-        return self.sustained_bytes_per_cycle(latency_cycles) * self.frequency_hz
-
     # ------------------------------------------------------------------ transfers
     def transfer(
         self,
@@ -88,7 +84,3 @@ class DMAEngine:
         # The first line's latency is exposed; the rest pipelines behind it.
         cycles = math.ceil(round_trip_latency_cycles + size_bytes / bandwidth)
         return DMATransferResult(size_bytes, cycles, translation_stall_cycles)
-
-    def reset_stats(self) -> None:
-        self.bytes_transferred = 0
-        self.transfers = 0

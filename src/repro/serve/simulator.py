@@ -66,7 +66,6 @@ from repro.core.perf import (
     memory_environment,
     unmapped_memory_environment,
 )
-from repro.cpu.core import CPUCore
 from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
 from repro.mem.dram import DRAMModel
@@ -206,7 +205,6 @@ def _service_profile(
     env = memory_environment(config, active_nodes)
     if not config.mapping_scheme_enabled:
         env = unmapped_memory_environment(env)
-    core = CPUCore.from_config(config.cpu)
     dram = DRAMModel(config=config.memory.dram)
     stash_bandwidth = dram.effective_bandwidth(active_nodes) / active_nodes
 
@@ -246,9 +244,9 @@ def _service_profile(
             # a pipeline stage runs its phases whole on one node.
             sharers = len(phase_plan.nodes)
             stage = phase_plan.stage
-        cpu_seconds = core.run_elementwise(
+        cpu_seconds = config.cpu.elementwise_seconds(
             phase.non_gemm_flops * phase.repeat, phase.non_gemm_bytes * phase.repeat
-        ).seconds / sharers
+        ) / sharers
         schedule = schedule_gemm_plus(
             mmae_seconds=gemm_seconds,
             cpu_seconds=cpu_seconds,

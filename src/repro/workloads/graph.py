@@ -305,10 +305,6 @@ class WorkloadGraph:
         """The phase names, in execution order."""
         return [phase.name for phase in self.phases]
 
-    def state_growth(self) -> List[Tuple[str, int]]:
-        """``(phase name, state_bytes)`` in phase order — how state grows."""
-        return [(phase.name, phase.state_bytes) for phase in self.phases]
-
     # ------------------------------------------------------------------ lowering
     def layers(self) -> Iterator[GEMMShape]:
         """Every GEMM in execution order: each phase's shapes ``repeat`` times.

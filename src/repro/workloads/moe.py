@@ -97,10 +97,6 @@ class MoEConfig:
         if not 1 <= self.top_k <= self.experts:
             raise ValueError(f"{self.name}: top_k must be in 1..{self.experts}, got {self.top_k}")
 
-    @property
-    def expert_weight_bytes_fp32(self) -> int:  # pragma: no cover - convenience
-        return self.experts * 2 * self.hidden * self.intermediate * 4
-
 
 def moe_workload_graph(
     experts: int = 8,

@@ -1,10 +1,10 @@
-"""Tests for the CPU core, pipeline model, MMU and process management."""
+"""Tests for the CPU throughput model, the CPU core, MMU and process management."""
 
 import pytest
 
+from repro.core.config import CPUConfig
 from repro.cpu.core import CPUCore
 from repro.cpu.mmu import MMU
-from repro.cpu.pipeline import InstructionMix, PipelineModel
 from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape
@@ -12,72 +12,39 @@ from repro.isa.registers import RegisterFile
 from repro.mem.page_table import PageFaultError
 
 
-class TestPipelineModel:
-    def test_issue_width_bounds_ipc(self):
-        model = PipelineModel(issue_width=4)
-        mix = InstructionMix(integer_ops=4000)
-        assert model.instructions_per_cycle(mix) <= 4.0
-
-    def test_memory_stalls_increase_cycles(self):
-        light = PipelineModel(l1_miss_rate=0.0)
-        heavy = PipelineModel(l1_miss_rate=0.2)
-        mix = InstructionMix(integer_ops=1000, loads=1000)
-        assert heavy.estimate_cycles(mix) > light.estimate_cycles(mix)
-
-    def test_branch_mispredictions_increase_cycles(self):
-        good = PipelineModel(branch_mispredict_rate=0.0)
-        bad = PipelineModel(branch_mispredict_rate=0.1)
-        mix = InstructionMix(integer_ops=1000, branches=500)
-        assert bad.estimate_cycles(mix) > good.estimate_cycles(mix)
-
-    def test_empty_mix_costs_nothing(self):
-        assert PipelineModel().estimate_cycles(InstructionMix()) == 0
-
-    def test_breakdown_components_sum_close_to_total(self):
-        model = PipelineModel()
-        mix = InstructionMix(integer_ops=500, loads=300, stores=100, branches=100, fp_ops=200)
-        breakdown = model.breakdown(mix)
-        total = model.estimate_cycles(mix)
-        assert total >= max(breakdown["issue_bound"], 1)
-
-    def test_invalid_rates_rejected(self):
-        with pytest.raises(ValueError):
-            PipelineModel(l1_miss_rate=1.5)
-
-
 class TestCPUCorePeaks:
     def test_table4_fp64_peak(self):
-        core = CPUCore()
-        assert core.peak_gflops(Precision.FP64) == pytest.approx(35.2)
+        cpu = CPUConfig()
+        assert cpu.peak_gflops(Precision.FP64) == pytest.approx(35.2)
 
     def test_table4_fp32_peak(self):
-        core = CPUCore()
-        assert core.peak_gflops(Precision.FP32) == pytest.approx(70.4, rel=0.01)
+        cpu = CPUConfig()
+        assert cpu.peak_gflops(Precision.FP32) == pytest.approx(70.4, rel=0.01)
 
     def test_gemm_time_positive_and_below_peak(self):
-        core = CPUCore()
+        cpu = CPUConfig()
         shape = GEMMShape(1024, 1024, 1024, Precision.FP64)
-        result = core.run_gemm(shape)
-        assert result.seconds > 0
-        assert result.gflops <= core.peak_gflops(Precision.FP64)
+        seconds = cpu.gemm_seconds(shape)
+        assert seconds > 0
+        assert shape.flops / seconds / 1e9 <= cpu.peak_gflops(Precision.FP64)
 
     def test_gemm_efficiency_degrades_for_tiny_matrices(self):
-        core = CPUCore()
-        big = core.gemm_efficiency(GEMMShape(2048, 2048, 2048))
-        tiny = core.gemm_efficiency(GEMMShape(32, 32, 32))
+        cpu = CPUConfig()
+        big = cpu.gemm_efficiency(GEMMShape(2048, 2048, 2048))
+        tiny = cpu.gemm_efficiency(GEMMShape(32, 32, 32))
         assert tiny < big
 
     def test_elementwise_is_memory_bound_for_low_intensity(self):
-        core = CPUCore(memory_bandwidth_bytes_per_s=10e9)
-        result = core.run_elementwise(flops=1000, bytes_touched=10_000_000)
-        assert result.seconds == pytest.approx(10_000_000 / 10e9)
+        cpu = CPUConfig(memory_bandwidth_bytes_per_s=10e9)
+        seconds = cpu.elementwise_seconds(flops=1000, bytes_touched=10_000_000)
+        assert seconds == pytest.approx(10_000_000 / 10e9)
 
     def test_elementwise_rejects_negative(self):
         with pytest.raises(ValueError):
-            CPUCore().run_elementwise(-1, 0)
+            CPUConfig().elementwise_seconds(-1, 0)
 
     def test_executor_requires_attached_mmae(self):
-        core = CPUCore()
+        core = CPUCore(CPUConfig())
         with pytest.raises(RuntimeError):
             _ = core.executor
 
@@ -163,7 +130,7 @@ class TestProcessManager:
         assert manager.total_switch_cycles == 2 * ProcessManager.CONTEXT_SWITCH_CYCLES
 
     def test_core_switch_process_updates_executor_asid(self):
-        core = CPUCore()
+        core = CPUCore(CPUConfig())
         core.processes.create_process("a")
         process_b = core.processes.create_process("b")
 

@@ -96,6 +96,13 @@ class TestCheckerCatchesRot:
         problems = self.check(tmp_path, f"see `{name}` for details\n")
         assert problems == [f"{tmp_path / 'doc.md'}: referenced name does not resolve: {name}"]
 
+    def test_flags_missing_member_of_an_exported_class(self, tmp_path):
+        """`MappingPlan.sub_shapes` is a dataclass field without a default."""
+        problems = self.check(
+            tmp_path, "`MACOSystem.no_such_member` and `MappingPlan.sub_shapes`\n")
+        assert problems == [
+            f"{tmp_path / 'doc.md'}: referenced name does not resolve: MACOSystem.no_such_member"]
+
     def test_accepts_valid_snippets(self, tmp_path):
         body = (
             "```python\nprint('ok')\n```\n"

@@ -11,7 +11,10 @@ Keeps README.md, DESIGN.md and docs/*.md honest against the code:
   ``tests/...``, ``tools/...``) must exist;
 * every backticked ``repro.``-qualified name (`` `repro.core.MACOSystem` ``)
   must resolve: its longest importable module prefix is imported and the
-  rest looked up as attributes.
+  rest looked up as attributes;
+* every backticked ``Class.member`` (`` `MACOSystem.run_workload` ``) whose
+  ``Class`` is a class in some ``repro`` module's ``__all__`` must name an
+  existing member (an attribute of the class, or a dataclass field).
 
 Usage::
 
@@ -23,18 +26,23 @@ README.md, DESIGN.md and everything under docs/.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import importlib
+import inspect
+import pkgutil
 import re
 import shlex
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 PATH_RE = re.compile(r"\b(?:src|docs|examples|benchmarks|tests|tools)/[\w./-]+")
 NAME_RE = re.compile(r"`(repro(?:\.\w+)+)`")
+MEMBER_RE = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)")
 
 
 def iter_code_blocks(text: str) -> Iterator[Tuple[str, int, str]]:
@@ -108,6 +116,28 @@ def resolves(name: str) -> bool:
     return False
 
 
+@functools.cache
+def exported_classes() -> Dict[str, Set[type]]:
+    """Every class listed in the ``__all__`` of a ``repro`` module, by name."""
+    import repro
+
+    names = ["repro"] + [info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+    classes: Dict[str, Set[type]] = {}
+    for module in map(importlib.import_module, names):
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name, None)
+            if inspect.isclass(value):
+                classes.setdefault(name, set()).add(value)
+    return classes
+
+
+def has_member(cls: type, member: str) -> bool:
+    """Whether ``member`` is an attribute of ``cls`` or one of its dataclass fields."""
+    if hasattr(cls, member):
+        return True
+    return dataclasses.is_dataclass(cls) and member in {f.name for f in dataclasses.fields(cls)}
+
+
 def check_file(path: Path) -> List[str]:
     """Return a list of problem descriptions for one markdown file."""
     from repro.cli import build_parser
@@ -145,6 +175,11 @@ def check_file(path: Path) -> List[str]:
     for name in sorted(set(NAME_RE.findall(text))):
         if not resolves(name):
             problems.append(f"{rel}: referenced name does not resolve: {name}")
+    classes = exported_classes()
+    for class_name, member in sorted(set(MEMBER_RE.findall(text))):
+        candidates = classes.get(class_name, ())
+        if candidates and not any(has_member(cls, member) for cls in candidates):
+            problems.append(f"{rel}: referenced name does not resolve: {class_name}.{member}")
     return problems
 
 
