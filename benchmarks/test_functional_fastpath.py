@@ -55,6 +55,12 @@ class TestFunctionalFastPath:
         assert result["calls"] == 66
         assert result["speedup"] > 2.0
 
+    def test_layer_stream_parity_and_speedup(self, report):
+        result = report["results"]["layer_stream"]
+        assert result["parity"]
+        assert result["layers"] == 4918
+        assert result["speedup"] > 2.0
+
     def test_serve_dispatch_parity_at_scale(self, report):
         result = report["results"]["serve_dispatch"]
         assert result["parity"]

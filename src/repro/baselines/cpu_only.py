@@ -2,8 +2,9 @@
 
 Every GEMM runs on the CPU cores' vector FP pipelines with cache blocking, and
 the non-GEMM tail operators run on the same cores afterwards.  The GEMMs are
-column-partitioned across the cores exactly like the MACO mapping, so the only
-differences from MACO are the compute engine and the absence of overlap.
+partitioned across the cores exactly like the MACO mapping (along the larger
+output dimension), so the only differences from MACO are the compute engine
+and the absence of overlap.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.common import BaselineModel
-from repro.core.mapping import layer_stream_seconds, partition_gemm
+from repro.core.mapping import layer_stream_seconds
 from repro.core.metrics import WorkloadResult
 from repro.workloads.graph import WorkloadGraph
 
@@ -27,10 +28,7 @@ class CPUOnlyBaseline(BaselineModel):
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
         cpu = self.config.cpu
         precision = workload.phases[0].shapes[0].precision
-        gemm_seconds = layer_stream_seconds(
-            (partition_gemm(shape, nodes) for shape in workload.layers()),
-            cpu.gemm_seconds,
-        )
+        gemm_seconds = layer_stream_seconds(workload.layers(), nodes, cpu.gemm_seconds)
 
         per_core_flops = int(workload.non_gemm_flops / nodes)
         per_core_bytes = int(workload.non_gemm_bytes / nodes)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.common import BaselineModel
-from repro.core.mapping import layer_stream_seconds, partition_gemm
+from repro.core.mapping import layer_stream_seconds
 from repro.core.metrics import WorkloadResult
 from repro.core.perf import (
     estimate_node_gemm_cached,
@@ -55,7 +55,8 @@ class GemminiLikeBaseline(BaselineModel):
         # resident in the shared L3 (same collapse as Baseline-2).
         env = unmapped_memory_environment(memory_environment(self.config, nodes))
         gemm_seconds = layer_stream_seconds(
-            (partition_gemm(shape, nodes) for shape in workload.layers()),
+            workload.layers(),
+            nodes,
             lambda shape: estimate_node_gemm_cached(
                 self.config, shape, active_nodes=nodes, prediction_enabled=False, env=env,
             ).seconds / self.utilization_ceiling,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.baselines.common import BaselineModel
-from repro.core.mapping import layer_stream_seconds, partition_gemm
+from repro.core.mapping import layer_stream_seconds
 from repro.core.metrics import WorkloadResult
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape
@@ -66,10 +66,7 @@ class RASALikeBaseline(BaselineModel):
         if not 1 <= nodes <= self.config.num_nodes:
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
         precision = workload.phases[0].shapes[0].precision
-        gemm_seconds = layer_stream_seconds(
-            (partition_gemm(shape, nodes) for shape in workload.layers()),
-            self._gemm_seconds,
-        )
+        gemm_seconds = layer_stream_seconds(workload.layers(), nodes, self._gemm_seconds)
 
         per_core_flops = int(workload.non_gemm_flops / nodes)
         per_core_bytes = int(workload.non_gemm_bytes / nodes)

@@ -23,6 +23,11 @@ each other on a BERT-sized layer and writes the measurements to
   evaluates each distinct tile shape once, vs the per-tile loops of
   :mod:`repro.conformance.analytic_oracle` on the Fig. 7 sweep (here
   ``scalar_s`` is the oracle and ``vectorized_s`` the class-based path);
+* ``layer_stream`` — :func:`repro.core.mapping.layer_stream_seconds`, which
+  partitions and times each distinct layer shape once, vs the per-layer loop
+  of :mod:`repro.conformance.analytic_oracle` on the Fig. 8 networks and the
+  LLM decode stream, through MACO's cached node timer (``scalar_s`` is the
+  oracle, ``vectorized_s`` production);
 * ``functional_gemm`` — end-to-end functional GEMM throughput through the
   controller (batch path), recorded for trend tracking;
 * ``serve_throughput`` — requests simulated per wall-clock second by the
@@ -318,6 +323,50 @@ def bench_tile_schedule(quick: bool, repeat: int) -> Dict[str, object]:
     }
 
 
+def bench_layer_stream(quick: bool, repeat: int) -> Dict[str, object]:
+    """Distinct-shape vs per-layer stream timing on 4,918 layers at 8 nodes.
+
+    The streams are the ``layers()`` of the three Fig. 8 networks and of
+    ``llama-7b@decode``, timed by MACO's node timer through a
+    :class:`~repro.core.perf.TimingCache` warmed off the clock, so both
+    sides pay only mapping and cache lookups.  Parity is exact: the stream
+    seconds must have the same ``repr``.  ``quick`` changes nothing here.
+    """
+    from repro.core.config import maco_default_config
+    from repro.core.mapping import layer_stream_seconds
+    from repro.core.perf import TimingCache, estimate_node_gemm_cached, memory_environment
+    from repro.workloads import dl_benchmark_suite, workload_graph_by_name
+
+    nodes = 8
+    config = maco_default_config(num_nodes=nodes)
+    env = memory_environment(config, nodes)
+    cache = TimingCache()
+    graphs = dl_benchmark_suite() + [workload_graph_by_name("llama-7b@decode")]
+    streams = [list(graph.layers()) for graph in graphs]
+
+    def node_seconds(shape: GEMMShape) -> float:
+        return estimate_node_gemm_cached(
+            config, shape, active_nodes=nodes, env=env, cache=cache).seconds
+
+    def run(stream_seconds) -> Tuple[float, List[str]]:
+        start = time.perf_counter()
+        totals = [stream_seconds(layers, nodes, node_seconds) for layers in streams]
+        return time.perf_counter() - start, [repr(total) for total in totals]
+
+    run(analytic_oracle.layer_stream_seconds)  # warm the timing cache
+    repeat = max(repeat, 3)
+    oracle_s, oracle_totals = _best_of_with(
+        repeat, lambda: run(analytic_oracle.layer_stream_seconds))
+    stream_s, totals = _best_of_with(repeat, lambda: run(layer_stream_seconds))
+    return {
+        "scalar_s": oracle_s,
+        "vectorized_s": stream_s,
+        "speedup": oracle_s / stream_s,
+        "layers": sum(len(layers) for layers in streams),
+        "parity": totals == oracle_totals,
+    }
+
+
 def bench_functional_gemm(quick: bool, repeat: int) -> Dict[str, object]:
     """End-to-end functional GEMM throughput through the controller (batch path)."""
     size = 256 if quick else 512
@@ -580,6 +629,7 @@ def run_benchmarks(quick: bool = False, repeat: int = 1) -> Dict[str, object]:
             "tile_translation_steady": bench_tile_translation_steady(quick, repeat),
             "emulator": bench_emulator(quick, repeat),
             "tile_schedule": bench_tile_schedule(quick, repeat),
+            "layer_stream": bench_layer_stream(quick, repeat),
             "functional_gemm": bench_functional_gemm(quick, repeat),
             "serve_throughput": bench_serve_throughput(quick, repeat),
             "serve_scale": bench_serve_scale(quick, repeat),

@@ -1,4 +1,4 @@
-"""Per-tile references for the analytic timing path: the tile schedule and the stall model.
+"""Per-tile and per-layer references for the analytic timing path.
 
 :func:`build_tile_schedule` and :func:`estimate_translation_stalls` are the
 readable specifications of their namesakes in :mod:`repro.mmae.dataflow` and
@@ -13,14 +13,21 @@ feeds the two through the production
 :func:`check_tile_schedule` diffs all three results — the contract the
 ``tile-schedule`` fuzz kind, the parity tests and ``bench tile_schedule``
 check.
+
+:func:`layer_stream_seconds` is the same kind of reference one level up, for
+:func:`repro.core.mapping.layer_stream_seconds`: it partitions and times
+every layer of a stream, where production times each distinct layer shape
+once; the ``layer-stream`` fuzz kind and ``bench layer_stream`` check the
+two agree bit for bit (DESIGN.md section 4.2).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
+from repro.core.mapping import partition_gemm
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig, TwoLevelTiling
 from repro.gemm.workloads import GEMMShape
@@ -45,6 +52,7 @@ __all__ = [
     "estimate_translation_stalls",
     "estimate_gemm_timing",
     "check_tile_schedule",
+    "layer_stream_seconds",
 ]
 
 
@@ -261,3 +269,23 @@ def check_tile_schedule(
             if difference is not None:
                 return difference
     return None
+
+
+# ---------------------------------------------------------------- layer stream
+def layer_stream_seconds(
+    layers: Iterable[GEMMShape],
+    num_nodes: int,
+    node_seconds: Callable[[GEMMShape], float],
+    layer_overhead_s: float = 0.0,
+) -> float:
+    """:func:`repro.core.mapping.layer_stream_seconds`, one layer at a time.
+
+    Every layer is partitioned and each of its sub-GEMMs timed, repeats
+    included; the layer lasts as long as its slowest sub-GEMM, and the
+    layers add left to right.
+    """
+    total = 0.0
+    for shape in layers:
+        plan = partition_gemm(shape, num_nodes)
+        total += max(node_seconds(sub) for sub in plan.sub_shapes) + layer_overhead_s
+    return total

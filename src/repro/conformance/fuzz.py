@@ -48,7 +48,13 @@ the properties the repo stakes out as exact:
   float bits included, over ragged edges at both tiling levels, explicit
   ``depth`` blocking, every precision, L3 shares below the working set, three
   page sizes, shared TLBs small enough to thrash and prediction on and off;
-  an invalid tiling raises the same ``ValueError`` on both sides.
+  an invalid tiling raises the same ``ValueError`` on both sides;
+* ``layer-stream`` — :func:`repro.core.mapping.layer_stream_seconds` equals
+  the per-layer loop of :mod:`repro.conformance.analytic_oracle` by ``repr``
+  over streams that repeat a small pool of shapes, with and without a
+  per-layer overhead, under a FLOP-count timer and MACO's cached node timer,
+  and calls its node timer exactly once per distinct sub-shape of each
+  distinct layer.
 
 Everything is seeded stdlib :mod:`random` (no new dependency): case ``i`` of
 run seed ``S`` draws from ``random.Random(f"{S}:{i}")``, and kinds rotate
@@ -796,6 +802,66 @@ def _check_tile_schedule(spec: ScenarioSpec) -> None:
                               f"level 1 {level1}, level 2 {level2})")
 
 
+# ------------------------------------------------------------- layer-stream
+def _sample_layer_stream(rng: random.Random) -> ScenarioSpec:
+    pool = tuple(
+        (rng.randint(1, 4096), rng.randint(1, 4096), rng.randint(1, 2048),
+         rng.choice(["fp64", "fp32", "fp16"]))
+        for _ in range(rng.randint(1, 5))
+    )
+    return _spec(
+        "layer-stream",
+        pool=pool,
+        # Indices into the pool, in execution order: repeats are the point.
+        layers=tuple(rng.randrange(len(pool)) for _ in range(rng.randint(1, 64))),
+        nodes=rng.randint(1, 16),
+        overhead=rng.choice([0.0, rng.uniform(1e-7, 1e-4)]),
+        timer=rng.choice(["flops", "maco"]),
+    )
+
+
+def _layer_timer(name: str, nodes: int) -> Callable:
+    """A node timer: FLOPs at a fixed rate, or MACO's cached estimate on ``nodes``."""
+    if name == "flops":
+        return lambda shape: shape.flops / 1.3e12
+    from repro.core.perf import estimate_node_gemm_cached, memory_environment
+
+    config = _shared_config()
+    env = memory_environment(config, nodes)
+    return lambda shape: estimate_node_gemm_cached(
+        config, shape, active_nodes=nodes, env=env, cache=_shared_cache()).seconds
+
+
+def _check_layer_stream(spec: ScenarioSpec) -> None:
+    from repro.conformance import analytic_oracle
+    from repro.core.mapping import layer_stream_seconds, partition_gemm
+    from repro.gemm import GEMMShape, Precision
+
+    pool = [GEMMShape(int(m), int(n), int(k), Precision.from_string(str(precision)))
+            for m, n, k, precision in spec.param("pool")]
+    layers = [pool[int(index)] for index in spec.param("layers")]
+    nodes = int(spec.param("nodes"))
+    overhead = float(spec.param("overhead"))
+    timer = _layer_timer(str(spec.param("timer")), nodes)
+    calls: List = []
+
+    def counted(shape):
+        calls.append(shape)
+        return timer(shape)
+
+    ours = layer_stream_seconds(layers, nodes, counted, overhead)
+    theirs = analytic_oracle.layer_stream_seconds(layers, nodes, timer, overhead)
+    label = f"{len(layers)} layers of {len(set(layers))} shapes on {nodes} node(s)"
+    if repr(ours) != repr(theirs):
+        raise ScenarioFailure(f"stream seconds {ours!r} != oracle {theirs!r} ({label})")
+    expected = [sub for shape in dict.fromkeys(layers)
+                for sub in partition_gemm(shape, nodes).sub_shapes]
+    if calls != expected:
+        raise ScenarioFailure(
+            f"node timer ran {len(calls)} times, expected once per distinct sub-shape "
+            f"of each distinct layer ({len(expected)}) ({label})")
+
+
 # ----------------------------------------------------------------- registry
 @dataclass(frozen=True)
 class _Kind:
@@ -838,6 +904,8 @@ SCENARIO_KINDS: Dict[str, _Kind] = {
               (("prediction", False), ("page_size", 4096), ("precision", "fp64"),
                ("l3_fraction", 4.0), ("tlb_entries", 1024), ("m", 1), ("n", 1),
                ("k", 1))),
+        _Kind("layer-stream", _sample_layer_stream, _check_layer_stream,
+              (("timer", "flops"), ("overhead", 0.0), ("nodes", 1), ("layers", (0,)))),
     )
 }
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.mapping import layer_stream_seconds, partition_gemm
+from repro.core.mapping import layer_stream_seconds
 from repro.core.perf import TimingCache, estimate_node_gemm_cached, memory_environment
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig
@@ -378,8 +378,7 @@ class DesignSpaceExplorer:
         all_shapes: List[GEMMShape] = []
         all_weights: List[int] = []
         for phase in graph.phases:
-            plans = [partition_gemm(shape, config.num_nodes) for shape in phase.shapes]
-            seconds = layer_stream_seconds(plans, node_seconds) * phase.repeat
+            seconds = layer_stream_seconds(phase.shapes, config.num_nodes, node_seconds) * phase.repeat
             flops = phase.gemm_flops * phase.repeat
             gflops = flops / seconds / 1e9 if seconds > 0 else 0.0
             phase_results.append(

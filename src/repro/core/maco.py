@@ -15,6 +15,7 @@ The Fig. 6 and Fig. 7 sweeps run one GEMM per node and go through
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import List, Optional
 
 from repro.core.compute_node import ComputeNode
@@ -114,11 +115,14 @@ class MACOSystem:
     ) -> WorkloadResult:
         """Run a GEMM+ workload (e.g. a DL network) across the compute nodes.
 
-        Every layer's GEMM is column-partitioned across the active nodes; the
+        Every layer's GEMM is split across the active nodes along its larger
+        output dimension, rows or columns (:func:`partition_gemm`); the
         per-layer time is the slowest node's time (layers are data dependent
-        and execute in order).  The non-GEMM tail operators run on the CPU
-        cores; the mapping scheme decides whether they overlap with the MMAEs
-        and whether their inputs are still locked in the L3.
+        and execute in order).  Each distinct layer shape is partitioned and
+        timed once (:func:`layer_stream_seconds`).  The non-GEMM tail
+        operators run on the CPU cores; the mapping scheme decides whether
+        they overlap with the MMAEs and whether their inputs are still locked
+        in the L3.
         """
         nodes = num_nodes if num_nodes is not None else self.num_nodes
         if not 1 <= nodes <= self.num_nodes:
@@ -131,13 +135,13 @@ class MACOSystem:
         if not mapping_enabled:
             env = unmapped_memory_environment(env)
 
-        # The per-layer timings run through the memoized timing cache: a column
-        # partition yields at most two distinct sub-shapes per layer, and DL
-        # workloads repeat the same layer shapes many times (e.g. one GEMM set
-        # per BERT encoder block), so most estimates are cache hits.
-        plans = [partition_gemm(shape, nodes) for shape in workload.layers()]
+        # DL workloads repeat a handful of layer shapes (one GEMM set per BERT
+        # encoder block), so the stream times each distinct shape once; a
+        # partition yields at most two distinct sub-shapes, each timed through
+        # the memoized timing cache.
         mmae_seconds = layer_stream_seconds(
-            plans,
+            workload.layers(),
+            nodes,
             lambda shape: estimate_node_gemm_cached(
                 self.config, shape, active_nodes=nodes,
                 prediction_enabled=prediction_enabled, env=env,
@@ -152,9 +156,13 @@ class MACOSystem:
         per_core_bytes = workload.non_gemm_bytes / tail_cores
         cpu_seconds = self.config.cpu.elementwise_seconds(int(per_core_flops), int(per_core_bytes))
 
-        # Stash traffic: the shared A panels plus each node's B/C columns are
-        # prefetched from DRAM once per layer.
-        stash_bytes = sum(plan.stash_bytes for plan in plans)
+        # Stash traffic: each layer prefetches its shared operand plus every
+        # node's private rows or columns from DRAM.  Integer bytes, so the
+        # per-shape products sum exactly.
+        stash_bytes = sum(
+            partition_gemm(shape, nodes).stash_bytes * count
+            for shape, count in Counter(workload.layers()).items()
+        )
         stash_seconds = stash_bytes / self.dram.effective_bandwidth(nodes)
 
         schedule = schedule_gemm_plus(

@@ -11,7 +11,9 @@ Two pieces are modelled:
   are split) is stashed and locked in the L3 once and shared.
   :func:`layer_stream_seconds` times a stream of partitioned layers for every
   system model (MACO, the baselines, the explorer): each layer lasts as long
-  as its slowest node, and layers run in order.
+  as its slowest node, and layers run in order.  Networks repeat a handful
+  of GEMM shapes, so it partitions and times each distinct shape once and
+  adds one float per layer in execution order (DESIGN.md section 4.2).
 * **GEMM+ scheduling** (Fig. 5(b)/(c)) — the CPU issues stash/lock requests
   ahead of the MMAE's tiles, distributes the non-GEMM tail operators of the
   previous layer across the CPU cores, and runs them while the MMAEs compute
@@ -22,7 +24,7 @@ Two pieces are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Literal, Tuple
+from typing import Callable, Dict, Iterable, List, Literal, Tuple
 
 from repro.gemm.workloads import GEMMShape
 from repro.workloads.graph import WorkloadGraph
@@ -150,25 +152,33 @@ def partition_gemm(shape: GEMMShape, num_nodes: int) -> MappingPlan:
 
 
 def layer_stream_seconds(
-    plans: Iterable[MappingPlan],
+    layers: Iterable[GEMMShape],
+    num_nodes: int,
     node_seconds: Callable[[GEMMShape], float],
     layer_overhead_s: float = 0.0,
 ) -> float:
-    """Seconds to run a stream of partitioned GEMM layers in order.
+    """Seconds to run a stream of GEMM layers in order, each split across ``num_nodes``.
 
     Layers are data dependent, so each starts when the previous one ends and
     lasts as long as its slowest node: ``node_seconds`` times one node's
     sub-GEMM, and ``layer_overhead_s`` is a fixed per-layer cost (e.g. a host
-    fence).  Nodes with the same sub-GEMM take the same time, so
-    ``node_seconds`` is called once per distinct sub-shape
-    (:attr:`MappingPlan.sub_shapes`, in node order); the maximum over those
-    equals the maximum over the nodes.  The loop adds left to right with
-    ``+=`` on purpose; ``sum()`` over floats rounds differently on newer
-    Pythons.
+    fence).  A layer's seconds depend only on its shape, so each distinct
+    shape is partitioned (:func:`partition_gemm`) and timed once per call,
+    the first time it appears, and ``node_seconds`` runs once per distinct
+    sub-shape of it (:attr:`MappingPlan.sub_shapes`, in node order); the
+    maximum over those equals the maximum over the nodes.  The stream sum
+    still adds one ``layer + layer_overhead_s`` per layer, left to right with
+    ``+=`` (DESIGN.md section 4.2): a float sum depends on the order of its
+    additions, and ``sum()`` over floats rounds differently on newer Pythons.
     """
+    seconds: Dict[GEMMShape, float] = {}
     total = 0.0
-    for plan in plans:
-        layer = max(node_seconds(shape) for shape in plan.sub_shapes)
+    for shape in layers:
+        layer = seconds.get(shape)
+        if layer is None:
+            layer = seconds[shape] = max(
+                node_seconds(sub) for sub in partition_gemm(shape, num_nodes).sub_shapes
+            )
         total += layer + layer_overhead_s
     return total
 

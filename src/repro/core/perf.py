@@ -108,20 +108,22 @@ class TimingCache:
 
     The cycle-approximate timing of a GEMM is a pure function of
     ``(configuration, shape, active_nodes, prediction, memory environment)``;
-    sweeps and DL workloads evaluate the same shapes over and over (every
-    column partition repeats at most two distinct sub-shapes per layer, BERT
-    repeats the same four GEMMs per encoder block, figure regenerations rerun
-    whole sweeps), so memoising the breakdown skips re-walking the tile
-    schedule.  Entries are evicted FIFO past ``max_entries``.  Hits return
-    the stored instance directly; that is safe because
-    :class:`~repro.mmae.dataflow.GEMMTimingBreakdown` is frozen.
+    sweeps and DL workloads evaluate the same shapes over and over (the five
+    Fig. 8 systems share the networks' layer shapes, design points share
+    configurations, figure regenerations rerun whole sweeps), so memoising
+    the breakdown skips re-walking the tile schedule.  Entries are evicted
+    FIFO past ``max_entries``.  Hits return the stored instance directly;
+    that is safe because :class:`~repro.mmae.dataflow.GEMMTimingBreakdown`
+    is frozen.
 
     The key holds the :class:`~repro.mmae.dataflow.MemoryEnvironment`
     itself: it is a frozen dataclass, so it hashes and compares by value,
-    and a lookup costs one field-tuple hash rather than a deep copy.  Callers
-    time each distinct sub-GEMM of a partitioned layer once
-    (:func:`repro.core.mapping.layer_stream_seconds`), so lookups track
-    distinct shapes, not nodes.
+    and a lookup costs one field-tuple hash rather than a deep copy.
+    Lookups track distinct layer shapes, not layers or nodes: the layer
+    stream (:func:`repro.core.mapping.layer_stream_seconds`) and the
+    parallel phase planners price each distinct shape once per call, and a
+    partitioned layer looks up each distinct sub-GEMM once, so a layer that
+    repeats within a stream never reaches the cache.
     """
 
     def __init__(self, max_entries: int = 65536) -> None:

@@ -49,10 +49,11 @@ derivations and worked examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import MACOConfig
 from repro.core.perf import TimingCache, estimate_node_gemm_cached, memory_environment
+from repro.gemm.workloads import GEMMShape
 from repro.mmae.dataflow import MemoryEnvironment
 from repro.parallel.collective import CollectiveCostModel
 from repro.parallel.summa import (
@@ -257,6 +258,18 @@ class PhasePlan:
         return self.comm_exposed_seconds / self.seconds if self.seconds > 0 else 0.0
 
 
+def _in_order(values: Iterable[float]) -> float:
+    """Add floats left to right.
+
+    ``sum()`` over floats compensates its rounding on Python 3.12 and later,
+    so its last bit would depend on the interpreter (DESIGN.md section 4.2).
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass
 class ParallelPlan:
     """A sharded execution plan for one workload graph on one node group."""
@@ -282,22 +295,22 @@ class ParallelPlan:
     @property
     def compute_seconds(self) -> float:
         """Critical-path compute seconds summed over the (sequential) phases."""
-        return sum(phase.compute_seconds for phase in self.phases)
+        return _in_order(phase.compute_seconds for phase in self.phases)
 
     @property
     def comm_seconds(self) -> float:
         """Serial collective and hand-off seconds summed over the phases."""
-        return sum(phase.comm_seconds for phase in self.phases)
+        return _in_order(phase.comm_seconds for phase in self.phases)
 
     @property
     def comm_overlapped_seconds(self) -> float:
         """Communication hidden under compute by the pipelined schedules."""
-        return sum(phase.comm_overlapped_seconds for phase in self.phases)
+        return _in_order(phase.comm_overlapped_seconds for phase in self.phases)
 
     @property
     def comm_exposed_seconds(self) -> float:
         """Communication that stays on the request's critical path."""
-        return sum(phase.comm_exposed_seconds for phase in self.phases)
+        return _in_order(phase.comm_exposed_seconds for phase in self.phases)
 
     @property
     def total_seconds(self) -> float:
@@ -307,7 +320,7 @@ class ParallelPlan:
     @property
     def unsharded_seconds(self) -> float:
         """The same phases executed whole on a single node (the baseline)."""
-        return sum(phase.unsharded_seconds for phase in self.phases)
+        return _in_order(phase.unsharded_seconds for phase in self.phases)
 
     @property
     def speedup(self) -> float:
@@ -413,53 +426,63 @@ def _unsharded_phase_seconds(
     env: MemoryEnvironment,
     cache: Optional[TimingCache],
 ) -> float:
-    """One node executing the whole phase (all repeats), zero communication."""
-    once = sum(
-        estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
-        for shape in phase.shapes
-    )
-    return once * phase.repeat
+    """One node executing the whole phase (all repeats), zero communication.
+
+    Each distinct shape is estimated once; the sum still adds one float per
+    GEMM in phase order.
+    """
+    whole = {
+        shape: estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
+        for shape in dict.fromkeys(phase.shapes)
+    }
+    return _in_order(whole[shape] for shape in phase.shapes) * phase.repeat
 
 
-def _tp_phase_plan(
-    config: MACOConfig,
+@dataclass(frozen=True)
+class _ShapeCost:
+    """What one GEMM of a tensor-parallel phase adds to the phase's plan."""
+
+    #: Seconds of the whole GEMM on one node.
+    whole: float
+    #: Each node's compute increment, in node order.
+    node_seconds: Tuple[float, ...]
+    comm_seconds: float = 0.0
+    comm_overlapped_seconds: float = 0.0
+    comm_bytes: int = 0
+    #: Collective kinds the GEMM uses, in the order the plan names them.
+    collectives: Tuple[str, ...] = ()
+
+
+def _sharded_phase_plan(
     phase: Phase,
     group: Tuple[int, ...],
-    env: MemoryEnvironment,
-    cache: Optional[TimingCache],
-    collectives: CollectiveCostModel,
-    background: Sequence[Sequence[int]],
-    include_communication: bool,
+    cost: Callable[[GEMMShape], _ShapeCost],
 ) -> PhasePlan:
-    degree = len(group)
-    node_seconds = [0.0] * degree
+    """Add up a tensor-parallel phase from the costs of its GEMMs.
+
+    ``cost`` prices one GEMM; it runs once per distinct shape of the phase,
+    the first time the shape appears.  Every accumulator still adds one term
+    per GEMM in phase order, so a repeated shape adds the same floats in the
+    same order as pricing it again would (DESIGN.md section 4.2).
+    """
+    costs: Dict[GEMMShape, _ShapeCost] = {}
+    node_seconds = [0.0] * len(group)
+    unsharded_once = 0.0
     comm_seconds = 0.0
+    comm_overlapped = 0.0
     comm_bytes = 0
     collective_kinds: List[str] = []
-    unsharded_once = 0.0
     for shape in phase.shapes:
-        whole = estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
-        unsharded_once += whole
-        # Split the larger free dimension: N keeps the reduction local (the
-        # outputs are disjoint column slices, replicated with an all-gather),
-        # K shards the reduction itself (partial sums, combined with an
-        # all-reduce).  Shards run the same tile schedule over their slice of
-        # the tiles, so per-node compute is the extent-proportional share.
-        split = "n" if shape.n >= shape.k else "k"
-        extent = shape.n if split == "n" else shape.k
-        for node_index, share in enumerate(_balanced_shares(extent, degree)):
-            node_seconds[node_index] += whole * (share / extent)
-        if degree > 1 and include_communication:
-            payload = shape.bytes_c
-            if split == "k":
-                comm_seconds += collectives.ring_allreduce_seconds(group, payload, background)
-                wire = int(payload * 2 * (degree - 1) / degree)
-                kind = "ring-all-reduce"
-            else:
-                comm_seconds += collectives.all_gather_seconds(group, payload, background)
-                wire = int(payload * (degree - 1) / degree)
-                kind = "all-gather"
-            comm_bytes += wire
+        entry = costs.get(shape)
+        if entry is None:
+            entry = costs[shape] = cost(shape)
+        unsharded_once += entry.whole
+        for node_index, seconds in enumerate(entry.node_seconds):
+            node_seconds[node_index] += seconds
+        comm_seconds += entry.comm_seconds
+        comm_overlapped += entry.comm_overlapped_seconds
+        comm_bytes += entry.comm_bytes
+        for kind in entry.collectives:
             if kind not in collective_kinds:
                 collective_kinds.append(kind)
     return PhasePlan(
@@ -474,7 +497,50 @@ def _tp_phase_plan(
         comm_seconds=comm_seconds * phase.repeat,
         comm_bytes=comm_bytes * phase.repeat,
         collective="+".join(collective_kinds) if collective_kinds else "none",
+        comm_overlapped_seconds=comm_overlapped * phase.repeat,
     )
+
+
+def _tp_phase_plan(
+    config: MACOConfig,
+    phase: Phase,
+    group: Tuple[int, ...],
+    env: MemoryEnvironment,
+    cache: Optional[TimingCache],
+    collectives: CollectiveCostModel,
+    background: Sequence[Sequence[int]],
+    include_communication: bool,
+) -> PhasePlan:
+    degree = len(group)
+
+    def cost(shape: GEMMShape) -> _ShapeCost:
+        whole = estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
+        # Split the larger free dimension: N keeps the reduction local (the
+        # outputs are disjoint column slices, replicated with an all-gather),
+        # K shards the reduction itself (partial sums, combined with an
+        # all-reduce).  Shards run the same tile schedule over their slice of
+        # the tiles, so per-node compute is the extent-proportional share.
+        split = "n" if shape.n >= shape.k else "k"
+        extent = shape.n if split == "n" else shape.k
+        node_seconds = tuple(whole * (share / extent) for share in _balanced_shares(extent, degree))
+        if degree == 1 or not include_communication:
+            return _ShapeCost(whole, node_seconds)
+        payload = shape.bytes_c
+        if split == "k":
+            return _ShapeCost(
+                whole, node_seconds,
+                comm_seconds=collectives.ring_allreduce_seconds(group, payload, background),
+                comm_bytes=int(payload * 2 * (degree - 1) / degree),
+                collectives=("ring-all-reduce",),
+            )
+        return _ShapeCost(
+            whole, node_seconds,
+            comm_seconds=collectives.all_gather_seconds(group, payload, background),
+            comm_bytes=int(payload * (degree - 1) / degree),
+            collectives=("all-gather",),
+        )
+
+    return _sharded_phase_plan(phase, group, cost)
 
 
 def _tp2d_phase_plan(
@@ -509,64 +575,49 @@ def _tp2d_phase_plan(
     degree = len(group)
     grid_rows, grid_cols = summa_grid(group, rows, cols)
     steps = summa_steps(rows, cols)
-    node_seconds = [0.0] * degree
-    comm_seconds = 0.0
-    comm_overlapped = 0.0
-    comm_bytes = 0
-    collective_kinds: List[str] = []
-    unsharded_once = 0.0
-    for shape in phase.shapes:
+
+    def cost(shape: GEMMShape) -> _ShapeCost:
         whole = estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
-        unsharded_once += whole
         m_shares = _balanced_shares(shape.m, rows)
         n_shares = _balanced_shares(shape.n, cols)
-        for row_index in range(rows):
-            row_fraction = m_shares[row_index] / shape.m
-            for col_index in range(cols):
-                node_seconds[row_index * cols + col_index] += (
-                    whole * row_fraction * (n_shares[col_index] / shape.n)
-                )
-        if degree > 1 and include_communication:
-            # This shape's wall-clock compute is node (0, 0)'s share — the
-            # largest by the balanced-shares remainder convention.
-            shape_compute = whole * (m_shares[0] / shape.m) * (n_shares[0] / shape.n)
-            step_broadcast = collectives.multicast_seconds(
-                grid_rows, shape.bytes_a / (rows * steps), background
-            ) + collectives.multicast_seconds(
-                grid_cols, shape.bytes_b / (cols * steps), background
-            )
-            broadcast = step_broadcast * steps
-            gather = collectives.gather_seconds(group, shape.bytes_c, background)
-            pipelined = summa_pipeline_seconds(shape_compute, broadcast, steps)
-            exposed = (pipelined - shape_compute) + gather
-            comm_seconds += broadcast + gather
-            comm_overlapped += (broadcast + gather) - exposed
+        node_seconds = tuple(
+            whole * (m_shares[row_index] / shape.m) * (n_shares[col_index] / shape.n)
+            for row_index in range(rows)
+            for col_index in range(cols)
+        )
+        if degree == 1 or not include_communication:
+            return _ShapeCost(whole, node_seconds)
+        # This shape's wall-clock compute is node (0, 0)'s share — the
+        # largest by the balanced-shares remainder convention.
+        shape_compute = whole * (m_shares[0] / shape.m) * (n_shares[0] / shape.n)
+        step_broadcast = collectives.multicast_seconds(
+            grid_rows, shape.bytes_a / (rows * steps), background
+        ) + collectives.multicast_seconds(
+            grid_cols, shape.bytes_b / (cols * steps), background
+        )
+        broadcast = step_broadcast * steps
+        gather = collectives.gather_seconds(group, shape.bytes_c, background)
+        pipelined = summa_pipeline_seconds(shape_compute, broadcast, steps)
+        exposed = (pipelined - shape_compute) + gather
+        return _ShapeCost(
+            whole, node_seconds,
+            comm_seconds=broadcast + gather,
+            comm_overlapped_seconds=(broadcast + gather) - exposed,
             # Wire bytes: each node ends up holding its row-panel of A
             # (receiving the (C-1)/C it did not store), its column-panel of
             # B, and the gathered C.
-            comm_bytes += (
+            comm_bytes=(
                 shape.bytes_a * (cols - 1) // cols
                 + shape.bytes_b * (rows - 1) // rows
                 + shape.bytes_c * (degree - 1) // degree
-            )
-            if broadcast > 0 and "summa-bcast" not in collective_kinds:
-                collective_kinds.append("summa-bcast")
-            if gather > 0 and "gather" not in collective_kinds:
-                collective_kinds.append("gather")
-    return PhasePlan(
-        name=phase.name,
-        kind=phase.kind.value,
-        step=phase.step,
-        repeat=phase.repeat,
-        stage=0,
-        nodes=group,
-        unsharded_seconds=unsharded_once * phase.repeat,
-        node_compute_seconds=tuple(seconds * phase.repeat for seconds in node_seconds),
-        comm_seconds=comm_seconds * phase.repeat,
-        comm_bytes=comm_bytes * phase.repeat,
-        collective="+".join(collective_kinds) if collective_kinds else "none",
-        comm_overlapped_seconds=comm_overlapped * phase.repeat,
-    )
+            ),
+            collectives=tuple(
+                kind for kind, seconds in (("summa-bcast", broadcast), ("gather", gather))
+                if seconds > 0
+            ),
+        )
+
+    return _sharded_phase_plan(phase, group, cost)
 
 
 def _pp_phase_plans(

@@ -8,7 +8,7 @@ from repro import bench
 
 CASES = [
     "bench_page_enumeration", "bench_tile_translation", "bench_tile_translation_steady",
-    "bench_emulator", "bench_tile_schedule", "bench_functional_gemm",
+    "bench_emulator", "bench_tile_schedule", "bench_layer_stream", "bench_functional_gemm",
     "bench_serve_throughput", "bench_serve_scale", "bench_serve_dispatch",
     "bench_serve_autoscale",
 ]
@@ -33,5 +33,5 @@ def test_suite_runs_with_the_collector_off_and_restores_it(monkeypatch, enabled_
     finally:
         if was_enabled:
             gc.enable()
-    assert len(seen) == len(report["results"]) == 11
+    assert len(seen) == len(report["results"]) == 12
     assert not any(seen)

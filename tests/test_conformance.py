@@ -432,6 +432,21 @@ class TestPinnedEdgeScenarios:
     def test_tile_schedule_edges(self, params):
         run_scenario(ScenarioSpec("tile-schedule", tuple(sorted(params.items()))))
 
+    @pytest.mark.parametrize("params", [
+        # One extent in two precisions: distinct shapes with equal dimensions,
+        # each timed once, under MACO's node timer and a per-layer overhead.
+        {"pool": ((512, 384, 256, "fp32"), (512, 384, 256, "fp16")),
+         "layers": (0, 1, 1, 0, 0, 1), "nodes": 4, "overhead": 3e-6, "timer": "maco"},
+        # A ragged split (two sub-shapes) interleaved with an even one.
+        {"pool": ((1027, 64, 64, "fp64"), (64, 4096, 512, "fp64")),
+         "layers": (0, 1, 0, 0, 1), "nodes": 8, "overhead": 0.0, "timer": "flops"},
+        # More nodes than rows: the surplus nodes get no work.
+        {"pool": ((3, 2, 8, "fp16"),), "layers": (0, 0, 0), "nodes": 16,
+         "overhead": 1e-5, "timer": "maco"},
+    ])
+    def test_layer_stream_edges(self, params):
+        run_scenario(ScenarioSpec("layer-stream", tuple(sorted(params.items()))))
+
     def test_single_tenant_bursty_saturation(self):
         run_scenario(ScenarioSpec("trace-roundtrip", tuple(sorted({
             "generator": "bursty", "seed": 12, "tenants": 1, "rate": 0.05,

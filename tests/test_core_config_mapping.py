@@ -152,22 +152,33 @@ class TestPartitionGEMM:
         distinct = list(dict.fromkeys(a.shape for a in plan.assignments))
         assert list(plan.sub_shapes) == distinct
 
-    def test_layer_stream_times_each_distinct_sub_shape_once(self):
+    def test_layer_stream_times_each_distinct_sub_shape_once(self, monkeypatch):
+        import repro.core.mapping as mapping
+
+        partitioned = []
+
+        def counting_partition(shape, num_nodes):
+            partitioned.append(shape)
+            return partition_gemm(shape, num_nodes)
+
+        monkeypatch.setattr(mapping, "partition_gemm", counting_partition)
         calls = []
 
         def node_seconds(shape):
             calls.append(shape)
             return shape.flops * 1e-9
 
-        workload = [GEMMShape(1027, 64, 64), GEMMShape(64, 4096, 512), GEMMShape(3, 2, 8)]
-        plans = [partition_gemm(shape, 8) for shape in workload]
-        seconds = layer_stream_seconds(plans, node_seconds)
+        distinct = [GEMMShape(1027, 64, 64), GEMMShape(64, 4096, 512), GEMMShape(3, 2, 8)]
+        layers = [distinct[0], distinct[1], distinct[0], distinct[2], distinct[1], distinct[0]]
+        seconds = layer_stream_seconds(layers, 8, node_seconds, layer_overhead_s=1e-6)
+        assert partitioned == distinct
         assert calls == [GEMMShape(129, 64, 64), GEMMShape(128, 64, 64),
                          GEMMShape(64, 512, 512), GEMMShape(1, 2, 8)]
         expected = 0.0
-        for plan in plans:
-            expected += max(a.shape.flops * 1e-9 for a in plan.assignments)
-        assert seconds == expected
+        for shape in layers:
+            plan = partition_gemm(shape, 8)
+            expected += max(a.shape.flops * 1e-9 for a in plan.assignments) + 1e-6
+        assert repr(seconds) == repr(expected)
 
     @settings(max_examples=40, deadline=None)
     @given(
