@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
+from repro.core.mapping import in_order_sum
 from repro.core.perf import EfficiencyPoint
 
 
@@ -40,7 +41,7 @@ def average_gap(points: Iterable[EfficiencyPoint]) -> float:
     gaps = efficiency_gap(points)
     if not gaps:
         raise ValueError("no overlapping sizes between the two sweeps")
-    return sum(gaps.values()) / len(gaps)
+    return in_order_sum(gaps.values()) / len(gaps)
 
 
 def summarize_scalability(points: Iterable[EfficiencyPoint]) -> Dict[int, Dict[str, float]]:
@@ -52,7 +53,7 @@ def summarize_scalability(points: Iterable[EfficiencyPoint]) -> Dict[int, Dict[s
     for nodes, values in sorted(buckets.items()):
         summary[nodes] = {
             "min": min(values),
-            "mean": sum(values) / len(values),
+            "mean": in_order_sum(values) / len(values),
             "max": max(values),
         }
     return summary

@@ -65,6 +65,7 @@ from repro.conformance.functional_oracle import (
     translate_tile,
     translation_state,
 )
+from repro.core.mapping import in_order_sum
 from repro.cpu.mmu import MMU
 from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
@@ -436,7 +437,7 @@ def bench_serve_throughput(quick: bool, repeat: int) -> Dict[str, object]:
         TenantSpec(name="generate", rate_rps=50.0, mix=((f"{variant},decode", 1.0),)),
     ]
     target = 2_000 if quick else 10_000
-    duration = target / sum(spec.rate_rps for spec in specs)
+    duration = target / in_order_sum(spec.rate_rps for spec in specs)
     trace = poisson_trace(specs, duration_s=duration, seed=2024)
     config = maco_default_config(num_nodes=4)
 
@@ -540,7 +541,7 @@ def bench_serve_dispatch(quick: bool, repeat: int) -> Dict[str, object]:
     simulator = ServeSimulator(config=maco_default_config(num_nodes=4), scheduler="sjf")
     tenants = simulator.suggest_rates(default_tenants(3), utilization=0.9)
     target = 100_000 if quick else 1_000_000
-    trace = poisson_trace(tenants, target / sum(spec.rate_rps for spec in tenants), seed=2026)
+    trace = poisson_trace(tenants, target / in_order_sum(spec.rate_rps for spec in tenants), seed=2026)
     return {"requests": len(trace), **_request_runner_vs_oracle(lower(simulator, trace), repeat)}
 
 
@@ -572,7 +573,7 @@ def bench_serve_autoscale(quick: bool, repeat: int) -> Dict[str, object]:
     probe = simulator(None)
     tenants = probe.suggest_rates(llm_tenants(2, variant=variant), utilization=1.1)
     target = 300 if quick else 2_000
-    duration = target / sum(spec.rate_rps for spec in tenants)
+    duration = target / in_order_sum(spec.rate_rps for spec in tenants)
     trace = bursty_trace(tenants, duration_s=duration, seed=7, burst_factor=8.0)
 
     def run():

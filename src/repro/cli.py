@@ -56,6 +56,7 @@ from repro.core import (
     maco_default_config,
     pareto_front,
 )
+from repro.core.mapping import in_order_sum
 from repro.gemm import GEMMShape, Precision
 from repro.gemm.workloads import FIG6_MATRIX_SIZES, FIG7_MATRIX_SIZES
 from repro.serve.scheduler import SCHEDULER_NAMES
@@ -502,7 +503,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ttft_slo, tpot_slo = _parse_slo(args.slo)
             specs = [spec.with_slo(ttft_slo_s=ttft_slo, tpot_slo_s=tpot_slo)
                      for spec in specs]
-        duration = args.requests / sum(spec.rate_rps for spec in specs)
+        duration = args.requests / in_order_sum(spec.rate_rps for spec in specs)
         if args.trace == "bursty":
             trace = bursty_trace(specs, duration, seed=args.seed, precision=precision,
                                  burst_factor=args.burst_factor)

@@ -48,14 +48,14 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.core.mapping import schedule_gemm_plus
-from repro.gemm.precision import Precision
-from repro.gemm.reference import (
+from repro.conformance.reference import (
     blocked_gemm,
     conv2d_reference,
     im2col_patches,
     reference_gemm,
 )
+from repro.core.mapping import schedule_gemm_plus
+from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig, TwoLevelTiling
 from repro.gemm.workloads import GEMMShape
 from repro.conformance.functional_oracle import SystolicArrayEmulator

@@ -1,10 +1,9 @@
-"""Reference GEMM implementations used to validate the accelerator models.
+"""Reference GEMM and convolution kernels: the oracles of the golden corpus.
 
 ``reference_gemm`` is a thin wrapper over NumPy; ``blocked_gemm`` reproduces
-the two-level tiled loop nest in plain Python/NumPy so tests can confirm the
-tiling enumeration visits every MAC exactly once; ``tiled_gemm_trace``
-additionally records the tile visit order, which the MMAE scheduler tests
-compare against.  ``im2col_patches``/``conv2d_reference`` provide the
+the two-level tiled loop nest in plain Python/NumPy so the corpus can check
+the controller's tile schedule bit for bit in FP64 (DESIGN.md section 10.2).
+``im2col_patches``/``conv2d_reference`` provide the
 convolution lowering and its direct golden model: the patch matrix realises
 exactly the GEMM geometry :func:`repro.workloads.layers.conv2d_gemm` assumes
 (SAME padding, ``ceil(input / stride)`` output), while the reference computes
@@ -15,7 +14,7 @@ lowering against an independent implementation.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -150,30 +149,3 @@ def conv2d_reference(images: np.ndarray, weights: np.ndarray, stride: int) -> np
             # (batch, in_c, k, k) x (out_c, in_c, k, k) summed over the field.
             output[:, oy, ox, :] = np.einsum("bikl,oikl->bo", window, w64)
     return output.reshape(batch * out_size * out_size, out_channels)
-
-
-def tiled_gemm_trace(
-    shape: GEMMShape,
-    level1: TileConfig = PAPER_LEVEL1,
-    level2: TileConfig = PAPER_LEVEL2,
-) -> List[Tuple[int, int, int, int, int, int]]:
-    """Return the (row_start, row_end, col_start, col_end, k_start, k_end) visit order.
-
-    The MMAE controller must visit second-level tiles in exactly this order for
-    the double-buffering overlap model to be valid.
-    """
-    tiling = TwoLevelTiling(shape, level1, level2)
-    trace = []
-    for tile1 in tiling.level1_tiles():
-        for tile2 in tiling.level2_tiles(tile1):
-            trace.append(
-                (
-                    tile2.row_start,
-                    tile2.row_end,
-                    tile2.col_start,
-                    tile2.col_end,
-                    tile2.k_start,
-                    tile2.k_end,
-                )
-            )
-    return trace

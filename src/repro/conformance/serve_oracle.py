@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.mapping import in_order_sum
 from repro.gemm.precision import Precision
 from repro.serve.engine import (
     ACCUMULATORS,
@@ -199,7 +200,7 @@ def _exp_gap(uniform: float, rate: float) -> float:
 
 def pick_workload(spec: TenantSpec, rng: random.Random) -> str:
     """Draw one workload name from the spec's (normalised) mix."""
-    total = sum(weight for _, weight in spec.mix)
+    total = in_order_sum(weight for _, weight in spec.mix)
     draw = rng.random() * total
     cumulative = 0.0
     for name, weight in spec.mix:

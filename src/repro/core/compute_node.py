@@ -2,9 +2,10 @@
 
 The compute node wires the pieces together the way Fig. 2 shows: the CPU's
 MPAIS executor forwards task descriptors into the MMAE's Slave Task Queue, the
-STQ's completion responses update the CPU-side Master Task Queue, the MMAE
-shares the CPU core's MMU/L2-TLB for address translation, and both sides see
-the distributed L3 through the CCMs.
+STQ's completion responses update the CPU-side Master Task Queue, and the MMAE
+shares the CPU core's MMU/L2-TLB for address translation.  The distributed L3
+behind the CCMs is timed analytically (the node's memory environment and
+MA_STASH's cycles); the node keeps no cache state.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.cpu.mtq import StatusWord
 from repro.gemm.precision import Precision
 from repro.isa.instructions import GEMMDescriptor
 from repro.mem.hostmem import HostMemory
-from repro.mem.l3cache import DistributedL3Cache
 from repro.mmae.controller import AcceleratorController, TaskResult
 
 
@@ -53,18 +53,12 @@ class GEMMSubmission:
 class ComputeNode:
     """One of MACO's up-to-16 homogeneous compute nodes."""
 
-    def __init__(
-        self,
-        node_id: int,
-        config: MACOConfig,
-        l3: Optional[DistributedL3Cache] = None,
-    ) -> None:
+    def __init__(self, node_id: int, config: MACOConfig) -> None:
         self.node_id = node_id
         self.config = config
         # Each node's default address space starts at the same virtual base,
         # so every node keeps its own functional backing store.
         self.host_memory = HostMemory()
-        self.l3 = l3
 
         self.cpu = CPUCore(config.cpu, core_id=node_id)
         # A default process so examples can allocate matrices immediately.
@@ -76,7 +70,6 @@ class ComputeNode:
             timing_params=config.mmae.timing_parameters(),
             memory_env=memory_environment(config, active_nodes=1),
             host_memory=self.host_memory,
-            l3=l3,
             mmu=self.cpu.mmu,
             stq_capacity=config.mmae.stq_entries,
             matlb_entries=config.mmae.matlb_entries,

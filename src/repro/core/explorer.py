@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.mapping import layer_stream_seconds
+from repro.core.mapping import in_order_sum, layer_stream_seconds
 from repro.core.perf import TimingCache, estimate_node_gemm_cached, memory_environment
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig
@@ -321,7 +321,7 @@ class DesignSpaceExplorer:
         # uniform workload this reduces to gflops / peak.
         if weights is None:
             weights = [1] * len(shapes)
-        ideal_seconds = sum(
+        ideal_seconds = in_order_sum(
             weight * shape.flops / (config.peak_gflops(shape.precision) * 1e9)
             for shape, weight in zip(shapes, weights)
             if config.peak_gflops(shape.precision) > 0

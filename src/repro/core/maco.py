@@ -1,4 +1,4 @@
-"""The full MACO system: compute nodes, distributed L3, DDR controllers.
+"""The full MACO system: compute nodes and DDR controllers.
 
 :class:`MACOSystem` is the top-level object users interact with.  It offers
 two execution entry points:
@@ -31,7 +31,6 @@ from repro.core.perf import (
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape
 from repro.mem.dram import DRAMModel
-from repro.mem.l3cache import DistributedL3Cache
 from repro.workloads.graph import WorkloadGraph
 
 
@@ -40,16 +39,9 @@ class MACOSystem:
 
     def __init__(self, config: Optional[MACOConfig] = None) -> None:
         self.config = config if config is not None else maco_default_config()
-        self.l3 = DistributedL3Cache(
-            num_slices=self.config.memory.l3_slices,
-            slice_size_bytes=self.config.memory.l3_slice_bytes,
-            associativity=self.config.memory.l3_associativity,
-            line_size=self.config.memory.line_size,
-        )
         self.dram = DRAMModel(config=self.config.memory.dram)
         self.nodes: List[ComputeNode] = [
-            ComputeNode(node_id, self.config, l3=self.l3)
-            for node_id in range(self.config.num_nodes)
+            ComputeNode(node_id, self.config) for node_id in range(self.config.num_nodes)
         ]
 
     # --------------------------------------------------------------------- peaks

@@ -14,6 +14,8 @@ Two pieces are modelled:
   as its slowest node, and layers run in order.  Networks repeat a handful
   of GEMM shapes, so it partitions and times each distinct shape once and
   adds one float per layer in execution order (DESIGN.md section 4.2).
+  :func:`in_order_sum` is the same left-to-right rule for any other float
+  sum that feeds a reported number.
 * **GEMM+ scheduling** (Fig. 5(b)/(c)) — the CPU issues stash/lock requests
   ahead of the MMAE's tiles, distributes the non-GEMM tail operators of the
   previous layer across the CPU cores, and runs them while the MMAEs compute
@@ -151,6 +153,20 @@ def partition_gemm(shape: GEMMShape, num_nodes: int) -> MappingPlan:
     )
 
 
+def in_order_sum(values: Iterable[float]) -> float:
+    """Add floats left to right, starting from ``0.0``.
+
+    This is the one float reducer for sums that feed a reported number
+    (DESIGN.md section 4.2): ``sum()`` over floats compensates its rounding
+    on Python 3.12 and later, so its last bit would depend on the
+    interpreter.  On 3.10 and 3.11 the two agree bit for bit.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def layer_stream_seconds(
     layers: Iterable[GEMMShape],
     num_nodes: int,
@@ -167,9 +183,8 @@ def layer_stream_seconds(
     the first time it appears, and ``node_seconds`` runs once per distinct
     sub-shape of it (:attr:`MappingPlan.sub_shapes`, in node order); the
     maximum over those equals the maximum over the nodes.  The stream sum
-    still adds one ``layer + layer_overhead_s`` per layer, left to right with
-    ``+=`` (DESIGN.md section 4.2): a float sum depends on the order of its
-    additions, and ``sum()`` over floats rounds differently on newer Pythons.
+    still adds one ``layer + layer_overhead_s`` per layer, left to right as
+    :func:`in_order_sum` does (DESIGN.md section 4.2).
     """
     seconds: Dict[GEMMShape, float] = {}
     total = 0.0

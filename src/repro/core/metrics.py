@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.core.mapping import in_order_sum
 from repro.gemm.workloads import GEMMShape
 from repro.mmae.dataflow import GEMMTimingBreakdown
 
@@ -58,7 +59,7 @@ class SystemResult:
             return self.efficiency
         per_node_peak = self.peak_gflops / self.num_nodes
         values = [node.gflops / per_node_peak for node in self.node_results if per_node_peak]
-        return sum(values) / len(values) if values else 0.0
+        return in_order_sum(values) / len(values) if values else 0.0
 
 
 @dataclass
@@ -115,4 +116,4 @@ def average_efficiency(results: List[SystemResult]) -> float:
     """Arithmetic mean of per-node efficiencies across a sweep (Fig. 7 summary)."""
     if not results:
         raise ValueError("no results to average")
-    return sum(result.per_node_efficiency for result in results) / len(results)
+    return in_order_sum(result.per_node_efficiency for result in results) / len(results)

@@ -6,12 +6,11 @@ CPU core (paper Table I).  For the reproduction the core provides:
 * the MPAIS front end (register file + executor + Master Task Queue);
 * the memory-management unit the MMAE shares (TLB hierarchy + page-table
   walker), which is the substrate of the Fig. 6 address-translation study;
-* the private L1/L2 caches of Table I;
 * process/ASID management and exception delivery (paper Section III.C).
 
 The core is functional only: the throughput model for the FP work the CPU
 performs itself (Baseline-1 and the non-GEMM operators of GEMM+ workloads)
-lives on :class:`repro.core.config.CPUConfig`.
+and the Table I cache geometry live on :class:`repro.core.config.CPUConfig`.
 """
 
 from repro.cpu.exceptions import ExceptionType, MMAETaskException

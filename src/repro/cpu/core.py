@@ -2,8 +2,8 @@
 
 The core bundles the functional components the MPAIS path needs: the front
 end (register file, executor, Master Task Queue), the MMU shared with the
-MMAE, the private cache hierarchy of Table I and the process manager.  The
-core's throughput model lives on :class:`repro.core.config.CPUConfig`.
+MMAE and the process manager.  The core's throughput model and its Table I
+parameters (caches included) live on :class:`repro.core.config.CPUConfig`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from repro.cpu.mtq import MasterTaskQueue
 from repro.cpu.process import ProcessManager
 from repro.isa.executor import MMAEPort, MPAISExecutor
 from repro.isa.registers import RegisterFile
-from repro.mem.cache import CacheConfig, SetAssociativeCache
 
 if TYPE_CHECKING:
     from repro.core.config import CPUConfig
@@ -24,8 +23,7 @@ if TYPE_CHECKING:
 class CPUCore:
     """One MACO CPU core (paper Table I), built from a :class:`CPUConfig`.
 
-    The paper's core has 48 KB L1 caches, a 512 KB private L2, 48-entry L1
-    TLBs and a 1024-entry L2 TLB.
+    Its MMU has the paper's 48-entry L1 DTLB and 1024-entry L2 TLB.
     """
 
     def __init__(self, config: CPUConfig, core_id: int = 0) -> None:
@@ -33,23 +31,7 @@ class CPUCore:
 
         self.registers = RegisterFile()
         self.mtq = MasterTaskQueue(num_entries=config.mtq_entries, name=f"cpu{core_id}.mtq")
-        self.mmu = MMU(
-            itlb_entries=config.itlb_entries,
-            dtlb_entries=config.dtlb_entries,
-            l2_entries=config.l2_tlb_entries,
-        )
-        self.l1i = SetAssociativeCache(
-            CacheConfig(name=f"cpu{core_id}.l1i", size_bytes=config.l1i_size_bytes,
-                        associativity=config.l1i_associativity, hit_latency_cycles=3)
-        )
-        self.l1d = SetAssociativeCache(
-            CacheConfig(name=f"cpu{core_id}.l1d", size_bytes=config.l1d_size_bytes,
-                        associativity=config.l1d_associativity, hit_latency_cycles=4)
-        )
-        self.l2 = SetAssociativeCache(
-            CacheConfig(name=f"cpu{core_id}.l2", size_bytes=config.l2_size_bytes,
-                        associativity=config.l2_associativity, hit_latency_cycles=12)
-        )
+        self.mmu = MMU(dtlb_entries=config.dtlb_entries, l2_entries=config.l2_tlb_entries)
         self.processes = ProcessManager()
         self._executor: Optional[MPAISExecutor] = None
 

@@ -2,7 +2,8 @@
 
 The MMAE has no MMU of its own: it shares the CPU core's L2 ("shared") TLB via
 a customised interface, and the mATLB sends its predictive page-table-walk
-requests through this MMU (paper Sections III.A and IV.A).
+requests through this MMU (paper Sections III.A and IV.A).  Only data
+accesses are translated; instruction fetch is not modelled.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.mem.tlb import BatchTranslationResult, TLBHierarchy, TranslationResul
 @dataclass
 class MMUStats:
     translations: int = 0
-    itlb_accesses: int = 0
     dtlb_accesses: int = 0
     walks: int = 0
     walk_cycles: int = 0
@@ -26,11 +26,10 @@ class MMUStats:
 
 
 class MMU:
-    """ITLB + DTLB + shared L2 TLB + page-table walker (Table I geometry)."""
+    """DTLB + shared L2 TLB + page-table walker (Table I geometry)."""
 
     def __init__(
         self,
-        itlb_entries: int = 48,
         dtlb_entries: int = 48,
         l2_entries: int = 1024,
         page_size: int = DEFAULT_PAGE_SIZE,
@@ -38,13 +37,7 @@ class MMU:
     ) -> None:
         self.page_size = page_size
         self.walker = walker if walker is not None else PageTableWalker()
-        # The instruction and data L1 TLBs share the unified L2 TLB, which the
-        # model approximates with two hierarchies sharing one walker; the L2
-        # capacity is what matters for the MMAE's streaming accesses.
-        self.itlb = TLBHierarchy(
-            l1_entries=itlb_entries, l2_entries=l2_entries, page_size=page_size,
-            walker=self.walker, name="itlb",
-        )
+        # The L2 capacity is what matters for the MMAE's streaming accesses.
         self.dtlb = TLBHierarchy(
             l1_entries=dtlb_entries, l2_entries=l2_entries, page_size=page_size,
             walker=self.walker, name="dtlb",
@@ -68,16 +61,6 @@ class MMU:
         self.stats.translations += 1
         self.stats.dtlb_accesses += 1
         result = self.dtlb.translate(self.page_table(asid), vaddr)
-        if result.level == "walk":
-            self.stats.walks += 1
-            self.stats.walk_cycles += result.cycles
-        return result
-
-    def translate_instruction(self, asid: int, vaddr: int) -> TranslationResult:
-        """Translate an instruction fetch."""
-        self.stats.translations += 1
-        self.stats.itlb_accesses += 1
-        result = self.itlb.translate(self.page_table(asid), vaddr)
         if result.level == "walk":
             self.stats.walks += 1
             self.stats.walk_cycles += result.cycles
@@ -153,5 +136,4 @@ class MMU:
         return result
 
     def flush_asid(self, asid: int) -> None:
-        self.itlb.flush(asid)
         self.dtlb.flush(asid)

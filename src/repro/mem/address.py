@@ -1,9 +1,6 @@
-"""Address arithmetic helpers shared by the TLB, cache and mATLB models."""
+"""Address arithmetic helpers shared by the page tables, TLBs and mATLB."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator, List
 
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_LINE_SIZE = 64
@@ -20,12 +17,6 @@ def align_down(address: int, alignment: int) -> int:
     return address & ~(alignment - 1)
 
 
-def align_up(address: int, alignment: int) -> int:
-    """Round ``address`` up to a multiple of ``alignment`` (a power of two)."""
-    _check_power_of_two(alignment, "alignment")
-    return (address + alignment - 1) & ~(alignment - 1)
-
-
 def page_number(address: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
     """Virtual/physical page number containing ``address``."""
     _check_power_of_two(page_size, "page_size")
@@ -36,98 +27,3 @@ def page_offset(address: int, page_size: int = DEFAULT_PAGE_SIZE) -> int:
     """Offset of ``address`` within its page."""
     _check_power_of_two(page_size, "page_size")
     return address & (page_size - 1)
-
-
-def cache_index(address: int, line_size: int, num_sets: int) -> int:
-    """Set index of ``address`` for a cache with the given geometry.
-
-    ``num_sets`` may be any positive integer (the paper's 48 KB four-way L1
-    caches have 192 sets); the index is the line number modulo the set count.
-    """
-    _check_power_of_two(line_size, "line_size")
-    if num_sets <= 0:
-        raise ValueError(f"num_sets must be positive, got {num_sets}")
-    return (address // line_size) % num_sets
-
-
-def cache_tag(address: int, line_size: int, num_sets: int) -> int:
-    """Tag of ``address`` for a cache with the given geometry."""
-    _check_power_of_two(line_size, "line_size")
-    if num_sets <= 0:
-        raise ValueError(f"num_sets must be positive, got {num_sets}")
-    return address // (line_size * num_sets)
-
-
-@dataclass(frozen=True)
-class AddressRange:
-    """A half-open byte range ``[start, start + length)``."""
-
-    start: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"range start must be non-negative, got {self.start}")
-        if self.length <= 0:
-            raise ValueError(f"range length must be positive, got {self.length}")
-
-    @property
-    def end(self) -> int:
-        """One past the last byte of the range."""
-        return self.start + self.length
-
-    def contains(self, address: int) -> bool:
-        return self.start <= address < self.end
-
-    def overlaps(self, other: "AddressRange") -> bool:
-        return self.start < other.end and other.start < self.end
-
-    def pages(self, page_size: int = DEFAULT_PAGE_SIZE) -> List[int]:
-        """Page numbers touched by this range, in ascending order."""
-        first = page_number(self.start, page_size)
-        last = page_number(self.end - 1, page_size)
-        return list(range(first, last + 1))
-
-    def lines(self, line_size: int = DEFAULT_LINE_SIZE) -> List[int]:
-        """Cache-line-aligned addresses touched by this range, in ascending order."""
-        _check_power_of_two(line_size, "line_size")
-        first = align_down(self.start, line_size)
-        last = align_down(self.end - 1, line_size)
-        return list(range(first, last + 1, line_size))
-
-    def split_by_page(self, page_size: int = DEFAULT_PAGE_SIZE) -> Iterator["AddressRange"]:
-        """Yield sub-ranges that each stay within a single page."""
-        cursor = self.start
-        while cursor < self.end:
-            boundary = align_down(cursor, page_size) + page_size
-            chunk_end = min(boundary, self.end)
-            yield AddressRange(cursor, chunk_end - cursor)
-            cursor = chunk_end
-
-
-def matrix_row_ranges(
-    base_address: int,
-    row_start: int,
-    row_count: int,
-    col_start: int,
-    col_count: int,
-    row_stride_elements: int,
-    element_bytes: int,
-) -> List[AddressRange]:
-    """Byte ranges of a rectangular sub-block of a row-major matrix.
-
-    This is the access pattern the MMAE's DMA engines issue for a tile, and the
-    pattern the mATLB analyses to predict which pages will be touched
-    (paper Fig. 4): row ``r`` of the block starts at
-    ``base + ((row_start + r) * row_stride + col_start) * element_bytes``.
-    """
-    if row_count <= 0 or col_count <= 0:
-        raise ValueError("block dimensions must be positive")
-    if row_stride_elements < col_start + col_count:
-        raise ValueError("block exceeds the matrix row stride")
-    ranges = []
-    row_bytes = col_count * element_bytes
-    for row in range(row_start, row_start + row_count):
-        start = base_address + (row * row_stride_elements + col_start) * element_bytes
-        ranges.append(AddressRange(start, row_bytes))
-    return ranges

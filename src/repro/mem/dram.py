@@ -46,17 +46,13 @@ class DRAMConfig:
 
 @dataclass
 class DRAMModel:
-    """Tracks DRAM traffic and converts transfer sizes into time.
+    """Bandwidth and capacity shares of the DRAM channels.
 
-    The model is a bandwidth-latency (LogGP-style) abstraction: a transfer of
-    ``size`` bytes costs ``access_latency + size / effective_bandwidth``, where
-    the effective bandwidth shrinks as more agents stream concurrently.
+    The effective aggregate bandwidth shrinks as more agents stream
+    concurrently; the stash traffic of the GEMM+ schedule is charged at it.
     """
 
     config: DRAMConfig = field(default_factory=DRAMConfig)
-    bytes_read: int = 0
-    bytes_written: int = 0
-    requests: int = 0
 
     def effective_bandwidth(self, concurrent_streams: int = 1) -> float:
         """Aggregate bandwidth available to ``concurrent_streams`` equal streams.
@@ -74,18 +70,6 @@ class DRAMModel:
         efficiency = max(0.70, 1.0 - 0.03 * excess)
         return total * efficiency
 
-    def transfer_time_s(self, size_bytes: int, concurrent_streams: int = 1, write: bool = False) -> float:
-        """Time to move ``size_bytes`` to/from DRAM given the stream count."""
-        if size_bytes < 0:
-            raise ValueError("size_bytes cannot be negative")
-        self.requests += 1
-        if write:
-            self.bytes_written += size_bytes
-        else:
-            self.bytes_read += size_bytes
-        bandwidth_share = self.effective_bandwidth(concurrent_streams) / concurrent_streams
-        return self.config.access_latency_ns * 1e-9 + size_bytes / bandwidth_share
-
     def per_stream_bandwidth(self, concurrent_streams: int = 1) -> float:
         """Bandwidth one of ``concurrent_streams`` equal streams can sustain."""
         return self.effective_bandwidth(concurrent_streams) / concurrent_streams
@@ -101,12 +85,3 @@ class DRAMModel:
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
         return self.config.total_capacity_bytes // num_nodes
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_read + self.bytes_written
-
-    def reset(self) -> None:
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.requests = 0

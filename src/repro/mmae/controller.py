@@ -28,9 +28,7 @@ from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig, TwoLevelTiling
 from repro.gemm.workloads import GEMMShape
 from repro.isa.instructions import GEMMDescriptor, InitDescriptor, MoveDescriptor, StashDescriptor
-from repro.mem.address import AddressRange
 from repro.mem.hostmem import HostMemory
-from repro.mem.l3cache import DistributedL3Cache, StashRequest
 from repro.mem.page_table import PageFaultError
 from repro.mmae.buffers import BufferAllocationError, BufferSet
 from repro.mmae.data_engine import AcceleratorDataEngine
@@ -81,7 +79,6 @@ class AcceleratorController:
         timing_params: Optional[MMAETimingParameters] = None,
         memory_env: Optional[MemoryEnvironment] = None,
         host_memory: Optional[HostMemory] = None,
-        l3: Optional[DistributedL3Cache] = None,
         mmu=None,
         stq_capacity: int = 8,
         matlb_entries: int = 64,
@@ -92,7 +89,6 @@ class AcceleratorController:
         self.params = timing_params if timing_params is not None else MMAETimingParameters()
         self.env = memory_env if memory_env is not None else MemoryEnvironment()
         self.host_memory = host_memory
-        self.l3 = l3
         self.mmu = mmu
         self.page_size = page_size
         self.prediction_enabled = prediction_enabled
@@ -303,15 +299,8 @@ class AcceleratorController:
 
     def _run_stash(self, entry: STQEntry) -> TaskResult:
         descriptor: StashDescriptor = entry.descriptor
-        if self.l3 is not None:
-            self.l3.stash(
-                StashRequest(
-                    range=AddressRange(descriptor.addr, descriptor.length_bytes),
-                    lock=descriptor.lock,
-                    requester=self.node_id,
-                )
-            )
-        # The stash streams from DRAM into the L3 at the node's DRAM share.
+        # The stash streams from DRAM into the L3 at the node's DRAM share;
+        # locking does not change its cost.
         dram_bpc = self.env.dram_bandwidth_share_bytes_per_s / self.params.frequency_hz
         cycles = math.ceil(descriptor.length_bytes / dram_bpc)
         return TaskResult(maid=entry.maid, kind="stash", cycles=cycles)

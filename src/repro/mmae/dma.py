@@ -44,8 +44,6 @@ class DMAEngine:
     max_outstanding_lines: int = 32
     line_size: int = DEFAULT_LINE_SIZE
     frequency_hz: float = 2.5e9
-    bytes_transferred: int = 0
-    transfers: int = 0
 
     def __post_init__(self) -> None:
         if self.peak_bytes_per_cycle <= 0:
@@ -76,8 +74,6 @@ class DMAEngine:
         """Time a transfer of ``size_bytes`` under the given memory latency."""
         if size_bytes < 0:
             raise ValueError("transfer size cannot be negative")
-        self.transfers += 1
-        self.bytes_transferred += size_bytes
         if size_bytes == 0:
             return DMATransferResult(0, 0, translation_stall_cycles)
         bandwidth = self.sustained_bytes_per_cycle(round_trip_latency_cycles)

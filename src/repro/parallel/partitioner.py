@@ -49,9 +49,10 @@ derivations and worked examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MACOConfig
+from repro.core.mapping import in_order_sum
 from repro.core.perf import TimingCache, estimate_node_gemm_cached, memory_environment
 from repro.gemm.workloads import GEMMShape
 from repro.mmae.dataflow import MemoryEnvironment
@@ -258,18 +259,6 @@ class PhasePlan:
         return self.comm_exposed_seconds / self.seconds if self.seconds > 0 else 0.0
 
 
-def _in_order(values: Iterable[float]) -> float:
-    """Add floats left to right.
-
-    ``sum()`` over floats compensates its rounding on Python 3.12 and later,
-    so its last bit would depend on the interpreter (DESIGN.md section 4.2).
-    """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
-
-
 @dataclass
 class ParallelPlan:
     """A sharded execution plan for one workload graph on one node group."""
@@ -295,22 +284,22 @@ class ParallelPlan:
     @property
     def compute_seconds(self) -> float:
         """Critical-path compute seconds summed over the (sequential) phases."""
-        return _in_order(phase.compute_seconds for phase in self.phases)
+        return in_order_sum(phase.compute_seconds for phase in self.phases)
 
     @property
     def comm_seconds(self) -> float:
         """Serial collective and hand-off seconds summed over the phases."""
-        return _in_order(phase.comm_seconds for phase in self.phases)
+        return in_order_sum(phase.comm_seconds for phase in self.phases)
 
     @property
     def comm_overlapped_seconds(self) -> float:
         """Communication hidden under compute by the pipelined schedules."""
-        return _in_order(phase.comm_overlapped_seconds for phase in self.phases)
+        return in_order_sum(phase.comm_overlapped_seconds for phase in self.phases)
 
     @property
     def comm_exposed_seconds(self) -> float:
         """Communication that stays on the request's critical path."""
-        return _in_order(phase.comm_exposed_seconds for phase in self.phases)
+        return in_order_sum(phase.comm_exposed_seconds for phase in self.phases)
 
     @property
     def total_seconds(self) -> float:
@@ -320,7 +309,7 @@ class ParallelPlan:
     @property
     def unsharded_seconds(self) -> float:
         """The same phases executed whole on a single node (the baseline)."""
-        return _in_order(phase.unsharded_seconds for phase in self.phases)
+        return in_order_sum(phase.unsharded_seconds for phase in self.phases)
 
     @property
     def speedup(self) -> float:
@@ -435,7 +424,7 @@ def _unsharded_phase_seconds(
         shape: estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
         for shape in dict.fromkeys(phase.shapes)
     }
-    return _in_order(whole[shape] for shape in phase.shapes) * phase.repeat
+    return in_order_sum(whole[shape] for shape in phase.shapes) * phase.repeat
 
 
 @dataclass(frozen=True)

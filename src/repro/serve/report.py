@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.reporting import render_table
+from repro.core.mapping import in_order_sum
 from repro.serve.autoscale import AutoscalePolicy, AutoscaleStats, ScaleEvent
 
 __all__ = [
@@ -114,7 +115,7 @@ class ServeReport:
         """Average busy fraction across the fleet's nodes."""
         if not self.nodes:
             return 0.0
-        return sum(node.utilization for node in self.nodes) / len(self.nodes)
+        return in_order_sum(node.utilization for node in self.nodes) / len(self.nodes)
 
     def to_dict(self) -> dict:
         """The report as plain nested dicts/lists (JSON-able, round-trips).

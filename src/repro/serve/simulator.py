@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.core.batch import SweepRunner, _task_cache
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.mapping import partition_gemm, schedule_gemm_plus
+from repro.core.mapping import in_order_sum, partition_gemm, schedule_gemm_plus
 from repro.core.perf import (
     TimingCache,
     estimate_node_gemm_cached,
@@ -227,7 +227,7 @@ def _service_profile(
         comm_seconds = 0.0
         stage = 0
         if plan is None:
-            gemm_seconds = sum(
+            gemm_seconds = in_order_sum(
                 estimate_node_gemm_cached(
                     config, shape, active_nodes=active_nodes, env=env, cache=cache,
                 ).seconds
@@ -258,7 +258,7 @@ def _service_profile(
             name=phase.name, seconds=seconds, stage=stage,
             state_bytes=phase.state_bytes // sharers, tokens=phase.tokens))
         per_stage[stage] = per_stage.get(stage, 0.0) + seconds
-    latency = sum(step.seconds for step in steps)
+    latency = in_order_sum(step.seconds for step in steps)
     pipelined = plan is not None and plan.strategy == "pp"
     return ServiceProfile(
         latency_s=latency, interval_s=max(per_stage.values()) if pipelined else latency,
@@ -301,8 +301,8 @@ def _trace_pairs(columns: TraceColumns) -> Tuple[List[Tuple[str, Precision]], np
 def _boundary_ticks(profile: ServiceProfile) -> List[int]:
     """Ceiling ticks of a profile's cumulative step boundaries.
 
-    The partial sums run in ``latency_s``'s ``sum()`` order (``0 + s0`` is
-    ``s0`` exactly), so the last boundary is the request latency in ticks and
+    The partial sums run in ``latency_s``'s left-to-right order (``0.0 + s0``
+    is ``s0`` exactly), so the last boundary is the request latency in ticks and
     the first the first-token tick; the differences are the step ticks, which
     therefore sum exactly to the latency.
     """
@@ -505,7 +505,7 @@ class ServeSimulator:
         ])
         sized = []
         for spec in specs:
-            mean_service = sum(
+            mean_service = in_order_sum(
                 weight * self.service_profile(workload, precision).latency_s
                 for workload, weight in spec.mean_mix_weights()
             )

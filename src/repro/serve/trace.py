@@ -46,6 +46,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.mapping import in_order_sum
 from repro.gemm.precision import Precision
 from repro.serve.report import TICK_LIMIT, TICKS_PER_SECOND
 from repro.workloads.registry import workload_names
@@ -178,7 +179,7 @@ class TenantSpec:
 
     def mean_mix_weights(self) -> List[Tuple[str, float]]:
         """The mix with weights normalised to sum to 1."""
-        total = sum(weight for _, weight in self.mix)
+        total = in_order_sum(weight for _, weight in self.mix)
         return [(name, weight / total) for name, weight in self.mix]
 
 
@@ -519,7 +520,7 @@ def _pick_workloads(spec: TenantSpec, uniforms: np.ndarray) -> np.ndarray:
     fall-through to the last mix entry.
     """
     cumulative = np.array(spec._cumulative_weights(), dtype=np.float64)
-    total = sum(weight for _, weight in spec.mix)
+    total = in_order_sum(weight for _, weight in spec.mix)
     draws = uniforms * total
     picks = np.searchsorted(cumulative, draws, side="right")
     return np.minimum(picks, len(cumulative) - 1).astype(np.int32)
@@ -614,7 +615,7 @@ def bursty_trace(
         candidates = int(expected + 6.0 * math.sqrt(expected + 1.0)) + 16
         cumulative = spec._cumulative_weights()
         last_pick = len(spec.mix) - 1
-        total = sum(weight for _, weight in spec.mix)
+        total = in_order_sum(weight for _, weight in spec.mix)
         while True:
             rng = _seeded_generator(f"{seed}/bursty/{spec.name}")
             uniforms = rng.random(3 * candidates)

@@ -30,7 +30,7 @@ def small_config():
 
 @pytest.fixture
 def small_system(small_config) -> MACOSystem:
-    """A 4-node MACO system (per-node host memory, one shared L3)."""
+    """A 4-node MACO system (per-node host memory)."""
     return MACOSystem(small_config)
 
 

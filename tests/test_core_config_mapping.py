@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.core.config import CPUConfig, MemoryConfig, MMAEConfig
 from repro.gemm import GEMMShape, Precision
+from repro.mem.address import DEFAULT_LINE_SIZE
 from repro.workloads import WorkloadGraph
 
 
@@ -26,6 +27,15 @@ class TestCPUConfig:
         assert cpu.l2_tlb_entries == 1024
         assert cpu.pipeline_stages >= 12
         assert cpu.out_of_order
+
+    @pytest.mark.parametrize("level, sets", [("l1i", 192), ("l1d", 192), ("l2", 1024)])
+    def test_table1_caches_divide_into_whole_sets(self, level, sets):
+        """Each Table I cache is a whole number of sets of 64-byte lines."""
+        cpu = CPUConfig()
+        size = getattr(cpu, f"{level}_size_bytes")
+        set_bytes = getattr(cpu, f"{level}_associativity") * DEFAULT_LINE_SIZE
+        assert size % set_bytes == 0
+        assert size // set_bytes == sets
 
     def test_table4_peaks(self):
         cpu = CPUConfig()

@@ -22,6 +22,7 @@ from repro.core import (
 from repro.core.metrics import WorkloadResult
 from repro.gemm import GEMMShape, Precision
 from repro.gemm.workloads import FIG6_MATRIX_SIZES
+from repro.mem.tlb import TLB
 
 
 class TestMemoryEnvironment:
@@ -150,8 +151,8 @@ class TestMACOSystem:
         assert small_system.peak_gflops(Precision.FP64, 2) == pytest.approx(160.0)
 
     def test_building_the_default_system_allocates_under_a_megabyte(self):
-        """Cache sets are allocated on first fill, so a system the analytic
-        models build and never access (Fig. 8, the baselines) stays small."""
+        """A system the analytic models build and never access (Fig. 8, the
+        baselines) holds no functional cache state, so it stays small."""
         config = maco_default_config()
         MACOSystem(config)  # warm imports and memos off the measurement
         systems = []
@@ -164,6 +165,33 @@ class TestMACOSystem:
             tracemalloc.stop()
         assert systems[0].num_nodes == 16
         assert allocated < 1024 * 1024
+
+    def test_default_system_builds_no_cache_directory_or_instruction_tlb(self):
+        """The L3, the CPU caches and MA_STASH are timed analytically: a system's
+        memory state is paging, host memory, DRAM parameters and each node's
+        two data-TLB levels."""
+        system = MACOSystem(maco_default_config())
+        reachable, stack = {}, [system]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in reachable:
+                continue
+            reachable[id(obj)] = obj
+            if isinstance(obj, dict):
+                stack.extend(obj.values())
+            elif isinstance(obj, (list, tuple, set, frozenset)):
+                stack.extend(obj)
+            elif type(obj).__module__.startswith("repro."):
+                stack.extend(vars(obj).values() if hasattr(obj, "__dict__") else ())
+        assert {type(obj).__name__ for obj in reachable.values()
+                if type(obj).__module__.startswith("repro.mem.")} == {
+            "AddressSpace", "DRAMConfig", "DRAMModel", "FrameAllocator", "HostMemory",
+            "PageTable", "PageTableWalker", "TLB", "TLBHierarchy", "TLBStats",
+        }
+        tlbs = {id(obj) for obj in reachable.values() if isinstance(obj, TLB)}
+        dtlbs = {id(level) for node in system.nodes
+                 for level in (node.cpu.mmu.dtlb.l1, node.cpu.mmu.dtlb.l2)}
+        assert tlbs == dtlbs and len(dtlbs) == 2 * system.num_nodes
 
 
 class TestWorkloadRun:

@@ -55,16 +55,15 @@ class TestMMU:
         with pytest.raises(KeyError):
             mmu.translate_data(0, 0x1000)
 
-    def test_translate_data_and_instruction_paths(self):
+    def test_translate_data_path(self):
         manager = ProcessManager()
         process = manager.create_process("p")
-        base = process.address_space.allocate_region("code+data", 64 * 1024)
+        base = process.address_space.allocate_region("data", 64 * 1024)
         mmu = MMU()
         mmu.register_page_table(process.address_space.page_table)
         data = mmu.translate_data(process.asid, base)
-        inst = mmu.translate_instruction(process.asid, base)
-        assert data.paddr == inst.paddr
-        assert mmu.stats.translations == 2
+        assert data.paddr == process.address_space.page_table.translate(base)
+        assert mmu.stats.translations == mmu.stats.dtlb_accesses == 1
 
     def test_prewalk_makes_demand_access_hit(self):
         manager = ProcessManager()

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conformance.reference import (
+    blocked_gemm,
+    conv2d_reference,
+    im2col_patches,
+    reference_gemm,
+)
 from repro.gemm import (
     GEMMShape,
     Precision,
     TileConfig,
     TwoLevelTiling,
-    blocked_gemm,
     paper_matrix_sizes,
-    reference_gemm,
     tile_classes,
     tile_ranges,
-    tiled_gemm_trace,
 )
 from repro.gemm.tiling import PAPER_LEVEL1, PAPER_LEVEL2, Tile
 from repro.workloads import WorkloadGraph, hpl_graph
@@ -149,6 +152,13 @@ class TestTiling:
         assert list(tiling.level2_tiles(parent)) == expected
         assert len(expected) == tiling.num_level2_tiles(parent) == 3 * 5 * 3
 
+    def test_level2_tiles_visit_every_output_tile(self):
+        tiling = TwoLevelTiling(GEMMShape(128, 128, 128), TileConfig(128, 128), TileConfig(64, 64))
+        tiles = [tile2 for tile1 in tiling.level1_tiles() for tile2 in tiling.level2_tiles(tile1)]
+        assert len(tiles) == 2 * 2 * 2
+        covered = {(t.row_start, t.row_end, t.col_start, t.col_end) for t in tiles}
+        assert covered == {(r, r + 64, c, c + 64) for r in (0, 64) for c in (0, 64)}
+
     def test_level2_must_not_exceed_level1(self):
         with pytest.raises(ValueError):
             TwoLevelTiling(GEMMShape(128, 128, 128), TileConfig(32, 32), TileConfig(64, 64))
@@ -204,13 +214,21 @@ class TestReferenceKernels:
             blocked_gemm(a, b, None, TileConfig(32, 32), TileConfig(8, 8)), a @ b, rtol=1e-10
         )
 
-    def test_trace_visits_every_output_tile(self):
-        shape = GEMMShape(128, 128, 128)
-        trace = tiled_gemm_trace(shape, TileConfig(128, 128), TileConfig(64, 64))
-        assert len(trace) == 2 * 2 * 2
-        covered = {(r0, r1, c0, c1) for r0, r1, c0, c1, _, _ in trace}
-        assert (0, 64, 64, 128) in covered
+    # The goldens run a 3x3 kernel at stride 2; these add the unpadded 1x1
+    # and the even kernels, whose SAME padding puts its odd row after.
+    @pytest.mark.parametrize("kernel, stride", [(1, 1), (2, 1), (3, 1), (4, 2)])
+    def test_im2col_gemm_equals_direct_convolution(self, rng, kernel, stride):
+        images = rng.standard_normal((2, 3, 7, 7))
+        weights = rng.standard_normal((4, 3, kernel, kernel))
+        patches = im2col_patches(images, kernel, stride)
+        out = -(-7 // stride)  # SAME padding: ceil(input / stride)
+        assert patches.shape == (2 * out * out, 3 * kernel * kernel)
+        np.testing.assert_allclose(patches @ weights.reshape(4, -1).T,
+                                   conv2d_reference(images, weights, stride), rtol=1e-12, atol=1e-12)
 
-    def test_trace_is_deterministic(self):
-        shape = GEMMShape(256, 192, 128)
-        assert tiled_gemm_trace(shape) == tiled_gemm_trace(shape)
+    def test_pointwise_convolution_mixes_channels_per_pixel(self, rng):
+        images = rng.standard_normal((2, 3, 5, 5))
+        weights = rng.standard_normal((4, 3, 1, 1))
+        # Rows in (batch, y, x) order, one column per output channel.
+        expected = np.einsum("bcyx,oc->byxo", images, weights[:, :, 0, 0]).reshape(-1, 4)
+        np.testing.assert_allclose(conv2d_reference(images, weights, 1), expected, rtol=1e-12)

@@ -1,29 +1,14 @@
-"""Tests for address arithmetic and range helpers."""
+"""Tests for address arithmetic helpers."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.mem.address import (
-    AddressRange,
-    align_down,
-    align_up,
-    cache_index,
-    cache_tag,
-    matrix_row_ranges,
-    page_number,
-    page_offset,
-)
+from repro.mem.address import align_down, page_number, page_offset
 
 
 class TestAlignment:
     def test_align_down(self):
         assert align_down(0x1234, 0x1000) == 0x1000
-
-    def test_align_up(self):
-        assert align_up(0x1234, 0x1000) == 0x2000
-
-    def test_align_up_already_aligned(self):
-        assert align_up(0x2000, 0x1000) == 0x2000
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -42,92 +27,12 @@ class TestPaging:
         assert page_number(0x3456, 4096) == 3
         assert page_offset(0x3456, 4096) == 0x456
 
+    @pytest.mark.parametrize("helper", [page_number, page_offset])
+    def test_page_size_must_be_a_power_of_two(self, helper):
+        assert helper(0x3456, 1 << 20) == (0 if helper is page_number else 0x3456)
+        with pytest.raises(ValueError):
+            helper(0x3456, 3000)
+
     @given(st.integers(min_value=0, max_value=2**48))
     def test_page_decomposition_roundtrip(self, address):
         assert page_number(address) * 4096 + page_offset(address) == address
-
-
-class TestCacheIndexing:
-    def test_index_wraps_by_set_count(self):
-        assert cache_index(0, 64, 128) == 0
-        assert cache_index(64 * 128, 64, 128) == 0
-        assert cache_index(64 * 129, 64, 128) == 1
-
-    def test_tag_counts_full_cache_strides(self):
-        assert cache_tag(0, 64, 128) == 0
-        assert cache_tag(64 * 128, 64, 128) == 1
-
-    def test_non_power_of_two_sets_allowed(self):
-        # The paper's 48 KB 4-way L1 has 192 sets.
-        assert cache_index(64 * 192, 64, 192) == 0
-
-    @given(st.integers(min_value=0, max_value=2**40))
-    def test_index_tag_reconstruct_line(self, address):
-        line_size, num_sets = 64, 192
-        line = address // line_size
-        index = cache_index(address, line_size, num_sets)
-        tag = cache_tag(address, line_size, num_sets)
-        assert tag * num_sets + index == line
-
-
-class TestAddressRange:
-    def test_end_and_contains(self):
-        r = AddressRange(100, 50)
-        assert r.end == 150
-        assert r.contains(100) and r.contains(149)
-        assert not r.contains(150)
-
-    def test_invalid_length_rejected(self):
-        with pytest.raises(ValueError):
-            AddressRange(0, 0)
-
-    def test_overlaps(self):
-        assert AddressRange(0, 100).overlaps(AddressRange(50, 10))
-        assert not AddressRange(0, 100).overlaps(AddressRange(100, 10))
-
-    def test_pages_spanning_boundary(self):
-        r = AddressRange(4000, 200)  # crosses the first 4 KB page boundary
-        assert r.pages(4096) == [0, 1]
-
-    def test_lines(self):
-        r = AddressRange(60, 10)  # crosses one 64-byte line boundary
-        assert r.lines(64) == [0, 64]
-
-    def test_split_by_page_covers_range_exactly(self):
-        r = AddressRange(1000, 10000)
-        chunks = list(r.split_by_page(4096))
-        assert chunks[0].start == 1000
-        assert chunks[-1].end == r.end
-        assert sum(chunk.length for chunk in chunks) == r.length
-        for chunk in chunks:
-            assert len(chunk.pages(4096)) == 1
-
-    @given(st.integers(min_value=0, max_value=1 << 30), st.integers(min_value=1, max_value=1 << 16))
-    def test_split_by_page_is_partition(self, start, length):
-        r = AddressRange(start, length)
-        chunks = list(r.split_by_page())
-        cursor = r.start
-        for chunk in chunks:
-            assert chunk.start == cursor
-            cursor = chunk.end
-        assert cursor == r.end
-
-
-class TestMatrixRowRanges:
-    def test_row_count_and_width(self):
-        ranges = matrix_row_ranges(
-            base_address=0x1000, row_start=2, row_count=3, col_start=4, col_count=8,
-            row_stride_elements=64, element_bytes=8,
-        )
-        assert len(ranges) == 3
-        assert all(r.length == 8 * 8 for r in ranges)
-        assert ranges[0].start == 0x1000 + (2 * 64 + 4) * 8
-
-    def test_rows_are_stride_apart(self):
-        ranges = matrix_row_ranges(0, 0, 4, 0, 16, 128, 4)
-        deltas = {b.start - a.start for a, b in zip(ranges, ranges[1:])}
-        assert deltas == {128 * 4}
-
-    def test_block_exceeding_stride_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_row_ranges(0, 0, 1, 60, 10, 64, 8)

@@ -105,10 +105,10 @@ class TestDMAEngine:
 
     def test_traffic_accounting(self):
         engine = DMAEngine()
-        engine.transfer(100)
-        engine.transfer(200)
-        assert engine.bytes_transferred == 300
-        assert engine.transfers == 2
+        first, second = engine.transfer(100), engine.transfer(200)
+        assert (first.bytes_transferred, second.bytes_transferred) == (100, 200)
+        # With no latency each transfer streams at the 32 B/cycle peak.
+        assert (first.cycles, second.cycles) == (4, 7)
 
     def test_zero_byte_transfer(self):
         assert DMAEngine().transfer(0).cycles == 0

@@ -1,5 +1,7 @@
 """Tests for the STQ, the accelerator controller and the dataflow timing model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,7 @@ from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig
 from repro.gemm.workloads import GEMMShape
 from repro.isa.instructions import GEMMDescriptor, InitDescriptor, MoveDescriptor, StashDescriptor
-from repro.mem.address import AddressRange
 from repro.mem.hostmem import HostMemory
-from repro.mem.l3cache import DistributedL3Cache
 from repro.mmae.controller import AcceleratorController
 from repro.mmae.dataflow import (
     MemoryEnvironment,
@@ -67,9 +67,9 @@ class TestSlaveTaskQueue:
         assert stq.occupancy == 1
 
 
-def make_controller(host_memory=None, l3=None, mmu=None, prediction=True) -> AcceleratorController:
+def make_controller(host_memory=None, mmu=None, prediction=True) -> AcceleratorController:
     controller = AcceleratorController(
-        node_id=0, host_memory=host_memory, l3=l3, mmu=mmu, prediction_enabled=prediction,
+        node_id=0, host_memory=host_memory, mmu=mmu, prediction_enabled=prediction,
     )
     controller.stq.on_completion(lambda maid, exc: None)
     return controller
@@ -186,14 +186,22 @@ class TestControllerDataMigration:
         controller.execute_pending()
         assert np.all(memory.matrix_at(0x4000) == 0)
 
-    def test_stash_populates_l3(self):
-        l3 = DistributedL3Cache(num_slices=2, slice_size_bytes=256 * 1024)
-        controller = make_controller(l3=l3)
-        controller.submit_stash(0, 0, StashDescriptor(addr=0x2000, length_bytes=8192, lock=True))
-        result = controller.execute_pending()[0]
+    # 6000 bytes is a whole number of cycles at the default 60 B/cycle DRAM
+    # share; 64 and 8192 bytes end on a partial cycle that rounds up.
+    @pytest.mark.parametrize("length_bytes", [64, 6000, 8192])
+    @pytest.mark.parametrize("lock", [True, False])
+    def test_stash_takes_its_dram_share_cycles(self, lock, length_bytes):
+        """A stash completes without an exception in ceil(bytes / DRAM bytes per cycle), locked or not."""
+        controller = make_controller()
+        responses = []
+        controller.stq.on_completion(lambda maid, exception: responses.append((maid, exception)))
+        dram_bytes_per_cycle = controller.env.dram_bandwidth_share_bytes_per_s / controller.params.frequency_hz
+        controller.submit_stash(7, 0, StashDescriptor(addr=0x2000, length_bytes=length_bytes, lock=lock))
+        (result,) = controller.execute_pending()
         assert result.succeeded
-        assert l3.residency_of(AddressRange(0x2000, 8192)) == 1.0
-        assert l3.total_locked_lines == 128
+        assert result.cycles == math.ceil(length_bytes / dram_bytes_per_cycle)
+        assert responses == [(7, ExceptionType.NONE)]
+        assert controller.completed_tasks == 1
 
 
 class TestDataflowTiming:

@@ -313,7 +313,7 @@ class TestTensorParallelConservation:
 
     @pytest.mark.parametrize("name", workload_catalog())
     def test_unsharded_reference_is_independent(self, name, config, cache):
-        """The plan's unsharded seconds match a from-scratch estimate."""
+        """The plan's unsharded seconds match a from-scratch estimate, added left to right."""
         from repro.core.perf import estimate_node_gemm_cached
 
         graph = workload_graph_by_name(name, Precision.FP32)
@@ -322,11 +322,10 @@ class TestTensorParallelConservation:
         plan = plan_parallel(graph, config, ParallelismSpec("tp", degree),
                              cache=cache, include_communication=False)
         for phase, phase_plan in zip(graph.phases, plan.phases):
-            expected = sum(
-                estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
-                for shape in phase.shapes
-            ) * phase.repeat
-            assert phase_plan.unsharded_seconds == expected
+            expected = 0.0
+            for shape in phase.shapes:
+                expected += estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
+            assert phase_plan.unsharded_seconds == expected * phase.repeat
 
 
 class TestTensorParallelPlan:

@@ -225,7 +225,7 @@ class TestMMUBatchParity:
         space = make_space(pages=pages)
         mmus = []
         for _ in range(2):
-            mmu = MMU(itlb_entries=4, dtlb_entries=4, l2_entries=16)
+            mmu = MMU(dtlb_entries=4, l2_entries=16)
             mmu.register_page_table(space.page_table)
             mmus.append(mmu)
         return mmus[0], mmus[1], space
