@@ -4,11 +4,15 @@
 readable specifications of their namesakes in :mod:`repro.mmae.dataflow` and
 :mod:`repro.mmae.matlb`: they visit every first-level tile of
 :meth:`~repro.gemm.tiling.TwoLevelTiling.level1_tiles` in schedule order and
-add its compute cycles, traffic and page walks one tile at a time.  The
-production versions evaluate each distinct tile shape once and weight it by
-its count, and must match these loops bit for bit (the DRAM traffic sum
-included, which both add in schedule order).  :func:`estimate_gemm_timing`
-feeds the two through the production
+add its compute cycles (its level-2 tiles timed by
+:meth:`~repro.mmae.systolic_array.SystolicArray.tile_cycles`), traffic and
+page walks one tile at a time.  The production versions evaluate each
+distinct tile shape once, count its compute cycles in closed form and
+weight it by its count, and must match these loops bit for bit (DESIGN.md
+section 4.1).  That includes the DRAM traffic sum: production takes the
+exact integer total when every tile's bytes are whole, and otherwise adds
+one float per tile in this loop's schedule order.
+:func:`estimate_gemm_timing` feeds the two through the production
 :func:`~repro.mmae.dataflow.timing_from_schedule`, and
 :func:`check_tile_schedule` diffs all three results — the contract the
 ``tile-schedule`` fuzz kind, the parity tests and ``bench tile_schedule``

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 from repro.core.compute_node import ComputeNode
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.mapping import layer_stream_seconds, partition_gemm, schedule_gemm_plus
+from repro.core.mapping import gemm_stash_bytes, layer_stream_seconds, partition_gemm, schedule_gemm_plus
 from repro.core.metrics import NodeResult, SystemResult, WorkloadResult
 from repro.core.perf import (
     estimate_node_gemm,
@@ -152,7 +152,7 @@ class MACOSystem:
         # node's private rows or columns from DRAM.  Integer bytes, so the
         # per-shape products sum exactly.
         stash_bytes = sum(
-            partition_gemm(shape, nodes).stash_bytes * count
+            gemm_stash_bytes(shape, nodes) * count
             for shape, count in Counter(workload.layers()).items()
         )
         stash_seconds = stash_bytes / self.dram.effective_bandwidth(nodes)

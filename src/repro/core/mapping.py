@@ -67,8 +67,6 @@ class MappingPlan:
     #: Nodes that actually received work (can be fewer than requested).
     num_nodes: int
     sub_shapes: Tuple[GEMMShape, ...]
-    shared_operand_bytes: int = 0
-    per_node_private_bytes: int = 0
 
     @property
     def assignments(self) -> List[NodeAssignment]:
@@ -94,8 +92,8 @@ class MappingPlan:
 
     @property
     def stash_bytes(self) -> int:
-        """Bytes stashed and locked in the L3 ahead of the computation."""
-        return self.shared_operand_bytes + self.num_nodes * self.per_node_private_bytes
+        """Bytes stashed and locked in the L3 ahead of the computation (:func:`gemm_stash_bytes`)."""
+        return gemm_stash_bytes(self.original, self.num_nodes)
 
     def covers_output(self) -> bool:
         """True if the assignments exactly tile the split dimension of Y."""
@@ -113,6 +111,11 @@ class MappingPlan:
         return sum(assignment.shape.flops for assignment in self.assignments)
 
 
+def _split(shape: GEMMShape) -> Tuple[SplitDimension, int]:
+    """The output dimension a GEMM is partitioned along, and its extent."""
+    return ("rows", shape.m) if shape.m >= shape.n else ("cols", shape.n)
+
+
 def partition_gemm(shape: GEMMShape, num_nodes: int) -> MappingPlan:
     """Split a GEMM's output across ``num_nodes`` compute nodes (Fig. 5(a)).
 
@@ -122,9 +125,7 @@ def partition_gemm(shape: GEMMShape, num_nodes: int) -> MappingPlan:
     """
     if num_nodes <= 0:
         raise ValueError("num_nodes must be positive")
-    element = shape.precision.bytes_per_element
-    dimension: SplitDimension = "rows" if shape.m >= shape.n else "cols"
-    extent = shape.m if dimension == "rows" else shape.n
+    dimension, extent = _split(shape)
     usable_nodes = min(num_nodes, extent)
     base, extra = divmod(extent, usable_nodes)
     lengths = (base + 1, base) if extra else (base,)
@@ -132,25 +133,36 @@ def partition_gemm(shape: GEMMShape, num_nodes: int) -> MappingPlan:
         sub_shapes = tuple(GEMMShape(length, shape.n, shape.k, shape.precision) for length in lengths)
     else:
         sub_shapes = tuple(GEMMShape(shape.m, length, shape.k, shape.precision) for length in lengths)
-
-    largest = lengths[0]
-    if dimension == "rows":
-        # Every node reads the whole B; each node owns its A rows and C rows.
-        shared_bytes = shape.k * shape.n * element
-        private_bytes = largest * (shape.k + shape.n) * element
-    else:
-        # Every node reads the whole A; each node owns its B and C columns.
-        shared_bytes = shape.m * shape.k * element
-        private_bytes = largest * (shape.k + shape.m) * element
-
     return MappingPlan(
         original=shape,
         dimension=dimension,
         num_nodes=usable_nodes,
         sub_shapes=sub_shapes,
-        shared_operand_bytes=shared_bytes,
-        per_node_private_bytes=private_bytes,
     )
+
+
+def gemm_stash_bytes(shape: GEMMShape, num_nodes: int) -> int:
+    """Bytes stashed and locked in the L3 to run ``shape`` split across ``num_nodes`` nodes.
+
+    The operand every node reads in full (B when rows are split, A when
+    columns are split) is stashed once, and each node that receives work
+    stashes its own A and C rows (or B and C columns), sized by the widest
+    slice of :func:`partition_gemm`'s split.  This is
+    :attr:`MappingPlan.stash_bytes` without building the plan.
+    """
+    if num_nodes <= 0:
+        raise ValueError("num_nodes must be positive")
+    element = shape.precision.bytes_per_element
+    dimension, extent = _split(shape)
+    usable_nodes = min(num_nodes, extent)
+    widest = -(-extent // usable_nodes)
+    if dimension == "rows":
+        shared_bytes = shape.k * shape.n * element
+        private_bytes = widest * (shape.k + shape.n) * element
+    else:
+        shared_bytes = shape.m * shape.k * element
+        private_bytes = widest * (shape.k + shape.m) * element
+    return shared_bytes + usable_nodes * private_bytes
 
 
 def in_order_sum(values: Iterable[float]) -> float:

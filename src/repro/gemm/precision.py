@@ -15,33 +15,42 @@ import numpy as np
 
 
 class Precision(enum.Enum):
-    """Element precision of a GEMM operand."""
+    """Element precision of a GEMM operand.
 
-    FP64 = "fp64"
-    FP32 = "fp32"
-    FP16 = "fp16"
+    Each member carries its mode's constants as plain attributes, set once
+    when the enum is built: the timing models read them on every tile and
+    layer, so an access is one attribute load, not a table lookup.
+    """
 
-    @property
-    def bytes_per_element(self) -> int:
-        """Storage size of one element in bytes."""
-        return _BYTES_PER_ELEMENT[self]
+    #: Storage size of one element in bytes.
+    bytes_per_element: int
+    #: Number of MAC lanes one PE provides in this mode (Fig. 2(b)-(d)).
+    simd_ways: int
+    #: NumPy dtype used by the functional models.
+    dtype: np.dtype
+    #: Accumulator dtype: FP16 inputs accumulate in FP32, others in kind.
+    accumulate_dtype: np.dtype
 
-    @property
-    def simd_ways(self) -> int:
-        """Number of MAC lanes one PE provides in this mode (Fig. 2(b)-(d))."""
-        return _SIMD_WAYS[self]
+    FP64 = ("fp64", 8, 1, np.float64, np.float64)
+    FP32 = ("fp32", 4, 2, np.float32, np.float32)
+    FP16 = ("fp16", 2, 4, np.float16, np.float32)
 
-    @property
-    def dtype(self) -> np.dtype:
-        """NumPy dtype used by the functional models."""
-        return _DTYPES[self]
+    def __new__(cls, value: str, bytes_per_element: int, simd_ways: int,
+                dtype: type, accumulate_dtype: type) -> "Precision":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.bytes_per_element = bytes_per_element
+        member.simd_ways = simd_ways
+        member.dtype = np.dtype(dtype)
+        member.accumulate_dtype = np.dtype(accumulate_dtype)
+        return member
 
-    @property
-    def accumulate_dtype(self) -> np.dtype:
-        """Accumulator dtype: FP16 inputs accumulate in FP32, others in kind."""
-        if self is Precision.FP16:
-            return np.dtype(np.float32)
-        return self.dtype
+    # Members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality; ``Enum.__hash__`` hashes the name in
+    # Python on every dict or set probe (each ``GEMMShape`` hash included).
+    # Neither hash is stable across processes, so no output may depend on
+    # the iteration order of a set of precisions.
+    __hash__ = object.__hash__
 
     @classmethod
     def from_string(cls, name: str) -> "Precision":
@@ -54,14 +63,3 @@ class Precision(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value.upper()
-
-
-# Per-precision lookup tables, built once (the properties above are called on
-# every tile and layer of the timing models).
-_BYTES_PER_ELEMENT = {Precision.FP64: 8, Precision.FP32: 4, Precision.FP16: 2}
-_SIMD_WAYS = {Precision.FP64: 1, Precision.FP32: 2, Precision.FP16: 4}
-_DTYPES = {
-    Precision.FP64: np.dtype(np.float64),
-    Precision.FP32: np.dtype(np.float32),
-    Precision.FP16: np.dtype(np.float16),
-}

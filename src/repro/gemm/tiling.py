@@ -119,6 +119,12 @@ def tile_classes(extent: int, tile: int) -> List[Tuple[int, int]]:
     return classes
 
 
+def check_tile_levels(level1: TileConfig, level2: TileConfig) -> None:
+    """Reject a second-level tile wider or taller than the first-level tile."""
+    if level2.rows > level1.rows or level2.cols > level1.cols:
+        raise ValueError("second-level tile must not exceed the first-level tile")
+
+
 class TwoLevelTiling:
     """Enumerates the two-level tile hierarchy for a GEMM shape.
 
@@ -134,8 +140,7 @@ class TwoLevelTiling:
         level1: TileConfig = PAPER_LEVEL1,
         level2: TileConfig = PAPER_LEVEL2,
     ) -> None:
-        if level2.rows > level1.rows or level2.cols > level1.cols:
-            raise ValueError("second-level tile must not exceed the first-level tile")
+        check_tile_levels(level1, level2)
         self.shape = shape
         self.level1 = level1
         self.level2 = level2

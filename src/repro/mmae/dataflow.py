@@ -16,19 +16,16 @@ independent of how many nodes are active.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.gemm.precision import Precision
-from repro.gemm.tiling import TileConfig, TwoLevelTiling, tile_classes
+from repro.gemm.tiling import TileConfig, check_tile_levels, tile_classes
 from repro.gemm.workloads import GEMMShape
 from repro.mmae.matlb import (
     TranslationStallEstimate,
     TranslationTimingParameters,
     estimate_translation_stalls,
 )
-from repro.mmae.systolic_array import SystolicArray
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,8 @@ class MMAETimingParameters:
     translation: TranslationTimingParameters = field(default_factory=TranslationTimingParameters)
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0 or self.dma_engines <= 0:
+        if (self.frequency_hz <= 0 or self.dma_engines <= 0
+                or self.sa_rows <= 0 or self.sa_cols <= 0):
             raise ValueError("invalid MMAE timing parameters")
 
 
@@ -134,28 +132,10 @@ class GEMMTimingBreakdown:
         }
 
 
-def _level1_tile_compute_cycles(
-    array: SystolicArray, tile_rows: int, tile_cols: int, tile_depth: int,
-    level2: TileConfig, precision: Precision,
-) -> int:
-    """Systolic-array cycles for one first-level tile, summed over its level-2 tiles.
-
-    The level-2 grid has at most eight distinct tile shapes
-    (:func:`~repro.gemm.tiling.tile_classes`), so each is timed once and
-    weighted by its count instead of iterating every micro tile.
-    """
-    total = 0
-    for rows, rows_count in tile_classes(tile_rows, level2.rows):
-        for cols, cols_count in tile_classes(tile_cols, level2.cols):
-            for depth, depth_count in tile_classes(tile_depth, level2.k_block):
-                count = rows_count * cols_count * depth_count
-                total += count * array.tile_cycles(rows, cols, depth, precision)
-    return total
-
-
-def _schedule_order(classes: List[Tuple[int, int]]) -> List[int]:
-    """Class index of every tile along one dimension, in schedule order."""
-    return [index for index, (_, count) in enumerate(classes) for _ in range(count)]
+def _ceil_blocks(extent: int, tile: int, block: int) -> int:
+    """``Σ⌈t / block⌉`` over the level-2 tile extents ``t`` of ``tile_classes(extent, tile)``."""
+    full, remainder = divmod(extent, tile)
+    return full * -(-tile // block) + -(-remainder // block)
 
 
 def build_tile_schedule(
@@ -168,17 +148,29 @@ def build_tile_schedule(
     """Compute the static schedule statistics (compute cycles and traffic volumes).
 
     Each distinct first-level tile shape (at most eight, see
-    :func:`~repro.gemm.tiling.tile_classes`) is evaluated once.  The
-    integer-valued sums (tile counts, compute cycles, L3 bytes) are its value
-    times its count, exact because every term is an integer below 2**53.  A
-    tile's DRAM traffic turns fractional once its working set overflows the
-    L3 share, so that sum is still added tile by tile in schedule order, as
-    the per-tile reference
+    :func:`~repro.gemm.tiling.tile_classes`) is evaluated once and weighted
+    by its count (DESIGN.md section 4.1).  A tile's systolic-array cycles
+    factor over its level-2 tiles: one ``rows x cols x depth`` tile takes
+    ``rows × Σ⌈c / (sa_cols·lanes)⌉ × Σ⌈d / sa_rows⌉`` streaming cycles
+    (the sums over its level-2 column and depth extents) plus one
+    ``sa_rows + sa_cols`` fill and drain per level-2 tile, which is what
+    :meth:`~repro.mmae.systolic_array.SystolicArray.tile_cycles` adds up
+    tile by tile.  Tile counts, compute cycles and L3 bytes are integers
+    below 2**53, so ``count × value`` is exact.  A tile's DRAM bytes turn
+    fractional once its working set overflows the L3 share: when every
+    class's value is integral and the total is below 2**53 the total is the
+    exact integer ``Σ count × value``, and otherwise it is added one float
+    per tile in schedule order, as the per-tile reference
     :func:`repro.conformance.analytic_oracle.build_tile_schedule` does.
     """
-    TwoLevelTiling(shape, level1, level2)  # rejects a level-2 tile larger than level 1
-    array = SystolicArray(params.sa_rows, params.sa_cols, params.frequency_hz)
-    element = shape.precision.bytes_per_element
+    check_tile_levels(level1, level2)
+    precision = shape.precision
+    element = precision.bytes_per_element
+    stream_width = params.sa_cols * precision.simd_ways
+    sa_rows = params.sa_rows
+    fill_drain = sa_rows + params.sa_cols
+    l2_rows, l2_cols, l2_depth = level2.rows, level2.cols, level2.k_block
+    l3_share = env.l3_share_bytes
     row_classes = tile_classes(shape.m, level1.rows)
     col_classes = tile_classes(shape.n, level1.cols)
     depth_classes = tile_classes(shape.k, level1.k_block)
@@ -187,52 +179,66 @@ def build_tile_schedule(
     l3_traffic = 0
     num_level1 = 0
     num_level2 = 0
-    depth_order = _schedule_order(depth_classes)
-    # dram_runs[r][c]: the DRAM bytes of each tile of row class r and column
-    # class c, one entry per tile in depth (schedule) order.
-    dram_runs: List[List[List[float]]] = []
+    # One tile's DRAM bytes for each class, row class outermost and depth
+    # class innermost, and their count-weighted sum.
+    class_dram: List[float] = []
+    weighted_dram = 0.0
     for rows, rows_count in row_classes:
-        reloads_b = math.ceil(rows / level2.rows)
-        row_runs = []
+        row_tiles = -(-rows // l2_rows)
         for cols, cols_count in col_classes:
-            reloads_a = math.ceil(cols / level2.cols)
-            depth_dram = []
+            col_tiles = -(-cols // l2_cols)
+            col_blocks = _ceil_blocks(cols, l2_cols, stream_width)
+            c_tile = rows * cols * element
             for depth, depth_count in depth_classes:
+                depth_tiles = -(-depth // l2_depth)
                 count = rows_count * cols_count * depth_count
+                level2_tiles = row_tiles * col_tiles * depth_tiles
                 num_level1 += count
-                num_level2 += count * reloads_b * reloads_a * math.ceil(depth / level2.k_block)
-                compute_cycles += count * _level1_tile_compute_cycles(
-                    array, rows, cols, depth, level2, shape.precision
+                num_level2 += count * level2_tiles
+                compute_cycles += count * (
+                    rows * col_blocks * _ceil_blocks(depth, l2_depth, sa_rows)
+                    + fill_drain * level2_tiles
                 )
                 a_panel = rows * depth * element
                 b_panel = depth * cols * element
-                c_tile = rows * cols * element
-                tile_l3 = reloads_a * a_panel + reloads_b * b_panel + 2 * c_tile
+                tile_l3 = col_tiles * a_panel + row_tiles * b_panel + 2 * c_tile
                 l3_traffic += count * tile_l3
                 # DRAM traffic: the compulsory panel reads plus the fraction of the
                 # re-reads that do not fit in this node's share of the L3.
                 compulsory = a_panel + b_panel + 2 * c_tile
-                working_set = a_panel + b_panel + c_tile
-                reuse_fraction = min(1.0, env.l3_share_bytes / working_set)
-                depth_dram.append(compulsory + (tile_l3 - compulsory) * (1.0 - reuse_fraction))
-            row_runs.append([depth_dram[d] for d in depth_order])
-        dram_runs.append(row_runs)
+                # The fraction of the working set the L3 share holds, at most 1.
+                held = l3_share / (a_panel + b_panel + c_tile)
+                reuse_fraction = held if held < 1.0 else 1.0
+                tile_dram = compulsory + (tile_l3 - compulsory) * (1.0 - reuse_fraction)
+                class_dram.append(tile_dram)
+                weighted_dram += count * tile_dram
 
-    dram_traffic = 0.0
-    for r in _schedule_order(row_classes):
-        for c in _schedule_order(col_classes):
-            for tile_dram in dram_runs[r][c]:
-                dram_traffic += tile_dram
+    if weighted_dram < 2**53 and all(map(float.is_integer, class_dram)):
+        # Whole values: each product and each partial sum, here and in the
+        # per-tile loop, is an integer below 2**53, so every one is exact.
+        dram_traffic = weighted_dram
+    else:
+        # Each tile's value in schedule order (rows, then columns, then
+        # depth), added one float at a time.
+        values = iter(class_dram)
+        in_order: List[float] = []
+        for _, rows_count in row_classes:
+            row: List[float] = []
+            for _, cols_count in col_classes:
+                run: List[float] = []
+                for _, depth_count in depth_classes:
+                    run += [next(values)] * depth_count
+                row += run * cols_count
+            in_order += row * rows_count
+        dram_traffic = 0.0
+        for tile_dram in in_order:
+            dram_traffic += tile_dram
 
+    # Positional, in field order: keyword arguments to a class build a dict
+    # on every call.
     return TileSchedule(
-        shape=shape,
-        level1=level1,
-        level2=level2,
-        num_level1_tiles=num_level1,
-        num_level2_tiles=num_level2,
-        compute_cycles=float(compute_cycles),
-        l3_traffic_bytes=float(l3_traffic),
-        dram_traffic_bytes=dram_traffic,
+        shape, level1, level2, num_level1, num_level2,
+        float(compute_cycles), float(l3_traffic), dram_traffic,
     )
 
 
@@ -244,16 +250,19 @@ def _dma_bandwidth_bytes_per_cycle(
     The engines are latency-limited (Little's law over their outstanding-line
     windows) with the round-trip latency weighted by how much of the traffic
     has to travel beyond the L3, and capped by both the engines' datapaths and
-    the node's NoC port.
+    the node's NoC port.  The minimums are spelled out for the reason
+    :func:`timing_from_schedule` gives.
     """
     cycle_ns = 1e9 / params.frequency_hz
     round_trip_ns = env.l3_round_trip_ns + dram_fraction * env.dram_round_trip_ns
     round_trip_cycles = round_trip_ns / cycle_ns
     window_bytes = params.dma_outstanding_lines * params.line_size
-    per_engine = min(params.dma_peak_bytes_per_cycle, window_bytes / round_trip_cycles)
+    peak = params.dma_peak_bytes_per_cycle
+    latency_bound = window_bytes / round_trip_cycles
+    per_engine = latency_bound if latency_bound < peak else peak
     aggregate = per_engine * params.dma_engines
     noc_cap = env.noc_node_bandwidth_bytes_per_s / params.frequency_hz
-    return min(aggregate, noc_cap)
+    return noc_cap if noc_cap < aggregate else aggregate
 
 
 def estimate_gemm_timing(
@@ -268,10 +277,7 @@ def estimate_gemm_timing(
     """Estimate the execution time of one GEMM on one MMAE."""
     schedule = build_tile_schedule(shape, level1, level2, params, env)
     translation = estimate_translation_stalls(
-        shape, level1, level2,
-        page_size=page_size,
-        prediction_enabled=prediction_enabled,
-        params=params.translation,
+        shape, level1, level2, page_size, prediction_enabled, params.translation
     )
     return timing_from_schedule(schedule, translation, params, env)
 
@@ -287,9 +293,13 @@ def timing_from_schedule(
     The per-first-level-tile time is ``max(compute, dma)`` (double buffering
     overlaps transfers with computation); the first tile's buffer fill, the
     task setup/drain handshakes, and the exposed translation stalls are serial.
+
+    This runs once per timing-cache miss, and Python 3.11's builtin ``min``
+    and ``max`` parse their arguments generically, which costs more than
+    the comparison, so each is a conditional expression that picks the
+    value the builtin would: ``max(a, b)`` is ``b if b > a else a``.
     """
     shape, level2 = schedule.shape, schedule.level2
-    array = SystolicArray(params.sa_rows, params.sa_cols, params.frequency_hz)
 
     dram_fraction = (
         schedule.dram_traffic_bytes / schedule.l3_traffic_bytes
@@ -301,19 +311,22 @@ def timing_from_schedule(
 
     dma_l3_cycles = schedule.l3_traffic_bytes / dma_bpc
     dma_dram_cycles = schedule.dram_traffic_bytes / dram_bpc
-    dma_cycles = max(dma_l3_cycles, dma_dram_cycles)
+    dma_cycles = dma_dram_cycles if dma_dram_cycles > dma_l3_cycles else dma_l3_cycles
 
     # Per-tile overlap: both compute and DMA scale uniformly over tiles in this
     # closed form, so the overlapped total is max of the two sums plus the
     # per-tile reconfiguration cost.
-    overlapped = max(schedule.compute_cycles, dma_cycles)
-    exposed_dma = max(0.0, dma_cycles - schedule.compute_cycles)
+    compute_cycles = schedule.compute_cycles
+    overlapped = dma_cycles if dma_cycles > compute_cycles else compute_cycles
+    excess_dma = dma_cycles - compute_cycles
+    exposed_dma = excess_dma if excess_dma > 0.0 else 0.0
 
     # First fill: the first level-2 tile's A and B blocks cannot be overlapped.
     element = shape.precision.bytes_per_element
-    ttr = min(level2.rows, shape.m)
-    ttc = min(level2.cols, shape.n)
-    ttk = min(level2.k_block, shape.k)
+    ttr = shape.m if shape.m < level2.rows else level2.rows
+    ttc = shape.n if shape.n < level2.cols else level2.cols
+    k_block = level2.k_block
+    ttk = shape.k if shape.k < k_block else k_block
     fill_bytes = (ttr * ttk + ttk * ttc) * element
     fill_cycles = fill_bytes / dma_bpc
 
@@ -325,18 +338,15 @@ def timing_from_schedule(
 
     total = overlapped + translation.stall_cycles + fill_cycles + setup_cycles
 
+    # Two ops per MAC of the packed array, as SystolicArray.peak_gflops.
+    peak_gflops = (
+        2.0 * (params.sa_rows * params.sa_cols * shape.precision.simd_ways)
+        * params.frequency_hz / 1e9
+    )
+    # Positional, in field order: keyword arguments to a class build a dict
+    # on every call.
     return GEMMTimingBreakdown(
-        shape=shape,
-        prediction_enabled=translation.prediction_enabled,
-        frequency_hz=params.frequency_hz,
-        peak_gflops=array.peak_gflops(shape.precision),
-        compute_cycles=schedule.compute_cycles,
-        dma_l3_cycles=dma_l3_cycles,
-        dma_dram_cycles=dma_dram_cycles,
-        exposed_dma_cycles=exposed_dma,
-        translation_stall_cycles=translation.stall_cycles,
-        setup_cycles=setup_cycles,
-        fill_cycles=fill_cycles,
-        total_cycles=total,
-        translation=translation,
+        shape, translation.prediction_enabled, params.frequency_hz, peak_gflops,
+        compute_cycles, dma_l3_cycles, dma_dram_cycles, exposed_dma,
+        translation.stall_cycles, setup_cycles, fill_cycles, total, translation,
     )

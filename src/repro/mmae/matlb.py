@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.gemm.tiling import TileConfig, TwoLevelTiling, tile_classes
+from repro.gemm.tiling import TileConfig, check_tile_levels, tile_classes
 from repro.gemm.workloads import GEMMShape
 from repro.mem.address import DEFAULT_PAGE_SIZE, align_down
 from repro.mem.page_table import PageFaultError
@@ -311,12 +311,19 @@ class TranslationStallEstimate:
 
 
 def _unique_pages(rows: int, segment_bytes: int, row_stride_bytes: int, page_size: int) -> int:
-    """Distinct pages touched by ``rows`` row segments of a row-major panel."""
+    """Distinct pages touched by ``rows`` row segments of a row-major panel.
+
+    Each ``max(1, pages)`` is a conditional expression: the estimate calls
+    this up to three times per tile class, and Python 3.11's builtin ``max``
+    parses its arguments generically.
+    """
     if rows <= 0:
         return 0
     if row_stride_bytes <= page_size:
-        return max(1, math.ceil(rows * row_stride_bytes / page_size))
-    return rows * max(1, math.ceil(segment_bytes / page_size))
+        band = math.ceil(rows * row_stride_bytes / page_size)
+        return band if band > 1 else 1
+    per_row = math.ceil(segment_bytes / page_size)
+    return rows * (per_row if per_row > 1 else 1)
 
 
 def estimate_translation_stalls(
@@ -339,32 +346,38 @@ def estimate_translation_stalls(
 
     Every count is an integer per first-level tile, so each distinct tile
     shape (at most eight, see :func:`~repro.gemm.tiling.tile_classes`) is
-    evaluated once and weighted by its count; the per-tile reference is
+    evaluated once and weighted by its count.  The C panel's pages and the
+    re-touch counts do not depend on the depth class, so they are computed
+    outside the depth loop.  The per-tile reference is
     :func:`repro.conformance.analytic_oracle.estimate_translation_stalls`.
     """
     element = shape.precision.bytes_per_element
-    TwoLevelTiling(shape, level1, level2)  # rejects a level-2 tile larger than level 1
+    check_tile_levels(level1, level2)
+    a_stride = shape.k * element
+    bc_stride = shape.n * element
+    tlb_entries = params.shared_tlb_entries
+    col_classes = tile_classes(shape.n, level1.cols)
+    depth_classes = tile_classes(shape.k, level1.k_block)
     total_first = 0
     total_retouch = 0
-    total_unique = 0
     for rows, rows_count in tile_classes(shape.m, level1.rows):
-        for cols, cols_count in tile_classes(shape.n, level1.cols):
-            for depth, depth_count in tile_classes(shape.k, level1.k_block):
-                count = rows_count * cols_count * depth_count
-                pages_a = _unique_pages(rows, depth * element, shape.k * element, page_size)
-                pages_b = _unique_pages(depth, cols * element, shape.n * element, page_size)
-                pages_c = _unique_pages(rows, cols * element, shape.n * element, page_size)
+        touches_b = math.ceil(rows / level2.rows)
+        for cols, cols_count in col_classes:
+            touches_a = math.ceil(cols / level2.cols)
+            pages_c = _unique_pages(rows, cols * element, bc_stride, page_size)
+            for depth, depth_count in depth_classes:
+                pages_a = _unique_pages(rows, depth * element, a_stride, page_size)
+                pages_b = _unique_pages(depth, cols * element, bc_stride, page_size)
                 unique = pages_a + pages_b + pages_c
-                thrash_fraction = max(0.0, (unique - params.shared_tlb_entries) / unique)
-                touches_a = math.ceil(cols / level2.cols)
-                touches_b = math.ceil(rows / level2.rows)
-                retouch = (
-                    (touches_a - 1) * pages_a * thrash_fraction
-                    + (touches_b - 1) * pages_b * thrash_fraction
-                )
-                total_unique += count * unique
+                count = rows_count * cols_count * depth_count
                 total_first += count * unique
-                total_retouch += count * int(round(retouch))
+                if unique > tlb_entries:
+                    thrash_fraction = (unique - tlb_entries) / unique
+                    retouch = (
+                        (touches_a - 1) * pages_a * thrash_fraction
+                        + (touches_b - 1) * pages_b * thrash_fraction
+                    )
+                    total_retouch += count * int(round(retouch))
 
     stall_cycles = (
         total_first * params.first_touch_walk_cycles
@@ -372,10 +385,8 @@ def estimate_translation_stalls(
     )
     if prediction_enabled:
         stall_cycles *= params.predicted_exposed_fraction
+    # Every unique page is walked once on first touch.  Positional, in field
+    # order: keyword arguments to a class build a dict on every call.
     return TranslationStallEstimate(
-        unique_pages=total_unique,
-        first_touch_walks=total_first,
-        retouch_walks=total_retouch,
-        stall_cycles=stall_cycles,
-        prediction_enabled=prediction_enabled,
+        total_first, total_first, total_retouch, stall_cycles, prediction_enabled
     )

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import MACOConfig
-from repro.core.mapping import in_order_sum
+from repro.core.mapping import in_order_sum, layer_stream_seconds
 from repro.core.perf import TimingCache, estimate_node_gemm_cached, memory_environment
 from repro.gemm.workloads import GEMMShape
 from repro.mmae.dataflow import MemoryEnvironment
@@ -409,24 +409,6 @@ def _contiguous_stages(weights: Sequence[float], stages: int) -> List[int]:
     return assignment
 
 
-def _unsharded_phase_seconds(
-    config: MACOConfig,
-    phase: Phase,
-    env: MemoryEnvironment,
-    cache: Optional[TimingCache],
-) -> float:
-    """One node executing the whole phase (all repeats), zero communication.
-
-    Each distinct shape is estimated once; the sum still adds one float per
-    GEMM in phase order.
-    """
-    whole = {
-        shape: estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
-        for shape in dict.fromkeys(phase.shapes)
-    }
-    return in_order_sum(whole[shape] for shape in phase.shapes) * phase.repeat
-
-
 @dataclass(frozen=True)
 class _ShapeCost:
     """What one GEMM of a tensor-parallel phase adds to the phase's plan."""
@@ -620,7 +602,15 @@ def _pp_phase_plans(
     include_communication: bool,
 ) -> List[PhasePlan]:
     degree = len(group)
-    unsharded = [_unsharded_phase_seconds(config, phase, env, cache) for phase in graph.phases]
+
+    def whole_gemm_seconds(shape: GEMMShape) -> float:
+        return estimate_node_gemm_cached(config, shape, env=env, cache=cache).seconds
+
+    # One node runs each phase whole (all repeats), with no communication.
+    unsharded = [
+        layer_stream_seconds(phase.shapes, 1, whole_gemm_seconds) * phase.repeat
+        for phase in graph.phases
+    ]
     assignment = _contiguous_stages(unsharded, degree)
     plans: List[PhasePlan] = []
     for index, phase in enumerate(graph.phases):

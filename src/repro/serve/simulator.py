@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.core.batch import SweepRunner, _task_cache
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.mapping import in_order_sum, partition_gemm, schedule_gemm_plus
+from repro.core.mapping import gemm_stash_bytes, in_order_sum, layer_stream_seconds, schedule_gemm_plus
 from repro.core.perf import (
     TimingCache,
     estimate_node_gemm_cached,
@@ -68,6 +68,7 @@ from repro.core.perf import (
 )
 from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
+from repro.gemm.workloads import GEMMShape
 from repro.mem.dram import DRAMModel
 from repro.serve.autoscale import AutoscalePolicy, KVBudget, derive_kv_budget
 from repro.serve.engine import (
@@ -179,8 +180,9 @@ def _service_profile(
     the same :func:`~repro.core.mapping.schedule_gemm_plus` overlap model as
     :meth:`~repro.core.maco.MACOSystem.run_workload` — and phases execute in
     order (prefill feeds decode), so ``latency_s`` is the sum of the step
-    seconds.  A phase times its distinct shapes once and scales by the phase
-    ``repeat`` count: every decode step after the first reuses the
+    seconds.  A phase times its distinct shapes once, as a one-node layer
+    stream (:func:`~repro.core.mapping.layer_stream_seconds`), and scales by
+    the phase ``repeat`` count: every decode step after the first reuses the
     :class:`~repro.core.perf.TimingCache` entries of its block.  Phase
     boundaries are barriers, so a multi-phase graph reads slightly more
     conservative than one whole-network overlap would.
@@ -217,22 +219,19 @@ def _service_profile(
             background=background,
         )
 
+    def node_seconds(shape: GEMMShape) -> float:
+        return estimate_node_gemm_cached(
+            config, shape, active_nodes=active_nodes, env=env, cache=cache
+        ).seconds
+
     steps: List[StepSpec] = []
     per_stage: Dict[int, float] = {}
     for index, phase in enumerate(graph.phases):
-        stash_bytes = 0
-        for shape in phase.shapes:
-            stash_bytes += partition_gemm(shape, 1).stash_bytes
-        stash_bytes *= phase.repeat
+        stash_bytes = sum(gemm_stash_bytes(shape, 1) for shape in phase.shapes) * phase.repeat
         comm_seconds = 0.0
         stage = 0
         if plan is None:
-            gemm_seconds = in_order_sum(
-                estimate_node_gemm_cached(
-                    config, shape, active_nodes=active_nodes, env=env, cache=cache,
-                ).seconds
-                for shape in phase.shapes
-            ) * phase.repeat
+            gemm_seconds = layer_stream_seconds(phase.shapes, 1, node_seconds) * phase.repeat
             sharers = 1
         else:
             phase_plan = plan.phases[index]

@@ -428,6 +428,17 @@ class TestPinnedEdgeScenarios:
         {"m": 9, "n": 9, "k": 9, "l1_rows": 8, "l1_cols": 8, "l1_depth": 0,
          "l2_rows": 9, "l2_cols": 4, "l2_depth": 0, "precision": "fp64",
          "l3_fraction": 4.0, "page_size": 4096, "tlb_entries": 1024, "prediction": False},
+        # Mixed DRAM classes: the full level-1 tiles overflow the L3 share
+        # (fractional bytes, eight tiles of one class) beside a ragged
+        # 3-row tile that fits (whole bytes); the sum must stay per tile.
+        {"m": 99, "n": 96, "k": 96, "l1_rows": 48, "l1_cols": 48, "l1_depth": 0,
+         "l2_rows": 16, "l2_cols": 16, "l2_depth": 0, "precision": "fp32",
+         "l3_fraction": 0.4, "page_size": 4096, "tlb_entries": 1024, "prediction": True},
+        # Every class fits the L3 share (whole DRAM bytes), with ragged edges
+        # at both levels and four FP16 lanes per PE.
+        {"m": 75, "n": 71, "k": 300, "l1_rows": 37, "l1_cols": 48, "l1_depth": 100,
+         "l2_rows": 16, "l2_cols": 24, "l2_depth": 40, "precision": "fp16",
+         "l3_fraction": 4.0, "page_size": 4096, "tlb_entries": 1024, "prediction": False},
     ])
     def test_tile_schedule_edges(self, params):
         run_scenario(ScenarioSpec("tile-schedule", tuple(sorted(params.items()))))
