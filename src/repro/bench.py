@@ -464,18 +464,15 @@ def bench_serve_throughput(quick: bool, repeat: int) -> Dict[str, object]:
 def _request_runner_vs_oracle(et, repeat: int) -> Dict[str, object]:
     """Time the request runner and the scalar oracle on one lowered trace.
 
-    Both run the whole trace as one segment; their completion columns are
-    compared element for element, so the speedup doubles as a parity
-    witness.
+    Both run the whole trace; their completion columns are compared element
+    for element, so the speedup doubles as a parity witness.
     """
     from repro.conformance.serve_oracle import oracle_columns
     from repro.serve.engine import simulate_segments
 
-    segments = [(0, len(et))]
-
     def run(engine):
         start = time.perf_counter()
-        done = engine(et, segments)
+        done = engine(et)
         return time.perf_counter() - start, (done.start, done.first, done.finish,
                                              done.accumulators)
 

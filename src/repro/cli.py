@@ -18,10 +18,10 @@ Usage (after ``pip install -e .``)::
 
 The CLI is a thin wrapper over the same APIs the benchmarks use, so its output
 matches the rows recorded in EXPERIMENTS.md.  The sweep-shaped commands
-(``fig6``, ``fig7``, ``fig8``, ``explore``, ``parallel``, ``serve``) accept
-``--jobs N`` to fan the independent evaluations out over a worker pool; the
-small fixed figure sweeps default to serial, while ``explore`` defaults to all
-CPU cores.
+(``fig6``, ``fig7``, ``fig8``, ``explore``, ``parallel``) accept ``--jobs N``
+to fan the independent evaluations out over a worker pool; the small fixed
+figure sweeps default to serial, while ``explore`` defaults to all CPU cores.
+``serve`` runs in one process.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     specs = [ParallelismSpec.parse(text.strip()) for text in texts if text.strip()]
     if not specs:
         raise ValueError(f"--parallel {args.parallel!r} lists no specs")
-    # Like serve: stay serial unless --jobs asks for a pool (the cells are
+    # Like the figure sweeps: stay serial unless --jobs asks for a pool (the cells are
     # cheap; SweepRunner(None) would default to all CPU cores).
     runner = SweepRunner(jobs=args.jobs if args.jobs is not None else 1)
     plans = runner.sweep_parallelism(config, graph, specs=specs)
@@ -469,7 +469,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ValueError("--min-nodes/--max-nodes only apply with --autoscale")
     config = maco_default_config(num_nodes=args.nodes)
     simulator = ServeSimulator(config=config, scheduler=args.scheduler,
-                               jobs=args.jobs, parallelism=args.parallel,
+                               parallelism=args.parallel,
                                batching=args.batching, max_batch=args.max_batch,
                                kv_budget_bytes=kv_budget_bytes,
                                preemption=not args.no_preemption,
@@ -510,7 +510,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             trace = poisson_trace(specs, duration, seed=args.seed, precision=precision)
 
-    report = simulator.run(trace, shards=args.shards)
+    report = simulator.run(trace)
     if args.functional_smoke:
         verified = simulator.functional_smoke(trace)
         print(f"functional smoke: {verified} GEMMs verified through the MPAIS async path",
@@ -810,15 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
                "(--nodes must divide into groups of the spec's degree)")
     serve.add_argument("--precision", default="fp32", choices=["fp64", "fp32", "fp16"])
     serve.add_argument("--seed", type=int, default=0, help="trace generation seed")
-    serve.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for service-time estimation and "
-                            "--shards simulation (default: serial)")
-    serve.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="split the trace at provable idle points and simulate the "
-                            "segments independently (request-level shards fan out over "
-                            "--jobs; step-level segments run serially from a cold "
-                            "fleet); the merged report is byte-identical for every N "
-                            "and --jobs setting")
     serve.add_argument("--format", default="table", choices=["table", "json"])
     serve.add_argument("--output", default=None,
                        help="write the report to this file instead of stdout")

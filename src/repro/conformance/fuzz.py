@@ -22,15 +22,11 @@ the properties the repo stakes out as exact:
   ``max_batch=1`` (preemption on, unlimited budget) reproduces the request
   runner's ``to_json`` report byte for byte (fcfs on the sampled fleet,
   every other policy on one server), across schedulers × seeds × fleets;
-* ``serve-shards`` — the sharded request-level run merges back to the exact
-  single-shard report for any shard count and worker-pool size, and the
-  oracle agrees with the engine on the shard segments;
 * ``autoscale-invariants`` — the elastic step-mode fleet stays within
   ``[min_groups, max_groups]`` at every timeline instant, every scale event
   conserves capacity (``groups_after == groups_before ± 1``, provisioning
   delay and drain-stop times well-formed, the fleet timeline reconstructs
-  exactly from the event stream), draining groups admit nothing, sharded and
-  pooled runs are byte-identical to the single-shard report, and a
+  exactly from the event stream), draining groups admit nothing, and a
   ``min_groups == max_groups`` policy is byte-identical to the fixed-fleet
   path once the ``autoscale`` section is stripped;
 * ``percentile`` — the report's p50/p95/p99 selection
@@ -416,42 +412,6 @@ def _check_serve_parity(spec: ScenarioSpec) -> None:
             f"step runner at max_batch=1 diverges from the request runner ({label})")
 
 
-# ------------------------------------------------------------- serve-shards
-def _sample_serve_shards(rng: random.Random) -> ScenarioSpec:
-    return _spec(
-        "serve-shards",
-        scheduler=rng.choice(["fcfs", "sjf", "rr", "priority", "slo"]),
-        batching="request",
-        seed=rng.randint(0, 9999),
-        tenants=rng.randint(1, 3),
-        rate=round(rng.uniform(0.05, 6.0), 2),
-        duration=round(rng.uniform(2.0, 6.0), 2),
-        num_nodes=4,
-        shards=rng.randint(2, 5),
-        jobs=rng.randint(1, 2),
-    )
-
-
-def _check_serve_shards(spec: ScenarioSpec) -> None:
-    from repro.conformance.serve_oracle import check_request_engine
-
-    trace = _serve_trace(spec)
-    base = _serve_simulator(spec).run(trace, shards=1).to_json()
-    sharded_sim = _serve_simulator(spec, jobs=int(spec.param("jobs")))
-    sharded = sharded_sim.run(trace, shards=int(spec.param("shards"))).to_json()
-    if sharded != base:
-        raise ScenarioFailure(
-            f"shards={spec.param('shards')} jobs={spec.param('jobs')} report "
-            f"differs from the single-shard report (scheduler="
-            f"{spec.param('scheduler')} seed={spec.param('seed')})"
-        )
-    mismatch = check_request_engine(_serve_simulator(spec), trace, shards=1)
-    if mismatch is not None:
-        raise ScenarioFailure(
-            f"{mismatch} on the shard segments (scheduler={spec.param('scheduler')} "
-            f"seed={spec.param('seed')})")
-
-
 # ------------------------------------------------------ autoscale-invariants
 def _sample_autoscale_invariants(rng: random.Random) -> ScenarioSpec:
     max_groups = rng.randint(1, 4)
@@ -467,12 +427,10 @@ def _sample_autoscale_invariants(rng: random.Random) -> ScenarioSpec:
         min_groups=rng.randint(1, max_groups),
         max_groups=max_groups,
         max_batch=rng.choice([2, 4]),
-        shards=rng.randint(2, 5),
-        jobs=rng.randint(1, 2),
     )
 
 
-def _autoscale_fuzz_simulator(spec: ScenarioSpec, policy, jobs: int = 1):
+def _autoscale_fuzz_simulator(spec: ScenarioSpec, policy):
     from repro.serve import ServeSimulator
 
     return ServeSimulator(
@@ -481,7 +439,6 @@ def _autoscale_fuzz_simulator(spec: ScenarioSpec, policy, jobs: int = 1):
         batching="step",
         max_batch=int(spec.param("max_batch")),
         autoscale=policy,
-        jobs=jobs,
     )
 
 
@@ -498,7 +455,7 @@ def _check_autoscale_invariants(spec: ScenarioSpec) -> None:
         sustain_windows=2, cooldown_s=0.5, provision_delay_s=0.25)
     trace = _serve_trace(spec)
     simulator = _autoscale_fuzz_simulator(spec, policy)
-    report = simulator.run(trace, shards=None)
+    report = simulator.run(trace)
     auto = report.autoscale
     if auto is None:
         raise ScenarioFailure("autoscaled run produced no autoscale section")
@@ -535,7 +492,7 @@ def _check_autoscale_invariants(spec: ScenarioSpec) -> None:
             changes.append((event.stopped_s, -1))
     if auto.events:
         # The committed-fleet timeline must reconstruct exactly from the
-        # event stream (shards=None runs a single cold segment).
+        # event stream.
         fleet = min_groups
         rebuilt = [auto.timeline[0]]
         for time_s, delta in sorted(changes):
@@ -563,25 +520,14 @@ def _check_autoscale_invariants(spec: ScenarioSpec) -> None:
             f"{drained} scale-in event(s) but {len(simulator.last_drains)} "
             "recorded drain(s)")
 
-    single = _autoscale_fuzz_simulator(spec, policy).run(trace, shards=1).to_json()
-    sharded = _autoscale_fuzz_simulator(spec, policy).run(
-        trace, shards=int(spec.param("shards"))).to_json()
-    pooled = _autoscale_fuzz_simulator(
-        spec, policy, jobs=int(spec.param("jobs"))).run(
-        trace, shards=int(spec.param("shards"))).to_json()
-    if sharded != single or pooled != single:
-        raise ScenarioFailure(
-            f"autoscaled step run is not byte-identical across "
-            f"shards={spec.param('shards')} jobs={spec.param('jobs')}")
-
     # A pinned fleet (min == max == every group server) must be byte-identical
     # to the fixed-fleet path once the autoscale section is stripped.
     servers = len(simulator.groups)
     pinned_policy = AutoscalePolicy(
         min_groups=servers, max_groups=servers, window_s=0.2,
         sustain_windows=2, cooldown_s=0.5, provision_delay_s=0.25)
-    pinned = _autoscale_fuzz_simulator(spec, pinned_policy).run(trace, shards=None)
-    fixed = _autoscale_fuzz_simulator(spec, None).run(trace, shards=None)
+    pinned = _autoscale_fuzz_simulator(spec, pinned_policy).run(trace)
+    fixed = _autoscale_fuzz_simulator(spec, None).run(trace)
     if dataclasses.replace(pinned, autoscale=None).to_json() != fixed.to_json():
         raise ScenarioFailure(
             "min_groups == max_groups autoscale diverges from the fixed-fleet "
@@ -885,14 +831,10 @@ SCENARIO_KINDS: Dict[str, _Kind] = {
         _Kind("serve-parity", _sample_serve_parity, _check_serve_parity,
               (("tenants", 2), ("duration", 1.0), ("rate", 1.0), ("num_nodes", 2),
                ("scheduler", "fcfs"), ("batching", "request"))),
-        _Kind("serve-shards", _sample_serve_shards, _check_serve_shards,
-              (("tenants", 2), ("duration", 1.0), ("rate", 1.0), ("jobs", 1),
-               ("shards", 2), ("scheduler", "fcfs"))),
         _Kind("autoscale-invariants", _sample_autoscale_invariants,
               _check_autoscale_invariants,
               (("tenants", 1), ("duration", 2.0), ("rate", 4.0),
-               ("max_batch", 2), ("shards", 2), ("jobs", 1),
-               ("scheduler", "fcfs"), ("min_groups", 1))),
+               ("max_batch", 2), ("scheduler", "fcfs"), ("min_groups", 1))),
         _Kind("percentile", _sample_percentile, _check_percentile,
               (("size", 1), ("scale", 1.0))),
         _Kind("trace-roundtrip", _sample_trace_roundtrip, _check_trace_roundtrip,

@@ -24,14 +24,7 @@ import numpy as np
 
 from repro.core.mapping import in_order_sum
 from repro.gemm.precision import Precision
-from repro.serve.engine import (
-    ACCUMULATORS,
-    EngineTrace,
-    SegmentColumns,
-    merge_segments,
-    segment_bounds,
-    simulate_segments,
-)
+from repro.serve.engine import ACCUMULATORS, EngineTrace, SegmentColumns, simulate_segments
 from repro.serve.scheduler import scheduler_by_name
 from repro.serve.trace import Request, RequestTrace, TenantSpec, _bursty_rates
 
@@ -84,16 +77,16 @@ def reference_queue(et: EngineTrace):
     raise ValueError(f"unknown scheduling policy {et.policy!r}")
 
 
-def run_segment_scalar(et: EngineTrace, lo: int, hi: int):
-    """Reference request runner: one rank at a time, in ticks.
+def run_segment_scalar(et: EngineTrace):
+    """Reference request runner: one rank at a time, in ticks, from a cold fleet.
 
     Pick the earliest free server (``(free_at, node)`` heap), admit every
     arrival up to its clock, pop the policy, gate a tenant change on the
     pipeline drain, charge the constant switch cost, occupy the server for
     one pipeline interval and drain it at the full latency.  Returns
-    ``(start, first, finish, accumulators)`` for ranks ``lo .. hi``.
+    ``(start, first, finish, accumulators)`` for every rank.
     """
-    count = hi - lo
+    count = len(et)
     start = np.empty(count, np.int64)
     first = np.empty(count, np.int64)
     finish = np.empty(count, np.int64)
@@ -106,15 +99,15 @@ def run_segment_scalar(et: EngineTrace, lo: int, hi: int):
     servers = [(0, node) for node in range(et.num_servers)]
     drain = [0] * et.num_servers
     last_tenant: List[Optional[int]] = [None] * et.num_servers
-    index = lo
-    while index < hi or len(queue):
+    index = 0
+    while index < count or len(queue):
         free_at, node = servers[0]
-        while index < hi and arrival[index] <= free_at:
+        while index < count and arrival[index] <= free_at:
             queue.push(index)
             index += 1
         if not len(queue):
             now = int(arrival[index])
-            while index < hi and arrival[index] <= now:
+            while index < count and arrival[index] <= now:
                 queue.push(index)
                 index += 1
             continue
@@ -129,9 +122,9 @@ def run_segment_scalar(et: EngineTrace, lo: int, hi: int):
         row = int(pair[rank])
         dispatch = begin + switch
         done = dispatch + int(latency_table[row, node])
-        start[rank - lo] = begin
-        first[rank - lo] = dispatch + int(first_table[row, node])
-        finish[rank - lo] = done
+        start[rank] = begin
+        first[rank] = dispatch + int(first_table[row, node])
+        finish[rank] = done
         interval = int(interval_table[row, node])
         heapq.heapreplace(servers, (dispatch + interval, node))
         drain[node] = done
@@ -142,11 +135,9 @@ def run_segment_scalar(et: EngineTrace, lo: int, hi: int):
     return start, first, finish, accumulators
 
 
-def oracle_columns(et: EngineTrace, segments: List[Tuple[int, int]]) -> SegmentColumns:
-    """Run the oracle on each segment cold and merge like the engine does."""
-    return merge_segments(
-        [SegmentColumns(*run_segment_scalar(et, lo, hi)) for lo, hi in segments],
-        et.num_servers)
+def oracle_columns(et: EngineTrace) -> SegmentColumns:
+    """The oracle's completion columns for the whole trace, like the engine's."""
+    return SegmentColumns(*run_segment_scalar(et))
 
 
 def lower(simulator, trace) -> EngineTrace:
@@ -155,22 +146,16 @@ def lower(simulator, trace) -> EngineTrace:
     return simulator._engine_trace(trace.columns)
 
 
-def check_request_engine(simulator, trace, shards: Optional[int] = None) -> Optional[str]:
+def check_request_engine(simulator, trace) -> Optional[str]:
     """Diff the request runner against the oracle on one lowered trace.
 
-    ``shards=None`` runs the trace as one segment, otherwise on the
-    :func:`~repro.serve.engine.segment_bounds` cut points.  Returns a
-    description of the first differing column, or ``None`` when the
-    ``start``/``first``/``finish`` columns and the per-server accumulators
-    are identical.
+    Returns a description of the first differing column, or ``None`` when
+    the ``start``/``first``/``finish`` columns and the per-server
+    accumulators are identical.
     """
     et = lower(simulator, trace)
-    if shards is not None:
-        segments = segment_bounds(et)
-    else:
-        segments = [(0, len(et))] if len(et) else []
-    engine = simulate_segments(et, segments)
-    oracle = oracle_columns(et, segments)
+    engine = simulate_segments(et)
+    oracle = oracle_columns(et)
     for name in ("start", "first", "finish", "accumulators"):
         if not np.array_equal(getattr(engine, name), getattr(oracle, name)):
             return f"request runner and scalar oracle differ in {name}"

@@ -199,8 +199,6 @@ class MemoryConfig:
 
     l3_slice_bytes: int = 8 * 1024 * 1024
     l3_slices: int = 4
-    l3_associativity: int = 16
-    line_size: int = 64
     page_size: int = 4096
     dram: DRAMConfig = field(default_factory=lambda: DRAMConfig(
         num_channels=4, channel_bandwidth_bytes_per_s=51.2e9, access_latency_ns=80.0,

@@ -134,6 +134,3 @@ class MMU:
         self.stats.walks += result.walk_count
         self.stats.walk_cycles += result.walk_cycles_total
         return result
-
-    def flush_asid(self, asid: int) -> None:
-        self.dtlb.flush(asid)

@@ -72,14 +72,8 @@ class PageTable:
             raise ValueError("page numbers must be non-negative")
         self._entries[vpn] = pfn
 
-    def unmap_page(self, vpn: int) -> None:
-        self._entries.pop(vpn, None)
-
     def lookup(self, vpn: int) -> Optional[int]:
         return self._entries.get(vpn)
-
-    def is_mapped(self, vaddr: int) -> bool:
-        return page_number(vaddr, self.page_size) in self._entries
 
     def translate(self, vaddr: int) -> int:
         """Translate a virtual address; raises :class:`PageFaultError` if unmapped."""

@@ -40,7 +40,6 @@ class TLBEntry:
 class TLBStats:
     hits: int = 0
     misses: int = 0
-    flushes: int = 0
 
     @property
     def accesses(self) -> int:
@@ -101,16 +100,6 @@ class TLB:
         elif len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
         self._entries[key] = pfn
-
-    def flush(self, asid: Optional[int] = None) -> None:
-        """Invalidate all entries, or only those of one ASID."""
-        self.stats.flushes += 1
-        if asid is None:
-            self._entries.clear()
-        else:
-            stale = [key for key in self._entries if key[0] == asid]
-            for key in stale:
-                del self._entries[key]
 
 
 @dataclass
@@ -296,7 +285,3 @@ class TLBHierarchy:
 
         paddrs = (np.array(pfns, dtype=np.int64) << shift) | (v & (self.page_size - 1))
         return BatchTranslationResult(paddrs, cycle_column, np.array(levels, dtype=np.uint8))
-
-    def flush(self, asid: Optional[int] = None) -> None:
-        self.l1.flush(asid)
-        self.l2.flush(asid)

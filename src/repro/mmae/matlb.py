@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.gemm.tiling import TileConfig, check_tile_levels, tile_classes
 from repro.gemm.workloads import GEMMShape
-from repro.mem.address import DEFAULT_PAGE_SIZE, align_down
+from repro.mem.address import DEFAULT_PAGE_SIZE
 from repro.mem.page_table import PageFaultError
 from repro.mem.tlb import mru_suffix_matches
 
@@ -186,9 +186,10 @@ class MATLB:
         MMU/TLB/walker charge for the walked pages happens in one batched
         prewalk afterwards, which cannot change the outcome because the MMU
         never touches the mATLB state.  (Like the batched TLB path, this
-        assumes the TLBs are consistent with the page table, i.e. no unmap
-        without a flush, which no caller does.)  A page with no translation
-        raises :class:`~repro.mem.page_table.PageFaultError`.
+        assumes the TLBs are consistent with the page table, which holds by
+        construction: a page table has no unmap, and an address space maps
+        only fresh virtual pages.)  A page with no translation raises
+        :class:`~repro.mem.page_table.PageFaultError`.
         """
         v = np.asarray(page_vaddrs, dtype=np.int64)
         if v.size == 0:
@@ -266,13 +267,6 @@ class MATLB:
         self.stats.hits += hits
         self.stats.misses += len(v) - hits
         return np.array(paddrs, dtype=np.int64)
-
-    def invalidate(self, vaddr: int) -> None:
-        """Drop the entry for a page (the paper removes entries that stop matching)."""
-        self._entries.pop(align_down(vaddr, self.page_size), None)
-
-    def flush(self) -> None:
-        self._entries.clear()
 
 
 # ------------------------------------------------------------------- closed-form stall model

@@ -205,7 +205,7 @@ class AutoscaleStats:
     """The autoscale section of a :class:`~repro.serve.report.ServeReport`.
 
     ``timeline`` samples the committed group count at every change —
-    ``(time_s, groups)`` pairs starting at the segment start — and
+    ``(time_s, groups)`` pairs starting at the first arrival — and
     ``node_seconds`` integrates it: every committed group is charged from
     commitment (including the provisioning delay) to stop, times the nodes
     per group.  ``goodput_per_node_second`` is SLO-met completions per

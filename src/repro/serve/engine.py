@@ -1,7 +1,7 @@
 """The integer-tick event engine behind both serving batching modes.
 
 One engine runs every serving simulation (see DESIGN.md sections 8 and 9).
-Three decisions give it both speed and the repo's byte-identical
+Two decisions give it both speed and the repo's byte-identical
 determinism guarantees:
 
 **Integer nanosecond ticks.**  All event arithmetic runs on int64 nanosecond
@@ -10,34 +10,24 @@ boundary.  Service estimates convert with a *ceiling* (a request is never
 reported faster than its analytic estimate), arrivals round to the nearest
 tick.  A step's ticks are the difference of ceilinged *cumulative* step
 boundaries, so a request's steps sum exactly to its request-mode latency.
-Integer math is exact and associative, so one trace split into shards
-produces bit-equal completion columns, and the shared
-:func:`~repro.serve.report.build_report_from_columns` turns equal columns
-into byte-identical JSON.
+Integer math is exact, so equal traces produce bit-equal completion columns,
+and the shared :func:`~repro.serve.report.build_report_from_columns` turns
+equal columns into byte-identical JSON.
 
-**Two segment runners, one trace record.**  :func:`simulate_segments` runs
-the request runner (whole-request dispatch: window admission over the sorted
-arrival array, with an arrival that finds an empty queue alone in its window
-handed straight to the free server, packed integer policy keys, and a fully
-vectorised closed form for the FCFS single-server case — with one server the
-dispatch order is the canonical order, so start times collapse to a max-plus
-prefix scan ``start = cumsum(cost) + running_max(arrival - cumsum(cost))``)
-or, when the :class:`EngineTrace` carries :class:`StepTables`, the step
-runner (iteration-level continuous batching with a paged KV budget,
-preemption and the autoscaled fleet lifecycle).  Both share the rank-keyed
-:class:`~repro.serve.scheduler.BatchingPolicy` queues.
-
-**Deterministic idle-point sharding.**  :func:`segment_bounds` computes a
-conservative drain bound — the makespan of a single server executing every
-request serially at its worst-case per-server cost, again a max-plus scan —
-and cuts the trace wherever the bound finishes before the next arrival.  At
-such a cut *any* work-conserving multi-server schedule has drained, so each
-segment simulates from a cold fleet and the merged columns are identical for
-every shard count: the cuts depend only on the trace, never on the execution.
-Segments restart with no resident tenant — a tenant switch across a provable
-idle gap overlaps the idle time instead of delaying the request, so it is
-absorbed (and not charged).  ``shards=None`` skips segmentation entirely and
-reproduces the continuous semantics.
+**Two runners, one trace record.**  :func:`simulate_segments` runs the whole
+trace in one pass, from a cold fleet, on the request runner (whole-request
+dispatch: window admission over the sorted arrival array, with an arrival
+that finds an empty queue alone in its window handed straight to the free
+server, packed integer policy keys, and a fully vectorised closed form for
+the FCFS single-server case — with one server the dispatch order is the
+canonical order, so start times collapse to a max-plus prefix scan
+``start = cumsum(cost) + running_max(arrival - cumsum(cost))``) or, when the
+:class:`EngineTrace` carries :class:`StepTables`, the step runner
+(iteration-level continuous batching with a paged KV budget, preemption and
+the autoscaled fleet lifecycle).  Both share the rank-keyed
+:class:`~repro.serve.scheduler.BatchingPolicy` queues.  A server that goes
+idle keeps its last tenant resident, so the next request of another tenant
+pays the switch even after an idle gap.
 
 The engine consumes the columnar trace (:class:`~repro.serve.trace.
 TraceColumns`) directly — requests are rank indices into arrays, and no
@@ -67,8 +57,6 @@ __all__ = [
     "StepTables",
     "SegmentColumns",
     "drain_costs",
-    "segment_bounds",
-    "shard_plan",
     "simulate_segments",
 ]
 
@@ -114,8 +102,7 @@ class EngineTrace:
     the policy queues consume them on every push; ``ttft_slo_s`` and
     ``tpot_slo_s`` are the per-rank SLO targets (``nan`` when absent) the
     report and the autoscaler's windows score completions against.  ``step``
-    is set for step batching.  The whole record is plain arrays and ints, so
-    it pickles cheaply to shard workers.
+    is set for step batching.
     """
 
     policy: str
@@ -142,7 +129,7 @@ class EngineTrace:
 
 @dataclass
 class SegmentColumns:
-    """Completion columns of a contiguous rank span, in ticks.
+    """Completion columns of one run, in ticks.
 
     ``start``/``first``/``finish`` are the first admission, first-token and
     finish ticks per rank; ``accumulators`` the per-server
@@ -169,7 +156,7 @@ class SegmentColumns:
 
 
 # ------------------------------------------------------------ request runner
-def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
+def _run_segment_closed_form(et: EngineTrace) -> SegmentColumns:
     """FCFS on one uniform-interval server: dispatch is a prefix scan.
 
     With a single server FCFS dispatches in rank order, so with ``cost_r =
@@ -180,11 +167,11 @@ def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int) -> SegmentColumn
     int64, so it is bit-equal to the scalar reference by construction (the
     parity tests enforce it anyway).
     """
-    arrival = et.arrival[lo:hi]
-    tenant = et.tenant[lo:hi]
-    pair = et.pair[lo:hi]
+    arrival = et.arrival
+    tenant = et.tenant
+    pair = et.pair
     latency = et.latency_table[pair, 0]
-    count = hi - lo
+    count = len(et)
     changed = np.empty(count, dtype=bool)
     changed[0] = False  # a cold server adopts its first tenant for free
     np.not_equal(tenant[1:], tenant[:-1], out=changed[1:])
@@ -208,7 +195,7 @@ def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int) -> SegmentColumn
     return SegmentColumns(start, first, finish, accumulators)
 
 
-def _run_segment_array(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
+def _run_segment_array(et: EngineTrace) -> SegmentColumns:
     """The request runner: closed form when eligible, else a dispatch loop.
 
     Semantics: pick the earliest free server (``(free_at, node)`` heap), admit
@@ -229,20 +216,21 @@ def _run_segment_array(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
     server) has one ``(latency, first-token, interval)`` tuple.
     """
     if et.policy == "fcfs" and et.num_servers == 1 and et.uniform_interval:
-        return _run_segment_closed_form(et, lo, hi)
-    count = hi - lo
+        return _run_segment_closed_form(et)
+    count = len(et)
     num_servers = et.num_servers
     start = array("q", bytes(8 * count))
     first = array("q", start)
     finish = array("q", start)
-    arrival = et.arrival[lo:hi].tolist()
-    tenant = et.tenant[lo:hi].tolist()
-    pair = et.pair[lo:hi].tolist()
+    arrival = et.arrival.tolist()
+    tenant = et.tenant.tolist()
+    pair = et.pair.tolist()
     service = [list(zip(*rows)) for rows in zip(
         et.latency_table.tolist(), et.first_table.tolist(), et.interval_table.tolist())]
     switch_ticks = et.switch_ticks
-    queue = scheduler_by_name(et.policy, lo, hi, tenant=et.tenant, service=et.svc0,
-                              priority=et.priority, deadline=et.deadline)
+    queue = scheduler_by_name(
+        et.policy, tenant=et.tenant, service=et.svc0, priority=et.priority, deadline=et.deadline
+    )
     push_span, pop, bypass = queue.push_span, queue.pop, queue.bypass
     servers = [(0, node) for node in range(num_servers)]
     heapreplace = heapq.heapreplace
@@ -259,10 +247,10 @@ def _run_segment_array(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
                 stop = admitted + 1
                 if stop < count and arrival[stop] <= free_at:
                     stop = bisect_right(arrival, free_at, stop + 1)
-                push_span(lo + admitted, lo + stop)
+                push_span(admitted, stop)
                 waiting += stop - admitted
                 admitted = stop
-            position = pop() - lo
+            position = pop()
             waiting -= 1
         else:
             position = admitted
@@ -272,11 +260,11 @@ def _run_segment_array(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
             admitted += 1
             if admitted < count and arrival[admitted] <= now:
                 admitted = bisect_right(arrival, now, admitted + 1)
-                push_span(lo + position, lo + admitted)
+                push_span(position, admitted)
                 waiting = admitted - position - 1
-                position = pop() - lo
+                position = pop()
             else:
-                bypass(lo + position)
+                bypass(position)
         arrived = arrival[position]
         begin = free_at if free_at > arrived else arrived
         this_tenant = tenant[position]
@@ -307,8 +295,8 @@ def _run_segment_array(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
 
 
 # --------------------------------------------------------------- step runner
-def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
-    """The step runner: one cold-start segment of iteration-level batching.
+def _run_step_segment(et: EngineTrace) -> SegmentColumns:
+    """The step runner: iteration-level batching from a cold fleet.
 
     Each server holds a running batch of up to ``max_batch`` ranks and
     advances in *iterations*: one step per member, members in rank order
@@ -340,16 +328,16 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
     accumulator row are locals for the iteration.
     """
     st = et.step
-    count = hi - lo
+    count = len(et)
     servers = range(et.num_servers)
-    arrival = et.arrival[lo:hi].tolist()
+    arrival = et.arrival.tolist()
     ready = list(arrival)
-    pair = et.pair[lo:hi].tolist()
-    tenant = et.tenant[lo:hi].tolist()
-    priority = et.priority[lo:hi].tolist()
+    pair = et.pair.tolist()
+    tenant = et.tenant.tolist()
+    priority = et.priority.tolist()
     policy = scheduler_by_name(
-        et.policy, 0, count, tenant=tenant, service=et.svc0[lo:hi],
-        priority=priority, deadline=et.deadline[lo:hi])
+        et.policy, tenant=tenant, service=et.svc0, priority=priority, deadline=et.deadline
+    )
     push, peek, pop, victim = policy.push, policy.peek, policy.pop, policy.victim
     steps = [len(row) for row in st.ticks[0]]
     tables = list(zip(st.ticks, st.stage, st.restore, st.state))
@@ -371,12 +359,12 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
     totals = [[0] * ACCUMULATORS for _ in servers]
 
     apolicy = st.autoscale
-    seg_start = arrival[0]
+    first_arrival = arrival[0]
     admitting = [apolicy is None or s < apolicy.min_groups for s in servers]
     draining: List[Optional[list]] = [None] * et.num_servers
     groups = sum(admitting)
     drain_count = 0
-    serving_since = [seg_start] * et.num_servers
+    serving_since = [first_arrival] * et.num_servers
     events: List[list] = []
     changes: List[Tuple[int, int]] = []
     admissions: List[Tuple[int, int]] = []
@@ -388,10 +376,10 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
         evaluate = Autoscaler(apolicy, cooldown=_ticks(apolicy.cooldown_s)).evaluate
         window = _ticks(apolicy.window_s)
         delay = _ticks(apolicy.provision_delay_s)
-        next_window = seg_start + window
+        next_window = first_arrival + window
         tokens = et.tokens_table.tolist()
-        ttft_slo = et.ttft_slo_s[lo:hi].tolist()
-        tpot_slo = et.tpot_slo_s[lo:hi].tolist()
+        ttft_slo = et.ttft_slo_s.tolist()
+        tpot_slo = et.tpot_slo_s.tolist()
     else:
         next_window = NO_DEADLINE
 
@@ -590,14 +578,14 @@ def _run_step_segment(et: EngineTrace, lo: int, hi: int) -> SegmentColumns:
 
     timeline: List[Tuple[int, int]] = []
     if apolicy is not None:
-        seg_end = max(finish)
+        last_finish = max(finish)
         for s in servers:
             if draining[s] is not None:
                 stop_group(s, free_at[s], draining[s])
             elif admitting[s]:
-                group_ticks += seg_end - serving_since[s]
+                group_ticks += last_finish - serving_since[s]
         fleet = apolicy.min_groups
-        timeline.append((seg_start, fleet))
+        timeline.append((first_arrival, fleet))
         for time, delta in sorted(changes):
             fleet += delta
             timeline.append((time, fleet))
@@ -614,7 +602,7 @@ def _ticks(seconds: float) -> int:
     return round(seconds * TICKS_PER_SECOND)
 
 
-# ------------------------------------------------------------------ sharding
+# --------------------------------------------------------------- entry point
 def drain_costs(et: EngineTrace) -> np.ndarray:
     """Each pair's worst per-request cost in ticks, the serial drain bound's unit.
 
@@ -630,97 +618,14 @@ def drain_costs(et: EngineTrace) -> np.ndarray:
     return worst.max(axis=1) + et.switch_ticks
 
 
-def segment_bounds(et: EngineTrace) -> List[Tuple[int, int]]:
-    """Cut the trace at provable full-idle points, deterministically.
+def simulate_segments(et: EngineTrace) -> SegmentColumns:
+    """Run the whole trace from a cold fleet and return its completion columns.
 
-    ``bound_r`` is the drain time of a single server executing requests 0..r
-    serially in canonical order, each at its :func:`drain_costs` cost:
-    ``bound_r = max(bound_{r-1}, arrival_r) + cost_r``, the same max-plus
-    scan as the closed-form runner.  Any work-conserving schedule on >= 1
-    servers drains no later, so wherever ``bound_r < arrival_{r+1}`` the
-    whole fleet is provably idle and the trace can restart cold.  The cuts
-    depend only on the trace and the service tables — never on policy or
-    shard count — which is what makes sharded reports invariant.
+    The step runner runs when ``et.step`` is set, the request runner
+    otherwise.  An empty trace gives empty columns and zero accumulators.
     """
-    count = len(et)
-    if count == 0:
-        return []
-    cost = drain_costs(et)[et.pair]
-    inclusive = np.cumsum(cost)
-    bound = inclusive + np.maximum.accumulate(et.arrival - (inclusive - cost))
-    cuts = (np.flatnonzero(bound[:-1] < et.arrival[1:]) + 1).tolist()
-    edges = [0, *cuts, count]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def shard_plan(segments: List[Tuple[int, int]], shards: int) -> List[List[Tuple[int, int]]]:
-    """Group segments into at most ``shards`` contiguous, size-balanced chunks.
-
-    Grouping is pure distribution: every chunk simulates its segments
-    independently and the merge concatenates in rank order, so any grouping
-    gives identical columns — this one just balances worker wall-clock.
-    """
-    if not segments:
-        return []
-    shards = max(1, min(shards, len(segments)))
-    total = segments[-1][1] - segments[0][0]
-    target = total / shards
-    chunks: List[List[Tuple[int, int]]] = [[]]
-    filled = 0
-    for segment in segments:
-        # Leave enough segments for the remaining chunks to get one each.
-        remaining = len(chunks) < shards and segments[-1] is not segment
-        if chunks[-1] and filled >= target * len(chunks) and remaining:
-            chunks.append([])
-        chunks[-1].append(segment)
-        filled += segment[1] - segment[0]
-    return chunks
-
-
-def merge_segments(parts: List[SegmentColumns], num_servers: int) -> SegmentColumns:
-    """Concatenate consecutive segments' columns and add their accumulators.
-
-    Integer addition and concatenation in rank order, so the fold order
-    cannot matter; the diagnostics' admission-log indices are rebased.
-    """
-    if len(parts) == 1:
-        return parts[0]
-    if not parts:
+    if not len(et):
         empty = np.empty(0, np.int64)
-        return SegmentColumns(empty, empty, empty, np.zeros((num_servers, ACCUMULATORS), np.int64))
-    step = parts[0].preemptions is not None
-    admissions: list = []
-    drains: list = []
-    for part in parts:
-        offset = len(admissions)
-        admissions += part.admissions
-        drains += [(server, lo + offset, hi + offset) for server, lo, hi in part.drains]
-    return SegmentColumns(
-        np.concatenate([part.start for part in parts]),
-        np.concatenate([part.first for part in parts]),
-        np.concatenate([part.finish for part in parts]),
-        sum(part.accumulators for part in parts),
-        np.concatenate([part.preemptions for part in parts]) if step else None,
-        np.concatenate([part.requeued for part in parts]) if step else None,
-        sum((part.events for part in parts), ()),
-        sum((part.timeline for part in parts), ()),
-        sum(part.group_ticks for part in parts),
-        tuple(admissions),
-        tuple(drains),
-    )
-
-
-def simulate_segments(et: EngineTrace, segments: List[Tuple[int, int]]) -> SegmentColumns:
-    """Run each segment cold and merge the completion columns.
-
-    The columns cover the contiguous rank span of ``segments``; the step
-    runner runs when ``et.step`` is set, the request runner otherwise.
-    """
+        return SegmentColumns(empty, empty, empty, np.zeros((et.num_servers, ACCUMULATORS), np.int64))
     run = _run_step_segment if et.step is not None else _run_segment_array
-    return merge_segments([run(et, lo, hi) for lo, hi in segments], et.num_servers)
-
-
-def shard_worker(payload):
-    """Pool worker: simulate one chunk of segments (SweepRunner task shape)."""
-    (et, segments), _cache = payload
-    return simulate_segments(et, segments)
+    return run(et)

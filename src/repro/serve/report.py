@@ -210,8 +210,8 @@ TICK_LIMIT = 2**63 - 1
 def _exact_sum(values: np.ndarray) -> int:
     """Sum an int64 array exactly, immune to int64 overflow.
 
-    The tick-domain accumulators must be exact — shard merging relies on
-    integer addition being associative — so the sum is split into 32-bit
+    The tick-domain accumulators must be exact — equal columns must give
+    byte-identical reports — so the sum is split into 32-bit
     halves: ``v == (v >> 32) << 32 | (v & 0xffffffff)`` holds per element
     (arithmetic shift), each half-sum stays below ``2**63`` for any array
     shorter than ``2**31`` elements, and the halves recombine as Python
@@ -365,8 +365,7 @@ def build_report_from_columns(
     committed group ticks, which become the report's
     :class:`~repro.serve.autoscale.AutoscaleStats`.  All reductions are either
     exact integer arithmetic (sums, nearest-rank selection on ticks) or a
-    fixed float expression of exact integers, so any decomposition of the
-    trace that produces the same columns — one shard or many — yields a
+    fixed float expression of exact integers, so equal columns yield a
     byte-identical report.
 
     The queue-depth figures are defined directly on the columns, in both

@@ -180,38 +180,37 @@ class _FifoPolicy(BatchingPolicy):
 class _KeyedPolicy(BatchingPolicy):
     """sjf/priority/slo: a heap of one precomputed integer key per rank.
 
-    Keys are ``composite * n + (rank - lo)`` Python ints (arbitrary
-    precision, so stacking priority/deadline/service components can never
-    overflow), built in one vectorised pass.  Heap order on the packed key
-    equals lexicographic order on ``(composite, rank)``.
+    Keys are ``composite * n + rank`` Python ints (arbitrary precision, so
+    stacking priority/deadline/service components can never overflow), built
+    in one vectorised pass.  Heap order on the packed key equals
+    lexicographic order on ``(composite, rank)``.
     """
 
-    __slots__ = ("name", "_keys", "_lo", "_n", "_heap")
+    __slots__ = ("name", "_keys", "_n", "_heap")
 
-    def __init__(self, name: str, keys: List[int], lo: int, n: int, priority=None) -> None:
+    def __init__(self, name: str, keys: List[int], n: int, priority=None) -> None:
         super().__init__(priority)
         self.name = name
         self._keys = keys
-        self._lo = lo
         self._n = n
         self._heap: List[int] = []
 
     def push(self, rank: int) -> None:
-        heapq.heappush(self._heap, self._keys[rank - self._lo])
+        heapq.heappush(self._heap, self._keys[rank])
 
     def push_span(self, first: int, stop: int) -> None:
         heap, push = self._heap, heapq.heappush
-        for key in self._keys[first - self._lo:stop - self._lo]:
+        for key in self._keys[first:stop]:
             push(heap, key)
 
     def bypass(self, rank: int) -> None:
         """Pushing onto and popping from an empty heap leaves it empty."""
 
     def peek(self) -> int:
-        return self._lo + self._heap[0] % self._n
+        return self._heap[0] % self._n
 
     def pop(self) -> int:
-        return self._lo + heapq.heappop(self._heap) % self._n
+        return heapq.heappop(self._heap) % self._n
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -283,21 +282,18 @@ class _RoundRobinPolicy(BatchingPolicy):
 
 def scheduler_by_name(
     name: str,
-    lo: int = 0,
-    hi: Optional[int] = None,
     *,
     tenant: Optional[np.ndarray] = None,
     service: Optional[np.ndarray] = None,
     priority: Optional[np.ndarray] = None,
     deadline: Optional[np.ndarray] = None,
 ) -> BatchingPolicy:
-    """Build the named policy's waiting queue over ranks ``lo .. hi``.
+    """Build the named policy's waiting queue over every rank of its key column.
 
     The per-rank columns are indexed by rank: ``service`` (sjf: estimated
     service ticks), ``priority`` (priority/slo tiers, and the victim tier
     under every policy), ``deadline`` (slo: arrival plus TTFT SLO in ticks,
-    :data:`NO_DEADLINE` when absent) and ``tenant`` (rr).  ``hi`` defaults
-    to the column length.
+    :data:`NO_DEADLINE` when absent) and ``tenant`` (rr).
     """
     key = name.strip().lower()
     if key not in SCHEDULER_NAMES:
@@ -309,19 +305,18 @@ def scheduler_by_name(
         raise ValueError(f"the {key} policy needs its per-rank key columns")
     if key == "rr":
         return _RoundRobinPolicy(tenant, priority)
-    hi = len(column) if hi is None else hi
-    n = hi - lo
+    n = len(column)
     if key == "slo":
         # Two stacked components exceed int64, so pack through Python ints.
-        priorities = (-np.asarray(priority[lo:hi], np.int64)).tolist()
-        deadlines = np.asarray(deadline[lo:hi], np.int64).tolist()
+        priorities = (-np.asarray(priority, np.int64)).tolist()
+        deadlines = np.asarray(deadline, np.int64).tolist()
         keys = [((priorities[i] * (NO_DEADLINE + 1) + deadlines[i]) * n) + i for i in range(n)]
-        return _KeyedPolicy(key, keys, lo, n, priority)
-    composite = np.asarray(column[lo:hi], np.int64)
+        return _KeyedPolicy(key, keys, n, priority)
+    composite = np.asarray(column, np.int64)
     if key == "priority":
         composite = -composite
     if len(composite) and int(np.abs(composite).max()) < (2**62) // max(n, 1):
         keys = (composite * n + np.arange(n, dtype=np.int64)).tolist()
     else:
         keys = [int(value) * n + i for i, value in enumerate(composite.tolist())]
-    return _KeyedPolicy(key, keys, lo, n, priority)
+    return _KeyedPolicy(key, keys, n, priority)

@@ -57,10 +57,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import SweepRunner, _task_cache
 from repro.core.config import MACOConfig, maco_default_config
 from repro.core.mapping import gemm_stash_bytes, in_order_sum, layer_stream_seconds, schedule_gemm_plus
 from repro.core.perf import (
+    DEFAULT_TIMING_CACHE,
     TimingCache,
     estimate_node_gemm_cached,
     memory_environment,
@@ -77,10 +77,6 @@ from repro.serve.engine import (
     EngineTrace,
     StepTables,
     drain_costs,
-    merge_segments,
-    segment_bounds,
-    shard_plan,
-    shard_worker,
     simulate_segments,
 )
 from repro.serve.report import TICK_LIMIT, ServeReport, build_report_from_columns
@@ -264,16 +260,6 @@ def _service_profile(
         steps=tuple(steps))
 
 
-def _service_worker(payload) -> ServiceProfile:
-    """Pool worker: estimate one server's :class:`ServiceProfile` for a workload."""
-    (config, workload_name, precision, active_nodes,
-     parallelism, group, background), cache = payload
-    return _service_profile(
-        config, workload_name, precision, active_nodes, cache=_task_cache(cache),
-        parallelism=parallelism, group=group, background=background,
-    )
-
-
 def _reorder(column: np.ndarray, order: Optional[np.ndarray]) -> np.ndarray:
     """A trace column in engine rank order (``order=None``: already canonical)."""
     return column if order is None else column[order]
@@ -313,11 +299,9 @@ class ServeSimulator:
     """Simulates a request trace against a MACO fleet under a batching policy.
 
     ``scheduler`` is a policy name (see
-    :data:`~repro.serve.scheduler.SCHEDULER_NAMES`); ``jobs`` fans the
-    per-workload service estimation (and sharded segments) out over a
-    :class:`~repro.core.batch.SweepRunner` pool (every segment runs serially
-    and deterministically, so the report is bit-identical for every ``jobs``
-    setting).
+    :data:`~repro.serve.scheduler.SCHEDULER_NAMES`).  Every service estimate
+    goes through ``cache`` (default: the process-wide
+    :data:`~repro.core.perf.DEFAULT_TIMING_CACHE`).
 
     ``batching`` selects the execution model (see the module docstring):
     ``"request"`` runs whole-request dispatch, ``"step"`` the
@@ -358,7 +342,6 @@ class ServeSimulator:
         self,
         config: Optional[MACOConfig] = None,
         scheduler: str = "fcfs",
-        jobs: Optional[int] = None,
         cache: Optional[TimingCache] = None,
         parallelism: Optional[str] = None,
         batching: str = "request",
@@ -397,7 +380,7 @@ class ServeSimulator:
         self.max_batch = max_batch
         self.kv_budget_bytes = kv_budget_bytes
         self.preemption = preemption
-        self.runner = SweepRunner(jobs=jobs if jobs is not None else 1, cache=cache)
+        self.cache = cache if cache is not None else DEFAULT_TIMING_CACHE
         if parallelism is None:
             self.parallelism = None
             self.groups = [(node,) for node in range(self.config.num_nodes)]
@@ -449,33 +432,30 @@ class ServeSimulator:
         return self._services[key]
 
     def _ensure_services(self, pairs: Sequence[Tuple[str, Precision]]) -> None:
-        """Estimate the given (workload, precision) pairs, fanning out over the runner's pool.
+        """Estimate the given (workload, precision) pairs that are not memoised yet.
 
         Under parallelism each pair is estimated once per group server (the
         mesh position changes the communication cost); otherwise once.
         """
         ordered = sorted(set(pairs), key=lambda pair: (pair[0], pair[1].name))
         servers = range(self.num_servers) if self.parallelism is not None else (0,)
-        missing = [
-            (workload, precision, server)
-            for workload, precision in ordered
-            for server in servers
-            if (workload, precision, server) not in self._services
-        ]
-        if not missing:
-            return
-        tasks = [
-            (self.config, workload, precision, self.config.num_nodes,
-             self.parallelism,
-             self.groups[server] if self.parallelism is not None else None,
-             self._background(server))
-            for workload, precision, server in missing
-        ]
-        for key, profile in zip(missing, self.runner.map(_service_worker, tasks)):
-            self._services[key] = profile
+        for workload, precision in ordered:
+            for server in servers:
+                key = (workload, precision, server)
+                if key not in self._services:
+                    self._services[key] = _service_profile(
+                        self.config,
+                        workload,
+                        precision,
+                        self.config.num_nodes,
+                        cache=self.cache,
+                        parallelism=self.parallelism,
+                        group=self.groups[server] if self.parallelism is not None else None,
+                        background=self._background(server),
+                    )
 
     def _prepare_services(self, trace: RequestTrace) -> None:
-        """Estimate every distinct (workload, precision) in the trace, possibly in parallel."""
+        """Estimate every distinct (workload, precision) in the trace."""
         self._ensure_services(_trace_pairs(trace.columns)[0])
 
     def suggest_rates(
@@ -495,13 +475,6 @@ class ServeSimulator:
         """
         if not 0 < utilization:
             raise ValueError(f"utilization must be positive, got {utilization}")
-        # Batch the estimates through the worker pool so --jobs helps here too
-        # (this is where a cold simulator computes them in the default CLI path).
-        self._ensure_services([
-            (workload, precision)
-            for spec in specs
-            for workload, _ in spec.mean_mix_weights()
-        ])
         sized = []
         for spec in specs:
             mean_service = in_order_sum(
@@ -513,7 +486,7 @@ class ServeSimulator:
         return sized
 
     # ------------------------------------------------------------ simulation
-    def run(self, trace: RequestTrace, shards: Optional[int] = None) -> ServeReport:
+    def run(self, trace: RequestTrace) -> ServeReport:
         """Simulate the trace to completion and return the aggregated report.
 
         Both batching modes lower the trace to one
@@ -524,37 +497,14 @@ class ServeSimulator:
         server, steps back-to-back — so it takes the request runner and
         reproduces that report byte for byte (modulo the ``batching`` label).
         All tie-breaks are deterministic, so identical traces yield
-        bit-identical reports.
-
-        ``shards`` cuts the trace at full-idle points
-        (:func:`~repro.serve.engine.segment_bounds`) and simulates the
-        resulting segments independently, fanned out over the runner's
-        worker pool.  For request batching the cut points are provable idle
-        instants; for step batching the drain bound charges each request one
-        KV restore of its peak state on top, which preemption churn can
-        exceed, so the sharded step run is deterministic but may differ from
-        the continuous one.  Each segment restarts with a cold fleet and the
-        cut points depend only on the trace — never on the shard count — so
-        the report is byte-identical for every ``shards >= 1`` and every
-        ``jobs`` setting.  ``shards=None`` (the default) runs the trace
-        unsegmented: the continuous semantics, where an idle gap keeps the
-        last tenant resident.
+        bit-identical reports.  The whole trace runs in one pass from a cold
+        fleet: a server that goes idle keeps its last tenant resident, so a
+        request of another tenant pays the switch even after an idle gap.
         """
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         step = self.batching == "step" and (
             self.max_batch > 1 or self.preemption or self.autoscale is not None)
         et = self._engine_trace(trace.columns, trace if step else None)
-        count = len(et)
-        if shards is None:
-            chunks = [[(0, count)]] if count else []
-        else:
-            chunks = shard_plan(segment_bounds(et), shards)
-        if len(chunks) > 1 and self.runner.jobs > 1:
-            parts = self.runner.map(shard_worker, [(et, chunk) for chunk in chunks])
-        else:
-            parts = [simulate_segments(et, chunk) for chunk in chunks]
-        done = merge_segments(parts, self.num_servers)
+        done = simulate_segments(et)
         if self.autoscale is not None:
             self.last_admissions = [
                 (admit / TICKS_PER_SECOND, server) for admit, server in done.admissions]

@@ -46,13 +46,12 @@ def make_serve_simulator(scheduler="fcfs", **kwargs):
         "config": maco_default_config(num_nodes=4), **kwargs})
 
 
-def assert_matches_oracle(simulator, trace, shards=None):
+def assert_matches_oracle(simulator, trace):
     """The request runner's completion columns equal the scalar oracle's on
-    the simulator's lowering of ``trace`` (whole, or cut into shard
-    segments)."""
+    the simulator's lowering of ``trace``."""
     from repro.conformance.serve_oracle import check_request_engine
 
-    mismatch = check_request_engine(simulator, trace, shards=shards)
+    mismatch = check_request_engine(simulator, trace)
     assert mismatch is None, mismatch
 
 

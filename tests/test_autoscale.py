@@ -4,9 +4,8 @@ Covers the hysteresis controller's decision rules, the capacity-derived KV
 budget (DRAM capacity minus sharded resident weights, per DESIGN.md section
 11), the feasibility-error provenance, and the end-to-end elasticity story:
 an autoscaled bursty overload run must match the fixed max-fleet's SLO
-attainment on strictly fewer node-seconds, stay byte-identical across
-``shards``/``jobs``, and degenerate to the fixed-fleet report when
-``min_groups == max_groups``.
+attainment on strictly fewer node-seconds, and degenerate to the
+fixed-fleet report when ``min_groups == max_groups``.
 """
 
 import dataclasses
@@ -54,10 +53,10 @@ def overload_trace(seed=7, utilization=1.1, requests=60, bursty=True,
     return generate(specs, duration, seed=seed)
 
 
-def elastic_simulator(min_groups=1, max_groups=4, jobs=None, **overrides):
+def elastic_simulator(min_groups=1, max_groups=4, **overrides):
     policy = AutoscalePolicy(min_groups=min_groups, max_groups=max_groups)
     defaults = dict(config=maco_default_config(num_nodes=4), scheduler="fcfs",
-                    batching="step", max_batch=4, autoscale=policy, jobs=jobs)
+                    batching="step", max_batch=4, autoscale=policy)
     defaults.update(overrides)
     return ServeSimulator(**defaults)
 
@@ -290,13 +289,14 @@ class TestElasticServing:
             rebuilt.append((time_s, fleet))
         assert tuple(rebuilt) == auto.timeline
 
-    def test_reports_identical_across_shards_and_jobs(self):
+    def test_reports_do_not_depend_on_the_timing_cache(self):
+        from repro.core.perf import TimingCache
+
         trace = overload_trace(seed=7, utilization=1.1)
-        reference = elastic_simulator().run(trace, shards=1).to_json()
-        for shards in (2, 5):
-            assert elastic_simulator().run(trace, shards=shards).to_json() == reference
-        pooled = elastic_simulator(jobs=2).run(trace, shards=3).to_json()
-        assert pooled == reference
+        warm = TimingCache()
+        elastic_simulator(cache=warm).run(trace)
+        rerun = elastic_simulator(cache=warm).run(trace).to_json()
+        assert rerun == elastic_simulator(cache=TimingCache()).run(trace).to_json()
 
     def test_pinned_fleet_matches_fixed_fleet_byte_for_byte(self):
         trace = overload_trace(seed=7, utilization=1.1)

@@ -186,11 +186,14 @@ class TestServeCommand:
         assert main(self.ARGV + ["--format", "json"]) == 0
         assert capsys.readouterr().out == first
 
-    def test_jobs_setting_does_not_change_output(self, capsys):
-        assert main(self.ARGV + ["--format", "json", "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(self.ARGV + ["--format", "json", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
+    @pytest.mark.parametrize("flag", ["--jobs", "--shards"])
+    def test_pool_and_shard_flags_are_rejected(self, flag, capsys):
+        # serve runs the whole trace in one process; the flags of the old
+        # worker pool and trace sharding are usage errors, not silent no-ops.
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.ARGV + [flag, "2"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_json_output_has_required_metrics(self, capsys):
         import json
@@ -347,8 +350,8 @@ class TestServeTenantMix:
         assert "tenant0-prefill" in output
         assert "tenant1-decode" in output
 
-    def test_llm_mix_bit_identical_across_jobs(self, capsys):
-        assert main(self.ARGV + ["--format", "json", "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(self.ARGV + ["--format", "json", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
+    def test_llm_mix_repeated_runs_are_bit_identical(self, capsys):
+        assert main(self.ARGV + ["--format", "json"]) == 0
+        first = capsys.readouterr().out
+        assert main(self.ARGV + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == first

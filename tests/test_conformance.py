@@ -334,10 +334,10 @@ class TestPinnedEdgeScenarios:
             "rate": 0.01, "duration": 2.0, "num_nodes": 2,
         }.items()))))
 
-    def test_near_empty_trace_shard_invariance(self):
-        run_scenario(ScenarioSpec("serve-shards", tuple(sorted({
+    def test_near_empty_rr_trace_serve_parity(self):
+        run_scenario(ScenarioSpec("serve-parity", tuple(sorted({
             "scheduler": "rr", "batching": "request", "seed": 14, "tenants": 2,
-            "rate": 0.01, "duration": 2.0, "num_nodes": 4, "shards": 5, "jobs": 2,
+            "rate": 0.01, "duration": 2.0, "num_nodes": 4,
         }.items()))))
 
     def test_drain_of_a_still_busy_group_keeps_the_fleet_in_bounds(self):
@@ -347,7 +347,6 @@ class TestPinnedEdgeScenarios:
         run_scenario(ScenarioSpec("autoscale-invariants", tuple(sorted({
             "scheduler": "slo", "seed": 7084, "tenants": 3, "rate": 33.9,
             "duration": 2.0, "min_groups": 1, "max_groups": 4, "max_batch": 2,
-            "shards": 2, "jobs": 1,
         }.items()))))
 
     def test_tile_stream_that_outruns_its_mapping(self):

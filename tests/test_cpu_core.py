@@ -75,6 +75,18 @@ class TestMMU:
         result = mmu.translate_data(process.asid, base + 8192)
         assert result.hit
 
+    def test_repeat_translation_hits_without_a_rewalk(self):
+        manager = ProcessManager()
+        process = manager.create_process("p")
+        base = process.address_space.allocate_region("d", 4096)
+        mmu = MMU()
+        mmu.register_page_table(process.address_space.page_table)
+        first = mmu.translate_data(process.asid, base)
+        second = mmu.translate_data(process.asid, base + 64)
+        assert first.level == "walk" and second.level == "l1"
+        assert second.paddr == first.paddr + 64
+        assert mmu.stats.walks == 1
+
     def test_unmapped_address_faults(self):
         manager = ProcessManager()
         process = manager.create_process("p")
@@ -82,18 +94,6 @@ class TestMMU:
         mmu.register_page_table(process.address_space.page_table)
         with pytest.raises(PageFaultError):
             mmu.translate_data(process.asid, 0xFFFF_0000)
-
-    def test_flush_asid_forces_rewalk(self):
-        manager = ProcessManager()
-        process = manager.create_process("p")
-        base = process.address_space.allocate_region("d", 4096)
-        mmu = MMU()
-        mmu.register_page_table(process.address_space.page_table)
-        mmu.translate_data(process.asid, base)
-        walks_before = mmu.stats.walks
-        mmu.flush_asid(process.asid)
-        mmu.translate_data(process.asid, base)
-        assert mmu.stats.walks == walks_before + 1
 
 
 class TestProcessManager:

@@ -42,11 +42,12 @@ class TestPageTable:
             table.translate(0x10000)
         assert excinfo.value.asid == 1
 
-    def test_unmap(self):
+    def test_remap_replaces_the_frame(self):
         table = PageTable(asid=0)
         table.map_page(1, 1)
-        table.unmap_page(1)
-        assert not table.is_mapped(4096)
+        table.map_page(1, 7)
+        assert table.translate(4096 + 5) == 7 * 4096 + 5
+        assert table.mapped_pages == 1
 
     def test_mapped_pages_count(self):
         table = PageTable(asid=0)

@@ -35,13 +35,12 @@ class TestTLB:
         tlb.insert(0, 0x1000, 0x8000)
         assert tlb.lookup(1, 0x1000) is None
 
-    def test_flush_by_asid(self):
+    def test_same_page_in_two_asids_keeps_both_translations(self):
         tlb = TLB(entries=8)
         tlb.insert(0, 0x1000, 0x8000)
         tlb.insert(1, 0x1000, 0x9000)
-        tlb.flush(asid=0)
-        assert not tlb.probe(0, 0x1000)
-        assert tlb.probe(1, 0x1000)
+        assert tlb.lookup(0, 0x1004) == 0x8004
+        assert tlb.lookup(1, 0x1004) == 0x9004
 
     def test_stats_track_hits_and_misses(self):
         tlb = TLB(entries=4)
@@ -94,12 +93,13 @@ class TestTLBHierarchy:
         result = hierarchy.translate(table, 0x5010)
         assert result.hit
 
-    def test_flush_clears_both_levels(self):
+    def test_walk_installs_the_translation_in_both_levels(self):
         hierarchy = TLBHierarchy()
         table = make_page_table()
-        hierarchy.translate(table, 0x3000)
-        hierarchy.flush()
         assert hierarchy.translate(table, 0x3000).level == "walk"
+        assert hierarchy.l1.probe(0, 0x3000) and hierarchy.l2.probe(0, 0x3000)
+        assert hierarchy.translate(table, 0x3000).level == "l1"
+        assert hierarchy.walker.walks_performed == 1
 
     def test_translation_correctness_across_levels(self):
         hierarchy = TLBHierarchy(l1_entries=2, l2_entries=8)

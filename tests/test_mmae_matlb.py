@@ -112,21 +112,22 @@ class TestMATLB:
         assert oldest == -1    # oldest evicted
         assert newest >= 0     # newest resident
 
+    def test_buffered_pages_are_not_walked_again(self):
+        mmu, asid, base = _mmu_with_region(1 << 16)
+        matlb = MATLB()
+        pages = [base, base + 4096]
+        assert matlb.prewalk_pages_batch(mmu, asid, pages) > 0
+        walks = mmu.stats.walks
+        assert matlb.prewalk_pages_batch(mmu, asid, pages) == 0
+        assert matlb.stats.prewalks == 2
+        assert mmu.stats.walks == walks
+
     def test_unmapped_page_raises_page_fault(self):
         mmu, asid, base = _mmu_with_region(4096)
         matlb = MATLB()
         with pytest.raises(PageFaultError) as excinfo:
             matlb.prewalk_pages_batch(mmu, asid, [base, 0xDEAD_0000])
         assert excinfo.value.vaddr == 0xDEAD_0000
-
-    def test_invalidate_and_flush(self):
-        mmu, asid, base = _mmu_with_region(1 << 16)
-        matlb = MATLB()
-        matlb.prewalk_pages_batch(mmu, asid, [base, base + 4096])
-        matlb.invalidate(base)
-        assert matlb.lookup_batch([base]).tolist() == [-1]
-        matlb.flush()
-        assert len(matlb) == 0
 
 
 class TestTranslationStallModel:

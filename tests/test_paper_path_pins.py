@@ -49,7 +49,7 @@ def test_explore_rows_match_their_pin():
             [point for point in points if point.num_nodes >= 4], graph("llama-7b@decode"),
             runner=SweepRunner(jobs=1), parallelism="tp2d:2x2")
         rows += [(seed, repr(result)) for result in results]
-    assert digest(rows) == "bfc65abbb95e0be4"
+    assert digest(rows) == "1d5124c02e78dcbf"
 
 
 def test_decode_stream_matches_its_pin():

@@ -4,11 +4,11 @@ The vectorised serve core is checked against scalar oracles, and this file
 is the contract between them: the NumPy trace generators must reproduce the
 scalar generators element for element, the request runner's completion
 columns must equal the scalar oracle's (:mod:`repro.conformance.serve_oracle`)
-on the same lowered trace for every scheduler × seed, and sharded runs must
-merge back to the exact single-shard report for any shard count or
-worker-pool size.
+on the same lowered trace for every scheduler × seed, including a trace
+whose servers idle between bursts.
 """
 
+import dataclasses
 import json
 import math
 import random
@@ -104,45 +104,32 @@ class TestEngineParity:
             assert_matches_oracle(ServeSimulator(config=config), trace)
 
 
-# -------------------------------------------------------------- shard parity
-class TestShardParity:
+# ------------------------------------------------------------ idle-gap parity
+def gapped_trace(seed=5, bursts=3, gap_s=1000.0):
+    """``bursts`` copies of a 10-s, 1-req/s-per-tenant canonical trace, each
+    ``gap_s`` after the one before.  A burst drains in about 180 s, so every
+    server idles between bursts, and the next burst starts on servers that
+    still hold the tenant of their last request."""
+    records = serve_trace(seed=seed, duration=10.0, rate=1.0).to_records()
+    return replay_trace([{**record, "arrival_s": record["arrival_s"] + burst * gap_s}
+                         for burst in range(bursts) for record in records])
+
+
+class TestIdleGapParity:
+    """A trace with long idle gaps is still one simulation: no gap resets a
+    server's resident tenant or restarts the clock (DESIGN.md section 9)."""
+
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
-    def test_reports_identical_across_shard_counts(self, scheduler):
-        trace = serve_trace(seed=5, duration=30.0)
-        reports = {
-            shards: simulator(scheduler).run(trace, shards=shards).to_json()
-            for shards in (1, 2, 7)
-        }
-        assert reports[1] == reports[2] == reports[7]
+    def test_request_runner_matches_oracle_across_idle_gaps(self, scheduler):
+        assert_matches_oracle(simulator(scheduler), gapped_trace())
 
-    def test_reports_identical_across_jobs(self):
-        trace = serve_trace(seed=5, duration=30.0)
-        serial = simulator(jobs=1).run(trace, shards=4).to_json()
-        pooled = simulator(jobs=2).run(trace, shards=4).to_json()
-        assert serial == pooled
-
-    def test_oracle_agrees_on_shard_segments(self):
-        assert_matches_oracle(simulator(), serve_trace(seed=9), shards=3)
-
-    def test_sharding_rejects_bad_counts(self):
-        trace = serve_trace()
-        with pytest.raises(ValueError, match="shards"):
-            simulator().run(trace, shards=0)
-
-    def test_step_mode_reports_identical_across_shard_counts(self):
-        # Step batching cuts through the same serial-drain bound, charging
-        # each request one KV restore of its peak state on top; the cuts
-        # depend on the trace alone and every segment starts cold, so any
-        # shards >= 1 agree byte for byte (shards=None stays the continuous
-        # semantics).
-        trace = serve_trace(seed=5, duration=30.0)
-        step = ServeSimulator(config=maco_default_config(num_nodes=4),
-                              batching="step", max_batch=8)
-        reports = {
-            shards: step.run(trace, shards=shards).to_json()
-            for shards in (1, 2, 7)
-        }
-        assert reports[1] == reports[2] == reports[7]
+    def test_step_runner_at_batch_one_matches_request_runner_across_idle_gaps(self):
+        trace = gapped_trace()
+        request = simulator().run(trace)
+        step = simulator(batching="step", max_batch=1, preemption=True,
+                         kv_budget_bytes=float("inf")).run(trace)
+        assert sum(node.tenant_switches for node in request.nodes) > 0
+        assert dataclasses.replace(step, batching="request").to_json() == request.to_json()
 
 
 # -------------------------------------------------------- percentile parity
@@ -224,9 +211,8 @@ def _replay_columns(scheduler, requests, nodes=2):
     simulator = ServeSimulator(config=maco_default_config(num_nodes=nodes), scheduler=scheduler)
     et = lower(simulator, replay_trace(records))
     assert et.arrival.tolist() == [request[2] for request in requests]
-    segments = [(0, len(et))]
-    engine = simulate_segments(et, segments)
-    oracle = oracle_columns(et, segments)
+    engine = simulate_segments(et)
+    oracle = oracle_columns(et)
     for name in ("start", "first", "finish", "accumulators"):
         assert np.array_equal(getattr(engine, name), getattr(oracle, name)), name
     return et, engine
@@ -385,11 +371,10 @@ class TestLoneDispatch:
             queued.extend(range(first, stop)), push_span(queue, first, stop))[1])
         monkeypatch.setattr(policy, "bypass", lambda queue, rank: (
             bypassed.append(rank), bypass(queue, rank))[1])
-        segments = [(0, len(et))]
-        done = simulate_segments(et, segments)
+        done = simulate_segments(et)
         monkeypatch.undo()
         assert 0 < len(queued) < len(trace)
         assert sorted(queued + bypassed) == list(range(len(trace)))
-        oracle = oracle_columns(et, segments)
+        oracle = oracle_columns(et)
         for name in ("start", "first", "finish", "accumulators"):
             assert np.array_equal(getattr(done, name), getattr(oracle, name)), name
