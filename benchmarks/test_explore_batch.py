@@ -1,11 +1,11 @@
-"""Exploration at scale — the parallel, cached SweepRunner on a 120-point space.
+"""Exploration at scale — the cached explorer on a 120-point space.
 
 The paper's exploration story needs sweep volume (hundreds of design points
 per campaign); this harness evaluates a 120-point Latin-hypercube sample of
-the architectural knobs through ``SweepRunner`` with ``jobs=4`` and checks the
-acceptance property: the parallel pool produces bit-identical
-``EvaluationResult`` values to the serial path, while the timing cache removes
-the redundant tile-schedule walks a rerun would otherwise pay.
+the architectural knobs and checks two properties: an explore is a pure
+function of its points (two runs on fresh timing caches give bit-identical
+``EvaluationResult`` values), and the timing cache removes the redundant
+tile-schedule walks a figure rerun would otherwise pay.
 """
 
 import time
@@ -23,23 +23,23 @@ from repro.gemm.workloads import FIG7_MATRIX_SIZES
 from repro.workloads import WorkloadGraph
 
 
-def test_parallel_explore_bit_identical_on_120_points(benchmark):
+def test_explore_is_deterministic_on_120_points(benchmark):
     explorer = DesignSpaceExplorer()
     points = DesignSpaceExplorer.latin_hypercube(120, seed=2024)
     square = WorkloadGraph.from_shapes("square-2048", [GEMMShape(2048, 2048, 2048)])
 
+    def explore():
+        return explorer.explore(points, square, runner=SweepRunner(cache=TimingCache()))
+
     start = time.perf_counter()
-    serial = explorer.explore(points, square, jobs=1)
-    serial_seconds = time.perf_counter() - start
+    first = explore()
+    first_seconds = time.perf_counter() - start
 
-    def parallel():
-        return explorer.explore(points, square, jobs=4)
+    results = benchmark.pedantic(explore, rounds=1, iterations=1, warmup_rounds=0)
 
-    results = benchmark.pedantic(parallel, rounds=1, iterations=1, warmup_rounds=0)
-
-    # Acceptance: --jobs 4 is bit-identical to the serial path.
+    # Acceptance: a second explore on a fresh cache is bit-identical.
     assert [(r.point, r.seconds, r.gflops, r.efficiency) for r in results] == \
-           [(r.point, r.seconds, r.gflops, r.efficiency) for r in serial]
+           [(r.point, r.seconds, r.gflops, r.efficiency) for r in first]
 
     front = pareto_front(results)
     rows = [
@@ -50,7 +50,7 @@ def test_parallel_explore_bit_identical_on_120_points(benchmark):
     print("\n" + render_table(
         ["design point", "throughput", "efficiency", "GFLOPS/W"], rows,
         title=f"Top-5 of 120 sampled design points ({len(front)} Pareto-optimal), "
-              f"serial reference {serial_seconds * 1e3:.0f} ms",
+              f"first explore {first_seconds * 1e3:.0f} ms",
     ))
 
 
@@ -60,7 +60,7 @@ def test_fig7_rerun_hits_timing_cache(benchmark):
     sizes = list(FIG7_MATRIX_SIZES)
     node_counts = [1, 2, 4, 8, 16]
     cache = TimingCache()
-    runner = SweepRunner(jobs=1, cache=cache)
+    runner = SweepRunner(cache=cache)
 
     start = time.perf_counter()
     cold = runner.sweep_scalability(config, sizes, node_counts)

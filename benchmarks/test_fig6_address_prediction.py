@@ -17,7 +17,7 @@ def test_fig6_address_prediction(benchmark, paper_config):
     sizes = list(FIG6_MATRIX_SIZES)
 
     def regenerate():
-        return SweepRunner(jobs=1).sweep_prediction(paper_config, sizes)
+        return SweepRunner().sweep_prediction(paper_config, sizes)
 
     points = benchmark(regenerate)
 

@@ -24,7 +24,7 @@ def test_fig7_scalability(benchmark, paper_config):
     sizes = list(FIG7_MATRIX_SIZES)
 
     def regenerate():
-        return SweepRunner(jobs=1).sweep_scalability(paper_config, sizes, NODE_COUNTS)
+        return SweepRunner().sweep_scalability(paper_config, sizes, NODE_COUNTS)
 
     points = benchmark(regenerate)
 

@@ -20,7 +20,7 @@ from repro.gemm.workloads import FIG6_MATRIX_SIZES, FIG7_MATRIX_SIZES
 
 def main() -> None:
     config = maco_default_config()
-    runner = SweepRunner(jobs=1)
+    runner = SweepRunner()
 
     # -------------------------------------------------------------------- Fig. 6
     points = runner.sweep_prediction(config, list(FIG6_MATRIX_SIZES))

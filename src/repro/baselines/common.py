@@ -62,25 +62,13 @@ def compare_systems(
     systems: List[BaselineModel],
     workloads: List[WorkloadGraph],
     num_nodes: Optional[int] = None,
-    jobs: Optional[int] = None,
 ) -> BaselineComparison:
     """Run every workload on every system (the Fig. 8 experiment driver).
 
-    With ``jobs`` set, the (system, workload) pairs fan out over a
-    :class:`repro.core.batch.SweepRunner` worker pool; each worker rebuilds
-    the system from its class and configuration, so results are identical to
-    the serial path.
+    Systems outer, workloads inner, in order, in this process.
     """
     comparison = BaselineComparison()
-    if jobs is None or jobs == 1:
-        for system in systems:
-            for workload in workloads:
-                comparison.add(system.run_workload(workload, num_nodes=num_nodes))
-        return comparison
-
-    from repro.core.batch import SweepRunner
-
-    runner = SweepRunner(jobs=jobs)
-    for result in runner.run_workloads(systems, workloads, num_nodes=num_nodes):
-        comparison.add(result)
+    for system in systems:
+        for workload in workloads:
+            comparison.add(system.run_workload(workload, num_nodes=num_nodes))
     return comparison

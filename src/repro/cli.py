@@ -7,7 +7,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli fig8                 # DL workload comparison
     python -m repro.cli table4               # CPU vs MMAE area/power table
     python -m repro.cli gemm --size 4096 --nodes 8 --precision fp64
-    python -m repro.cli explore --sample lhs --points 200 --jobs 4 --format csv
+    python -m repro.cli explore --sample lhs --points 200 --format csv
     python -m repro.cli workloads describe llama-7b@decode
     python -m repro.cli parallel --parallel tp:4,tp2d:2x2
     python -m repro.cli serve --trace poisson --tenants 3 --seed 7 --tenant-mix llm
@@ -17,11 +17,8 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli conformance fuzz --cases 200 --seed 0
 
 The CLI is a thin wrapper over the same APIs the benchmarks use, so its output
-matches the rows recorded in EXPERIMENTS.md.  The sweep-shaped commands
-(``fig6``, ``fig7``, ``fig8``, ``explore``, ``parallel``) accept ``--jobs N``
-to fan the independent evaluations out over a worker pool; the small fixed
-figure sweeps default to serial, while ``explore`` defaults to all CPU cores.
-``serve`` runs in one process.
+matches the rows recorded in EXPERIMENTS.md.  Every command runs in one
+process: the sweeps evaluate their cells in order through one timing cache.
 """
 
 from __future__ import annotations
@@ -85,8 +82,7 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
 def _cmd_fig6(args: argparse.Namespace) -> int:
     config = maco_default_config()
     sizes = list(FIG6_MATRIX_SIZES)
-    runner = SweepRunner(jobs=args.jobs if args.jobs is not None else 1)
-    points = runner.sweep_prediction(config, sizes)
+    points = SweepRunner().sweep_prediction(config, sizes)
     with_prediction = efficiency_by_size(points, prediction_enabled=True)
     without = efficiency_by_size(points, prediction_enabled=False)
     gaps = efficiency_gap(points)
@@ -107,8 +103,7 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
     config = maco_default_config()
     sizes = list(FIG7_MATRIX_SIZES)
     node_counts = [1, 2, 4, 8, 16]
-    runner = SweepRunner(jobs=args.jobs if args.jobs is not None else 1)
-    points = runner.sweep_scalability(config, sizes, node_counts)
+    points = SweepRunner().sweep_scalability(config, sizes, node_counts)
     # One efficiency_by_size pass per node count (not per matrix size).
     by_nodes = {nodes: efficiency_by_size(points, active_nodes=nodes) for nodes in node_counts}
     series = {
@@ -126,7 +121,7 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
     systems = [CPUOnlyBaseline(config), NoMappingBaseline(config),
                RASALikeBaseline(config), GemminiLikeBaseline(config),
                MACOSystem(config)]
-    comparison = compare_systems(systems, suite, num_nodes=args.nodes, jobs=args.jobs)
+    comparison = compare_systems(systems, suite, num_nodes=args.nodes)
     rows = [
         [system] + [format_gflops(comparison.throughput(system, w.name)) for w in suite]
         for system in comparison.systems()
@@ -168,7 +163,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             raise ValueError(f"--parallel {args.parallel}: no sampled design point "
                              f"has at least {degree} nodes")
     graph_results = explorer.explore_graph(points, workload, objective=args.objective,
-                                           runner=SweepRunner(jobs=args.jobs),
                                            parallelism=args.parallel)
     results = [entry.aggregate for entry in graph_results]
 
@@ -256,10 +250,7 @@ def _cmd_parallel(args: argparse.Namespace) -> int:
     specs = [ParallelismSpec.parse(text.strip()) for text in texts if text.strip()]
     if not specs:
         raise ValueError(f"--parallel {args.parallel!r} lists no specs")
-    # Like the figure sweeps: stay serial unless --jobs asks for a pool (the cells are
-    # cheap; SweepRunner(None) would default to all CPU cores).
-    runner = SweepRunner(jobs=args.jobs if args.jobs is not None else 1)
-    plans = runner.sweep_parallelism(config, graph, specs=specs)
+    plans = SweepRunner().sweep_parallelism(config, graph, specs=specs)
 
     frequency = config.mmae.frequency_hz
     phase_headers = ["spec", "strategy", "degree", "phase", "kind", "repeat",
@@ -653,22 +644,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="disable predictive address translation")
     gemm.set_defaults(handler=_cmd_gemm)
 
-    # The figure sweeps are small and fixed, so they stay serial (and warm
-    # the process-wide cache) unless --jobs asks for a pool; explore campaigns
-    # are open-ended and default to all CPU cores.
-    fig_jobs_help = "worker processes for the sweep (default: serial)"
-
     fig6 = subparsers.add_parser("fig6", help="regenerate the Fig. 6 sweep")
-    fig6.add_argument("--jobs", type=int, default=None, help=fig_jobs_help)
     fig6.set_defaults(handler=_cmd_fig6)
 
     fig7 = subparsers.add_parser("fig7", help="regenerate the Fig. 7 sweep")
-    fig7.add_argument("--jobs", type=int, default=None, help=fig_jobs_help)
     fig7.set_defaults(handler=_cmd_fig7)
 
     fig8 = subparsers.add_parser("fig8", help="regenerate the Fig. 8 comparison")
     fig8.add_argument("--nodes", type=int, default=8)
-    fig8.add_argument("--jobs", type=int, default=None, help=fig_jobs_help)
     fig8.set_defaults(handler=_cmd_fig8)
 
     table4 = subparsers.add_parser("table4", help="regenerate the Table IV comparison")
@@ -696,8 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--points", type=int, default=64,
                          help="sample size for --sample random/lhs")
     explore.add_argument("--seed", type=int, default=0, help="sampling seed")
-    explore.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: all CPU cores)")
     explore.add_argument("--objective", default="gflops",
                          choices=["gflops", "efficiency", "gflops_per_mm2", "gflops_per_watt"],
                          help="ranking objective")
@@ -731,9 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     parallel.add_argument("--nodes", type=int, default=16,
                           help="compute nodes in the configuration (degree must fit)")
     parallel.add_argument("--precision", default="fp32", choices=["fp64", "fp32", "fp16"])
-    parallel.add_argument("--jobs", type=int, default=None,
-                          help="worker processes for the spec sweep "
-                               "(default: serial; results are identical either way)")
     parallel.add_argument("--format", default="table", choices=["table", "csv", "json"])
     parallel.add_argument("--output", default=None,
                           help="write the rendered output to this file instead of stdout")

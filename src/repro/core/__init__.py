@@ -8,7 +8,7 @@ packages.  Typical entry points:
 * :class:`MACORuntime` — the NumPy-level software API over MPAIS;
 * :mod:`repro.core.perf` — the per-node performance model used by the sweeps;
 * :class:`SweepRunner` / :class:`DesignSpaceExplorer` — the Fig. 6/7 sweeps
-  and parallel, cached design-space campaigns (``repro.cli explore``);
+  and cached design-space campaigns (``repro.cli explore``);
 * :mod:`repro.serve` builds on all of the above for multi-tenant serving
   scenarios (``repro.cli serve``).
 """
@@ -43,7 +43,6 @@ from repro.core.perf import (
     DEFAULT_TIMING_CACHE,
     EfficiencyPoint,
     TimingCache,
-    config_fingerprint,
     estimate_node_gemm,
     estimate_node_gemm_cached,
     memory_environment,
@@ -92,7 +91,6 @@ __all__ = [
     "EfficiencyPoint",
     "SweepRunner",
     "TimingCache",
-    "config_fingerprint",
     "estimate_node_gemm",
     "estimate_node_gemm_cached",
     "memory_environment",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import MACOConfig, maco_default_config
 from repro.core.mapping import in_order_sum, layer_stream_seconds
@@ -24,6 +24,9 @@ from repro.gemm.tiling import TileConfig
 from repro.gemm.workloads import GEMMShape
 from repro.mmae.buffers import BufferAllocationError, BufferSet
 from repro.workloads.graph import WorkloadGraph
+
+if TYPE_CHECKING:
+    from repro.core.batch import SweepRunner
 
 
 @dataclass(frozen=True)
@@ -491,16 +494,13 @@ class DesignSpaceExplorer:
         points: Iterable[DesignPoint],
         graph: WorkloadGraph,
         objective: Callable[[EvaluationResult], float] | str = "gflops",
-        jobs: Optional[int] = None,
-        runner: Optional[object] = None,
+        runner: Optional[SweepRunner] = None,
     ) -> List[EvaluationResult]:
         """Evaluate every point and return the results sorted best-first.
 
-        The aggregates of :meth:`explore_graph`: serial (with the shared
-        timing cache) by default, fanned out over ``jobs`` worker processes
-        when requested.  Both paths produce bit-identical results.
+        The aggregates of :meth:`explore_graph`.
         """
-        ranked = self.explore_graph(points, graph, objective, jobs=jobs, runner=runner)
+        ranked = self.explore_graph(points, graph, objective, runner=runner)
         return [result.aggregate for result in ranked]
 
     def explore_graph(
@@ -508,25 +508,24 @@ class DesignSpaceExplorer:
         points: Iterable[DesignPoint],
         graph: WorkloadGraph,
         objective: Callable[[EvaluationResult], float] | str = "gflops",
-        jobs: Optional[int] = None,
-        runner: Optional[object] = None,
+        runner: Optional[SweepRunner] = None,
         parallelism: Optional[str] = None,
     ) -> List[GraphEvaluationResult]:
         """Evaluate every point per-phase on a graph, sorted best-first by aggregate.
 
-        Same fan-out semantics as :meth:`explore`; every result carries the
-        per-phase breakdown alongside the aggregate used for ranking.
-        ``parallelism`` (``"tp:4"``-style) shards the graph across a node
-        group at every design point instead of partitioning each GEMM across
-        the whole fleet — see :meth:`evaluate_graph`.
+        Points are evaluated in order through :meth:`evaluate_graph`, with
+        ``runner``'s timing cache (default: the process-wide cache); every
+        result carries the per-phase breakdown alongside the aggregate used
+        for ranking.  ``parallelism`` (``"tp:4"``-style) shards the graph
+        across a node group at every design point instead of partitioning
+        each GEMM across the whole fleet.
         """
         key = self._objective(objective)
-        from repro.core.batch import SweepRunner
-
-        if runner is None:
-            runner = SweepRunner(jobs=jobs if jobs is not None else 1)
-        results = runner.evaluate_points_on_graph(
-            points, graph, base_config=self.base_config, parallelism=parallelism)
+        cache = runner.cache if runner is not None else None
+        results = [
+            self.evaluate_graph(point, graph, cache=cache, parallelism=parallelism)
+            for point in points
+        ]
         return sorted(results, key=lambda result: key(result.aggregate), reverse=True)
 
     def best(
@@ -534,11 +533,10 @@ class DesignSpaceExplorer:
         points: Iterable[DesignPoint],
         graph: WorkloadGraph,
         objective: Callable[[EvaluationResult], float] | str = "gflops",
-        jobs: Optional[int] = None,
-        runner: Optional[object] = None,
+        runner: Optional[SweepRunner] = None,
     ) -> EvaluationResult:
         """The best design point under the chosen objective."""
-        ranked = self.explore(points, graph, objective, jobs=jobs, runner=runner)
+        ranked = self.explore(points, graph, objective, runner=runner)
         return ranked[0]
 
     @staticmethod

@@ -11,10 +11,8 @@ configuration.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple
 
 from repro.core.config import MACOConfig
@@ -92,17 +90,6 @@ def estimate_node_gemm(
     )
 
 
-@lru_cache(maxsize=1024)
-def config_fingerprint(config: MACOConfig) -> str:
-    """Stable fingerprint of a configuration, used to key the timing cache.
-
-    ``MACOConfig`` and its nested configs are frozen dataclasses, so their
-    ``repr`` enumerates every field deterministically; hashing it gives a
-    compact key that changes whenever any architectural knob changes.
-    """
-    return hashlib.sha1(repr(config).encode()).hexdigest()
-
-
 class TimingCache:
     """Memoises :func:`estimate_node_gemm` results across sweeps and workloads.
 
@@ -116,10 +103,11 @@ class TimingCache:
     that is safe because :class:`~repro.mmae.dataflow.GEMMTimingBreakdown`
     is frozen.
 
-    The key holds the :class:`~repro.mmae.dataflow.MemoryEnvironment`
-    itself: it is a frozen dataclass, so it hashes and compares by value,
-    and a lookup costs one field-tuple hash rather than a deep copy.
-    Lookups track distinct layer shapes, not layers or nodes: the layer
+    The key holds the :class:`~repro.core.config.MACOConfig` and the
+    :class:`~repro.mmae.dataflow.MemoryEnvironment` themselves: both are
+    frozen dataclasses, so they hash and compare by value (a lookup hashes
+    their field tuples), and two equal configurations built separately
+    share one entry.  Lookups track distinct layer shapes, not layers or nodes: the layer
     stream (:func:`repro.core.mapping.layer_stream_seconds`) and the
     parallel phase planners price each distinct shape once per call, and a
     partitioned layer looks up each distinct sub-GEMM once, so a layer that
@@ -149,16 +137,6 @@ class TimingCache:
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _key(
-        config: MACOConfig,
-        shape: GEMMShape,
-        active_nodes: int,
-        prediction_enabled: bool,
-        env: Optional[MemoryEnvironment],
-    ) -> Tuple:
-        return (config_fingerprint(config), shape, active_nodes, prediction_enabled, env)
-
     def estimate(
         self,
         config: MACOConfig,
@@ -170,7 +148,7 @@ class TimingCache:
         """Cached :func:`estimate_node_gemm` (bit-identical to the direct call)."""
         if prediction_enabled is None:
             prediction_enabled = config.prediction_enabled
-        key = self._key(config, shape, active_nodes, prediction_enabled, env)
+        key = (config, shape, active_nodes, prediction_enabled, env)
         cached = self._store.get(key)
         if cached is not None:
             self.hits += 1
@@ -187,9 +165,7 @@ class TimingCache:
 
 
 #: Process-wide default cache shared by the system model, the baselines and the
-#: sweeps.  :class:`repro.core.batch.SweepRunner` seeds its pool workers with a
-#: snapshot of the runner's cache, so warm entries carry into parallel sweeps
-#: (entries computed inside workers die with the pool).
+#: sweeps (a :class:`repro.core.batch.SweepRunner` built without ``cache``).
 DEFAULT_TIMING_CACHE = TimingCache()
 
 

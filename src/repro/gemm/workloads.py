@@ -14,7 +14,7 @@ streams, the HPL ladder) as a :class:`~repro.workloads.graph.WorkloadGraph`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.gemm.precision import Precision
 
@@ -80,19 +80,6 @@ class GEMMShape:
 
     def with_precision(self, precision: Precision) -> "GEMMShape":
         return GEMMShape(self.m, self.n, self.k, precision)
-
-    def split_rows(self, parts: int) -> List["GEMMShape"]:
-        """Split along M into ``parts`` nearly equal shapes (used by multi-node mapping)."""
-        if parts <= 0:
-            raise ValueError("parts must be positive")
-        if parts > self.m:
-            raise ValueError(f"cannot split M={self.m} into {parts} parts")
-        base, extra = divmod(self.m, parts)
-        shapes = []
-        for index in range(parts):
-            rows = base + (1 if index < extra else 0)
-            shapes.append(GEMMShape(rows, self.n, self.k, self.precision))
-        return shapes
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"GEMM(M={self.m}, N={self.n}, K={self.k}, {self.precision})"

@@ -674,7 +674,7 @@ def plan_parallel(
 
     Deterministic and side-effect free: every timing walk goes through the
     shared :class:`~repro.core.perf.TimingCache`, so plans are cheap to sweep
-    and bit-identical for any ``--jobs`` fan-out.
+    and bit-identical whether the cache is cold or warm.
     """
     spec = ParallelismSpec.parse(spec)
     if spec.degree > config.num_nodes:

@@ -153,7 +153,7 @@ def calibrate_overhead_factor(
     counters — and divides its measured cycles by the ideal
     ``MACs / (rows * cols)``.  The result is memoised per geometry, so the
     calibration happens once per process and every plan for the same array
-    reports the same breakdown (deterministic across ``--jobs`` fan-outs).
+    reports the same breakdown.
     """
     import numpy as np
 

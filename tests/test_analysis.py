@@ -76,7 +76,7 @@ class TestTable4Model:
 class TestEfficiencySummaries:
     @pytest.fixture(scope="class")
     def fig6_points(self):
-        return SweepRunner(jobs=1).sweep_prediction(maco_default_config(), [256, 1024])
+        return SweepRunner().sweep_prediction(maco_default_config(), [256, 1024])
 
     def test_efficiency_by_size_filters(self, fig6_points):
         values = efficiency_by_size(fig6_points, prediction_enabled=True)
@@ -89,7 +89,7 @@ class TestEfficiencySummaries:
         assert gaps[1024] > gaps[256]
 
     def test_summarize_scalability_structure(self):
-        points = SweepRunner(jobs=1).sweep_scalability(maco_default_config(), [1024], [1, 16])
+        points = SweepRunner().sweep_scalability(maco_default_config(), [1024], [1, 16])
         summary = summarize_scalability(points)
         assert set(summary) == {1, 16}
         for stats in summary.values():

@@ -154,11 +154,10 @@ class TestComparisonHarness:
             ))
         assert comparison.average_speedup("a", "b") == pytest.approx(2.0)
 
-    @pytest.mark.parametrize("jobs", [None, 2])
-    def test_fig8_seconds_are_pinned(self, config, jobs):
+    def test_fig8_seconds_are_pinned(self, config):
         systems = [CPUOnlyBaseline(config), NoMappingBaseline(config), RASALikeBaseline(config),
                    GemminiLikeBaseline(config), MACOSystem(config)]
-        comparison = compare_systems(systems, dl_benchmark_suite(), num_nodes=NODES, jobs=jobs)
+        comparison = compare_systems(systems, dl_benchmark_suite(), num_nodes=NODES)
         seconds = {system: {name: repr(result.seconds) for name, result in by_name.items()}
                    for system, by_name in comparison.results.items()}
         assert seconds == FIG8_SECONDS

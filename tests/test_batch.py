@@ -1,4 +1,4 @@
-"""Tests for the parallel/cached sweep subsystem (repro.core.batch)."""
+"""Tests for the cached sweep subsystem (repro.core.batch)."""
 
 from dataclasses import dataclass
 
@@ -10,7 +10,6 @@ from repro.core import (
     DesignSpaceExplorer,
     SweepRunner,
     TimingCache,
-    config_fingerprint,
     estimate_node_gemm,
     estimate_node_gemm_cached,
     maco_default_config,
@@ -52,9 +51,17 @@ class TestTimingCache:
         assert cache.misses == 4
         assert cache.hits == 0
 
-    def test_fingerprint_tracks_config_changes(self, small_config):
-        assert config_fingerprint(small_config) == config_fingerprint(small_config)
-        assert config_fingerprint(small_config) != config_fingerprint(small_config.with_nodes(2))
+    def test_equal_configs_share_one_entry(self):
+        # The key holds the frozen config itself, so two configurations built
+        # separately but equal field for field hit the same entry.
+        cache = TimingCache()
+        shape = GEMMShape(512, 512, 512)
+        first, second = maco_default_config(num_nodes=4), maco_default_config(num_nodes=4)
+        assert first is not second
+        estimate_node_gemm_cached(first, shape, active_nodes=2, cache=cache)
+        assert (cache.misses, cache.hits) == (1, 0)
+        estimate_node_gemm_cached(second, shape, active_nodes=2, cache=cache)
+        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
 
     def test_eviction_bounds_entries(self, small_config):
         cache = TimingCache(max_entries=2)
@@ -74,36 +81,16 @@ class TestTimingCache:
 
 
 class TestSweepRunner:
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            SweepRunner(jobs=0)
-
-    def test_parallel_fig6_bit_identical_to_serial(self):
-        config = maco_default_config()
-        serial = SweepRunner(jobs=1).sweep_prediction(config, SIZES)
-        parallel = SweepRunner(jobs=4).sweep_prediction(config, SIZES)
-        assert parallel == serial  # EfficiencyPoint dataclass equality is exact
-
-    def test_parallel_fig7_bit_identical_to_serial(self):
-        config = maco_default_config()
-        serial = SweepRunner(jobs=1).sweep_scalability(config, SIZES, [1, 2, 4])
-        parallel = SweepRunner(jobs=4).sweep_scalability(config, SIZES, [1, 2, 4])
-        assert parallel == serial
-
-    def test_parallel_design_grid_bit_identical_to_serial(self):
-        explorer = DesignSpaceExplorer()
-        points = DesignSpaceExplorer.grid(
-            sa_dims=(2, 4), buffer_kbs=(32, 64), node_counts=(4, 8))
-        square = WorkloadGraph.from_shapes("square", [GEMMShape(1024, 1024, 1024)])
-        serial = explorer.explore(points, square)
-        parallel = explorer.explore(points, square, jobs=4)
-        assert [(r.point, r.seconds, r.gflops, r.efficiency) for r in serial] == \
-               [(r.point, r.seconds, r.gflops, r.efficiency) for r in parallel]
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_invalid_jobs_rejected(self, jobs):
+        # Every sweep runs in the calling process; only jobs=1 is accepted.
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            SweepRunner(jobs=jobs)
 
     def test_serial_sweep_counts_cache_hits(self):
         config = maco_default_config()
         cache = TimingCache()
-        runner = SweepRunner(jobs=1, cache=cache)
+        runner = SweepRunner(cache=cache)
         runner.sweep_prediction(config, SIZES)
         cold_misses = cache.misses
         assert cold_misses == 2 * len(SIZES)
@@ -112,13 +99,67 @@ class TestSweepRunner:
         assert cache.misses == cold_misses
         assert cache.hits == cold_misses
 
+    def test_fig6_sweep_matches_direct_estimates(self):
+        # Prediction outer, size inner; each cell is the uncached estimate.
+        config = maco_default_config()
+        points = SweepRunner(cache=TimingCache()).sweep_prediction(config, SIZES)
+        cells = [(prediction, size) for prediction in (False, True) for size in SIZES]
+        assert [(p.prediction_enabled, p.matrix_size, p.active_nodes) for p in points] == \
+               [(prediction, size, 1) for prediction, size in cells]
+        for point, (prediction, size) in zip(points, cells):
+            timing = estimate_node_gemm(config, GEMMShape(size, size, size, Precision.FP64),
+                                        prediction_enabled=prediction)
+            assert (point.seconds, point.efficiency, point.gflops) == \
+                   (timing.seconds, timing.efficiency, timing.achieved_gflops)
+
+    def test_fig7_sweep_matches_direct_estimates(self):
+        # Node count outer, size inner; throughput scales the per-node rate.
+        config = maco_default_config()
+        node_counts = [1, 2, 4]
+        points = SweepRunner(cache=TimingCache()).sweep_scalability(config, SIZES, node_counts)
+        cells = [(nodes, size) for nodes in node_counts for size in SIZES]
+        assert [(p.active_nodes, p.matrix_size) for p in points] == cells
+        for point, (nodes, size) in zip(points, cells):
+            timing = estimate_node_gemm(config, GEMMShape(size, size, size, Precision.FP64),
+                                        active_nodes=nodes)
+            assert point.prediction_enabled == config.prediction_enabled
+            assert (point.seconds, point.efficiency, point.gflops) == \
+                   (timing.seconds, timing.efficiency, timing.achieved_gflops * nodes)
+
+    def test_warm_rerun_is_bit_identical(self):
+        # A rerun served from the cache reports exactly the cold values.
+        config = maco_default_config()
+        runner = SweepRunner(cache=TimingCache())
+        cold = runner.sweep_scalability(config, SIZES, [1, 2, 4])
+        misses = runner.cache.misses
+        warm = runner.sweep_scalability(config, SIZES, [1, 2, 4])
+        assert runner.cache.misses == misses and runner.cache.hits == misses
+        assert warm == cold  # EfficiencyPoint dataclass equality is exact
+
+    def test_design_grid_explore_matches_per_point_evaluation(self):
+        explorer = DesignSpaceExplorer()
+        points = DesignSpaceExplorer.grid(
+            sa_dims=(2, 4), buffer_kbs=(32, 64), node_counts=(4, 8))
+        square = WorkloadGraph.from_shapes("square", [GEMMShape(1024, 1024, 1024)])
+        ranked = explorer.explore(points, square, runner=SweepRunner(cache=TimingCache()))
+        assert sorted(result.point.name for result in ranked) == \
+               sorted(point.name for point in points)
+        assert [result.gflops for result in ranked] == \
+               sorted((result.gflops for result in ranked), reverse=True)
+        direct = {point.name: explorer.evaluate(point, square, cache=TimingCache())
+                  for point in points}
+        for result in ranked:
+            expected = direct[result.point.name]
+            assert (result.seconds, result.gflops, result.efficiency) == \
+                   (expected.seconds, expected.gflops, expected.efficiency)
+
     def test_repeated_layer_shapes_are_looked_up_once(self):
         # A workload repeating one layer shape looks up each distinct
         # partition sub-shape once, not once per layer: the layer stream
         # times each distinct layer shape once, so repeats never reach the
         # cache.  1024 rows split evenly over 4 nodes: one sub-shape.
         cache = TimingCache()
-        runner = SweepRunner(jobs=1, cache=cache)
+        runner = SweepRunner(cache=cache)
         workload = WorkloadGraph.from_shapes("repeat", [GEMMShape(1024, 1024, 1024)] * 6)
         runner_results = DesignSpaceExplorer().explore(
             [DesignPoint(name="p", num_nodes=4)], workload, runner=runner)
@@ -126,53 +167,21 @@ class TestSweepRunner:
         assert cache.misses == 1
         assert cache.hits == 0
 
-    def test_run_workloads_matches_direct_calls(self, small_config):
+    def test_compare_systems_matches_direct_calls(self, small_config):
         workloads = [
             WorkloadGraph.from_shapes("w1", [GEMMShape(512, 512, 512, Precision.FP32)]),
             WorkloadGraph.from_shapes("w2", [GEMMShape(256, 1024, 256, Precision.FP32)]),
         ]
-        runner = SweepRunner(jobs=2)
-        results = runner.run_workloads(
-            [(CPUOnlyBaseline, small_config), (RASALikeBaseline, small_config)],
-            workloads, num_nodes=2)
+        systems = [CPUOnlyBaseline(small_config), RASALikeBaseline(small_config)]
+        comparison = compare_systems(systems, workloads, num_nodes=2)
         direct = [
             model.run_workload(workload, num_nodes=2)
             for model in (CPUOnlyBaseline(small_config), RASALikeBaseline(small_config))
             for workload in workloads
         ]
-        assert [(r.system, r.name, r.seconds, r.gflops) for r in results] == \
+        assert [(r.system, r.name, r.seconds, r.gflops)
+                for by_name in comparison.results.values() for r in by_name.values()] == \
                [(r.system, r.name, r.seconds, r.gflops) for r in direct]
-
-    def test_pool_initializer_installs_cache_snapshot(self):
-        # The parallel path seeds each worker with the runner's cache via the
-        # pool initializer; the payload cache (serial path) takes precedence.
-        from repro.core import batch
-
-        cache = TimingCache()
-        batch._seed_worker_cache(cache)
-        try:
-            assert batch._task_cache(None) is cache
-            explicit = TimingCache()
-            assert batch._task_cache(explicit) is explicit
-        finally:
-            batch._seed_worker_cache(None)
-
-    def test_parallel_with_warmed_cache_still_identical(self):
-        config = maco_default_config()
-        cache = TimingCache()
-        runner_serial = SweepRunner(jobs=1, cache=cache)
-        serial = runner_serial.sweep_prediction(config, SIZES)
-        runner_parallel = SweepRunner(jobs=2, cache=cache)
-        assert runner_parallel.sweep_prediction(config, SIZES) == serial
-
-    def test_compare_systems_parallel_matches_serial(self, small_config):
-        workloads = [WorkloadGraph.from_shapes("w", [GEMMShape(512, 512, 512, Precision.FP32)])]
-        systems = [CPUOnlyBaseline(small_config), RASALikeBaseline(small_config)]
-        serial = compare_systems(systems, workloads, num_nodes=2)
-        parallel = compare_systems(systems, workloads, num_nodes=2, jobs=2)
-        assert serial.systems() == parallel.systems()
-        for system in serial.systems():
-            assert serial.throughput(system, "w") == parallel.throughput(system, "w")
 
 
 class TestSampling:

@@ -67,17 +67,27 @@ class TestCommands:
         capsys.readouterr()
         assert len(calls) == 5  # the five node counts
 
-    def test_fig6_with_jobs(self, capsys):
-        assert main(["fig6", "--jobs", "2"]) == 0
-        assert "with prediction" in capsys.readouterr().out
+    def test_fig8_rerun_is_byte_identical(self, capsys):
+        # The second run is served from the process-wide timing cache.
+        from repro.core.perf import DEFAULT_TIMING_CACHE
 
-    def test_fig8_with_jobs_matches_serial(self, capsys):
-        assert main(["fig8", "--nodes", "4", "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["fig8", "--nodes", "4", "--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
-        assert "maco" in serial
+        DEFAULT_TIMING_CACHE.clear()
+        assert main(["fig8", "--nodes", "4"]) == 0
+        cold = capsys.readouterr().out
+        misses = DEFAULT_TIMING_CACHE.misses
+        assert main(["fig8", "--nodes", "4"]) == 0
+        assert capsys.readouterr().out == cold
+        assert DEFAULT_TIMING_CACHE.misses == misses
+        assert "maco" in cold
+
+    @pytest.mark.parametrize("command", ["fig6", "fig7", "fig8", "explore", "parallel"])
+    def test_jobs_flag_is_rejected(self, command, capsys):
+        # Every sweep runs in one process; the old worker-pool flag is a
+        # usage error, not a silent no-op.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 class TestExploreCommand:
@@ -86,17 +96,16 @@ class TestExploreCommand:
         assert args.sample == "grid"
         assert args.objective == "gflops"
         assert args.format == "table"
-        assert args.jobs is None
 
     def test_table_output(self, capsys):
         assert main(["explore", "--sample", "random", "--points", "4",
-                     "--jobs", "1", "--size", "1024"]) == 0
+                     "--size", "1024"]) == 0
         output = capsys.readouterr().out
         assert "design point" in output
         assert "pareto" in output
 
     def test_csv_output(self, capsys):
-        assert main(["explore", "--sample", "lhs", "--points", "4", "--jobs", "1",
+        assert main(["explore", "--sample", "lhs", "--points", "4",
                      "--size", "1024", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("design point,sa,buffer_kb,nodes,gflops")
@@ -105,7 +114,7 @@ class TestExploreCommand:
     def test_json_output_parses(self, capsys):
         import json
 
-        assert main(["explore", "--sample", "random", "--points", "3", "--jobs", "1",
+        assert main(["explore", "--sample", "random", "--points", "3",
                      "--size", "1024", "--format", "json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 3
@@ -113,13 +122,13 @@ class TestExploreCommand:
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "results.csv"
-        assert main(["explore", "--sample", "random", "--points", "3", "--jobs", "1",
+        assert main(["explore", "--sample", "random", "--points", "3",
                      "--size", "1024", "--format", "csv", "--output", str(target)]) == 0
         assert "wrote 3 results" in capsys.readouterr().out
         assert target.read_text().startswith("design point,")
 
     def test_objective_ranking(self, capsys):
-        assert main(["explore", "--sample", "random", "--points", "6", "--jobs", "1",
+        assert main(["explore", "--sample", "random", "--points", "6",
                      "--size", "1024", "--objective", "gflops_per_watt",
                      "--format", "json"]) == 0
         import json
@@ -128,21 +137,26 @@ class TestExploreCommand:
         ratios = [record["gflops_per_watt"] for record in records]
         assert ratios == sorted(ratios, reverse=True)
 
-    def test_parallel_explore_matches_serial(self, capsys):
+    def test_explore_rerun_is_byte_identical(self, capsys):
+        from repro.core.perf import DEFAULT_TIMING_CACHE
+
         argv = ["explore", "--sample", "lhs", "--points", "6", "--size", "1024",
                 "--format", "csv"]
-        assert main(argv + ["--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(argv + ["--jobs", "3"]) == 0
-        assert capsys.readouterr().out == serial
+        DEFAULT_TIMING_CACHE.clear()
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        misses = DEFAULT_TIMING_CACHE.misses
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert DEFAULT_TIMING_CACHE.misses == misses
 
     def test_hpl_workload(self, capsys):
-        assert main(["explore", "--sample", "random", "--points", "3", "--jobs", "1",
+        assert main(["explore", "--sample", "random", "--points", "3",
                      "--workload", "hpl", "--size", "1024"]) == 0
         assert "design point" in capsys.readouterr().out
 
     def test_hpl_workload_respects_precision(self, capsys):
-        argv = ["explore", "--sample", "random", "--points", "3", "--jobs", "1",
+        argv = ["explore", "--sample", "random", "--points", "3",
                 "--workload", "hpl", "--size", "1024", "--format", "csv"]
         assert main(argv + ["--precision", "fp64"]) == 0
         fp64 = capsys.readouterr().out
@@ -151,9 +165,6 @@ class TestExploreCommand:
         assert fp32 != fp64  # the precision flag must reach the workload
 
     def test_invalid_domain_input_exits_cleanly(self, capsys):
-        assert main(["explore", "--jobs", "0"]) == 2
-        captured = capsys.readouterr()
-        assert "error: jobs must be >= 1" in captured.err
         assert main(["explore", "--sample", "random", "--points", "0"]) == 2
         assert "error: count must be positive" in capsys.readouterr().err
 
@@ -304,7 +315,7 @@ class TestWorkloadsCommand:
 
 
 class TestPhaseAwareExplore:
-    ARGV = ["explore", "--sample", "random", "--points", "3", "--jobs", "1",
+    ARGV = ["explore", "--sample", "random", "--points", "3",
             "--workload", "llama-7b@decode,layers=1,decode=8,block=4", "--precision", "fp32"]
 
     def test_catalog_workload_aggregate_table(self, capsys):
@@ -324,7 +335,7 @@ class TestPhaseAwareExplore:
     def test_per_phase_square_is_one_generic_phase_per_point(self, capsys):
         import json
 
-        argv = ["explore", "--sample", "random", "--points", "2", "--jobs", "1",
+        argv = ["explore", "--sample", "random", "--points", "2",
                 "--size", "1024", "--format", "json"]
         assert main(argv) == 0
         aggregates = json.loads(capsys.readouterr().out)
@@ -335,7 +346,7 @@ class TestPhaseAwareExplore:
                [(record["design point"], record["seconds"]) for record in aggregates]
 
     def test_unknown_catalog_workload_errors_cleanly(self, capsys):
-        assert main(["explore", "--sample", "random", "--points", "2", "--jobs", "1",
+        assert main(["explore", "--sample", "random", "--points", "2",
                      "--workload", "alexnet"]) == 2
         assert "options" in capsys.readouterr().err
 

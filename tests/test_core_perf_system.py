@@ -74,7 +74,7 @@ class TestNodeGEMMTiming:
 class TestFig6Shape:
     def test_prediction_always_helps_or_ties(self):
         config = maco_default_config()
-        points = SweepRunner(jobs=1).sweep_prediction(config, list(FIG6_MATRIX_SIZES))
+        points = SweepRunner().sweep_prediction(config, list(FIG6_MATRIX_SIZES))
         by_size = {}
         for point in points:
             by_size.setdefault(point.matrix_size, {})[point.prediction_enabled] = point.efficiency
@@ -83,7 +83,7 @@ class TestFig6Shape:
 
     def test_gap_small_below_512_and_peaks_at_1024(self):
         config = maco_default_config()
-        points = SweepRunner(jobs=1).sweep_prediction(config, [256, 512, 1024])
+        points = SweepRunner().sweep_prediction(config, [256, 512, 1024])
         by = {(p.matrix_size, p.prediction_enabled): p.efficiency for p in points}
         gap_256 = by[(256, True)] - by[(256, False)]
         gap_1024 = by[(1024, True)] - by[(1024, False)]
@@ -95,14 +95,14 @@ class TestFig6Shape:
 class TestFig7Shape:
     def test_sixteen_node_efficiency_near_90_percent(self):
         config = maco_default_config()
-        points = SweepRunner(jobs=1).sweep_scalability(config, [1024, 4096, 9216], [16])
+        points = SweepRunner().sweep_scalability(config, [1024, 4096, 9216], [16])
         for point in points:
             assert 0.85 <= point.efficiency <= 1.0
 
     def test_efficiency_monotonically_non_increasing_with_nodes(self):
         config = maco_default_config()
         shape_sizes = [2048]
-        points = SweepRunner(jobs=1).sweep_scalability(config, shape_sizes, [1, 2, 4, 8, 16])
+        points = SweepRunner().sweep_scalability(config, shape_sizes, [1, 2, 4, 8, 16])
         efficiencies = [p.efficiency for p in sorted(points, key=lambda p: p.active_nodes)]
         assert all(later <= earlier + 1e-9 for earlier, later in zip(efficiencies, efficiencies[1:]))
 
@@ -110,8 +110,8 @@ class TestFig7Shape:
         """Paper: ~10% average loss going from one node to sixteen."""
         config = maco_default_config()
         sizes = [1024, 2048, 4096]
-        single = SweepRunner(jobs=1).sweep_scalability(config, sizes, [1])
-        sixteen = SweepRunner(jobs=1).sweep_scalability(config, sizes, [16])
+        single = SweepRunner().sweep_scalability(config, sizes, [1])
+        sixteen = SweepRunner().sweep_scalability(config, sizes, [16])
         loss = (sum(p.efficiency for p in single) - sum(p.efficiency for p in sixteen)) / len(sizes)
         assert 0.03 < loss < 0.15
 
@@ -133,7 +133,7 @@ class TestMACOSystem:
 
     def test_independent_gemms_flops_scale_with_nodes(self, small_config):
         shape = GEMMShape(1024, 1024, 1024)
-        (point,) = SweepRunner(jobs=1).sweep_scalability(small_config, [1024], [4])
+        (point,) = SweepRunner().sweep_scalability(small_config, [1024], [4])
         assert point.gflops == pytest.approx(4 * shape.flops / point.seconds / 1e9)
         assert point.efficiency > 0.9
 

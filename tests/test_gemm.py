@@ -61,12 +61,6 @@ class TestGEMMShape:
     def test_arithmetic_intensity_grows_with_size(self):
         assert GEMMShape(1024, 1024, 1024).arithmetic_intensity > GEMMShape(64, 64, 64).arithmetic_intensity
 
-    def test_split_rows_conserves_work(self):
-        shape = GEMMShape(100, 64, 64)
-        parts = shape.split_rows(8)
-        assert sum(part.m for part in parts) == 100
-        assert sum(part.flops for part in parts) == shape.flops
-
     def test_invalid_dimension_rejected(self):
         with pytest.raises(ValueError):
             GEMMShape(0, 4, 4)

@@ -33,7 +33,7 @@ def test_parallel_plans_match_their_pin():
     config = maco_default_config(num_nodes=16)
     rows = []
     for name in ("bert", "llama-7b@decode", "resnet50"):
-        plans = SweepRunner(jobs=1).sweep_parallelism(config, graph(name), specs=PARALLEL_SPECS)
+        plans = SweepRunner().sweep_parallelism(config, graph(name), specs=PARALLEL_SPECS)
         rows += [(name, str(plan.spec), repr(plan)) for plan in plans]
     assert len(rows) == 24
     assert digest(rows) == "9548aeb0694ba44c"
@@ -44,10 +44,10 @@ def test_explore_rows_match_their_pin():
     rows = []
     for seed in (1, 2, 3, 4):
         points = DesignSpaceExplorer.sample("lhs", LHS_POINTS, seed=seed)
-        results = explorer.explore_graph(points, graph("resnet50"), runner=SweepRunner(jobs=1))
+        results = explorer.explore_graph(points, graph("resnet50"), runner=SweepRunner())
         results += explorer.explore_graph(
             [point for point in points if point.num_nodes >= 4], graph("llama-7b@decode"),
-            runner=SweepRunner(jobs=1), parallelism="tp2d:2x2")
+            runner=SweepRunner(), parallelism="tp2d:2x2")
         rows += [(seed, repr(result)) for result in results]
     assert digest(rows) == "1d5124c02e78dcbf"
 

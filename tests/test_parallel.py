@@ -10,7 +10,7 @@ The two contracts the model stakes out (docs/PARALLELISM.md):
   to their unsharded counterparts.
 
 Plus the collective cost model's invariants, pipeline staging, and the
-determinism of every parallel consumer across ``--jobs``.
+determinism of every parallel consumer on a cold and a warm timing cache.
 """
 
 import json
@@ -513,19 +513,20 @@ class TestExplorerParallelism:
         single = explorer.evaluate_graph(point, graph, cache=cache, parallelism="tp:1")
         assert result.aggregate.seconds < single.aggregate.seconds
 
-    def test_explore_graph_parallel_is_bit_identical_across_jobs(self):
+    def test_explore_graph_parallel_is_bit_identical_cold_and_warm(self):
         explorer = DesignSpaceExplorer()
         points = [DesignPoint(name=f"n{nodes}", num_nodes=nodes) for nodes in (4, 8, 16)]
         graph = workload_graph_by_name(SMALL_LLM)
-        serial = explorer.explore_graph(points, graph, runner=SweepRunner(jobs=1),
-                                        parallelism="tp:4")
-        pooled = explorer.explore_graph(points, graph, runner=SweepRunner(jobs=2),
-                                        parallelism="tp:4")
-        assert [repr(result) for result in serial] == [repr(result) for result in pooled]
+        runner = SweepRunner(cache=TimingCache())
+        cold = explorer.explore_graph(points, graph, runner=runner, parallelism="tp:4")
+        misses = runner.cache.misses
+        warm = explorer.explore_graph(points, graph, runner=runner, parallelism="tp:4")
+        assert runner.cache.misses == misses and runner.cache.hits > 0
+        assert [repr(result) for result in cold] == [repr(result) for result in warm]
 
     def test_sweep_parallelism_orders_cells_row_major(self, config, cache):
         graph = workload_graph_by_name(SMALL_LLM)
-        runner = SweepRunner(jobs=1, cache=cache)
+        runner = SweepRunner(cache=cache)
         plans = runner.sweep_parallelism(config, graph,
                                          strategies=("tp", "pp"), degrees=(1, 2))
         assert [(plan.strategy, plan.degree) for plan in plans] == [
@@ -533,7 +534,7 @@ class TestExplorerParallelism:
 
     def test_sweep_parallelism_accepts_explicit_specs(self, config, cache):
         graph = workload_graph_by_name(SMALL_LLM)
-        runner = SweepRunner(jobs=1, cache=cache)
+        runner = SweepRunner(cache=cache)
         plans = runner.sweep_parallelism(config, graph, specs=("tp:2", "tp2d:2x2"))
         assert [str(plan.spec) for plan in plans] == ["tp:2", "tp2d:2x2"]
         assert plans[1].grid == (2, 2)
@@ -652,12 +653,17 @@ class TestParallelCLI:
         [summary] = payload["summary"]
         assert summary["speedup"] > 1.0
 
-    def test_parallel_is_byte_identical_across_jobs(self, capsys):
+    def test_parallel_rerun_is_byte_identical(self, capsys):
+        # The second run's plans come from the process-wide timing cache.
+        from repro.core.perf import DEFAULT_TIMING_CACHE
+
         argv = ("parallel", "--workload", SMALL_LLM, "--parallel", "auto:1,auto:2,auto:4",
                 "--format", "json")
-        serial = self._run(capsys, *argv, "--jobs", "1")
-        pooled = self._run(capsys, *argv, "--jobs", "2")
-        assert serial == pooled
+        DEFAULT_TIMING_CACHE.clear()
+        cold = self._run(capsys, *argv)
+        misses = DEFAULT_TIMING_CACHE.misses
+        assert self._run(capsys, *argv) == cold
+        assert DEFAULT_TIMING_CACHE.misses == misses
 
     def test_parallel_degree_one_matches_single_node_numbers(self, capsys):
         out = self._run(capsys, "parallel", "--workload", SMALL_LLM,
@@ -690,7 +696,7 @@ class TestParallelCLI:
         from repro.cli import main
 
         assert main(["explore", "--workload", "hpl", "--size", "1024", "--parallel", "tp:2",
-                     "--sample", "lhs", "--points", "4", "--seed", "1", "--jobs", "1",
+                     "--sample", "lhs", "--points", "4", "--seed", "1",
                      "--format", "json"]) == 0
         records = json.loads(capsys.readouterr().out)
         assert records and all(record["nodes"] >= 2 for record in records)
@@ -702,7 +708,7 @@ class TestParallelCLI:
         from repro.cli import main
 
         args = ["explore", "--workload", "hpl", "--parallel", "tp:2", "--sample", "lhs",
-                "--points", "6", "--seed", "1", "--jobs", "1", "--format", "json"]
+                "--points", "6", "--seed", "1", "--format", "json"]
         assert main(args) == 0
         [aggregate] = [record for record in json.loads(capsys.readouterr().out)
                        if record["design point"] == "lhs0000-sa4x4-buf64k-n8"]

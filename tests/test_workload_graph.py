@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.core import DesignPoint, DesignSpaceExplorer, SweepRunner, maco_default_config
+from repro.core import DesignPoint, DesignSpaceExplorer, maco_default_config
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape
 from repro.workloads import (
@@ -346,11 +346,11 @@ class TestPhaseSweeps:
         values = [entry.aggregate.gflops for entry in ranked]
         assert values == sorted(values, reverse=True)
 
-    def test_parallel_graph_sweep_bit_identical(self, tiny_graph):
+    def test_explore_graph_matches_per_point_evaluation(self, tiny_graph):
+        explorer = DesignSpaceExplorer()
         points = [DesignPoint(name=f"n{count}", num_nodes=count) for count in (1, 2, 4)]
-        serial = SweepRunner(jobs=1).evaluate_points_on_graph(points, tiny_graph)
-        parallel = SweepRunner(jobs=2).evaluate_points_on_graph(points, tiny_graph)
-        for one, two in zip(serial, parallel):
-            assert one.aggregate.seconds == two.aggregate.seconds
-            assert [phase.seconds for phase in one.phases] == \
-                   [phase.seconds for phase in two.phases]
+        ranked = explorer.explore_graph(points, tiny_graph)
+        by_name = {entry.point.name: entry for entry in ranked}
+        assert sorted(by_name) == sorted(point.name for point in points)
+        for point in points:
+            assert repr(by_name[point.name]) == repr(explorer.evaluate_graph(point, tiny_graph))
