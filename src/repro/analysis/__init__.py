@@ -11,7 +11,6 @@ from repro.analysis.area_power import (
 from repro.analysis.efficiency import (
     efficiency_gap,
     efficiency_by_size,
-    average_gap,
     summarize_scalability,
 )
 from repro.analysis.reporting import (
@@ -21,7 +20,7 @@ from repro.analysis.reporting import (
     format_gflops,
     format_percent,
 )
-from repro.analysis.roofline import Roofline, RooflinePoint, node_roofline, place_gemm, roofline_sweep
+from repro.analysis.roofline import Roofline, RooflinePoint, node_roofline, place_gemm
 from repro.analysis.energy import EnergyBreakdown, EnergyModel, PowerParameters
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "RooflinePoint",
     "node_roofline",
     "place_gemm",
-    "roofline_sweep",
     "EnergyBreakdown",
     "EnergyModel",
     "PowerParameters",
@@ -41,7 +39,6 @@ __all__ = [
     "mmae_area_breakdown",
     "efficiency_gap",
     "efficiency_by_size",
-    "average_gap",
     "summarize_scalability",
     "render_table",
     "render_series",

@@ -36,14 +36,6 @@ def efficiency_gap(points: Iterable[EfficiencyPoint]) -> Dict[int, float]:
     return gaps
 
 
-def average_gap(points: Iterable[EfficiencyPoint]) -> float:
-    """Average Fig. 6 gap across matrix sizes."""
-    gaps = efficiency_gap(points)
-    if not gaps:
-        raise ValueError("no overlapping sizes between the two sweeps")
-    return in_order_sum(gaps.values()) / len(gaps)
-
-
 def summarize_scalability(points: Iterable[EfficiencyPoint]) -> Dict[int, Dict[str, float]]:
     """Per-node-count summary of the Fig. 7 sweep: min/mean/max per-node efficiency."""
     buckets: Dict[int, List[float]] = {}

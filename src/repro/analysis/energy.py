@@ -10,10 +10,9 @@ just the theoretical Table IV ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.core.config import MACOConfig, maco_default_config
-from repro.core.metrics import SystemResult, WorkloadResult
+from repro.core.metrics import WorkloadResult
 
 
 @dataclass(frozen=True)
@@ -37,11 +36,6 @@ class PowerParameters:
         for fraction in (self.cpu_idle_fraction, self.mmae_idle_fraction):
             if not 0.0 <= fraction <= 1.0:
                 raise ValueError("idle fractions must be within [0, 1]")
-
-    @classmethod
-    def from_config(cls, config: Optional[MACOConfig] = None) -> "PowerParameters":
-        config = config if config is not None else maco_default_config()
-        return cls(cpu_active_w=config.cpu.power_w, mmae_active_w=config.mmae.power_w)
 
 
 @dataclass
@@ -67,22 +61,6 @@ class EnergyBreakdown:
         if self.total_joules <= 0:
             return 0.0
         return self.flops / self.total_joules / 1e9
-
-    @property
-    def energy_per_flop_pj(self) -> float:
-        """Picojoules per floating-point operation."""
-        return self.total_joules / self.flops * 1e12 if self.flops else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "total_joules": self.total_joules,
-            "cpu_joules": self.cpu_joules,
-            "mmae_joules": self.mmae_joules,
-            "uncore_joules": self.uncore_joules,
-            "average_power_w": self.average_power_w,
-            "gflops_per_watt": self.gflops_per_watt,
-            "energy_per_flop_pj": self.energy_per_flop_pj,
-        }
 
 
 class EnergyModel:
@@ -127,7 +105,7 @@ class EnergyModel:
             seconds=total_seconds, flops=flops,
         )
 
-    # ------------------------------------------------------------- result adapters
+    # -------------------------------------------------------------- result adapter
     def for_workload(self, result: WorkloadResult) -> EnergyBreakdown:
         """Energy of a :class:`WorkloadResult` (DL workload run)."""
         return self.estimate(
@@ -135,15 +113,5 @@ class EnergyModel:
             mmae_busy_seconds=result.gemm_seconds,
             cpu_busy_seconds=result.non_gemm_seconds,
             flops=result.gemm_flops,
-            active_nodes=result.num_nodes,
-        )
-
-    def for_system_result(self, result: SystemResult, cpu_busy_seconds: float = 0.0) -> EnergyBreakdown:
-        """Energy of a :class:`SystemResult` (plain GEMM run; the CPU mostly idles)."""
-        return self.estimate(
-            total_seconds=result.seconds,
-            mmae_busy_seconds=result.seconds,
-            cpu_busy_seconds=cpu_busy_seconds,
-            flops=result.flops,
             active_nodes=result.num_nodes,
         )

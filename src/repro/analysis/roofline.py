@@ -12,7 +12,7 @@ for design-space exploration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.core.config import MACOConfig, maco_default_config
 from repro.core.perf import memory_environment
@@ -115,16 +115,3 @@ def place_gemm(
         compute_bound=roofline.is_compute_bound(intensity),
     )
 
-
-def roofline_sweep(
-    sizes: List[int],
-    config: Optional[MACOConfig] = None,
-    precision: Precision = Precision.FP64,
-    active_nodes: int = 1,
-    level: str = "dram",
-) -> Dict[int, RooflinePoint]:
-    """Place a square GEMM of every size on the roofline."""
-    return {
-        size: place_gemm(GEMMShape(size, size, size, precision), config, active_nodes, level)
-        for size in sizes
-    }

@@ -6,8 +6,8 @@ section 10):
 * the **golden corpus** (:mod:`repro.conformance.golden` executed by
   :mod:`repro.conformance.harness`) pins specific kernel outputs — GEMM
   variants across every :class:`~repro.gemm.precision.Precision`, the
-  two-level tile schedule, the im2col conv lowering, MoE top-k routing, the
-  systolic wavefront emulators and the GEMM+ overlap model — against
+  two-level tile schedule, the im2col conv lowering, the systolic wavefront
+  emulators and the GEMM+ overlap model — against
   independent NumPy references under per-precision tolerances, with
   fingerprints committed under ``tests/golden/``;
 * the **fuzz layer** (:mod:`repro.conformance.fuzz`) samples whole scenarios

@@ -23,6 +23,11 @@ check.
 every layer of a stream, where production times each distinct layer shape
 once; the ``layer-stream`` fuzz kind and ``bench layer_stream`` check the
 two agree bit for bit (DESIGN.md section 4.2).
+
+The decomposition invariants :func:`covers_output`,
+:func:`total_assigned_flops` and :func:`check_covers_shape` say that a node
+partition and a tiling lose and repeat no work; :func:`pages_per_tile` is a
+strict upper bound on the pages a tile touches (DESIGN.md section 3).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import dataclasses
 import math
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from repro.core.mapping import partition_gemm
+from repro.core.mapping import MappingPlan, partition_gemm
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig, TwoLevelTiling
 from repro.gemm.workloads import GEMMShape
@@ -45,6 +50,7 @@ from repro.mmae.dataflow import (
     timing_from_schedule,
 )
 from repro.mmae.matlb import (
+    MatrixLayout,
     TranslationStallEstimate,
     TranslationTimingParameters,
     _unique_pages,
@@ -57,6 +63,10 @@ __all__ = [
     "estimate_gemm_timing",
     "check_tile_schedule",
     "layer_stream_seconds",
+    "covers_output",
+    "total_assigned_flops",
+    "check_covers_shape",
+    "pages_per_tile",
 ]
 
 
@@ -293,3 +303,40 @@ def layer_stream_seconds(
         plan = partition_gemm(shape, num_nodes)
         total += max(node_seconds(sub) for sub in plan.sub_shapes) + layer_overhead_s
     return total
+
+
+# ---------------------------------------------------- decomposition invariants
+def covers_output(plan: MappingPlan) -> bool:
+    """True if a plan's node slices exactly tile the split dimension of Y."""
+    cursor = 0
+    for start, end in sorted((a.start, a.end) for a in plan.assignments):
+        if start != cursor:
+            return False
+        cursor = end
+    return cursor == (plan.original.m if plan.dimension == "rows" else plan.original.n)
+
+
+def total_assigned_flops(plan: MappingPlan) -> int:
+    """FLOPs across a plan's node slices (equal to the source shape's FLOPs)."""
+    return sum(assignment.shape.flops for assignment in plan.assignments)
+
+
+def check_covers_shape(tiling: TwoLevelTiling) -> bool:
+    """True if the first-level tiles exactly cover the output matrix and K extent."""
+    return sum(tile.macs for tile in tiling.level1_tiles()) == tiling.shape.macs
+
+
+def pages_per_tile(
+    layout: MatrixLayout, row_count: int, col_count: int, page_size: int = DEFAULT_PAGE_SIZE
+) -> int:
+    """Strict upper bound on the distinct pages a ``row_count`` x ``col_count`` tile touches.
+
+    The count the timing model charges (DESIGN.md section 3) plus one page
+    per band, or per row when rows are a page or more apart, for a segment
+    that straddles an alignment boundary.
+    """
+    segment_bytes = col_count * layout.element_bytes
+    row_stride_bytes = layout.row_stride_elements * layout.element_bytes
+    if row_stride_bytes <= page_size:
+        return math.ceil(row_count * row_stride_bytes / page_size) + 1
+    return row_count * (math.ceil(segment_bytes / page_size) + 1)

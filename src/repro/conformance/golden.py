@@ -21,8 +21,6 @@ rest on:
 * ``im2col-conv`` — the conv lowering used by ``resnet50_graph``:
   :func:`im2col_patches` GEMM versus a direct SAME-padded convolution, with
   the patch matrix shape asserted against :func:`conv2d_gemm`;
-* ``moe-topk`` — :func:`route_topk` expert selection and gate weights versus
-  a per-token Python reference (including quantised logits that force ties);
 * ``wavefront`` — the vectorized systolic emulator versus the plain matmul
   golden, with bit-identity to the PE-by-PE emulator of
   :mod:`repro.conformance.functional_oracle` asserted inside the kernel;
@@ -58,6 +56,7 @@ from repro.core.mapping import schedule_gemm_plus
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig, TwoLevelTiling
 from repro.gemm.workloads import GEMMShape
+from repro.conformance.analytic_oracle import check_covers_shape
 from repro.conformance.functional_oracle import SystolicArrayEmulator
 from repro.isa.instructions import GEMMDescriptor
 from repro.mem.hostmem import HostMemory
@@ -68,7 +67,6 @@ from repro.mmae.systolic_array import (
     datapath_operand,
 )
 from repro.workloads.layers import conv2d_gemm
-from repro.workloads.moe import route_topk
 
 __all__ = [
     "PRECISION_TOLERANCES",
@@ -212,7 +210,7 @@ def _tiled_gemm_functional(case: GoldenCase, inputs: dict) -> np.ndarray:
     a, b = inputs["a"], inputs["b"]
     shape = GEMMShape(a.shape[0], b.shape[1], a.shape[1], precision)
     tiling = TwoLevelTiling(shape, level1, level2)
-    if not tiling.check_covers_shape():
+    if not check_covers_shape(tiling):
         raise GoldenMismatch(
             f"{case.name}: two-level tiling does not cover {shape} exactly"
         )
@@ -276,40 +274,6 @@ def _conv_functional(case: GoldenCase, inputs: dict) -> np.ndarray:
 
 def _conv_golden(case: GoldenCase, inputs: dict) -> np.ndarray:
     return conv2d_reference(inputs["images"], inputs["weights"], int(case.param("stride")))
-
-
-# --------------------------------------------------------------- moe-topk
-def _moe_inputs(case: GoldenCase, rng: np.random.Generator) -> dict:
-    tokens = int(case.param("tokens"))
-    experts = int(case.param("experts"))
-    logits = rng.standard_normal((tokens, experts))
-    if case.param("quantize"):
-        # Coarse quantisation forces duplicate logits, exercising the
-        # lower-expert-index tie-break.
-        logits = np.round(logits)
-    return {"logits": logits}
-
-
-def _moe_functional(case: GoldenCase, inputs: dict) -> np.ndarray:
-    indices, weights = route_topk(inputs["logits"], int(case.param("top_k")))
-    return np.concatenate([indices.astype(np.float64), weights], axis=1)
-
-
-def _moe_golden(case: GoldenCase, inputs: dict) -> np.ndarray:
-    import math
-
-    logits = inputs["logits"]
-    top_k = int(case.param("top_k"))
-    tokens, experts = logits.shape
-    out = np.empty((tokens, 2 * top_k), dtype=np.float64)
-    for token in range(tokens):
-        row = logits[token]
-        chosen = sorted(range(experts), key=lambda e: (-row[e], e))[:top_k]
-        gates = [math.exp(float(row[e]) - float(row[chosen[0]])) for e in chosen]
-        total = sum(gates)
-        out[token, :top_k] = chosen
-        out[token, top_k:] = [gate / total for gate in gates]
-    return out
 
 
 # -------------------------------------------------------------- wavefront
@@ -574,7 +538,6 @@ KERNELS: Dict[str, KernelDef] = {
         KernelDef("gemm", _gemm_inputs, _gemm_functional, _gemm_golden),
         KernelDef("tiled-gemm", _gemm_inputs, _tiled_gemm_functional, _gemm_golden),
         KernelDef("im2col-conv", _conv_inputs, _conv_functional, _conv_golden),
-        KernelDef("moe-topk", _moe_inputs, _moe_functional, _moe_golden),
         KernelDef("wavefront", _wavefront_inputs, _wavefront_functional, _wavefront_golden),
         KernelDef("gemm-plus", _gemm_plus_inputs, _gemm_plus_functional, _gemm_plus_golden),
         KernelDef("summa-pipeline", _summa_inputs, _summa_functional, _summa_golden),
@@ -617,16 +580,6 @@ def default_corpus() -> List[GoldenCase]:
             {"batch": 2, "in_channels": 5, "out_channels": 8, "kernel": 3,
              "stride": 2, "input_size": 13, "precision": tag},
         ))
-    cases.append(_case(
-        "moe-topk-8x2", "moe-topk", 503,
-        {"tokens": 96, "experts": 8, "top_k": 2, "quantize": False,
-         "precision": "fp64"},
-    ))
-    cases.append(_case(
-        "moe-topk-ties-16x4", "moe-topk", 509,
-        {"tokens": 64, "experts": 16, "top_k": 4, "quantize": True,
-         "precision": "fp64"},
-    ))
     cases.append(_case(
         "wavefront-4x4", "wavefront", 601,
         {"rows": 4, "cols": 4, "tr": 24, "precision": "fp64"},

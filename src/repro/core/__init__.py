@@ -37,7 +37,6 @@ from repro.core.metrics import (
     WorkloadResult,
     speedup,
     geometric_mean,
-    average_efficiency,
 )
 from repro.core.perf import (
     DEFAULT_TIMING_CACHE,
@@ -86,7 +85,6 @@ __all__ = [
     "WorkloadResult",
     "speedup",
     "geometric_mean",
-    "average_efficiency",
     "DEFAULT_TIMING_CACHE",
     "EfficiencyPoint",
     "SweepRunner",

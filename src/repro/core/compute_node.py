@@ -36,11 +36,6 @@ class GEMMSubmission:
     result: Optional[TaskResult] = None
 
     @property
-    def completed(self) -> bool:
-        """True once MA_STATE has observed the task done."""
-        return self.status is not None and self.status.done
-
-    @property
     def exception(self) -> ExceptionType:
         """The task's exception outcome (NONE when it completed cleanly)."""
         if self.result is not None:

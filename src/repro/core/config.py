@@ -245,10 +245,6 @@ class MACOConfig:
         """A copy of this configuration with a different node count."""
         return replace(self, num_nodes=num_nodes)
 
-    def with_prediction(self, enabled: bool) -> "MACOConfig":
-        """Copy of this config with predictive address translation toggled."""
-        return replace(self, prediction_enabled=enabled)
-
     def with_mapping(self, enabled: bool) -> "MACOConfig":
         """Copy of this config with the stash/lock mapping scheme toggled."""
         return replace(self, mapping_scheme_enabled=enabled)

@@ -170,15 +170,6 @@ class GraphEvaluationResult:
     phases: List[PhaseResult] = field(default_factory=list)
     parallelism: Optional[str] = None
 
-    @property
-    def point(self) -> DesignPoint:
-        return self.aggregate.point
-
-    @property
-    def bottleneck(self) -> PhaseResult:
-        """The phase that dominates the graph's runtime."""
-        return max(self.phases, key=lambda phase: phase.seconds)
-
 
 class DesignSpaceExplorer:
     """Evaluates and ranks design points on a GEMM workload."""
@@ -527,17 +518,6 @@ class DesignSpaceExplorer:
             for point in points
         ]
         return sorted(results, key=lambda result: key(result.aggregate), reverse=True)
-
-    def best(
-        self,
-        points: Iterable[DesignPoint],
-        graph: WorkloadGraph,
-        objective: Callable[[EvaluationResult], float] | str = "gflops",
-        runner: Optional[SweepRunner] = None,
-    ) -> EvaluationResult:
-        """The best design point under the chosen objective."""
-        ranked = self.explore(points, graph, objective, runner=runner)
-        return ranked[0]
 
     @staticmethod
     def _objective(objective: Callable[[EvaluationResult], float] | str) -> Callable[[EvaluationResult], float]:

@@ -95,21 +95,6 @@ class MappingPlan:
         """Bytes stashed and locked in the L3 ahead of the computation (:func:`gemm_stash_bytes`)."""
         return gemm_stash_bytes(self.original, self.num_nodes)
 
-    def covers_output(self) -> bool:
-        """True if the assignments exactly tile the split dimension of Y."""
-        covered = sorted((a.start, a.end) for a in self.assignments)
-        cursor = 0
-        for start, end in covered:
-            if start != cursor:
-                return False
-            cursor = end
-        target = self.original.m if self.dimension == "rows" else self.original.n
-        return cursor == target
-
-    def total_assigned_flops(self) -> int:
-        """FLOPs across all assignments (equals the source shape's FLOPs)."""
-        return sum(assignment.shape.flops for assignment in self.assignments)
-
 
 def _split(shape: GEMMShape) -> Tuple[SplitDimension, int]:
     """The output dimension a GEMM is partitioned along, and its extent."""

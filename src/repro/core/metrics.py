@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.core.mapping import in_order_sum
 from repro.gemm.workloads import GEMMShape
 from repro.mmae.dataflow import GEMMTimingBreakdown
 
@@ -43,23 +42,9 @@ class SystemResult:
         return self.flops / self.seconds / 1e9 if self.seconds > 0 else 0.0
 
     @property
-    def tflops(self) -> float:
-        """Aggregate achieved throughput in TFLOPS."""
-        return self.gflops / 1e3
-
-    @property
     def efficiency(self) -> float:
         """Achieved fraction of the aggregate MMAE peak."""
         return self.gflops / self.peak_gflops if self.peak_gflops else 0.0
-
-    @property
-    def per_node_efficiency(self) -> float:
-        """Average per-node efficiency (the Fig. 7 metric)."""
-        if not self.node_results:
-            return self.efficiency
-        per_node_peak = self.peak_gflops / self.num_nodes
-        values = [node.gflops / per_node_peak for node in self.node_results if per_node_peak]
-        return in_order_sum(values) / len(values) if values else 0.0
 
 
 @dataclass
@@ -81,11 +66,6 @@ class WorkloadResult:
     def gflops(self) -> float:
         """Throughput on the GEMM FLOPs (the Fig. 8 y-axis metric)."""
         return self.gemm_flops / self.seconds / 1e9 if self.seconds > 0 else 0.0
-
-    @property
-    def tflops(self) -> float:
-        """GEMM throughput in TFLOPS."""
-        return self.gflops / 1e3
 
     @property
     def efficiency(self) -> float:
@@ -110,10 +90,3 @@ def geometric_mean(values: List[float]) -> float:
     for value in values:
         product *= value
     return product ** (1.0 / len(values))
-
-
-def average_efficiency(results: List[SystemResult]) -> float:
-    """Arithmetic mean of per-node efficiencies across a sweep (Fig. 7 summary)."""
-    if not results:
-        raise ValueError("no results to average")
-    return in_order_sum(result.per_node_efficiency for result in results) / len(results)

@@ -122,7 +122,6 @@ class MasterTaskQueue:
             raise ValueError("MTQ must have at least one entry")
         self.name = name
         self.entries: List[MTQEntry] = [MTQEntry(maid=index) for index in range(num_entries)]
-        self.allocations = 0
         self.releases = 0
         self.exceptions_recorded = 0
 
@@ -144,7 +143,6 @@ class MasterTaskQueue:
                 entry.asid = asid
                 entry.exception_en = False
                 entry.exception_type = ExceptionType.NONE
-                self.allocations += 1
                 return entry.maid
         return None
 
@@ -194,9 +192,6 @@ class MasterTaskQueue:
     # ------------------------------------------------------------------ reporting
     def state_of(self, maid: int) -> MTQState:
         return self._entry(maid).state
-
-    def entries_for_asid(self, asid: int) -> List[MTQEntry]:
-        return [entry for entry in self.entries if entry.valid and entry.asid == asid]
 
     def outstanding_tasks(self) -> int:
         return sum(1 for entry in self.entries if entry.state is MTQState.RUNNING)

@@ -69,9 +69,6 @@ class ProcessManager:
             raise KeyError(f"no process with ASID {asid}")
         return self._processes[asid]
 
-    def processes(self) -> List[Process]:
-        return list(self._processes.values())
-
     def switch_to(self, asid: int, registers: Optional[RegisterFile] = None) -> int:
         """Switch the core to the process with ``asid``; returns the cycle cost.
 

@@ -11,13 +11,12 @@ the DNN streams) live in :mod:`repro.workloads`.
 """
 
 from repro.gemm.precision import Precision
-from repro.gemm.workloads import GEMMShape, paper_matrix_sizes
+from repro.gemm.workloads import GEMMShape
 from repro.gemm.tiling import TileConfig, Tile, TwoLevelTiling, tile_classes, tile_ranges
 
 __all__ = [
     "Precision",
     "GEMMShape",
-    "paper_matrix_sizes",
     "TileConfig",
     "Tile",
     "TwoLevelTiling",

@@ -50,14 +50,6 @@ class Tile:
     k_start: int
     k_end: int
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.row_start < self.row_end):
-            raise ValueError(f"bad row range in {self}")
-        if not (0 <= self.col_start < self.col_end):
-            raise ValueError(f"bad col range in {self}")
-        if not (0 <= self.k_start < self.k_end):
-            raise ValueError(f"bad k range in {self}")
-
     @property
     def rows(self) -> int:
         return self.row_end - self.row_start
@@ -73,13 +65,6 @@ class Tile:
     @property
     def macs(self) -> int:
         return self.rows * self.cols * self.depth
-
-    def operand_bytes(self, element_bytes: int) -> Tuple[int, int, int]:
-        """Bytes of the A, B and C sub-blocks this tile touches."""
-        a_bytes = self.rows * self.depth * element_bytes
-        b_bytes = self.depth * self.cols * element_bytes
-        c_bytes = self.rows * self.cols * element_bytes
-        return a_bytes, b_bytes, c_bytes
 
 
 def tile_ranges(extent: int, tile: int) -> List[Tuple[int, int]]:
@@ -146,20 +131,6 @@ class TwoLevelTiling:
         self.level2 = level2
 
     # ------------------------------------------------------------------ counts
-    @property
-    def level1_grid(self) -> Tuple[int, int, int]:
-        """Number of first-level tiles along (M, N, K)."""
-        return (
-            math.ceil(self.shape.m / self.level1.rows),
-            math.ceil(self.shape.n / self.level1.cols),
-            math.ceil(self.shape.k / self.level1.k_block),
-        )
-
-    @property
-    def num_level1_tiles(self) -> int:
-        grid_m, grid_n, grid_k = self.level1_grid
-        return grid_m * grid_n * grid_k
-
     def level2_grid(self, tile: Tile) -> Tuple[int, int, int]:
         """Number of second-level tiles along (M, N, K) inside a first-level tile."""
         return (
@@ -198,9 +169,3 @@ class TwoLevelTiling:
                         k0 + k_start,
                         k0 + k_end,
                     )
-
-    # -------------------------------------------------------------- validation
-    def check_covers_shape(self) -> bool:
-        """True if the level-1 tiles exactly cover the output matrix and K extent."""
-        covered_macs = sum(tile.macs for tile in self.level1_tiles())
-        return covered_macs == self.shape.macs

@@ -14,7 +14,6 @@ streams, the HPL ladder) as a :class:`~repro.workloads.graph.WorkloadGraph`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.gemm.precision import Precision
 
@@ -73,22 +72,5 @@ class GEMMShape:
         """Total unique operand bytes (A + B + C)."""
         return self.bytes_a + self.bytes_b + self.bytes_c
 
-    @property
-    def arithmetic_intensity(self) -> float:
-        """FLOPs per unique byte touched, the classic roofline metric."""
-        return self.flops / self.total_bytes
-
-    def with_precision(self, precision: Precision) -> "GEMMShape":
-        return GEMMShape(self.m, self.n, self.k, precision)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"GEMM(M={self.m}, N={self.n}, K={self.k}, {self.precision})"
-
-
-def paper_matrix_sizes(figure: int = 7) -> Sequence[int]:
-    """Return the matrix sizes swept by Fig. 6 (``figure=6``) or Fig. 7 (``figure=7``)."""
-    if figure == 6:
-        return FIG6_MATRIX_SIZES
-    if figure == 7:
-        return FIG7_MATRIX_SIZES
-    raise ValueError(f"no matrix-size sweep defined for figure {figure}")

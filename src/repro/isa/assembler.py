@@ -46,13 +46,6 @@ class Program:
     def machine_words(self) -> List[int]:
         return [encode_instruction(instruction) for instruction in self.instructions]
 
-    def listing(self) -> str:
-        """A human-readable word + mnemonic listing."""
-        lines = []
-        for word, instruction in zip(self.machine_words(), self.instructions):
-            lines.append(f"{word:#010x}    {instruction}")
-        return "\n".join(lines)
-
 
 def _parse_register(token: str, line_number: int) -> int:
     token = token.strip().rstrip(",")

@@ -67,8 +67,3 @@ def decode_instruction(word: int) -> Instruction:
     rn = (word >> 5) & 0b11111
     rd = word & 0b11111
     return Instruction(opcode=_OPCODE_FROM_FUNCT[funct], rd=rd, rn=rn)
-
-
-def is_mpais_word(word: int) -> bool:
-    """Cheap test used by the decoder front-end to steer words to the MPAIS unit."""
-    return 0 <= word < (1 << 32) and (word >> 22) == MPAIS_OPCODE_SPACE

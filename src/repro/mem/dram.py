@@ -70,17 +70,12 @@ class DRAMModel:
         efficiency = max(0.70, 1.0 - 0.03 * excess)
         return total * efficiency
 
-    def per_stream_bandwidth(self, concurrent_streams: int = 1) -> float:
-        """Bandwidth one of ``concurrent_streams`` equal streams can sustain."""
-        return self.effective_bandwidth(concurrent_streams) / concurrent_streams
-
     def node_capacity_bytes(self, num_nodes: int = 1) -> int:
         """DRAM capacity one of ``num_nodes`` equal nodes can claim.
 
-        The aggregate capacity behind the CCMs splits evenly across the fleet,
-        mirroring :meth:`per_stream_bandwidth`.  The serving simulator sizes
-        its per-node KV budget as this share minus the resident model weights
-        (``repro.serve.autoscale.derive_kv_budget``).
+        The aggregate capacity behind the CCMs splits evenly across the fleet.
+        The serving simulator sizes its per-node KV budget as this share minus
+        the resident model weights (``repro.serve.autoscale.derive_kv_budget``).
         """
         if num_nodes <= 0:
             raise ValueError("num_nodes must be positive")

@@ -53,10 +53,6 @@ class HostMemory:
                 )
         self._regions[base_vaddr] = new_region
 
-    def unregister(self, base_vaddr: int) -> None:
-        """Drop the region registered at ``base_vaddr`` (no-op if absent)."""
-        self._regions.pop(base_vaddr, None)
-
     def matrix_at(self, base_vaddr: int) -> np.ndarray:
         """Return the array registered exactly at ``base_vaddr``."""
         region = self._regions.get(base_vaddr)
@@ -73,17 +69,6 @@ class HostMemory:
             if region.base_vaddr <= vaddr < region.end_vaddr:
                 return base
         return None
-
-    def write_matrix(self, base_vaddr: int, values: np.ndarray) -> None:
-        """Overwrite the contents of a registered matrix in place."""
-        region = self._regions.get(base_vaddr)
-        if region is None:
-            raise HostMemoryError(f"no matrix registered at {base_vaddr:#x}")
-        if values.shape != region.array.shape:
-            raise HostMemoryError(
-                f"shape mismatch writing {base_vaddr:#x}: {values.shape} vs {region.array.shape}"
-            )
-        region.array[...] = values
 
     def zero_region(self, base_vaddr: int) -> None:
         """Functional effect of MA_INIT on a registered matrix."""

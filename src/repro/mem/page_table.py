@@ -223,7 +223,3 @@ class PageTableWalker:
         self.walks_performed += len(vpns)
         self.total_walk_cycles += int(cycles.sum())
         return cycles
-
-    @property
-    def average_walk_cycles(self) -> float:
-        return self.total_walk_cycles / self.walks_performed if self.walks_performed else 0.0

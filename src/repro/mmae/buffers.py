@@ -2,15 +2,15 @@
 
 The MMAE integrates 192 KB of high-capacity buffers for data reuse (paper
 Section III.A), split into an A buffer, a B buffer and a C buffer feeding the
-systolic array.  The buffer model tracks allocations so the accelerator
-controller can reject tiles that do not fit (raising the BUFFER_OVERFLOW
-exception of Table III) and so the double-buffering occupancy is explicit.
+systolic array.  The model holds each buffer's capacity only: the accelerator
+controller checks that a second-level tile, double-buffered, fits before it
+runs (:meth:`BufferSet.check_tile_fits`, raising the BUFFER_OVERFLOW
+exception of Table III).  No allocation state is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.gemm.precision import Precision
 
@@ -21,51 +21,14 @@ class BufferAllocationError(Exception):
 
 @dataclass
 class ScratchpadBuffer:
-    """A single software-managed scratchpad (no tags, explicit allocation)."""
+    """A single software-managed scratchpad (no tags), modelled by its capacity."""
 
     name: str
     capacity_bytes: int
-    used_bytes: int = 0
-    allocations: Dict[str, int] = field(default_factory=dict)
-    peak_used_bytes: int = 0
 
     def __post_init__(self) -> None:
         if self.capacity_bytes <= 0:
             raise ValueError(f"{self.name}: capacity must be positive")
-
-    @property
-    def free_bytes(self) -> int:
-        return self.capacity_bytes - self.used_bytes
-
-    @property
-    def occupancy(self) -> float:
-        return self.used_bytes / self.capacity_bytes
-
-    def can_fit(self, size_bytes: int) -> bool:
-        return size_bytes <= self.free_bytes
-
-    def allocate(self, label: str, size_bytes: int) -> None:
-        """Reserve ``size_bytes`` under ``label``; raises if it does not fit."""
-        if size_bytes <= 0:
-            raise ValueError(f"{self.name}: allocation size must be positive")
-        if label in self.allocations:
-            raise BufferAllocationError(f"{self.name}: label {label!r} already allocated")
-        if not self.can_fit(size_bytes):
-            raise BufferAllocationError(
-                f"{self.name}: cannot fit {size_bytes} bytes (free: {self.free_bytes})"
-            )
-        self.allocations[label] = size_bytes
-        self.used_bytes += size_bytes
-        self.peak_used_bytes = max(self.peak_used_bytes, self.used_bytes)
-
-    def release(self, label: str) -> None:
-        if label not in self.allocations:
-            raise BufferAllocationError(f"{self.name}: no allocation named {label!r}")
-        self.used_bytes -= self.allocations.pop(label)
-
-    def release_all(self) -> None:
-        self.allocations.clear()
-        self.used_bytes = 0
 
 
 class BufferSet:
@@ -142,8 +105,3 @@ class BufferSet:
             except BufferAllocationError:
                 break
         return best
-
-    def release_all(self) -> None:
-        self.a.release_all()
-        self.b.release_all()
-        self.c.release_all()

@@ -17,7 +17,7 @@ independent of how many nodes are active.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.gemm.tiling import TileConfig, check_tile_levels, tile_classes
 from repro.gemm.workloads import GEMMShape
@@ -118,18 +118,6 @@ class GEMMTimingBreakdown:
     def efficiency(self) -> float:
         """Achieved fraction of the MMAE's theoretical peak for this precision."""
         return self.achieved_gflops / self.peak_gflops if self.peak_gflops else 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "total_cycles": self.total_cycles,
-            "compute_cycles": self.compute_cycles,
-            "exposed_dma_cycles": self.exposed_dma_cycles,
-            "translation_stall_cycles": self.translation_stall_cycles,
-            "setup_cycles": self.setup_cycles,
-            "fill_cycles": self.fill_cycles,
-            "achieved_gflops": self.achieved_gflops,
-            "efficiency": self.efficiency,
-        }
 
 
 def _ceil_blocks(extent: int, tile: int, block: int) -> int:

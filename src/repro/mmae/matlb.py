@@ -134,16 +134,6 @@ class PageTablePredictor:
             self._templates[key] = offsets
         return (first - first_offset) + offsets
 
-    def pages_per_tile(
-        self, layout: MatrixLayout, row_count: int, col_count: int
-    ) -> int:
-        """Upper bound on distinct pages a tile of the given size touches."""
-        segment_bytes = col_count * layout.element_bytes
-        row_stride_bytes = layout.row_stride_elements * layout.element_bytes
-        if row_stride_bytes <= self.page_size:
-            return math.ceil(row_count * row_stride_bytes / self.page_size) + 1
-        return row_count * (math.ceil(segment_bytes / self.page_size) + 1)
-
 
 # --------------------------------------------------------------------------- functional mATLB
 @dataclass

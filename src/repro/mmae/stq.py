@@ -60,7 +60,6 @@ class SlaveTaskQueue:
         self.name = name
         self._entries: List[STQEntry] = []
         self._completion_callback: Optional[Callable[[int, ExceptionType], None]] = None
-        self.tasks_received = 0
         self.tasks_completed = 0
         self.tasks_failed = 0
 
@@ -78,7 +77,6 @@ class SlaveTaskQueue:
             raise ValueError(f"unknown task kind {kind!r}")
         entry = STQEntry(maid=maid, asid=asid, kind=kind, descriptor=descriptor)
         self._entries.append(entry)
-        self.tasks_received += 1
         return entry
 
     @property
@@ -112,12 +110,3 @@ class SlaveTaskQueue:
         self.tasks_failed += 1
         if self._completion_callback is not None:
             self._completion_callback(entry.maid, exception)
-
-    def retire_finished(self) -> int:
-        """Drop completed/failed entries; returns how many were removed."""
-        before = len(self._entries)
-        self._entries = [
-            entry for entry in self._entries
-            if entry.state in (STQEntryState.WAITING, STQEntryState.RUNNING)
-        ]
-        return before - len(self._entries)

@@ -91,14 +91,6 @@ class SystolicArray:
         self._tile_cycles_cache[key] = cycles
         return cycles
 
-    def ideal_tile_cycles(self, tr: int, tc: int, tk: int, precision: Precision = Precision.FP64) -> float:
-        """Lower bound: MACs divided by the array's MAC rate."""
-        return tr * tc * tk / self.macs_per_cycle(precision)
-
-    def tile_utilization(self, tr: int, tc: int, tk: int, precision: Precision = Precision.FP64) -> float:
-        """Fraction of peak the array sustains on one tile (<= 1)."""
-        return self.ideal_tile_cycles(tr, tc, tk, precision) / self.tile_cycles(tr, tc, tk, precision)
-
     # --------------------------------------------------------------- functional
     def compute_tile(
         self,

@@ -93,15 +93,37 @@ class Request:
             raise ValueError(f"request {self.request_id}: {problem}")
 
 
+def _number_problem(name: str, value: object, whole: bool = False) -> Optional[str]:
+    """Why ``value`` is no number for field ``name``, or ``None`` when it is one.
+
+    A boolean is no number here, although ``float(True)`` is 1.0, and a
+    ``whole`` field takes no fraction, although ``int(1.5)`` is 1.
+    """
+    if isinstance(value, bool):
+        return f"{name} must be a number, got {value!r}"
+    if whole and isinstance(value, float) and not value.is_integer():
+        return f"{name} must be a whole number, got {value!r}"
+    return None
+
+
 def _field_problem(
     arrival_s: float, priority: int, ttft_slo_s: Optional[float], tpot_slo_s: Optional[float]
 ) -> Optional[str]:
     """Why a request's scheduling fields are unusable, or ``None`` when they are fine.
 
+    No field may be a boolean, and the priority must be a whole number.
     Arrivals must be finite, non-negative and on the event engine's tick
     clock (:data:`~repro.serve.report.TICK_LIMIT`); SLO targets finite and
     positive; priorities must fit int32 (the trace column type).
     """
+    problem = (
+        _number_problem("arrival_s", arrival_s)
+        or _number_problem("ttft_slo_s", ttft_slo_s)
+        or _number_problem("tpot_slo_s", tpot_slo_s)
+        or _number_problem("priority", priority, whole=True)
+    )
+    if problem is not None:
+        return problem
     if not (math.isfinite(arrival_s) and 0 <= arrival_s
             and arrival_s * TICKS_PER_SECOND < TICK_LIMIT):
         return (f"arrival time must be finite, non-negative and below 2**63 - 1 ns, "
@@ -655,6 +677,16 @@ def bursty_trace(
 
 
 # ---------------------------------------------------------------- trace replay
+#: The numeric fields of a replay record, and whether each must be whole.
+_NUMBER_FIELDS = (
+    ("arrival_s", False),
+    ("priority", True),
+    ("ttft_slo_s", False),
+    ("tpot_slo_s", False),
+    ("request_id", True),
+)
+
+
 def _iter_json_records(text: str) -> Iterator[object]:
     """Yield the elements of a top-level JSON array one at a time.
 
@@ -700,12 +732,15 @@ def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay")
     Each record needs ``tenant``, ``workload`` and ``arrival_s``;
     ``precision``, ``priority`` and the ``ttft_slo_s``/``tpot_slo_s``
     deadlines are optional (default fp32, priority 0, no deadlines), so
-    traces recorded before those fields existed replay unchanged.  Records
-    are re-sorted and re-numbered, so a hand-edited file stays valid — unless
-    they carry explicit ``request_id`` fields, which must then be unique and
-    increasing in file order (a duplicated or out-of-order id in a recorded
-    trace means the file was corrupted or mis-merged, so it is an error, not
-    something to silently renumber away).
+    traces recorded before those fields existed replay unchanged.  A JSON
+    boolean in a numeric field, or a fraction in ``priority`` or
+    ``request_id``, is an error naming the record and the field, never
+    coerced to a number.  Records are re-sorted and re-numbered, so a
+    hand-edited file stays valid — unless they carry explicit ``request_id``
+    fields, which must then be unique and increasing in file order (a
+    duplicated or out-of-order id in a recorded trace means the file was
+    corrupted or mis-merged, so it is an error, not something to silently
+    renumber away).
 
     File input streams record by record straight into column buffers: no
     intermediate list of dicts is ever built, so replaying a million-request
@@ -735,6 +770,11 @@ def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay")
     for sequence, record in enumerate(records):
         if not isinstance(record, dict):
             raise ValueError(f"replay record {sequence} is malformed: {record!r}")
+        # Checked before float()/int() below would coerce them silently.
+        for field, whole in _NUMBER_FIELDS:
+            problem = _number_problem(field, record.get(field), whole)
+            if problem is not None:
+                raise ValueError(f"replay record {sequence}: {problem}")
         try:
             arrival = float(record["arrival_s"])
             tenant = str(record["tenant"])

@@ -34,7 +34,6 @@ from repro.workloads.moe import (
     MoEConfig,
     balanced_routed_tokens,
     moe_workload_graph,
-    route_topk,
 )
 from repro.workloads.registry import (
     WorkloadVariant,
@@ -73,7 +72,6 @@ __all__ = [
     "MoEConfig",
     "balanced_routed_tokens",
     "moe_workload_graph",
-    "route_topk",
     "WorkloadVariant",
     "catalog_entry",
     "describe_workload",

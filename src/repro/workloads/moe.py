@@ -22,9 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
 
 from repro.gemm.precision import Precision
 from repro.workloads.graph import Phase, PhaseKind, WorkloadGraph
@@ -34,7 +31,6 @@ __all__ = [
     "MoEConfig",
     "balanced_routed_tokens",
     "moe_workload_graph",
-    "route_topk",
 ]
 
 
@@ -48,33 +44,6 @@ def balanced_routed_tokens(tokens: int, top_k: int, experts: int) -> int:
     if tokens <= 0 or top_k <= 0 or experts <= 0:
         raise ValueError("tokens, top_k and experts must be positive")
     return max(1, math.ceil(tokens * top_k / experts))
-
-
-def route_topk(logits: np.ndarray, top_k: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Top-k expert routing with softmax-renormalised gate weights.
-
-    ``logits`` is ``(tokens, experts)``.  Returns ``(indices, weights)``:
-    ``indices[t]`` holds the ``top_k`` chosen experts of token ``t`` ordered
-    by descending logit with ties broken toward the lower expert index, and
-    ``weights[t]`` the softmax of the selected logits (computed in float64,
-    so each row sums to 1).  This is the functional model of the router GEMM's
-    tail that :func:`moe_workload_graph` charges as element-wise work; the
-    conformance harness checks it against a per-token Python reference.
-    """
-    if logits.ndim != 2:
-        raise ValueError(f"expected (tokens, experts) logits, got shape {logits.shape}")
-    tokens, experts = logits.shape
-    if not 1 <= top_k <= experts:
-        raise ValueError(f"top_k must be in 1..{experts}, got {top_k}")
-    scores = logits.astype(np.float64)
-    # Stable argsort of the negated logits: equal logits keep index order,
-    # which makes the tie-break deterministic and platform-independent.
-    indices = np.argsort(-scores, axis=1, kind="stable")[:, :top_k]
-    selected = np.take_along_axis(scores, indices, axis=1)
-    shifted = selected - selected[:, :1]  # top logit is the row max
-    gates = np.exp(shifted)
-    weights = gates / gates.sum(axis=1, keepdims=True)
-    return indices.astype(np.int64), weights
 
 
 @dataclass(frozen=True)

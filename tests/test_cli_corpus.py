@@ -8,7 +8,8 @@ every entry; a documented behaviour change re-takes the digests with::
 
 and says in CHANGES.md which entries moved and why.
 
-Commands run in this process through :func:`repro.cli.main`: their output
+Commands run in this process through :func:`repro.cli.main`, from the repo
+root whatever directory pytest started in: their output
 does not depend on what ran before them (the same digests come out cold,
 warm, in reverse order and in a fresh interpreter).  Examples run as
 scripts.  Stdout is hashed as it is, so an entry must print nothing that
@@ -50,8 +51,14 @@ def _run(entry):
     from repro.cli import main
 
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(list(entry["argv"]))
+    # Relative paths in an entry (a replay --trace-file) name files in the repo.
+    previous = os.getcwd()
+    os.chdir(REPO_ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(list(entry["argv"]))
+    finally:
+        os.chdir(previous)
     return out.getvalue().encode(), code
 
 

@@ -7,7 +7,9 @@ Covers the three layers of ``repro.conformance``:
 * the **harness error paths** — a mutated kernel is caught with a message
   naming the kernel, seed and worst element plus a replayable spec;
   malformed golden files fail loudly naming the file; ``--regen`` is
-  guarded against dirty corpora and refused outright in CI;
+  guarded against dirty corpora and refused outright in CI; the
+  decomposition checks (output coverage, conserved FLOPs, tile coverage,
+  the page bound) each fail on a deliberately broken split;
 * the **fuzz layer** — scenario generation is deterministic in
   ``(seed, index)``, every kind holds on its canonical budget, violations
   shrink to minimal replayable specs, and the edge scenarios the PR's fuzz
@@ -16,10 +18,12 @@ Covers the three layers of ``repro.conformance``:
   no violations — the invariants inherited from the earlier parity PRs held.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.conformance import (
@@ -43,8 +47,18 @@ from repro.conformance import (
     write_golden_file,
 )
 from repro.conformance.fuzz import SCENARIO_KINDS, ScenarioFailure
+from repro.conformance.analytic_oracle import (
+    check_covers_shape,
+    covers_output,
+    pages_per_tile,
+    total_assigned_flops,
+)
 from repro.conformance.harness import _check_regen_allowed
+from repro.core.mapping import MappingPlan, partition_gemm
 from repro.gemm.precision import Precision
+from repro.gemm.tiling import TwoLevelTiling
+from repro.gemm.workloads import GEMMShape
+from repro.mmae.matlb import MatrixLayout, PageTablePredictor
 
 
 def corpus_case(name):
@@ -105,7 +119,7 @@ class TestCommittedCorpus:
             assert fingerprint["shape"], f"{path.name} has no shape pin"
 
     def test_fingerprint_drift_is_reported_as_failure(self):
-        case = corpus_case("moe-topk-8x2")
+        case = corpus_case("wavefront-4x4")
         path = DEFAULT_GOLDEN_DIR / f"{case.name}.json"
         _, fingerprint = load_golden_file(path)
         fingerprint = dict(fingerprint)
@@ -176,6 +190,63 @@ class TestMutationDetection:
         worst = compare_arrays(functional, golden, rtol=1e-6, atol=1e-6)
         assert worst is not None
         assert worst.index == (1, 0)
+
+
+class TestDecompositionInvariants:
+    """Each decomposition check must fail on a broken split, not only pass on a good one."""
+
+    @staticmethod
+    def _break_assignments(monkeypatch, mutate):
+        original = MappingPlan.assignments.fget
+        monkeypatch.setattr(MappingPlan, "assignments", property(lambda plan: mutate(original(plan))))
+
+    def test_covers_output_catches_a_dropped_slice(self, monkeypatch):
+        plan = partition_gemm(GEMMShape(1027, 64, 64), 4)
+        assert covers_output(plan)
+        self._break_assignments(monkeypatch, lambda slices: slices[:-1])
+        assert not covers_output(plan)
+
+    def test_covers_output_catches_overlapping_slices(self, monkeypatch):
+        plan = partition_gemm(GEMMShape(64, 4096, 512), 8)
+        assert plan.dimension == "cols" and covers_output(plan)
+        self._break_assignments(
+            monkeypatch,
+            lambda slices: [dataclasses.replace(slices[0], end=slices[0].end + 1)] + slices[1:],
+        )
+        assert not covers_output(plan)
+
+    def test_total_assigned_flops_catches_a_dropped_slice(self, monkeypatch):
+        shape = GEMMShape(1000, 777, 333)
+        plan = partition_gemm(shape, 6)
+        assert total_assigned_flops(plan) == shape.flops
+        self._break_assignments(monkeypatch, lambda slices: slices[1:])
+        assert total_assigned_flops(plan) < shape.flops
+
+    def test_check_covers_shape_catches_a_missing_tile(self, monkeypatch):
+        tiling = TwoLevelTiling(GEMMShape(1000, 900, 1100))
+        assert check_covers_shape(tiling)
+        original = TwoLevelTiling.level1_tiles
+        monkeypatch.setattr(TwoLevelTiling, "level1_tiles", lambda self: list(original(self))[:-1])
+        assert not check_covers_shape(tiling)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        element_bytes=st.sampled_from([2, 4, 8]),
+        rows=st.integers(1, 96), cols=st.integers(1, 96), pad=st.integers(0, 2048),
+        base_elements=st.integers(0, 4096), data=st.data(),
+    )
+    def test_pages_per_tile_bounds_every_tile(self, element_bytes, rows, cols, pad, base_elements,
+                                              data):
+        # Unaligned bases and strides both under and over a page: the bound
+        # must hold wherever the tile sits in the matrix.
+        layout = MatrixLayout(base_elements * element_bytes, rows, cols, cols + pad, element_bytes)
+        tile_rows = data.draw(st.integers(1, rows))
+        tile_cols = data.draw(st.integers(1, cols))
+        row_start = data.draw(st.integers(0, rows - tile_rows))
+        col_start = data.draw(st.integers(0, cols - tile_cols))
+        exact = PageTablePredictor().tile_page_vaddrs(layout, row_start, tile_rows, col_start,
+                                                     tile_cols)
+        assert len(exact) <= pages_per_tile(layout, tile_rows, tile_cols)
 
 
 # ------------------------------------------------------------- harness errors
@@ -470,7 +541,7 @@ class TestConformanceCLI:
         assert main(["conformance", "run"]) == 0
         output = capsys.readouterr().out
         assert "golden conformance corpus" in output
-        assert "all 21 golden case(s) passed" in output
+        assert "all 19 golden case(s) passed" in output
 
     def test_fuzz_smoke_budget(self, capsys):
         assert main(["conformance", "fuzz", "--cases", "14", "--seed", "0"]) == 0
@@ -480,7 +551,7 @@ class TestConformanceCLI:
     def test_regen_into_scratch_dir_then_check(self, tmp_path, capsys):
         golden_dir = str(tmp_path / "scratch")
         assert main(["conformance", "run", "--regen", "--golden-dir", golden_dir]) == 0
-        assert "regenerated 21 golden file(s)" in capsys.readouterr().out
+        assert "regenerated 19 golden file(s)" in capsys.readouterr().out
         assert main(["conformance", "run", "--golden-dir", golden_dir]) == 0
 
     def test_regen_refused_in_ci_exits_2(self, tmp_path, monkeypatch, capsys):

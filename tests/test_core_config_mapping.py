@@ -10,6 +10,7 @@ from repro.core import (
     partition_workload,
     schedule_gemm_plus,
 )
+from repro.conformance.analytic_oracle import covers_output, total_assigned_flops
 from repro.core.config import CPUConfig, MemoryConfig, MMAEConfig
 from repro.gemm import GEMMShape, Precision
 from repro.mem.address import DEFAULT_LINE_SIZE
@@ -85,10 +86,10 @@ class TestMACOConfig:
 
     def test_with_nodes_and_flags_are_copies(self):
         config = maco_default_config()
-        other = config.with_nodes(4).with_prediction(False).with_mapping(False)
+        other = config.with_nodes(4).with_mapping(False)
         assert other.num_nodes == 4
-        assert not other.prediction_enabled and not other.mapping_scheme_enabled
-        assert config.num_nodes == 16 and config.prediction_enabled
+        assert not other.mapping_scheme_enabled
+        assert config.num_nodes == 16 and config.mapping_scheme_enabled
 
     def test_paper_tiling_defaults(self):
         config = maco_default_config()
@@ -106,17 +107,17 @@ class TestPartitionGEMM:
         plan = partition_gemm(GEMMShape(1024, 1024, 1024), 4)
         assert plan.num_nodes == 4
         assert plan.dimension == "rows"
-        assert plan.covers_output()
+        assert covers_output(plan)
 
     def test_wide_gemm_splits_columns(self):
         plan = partition_gemm(GEMMShape(64, 4096, 512), 8)
         assert plan.dimension == "cols"
-        assert plan.covers_output()
+        assert covers_output(plan)
 
     def test_work_is_conserved(self):
         shape = GEMMShape(1000, 777, 333)
         plan = partition_gemm(shape, 6)
-        assert plan.total_assigned_flops() == shape.flops
+        assert total_assigned_flops(plan) == shape.flops
 
     def test_balanced_within_one_unit(self):
         plan = partition_gemm(GEMMShape(1027, 64, 64), 8)
@@ -198,8 +199,8 @@ class TestPartitionGEMM:
     def test_partition_properties(self, m, n, k, nodes):
         shape = GEMMShape(m, n, k)
         plan = partition_gemm(shape, nodes)
-        assert plan.covers_output()
-        assert plan.total_assigned_flops() == shape.flops
+        assert covers_output(plan)
+        assert total_assigned_flops(plan) == shape.flops
         assert plan.num_nodes <= nodes
 
 

@@ -12,7 +12,6 @@ import pytest
 from repro.core import (
     MACOSystem,
     SweepRunner,
-    average_efficiency,
     estimate_node_gemm,
     geometric_mean,
     maco_default_config,
@@ -233,12 +232,7 @@ class TestMetrics:
         with pytest.raises(ValueError):
             geometric_mean([1.0, -1.0])
 
-    def test_average_efficiency_requires_results(self):
-        with pytest.raises(ValueError):
-            average_efficiency([])
-
     def test_workload_result_properties(self):
         result = self._result("x", (0.5, 50e9))
         assert result.gflops == pytest.approx(100.0)
-        assert result.tflops == pytest.approx(0.1)
         assert result.efficiency == pytest.approx(1.0)

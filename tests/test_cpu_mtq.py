@@ -132,13 +132,6 @@ class TestQueries:
         with pytest.raises(ValueError):
             mtq.query(5)
 
-    def test_entries_for_asid(self):
-        mtq = MasterTaskQueue()
-        mtq.allocate(asid=3)
-        mtq.allocate(asid=3)
-        mtq.allocate(asid=4)
-        assert len(mtq.entries_for_asid(3)) == 2
-
     def test_outstanding_tasks(self):
         mtq = MasterTaskQueue()
         a = mtq.allocate(asid=0)

@@ -29,7 +29,7 @@ class TestFunctionalGEMMThroughMPAIS:
         b = rng.standard_normal((96, 72))
         c = rng.standard_normal((80, 72))
         result, submission = node.run_gemm_functional(a, b, c, Precision.FP64)
-        assert submission.completed
+        assert submission.status.done
         assert submission.exception is ExceptionType.NONE
         np.testing.assert_allclose(result, a @ b + c, rtol=1e-10, atol=1e-10)
 
@@ -77,7 +77,7 @@ class TestFunctionalGEMMThroughMPAIS:
             a = rng.standard_normal((32, 32))
             b = rng.standard_normal((32, 32))
             result, submission = node.run_gemm_functional(a, b, None, ttr=32, ttc=32)
-            assert submission.completed
+            assert submission.status.done
             np.testing.assert_allclose(result, a @ b, rtol=1e-10)
 
 

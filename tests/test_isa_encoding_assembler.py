@@ -9,7 +9,6 @@ from repro.isa.encoding import (
     MPAIS_OPCODE_SPACE,
     decode_instruction,
     encode_instruction,
-    is_mpais_word,
 )
 from repro.isa.instructions import Instruction, Opcode
 
@@ -57,10 +56,6 @@ class TestEncoding:
         word = (MPAIS_OPCODE_SPACE << 22) | (0b111111 << 16)
         with pytest.raises(EncodingError):
             decode_instruction(word)
-
-    def test_is_mpais_word(self):
-        assert is_mpais_word(encode_instruction(Instruction(Opcode.MA_READ, 0, 1)))
-        assert not is_mpais_word(0xD503201F)  # an AArch64 NOP
 
 
 class TestAssembler:
@@ -119,8 +114,3 @@ class TestAssembler:
         with pytest.raises(AssemblyError) as excinfo:
             assemble_program("MA_CFG X1, X2\nMA_WRONG X1, X2")
         assert excinfo.value.line_number == 2
-
-    def test_listing_contains_hex_words(self):
-        program = assemble_program("MA_CFG X1, X2")
-        assert "0x" in program.listing()
-        assert "MA_CFG" in program.listing()

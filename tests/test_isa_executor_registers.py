@@ -185,4 +185,4 @@ class TestTaskManagement:
         executor.set_asid(9)
         self._submit_task(executor, regs)
         assert mmae.gemms[0][1] == 9
-        assert mtq.entries_for_asid(9)
+        assert any(entry.valid and entry.asid == 9 for entry in mtq.entries)

@@ -3,44 +3,8 @@
 import pytest
 
 from repro.gemm.precision import Precision
-from repro.mmae.buffers import BufferAllocationError, BufferSet, ScratchpadBuffer
+from repro.mmae.buffers import BufferAllocationError, BufferSet
 from repro.mmae.dma import DMAEngine
-
-
-class TestScratchpadBuffer:
-    def test_allocate_and_release(self):
-        buffer = ScratchpadBuffer("a", 1024)
-        buffer.allocate("tile0", 512)
-        assert buffer.used_bytes == 512
-        buffer.release("tile0")
-        assert buffer.used_bytes == 0
-
-    def test_overflow_rejected(self):
-        buffer = ScratchpadBuffer("a", 1024)
-        with pytest.raises(BufferAllocationError):
-            buffer.allocate("big", 2048)
-
-    def test_duplicate_label_rejected(self):
-        buffer = ScratchpadBuffer("a", 1024)
-        buffer.allocate("x", 100)
-        with pytest.raises(BufferAllocationError):
-            buffer.allocate("x", 100)
-
-    def test_release_unknown_label_rejected(self):
-        with pytest.raises(BufferAllocationError):
-            ScratchpadBuffer("a", 64).release("nope")
-
-    def test_peak_usage_tracked(self):
-        buffer = ScratchpadBuffer("a", 1024)
-        buffer.allocate("x", 600)
-        buffer.release("x")
-        buffer.allocate("y", 200)
-        assert buffer.peak_used_bytes == 600
-
-    def test_occupancy(self):
-        buffer = ScratchpadBuffer("a", 1000)
-        buffer.allocate("x", 250)
-        assert buffer.occupancy == pytest.approx(0.25)
 
 
 class TestBufferSet:

@@ -57,15 +57,6 @@ class TestSlaveTaskQueue:
         with pytest.raises(ValueError):
             SlaveTaskQueue().receive(0, 0, "matmul", None)
 
-    def test_retire_finished(self):
-        stq = SlaveTaskQueue()
-        entry = stq.receive(0, 0, "gemm", None)
-        entry.mark_running()
-        stq.complete(entry, 1.0)
-        stq.receive(1, 0, "gemm", None)
-        assert stq.retire_finished() == 1
-        assert stq.occupancy == 1
-
 
 def make_controller(host_memory=None, mmu=None, prediction=True) -> AcceleratorController:
     controller = AcceleratorController(
@@ -260,7 +251,3 @@ class TestDataflowTiming:
     def test_peak_matches_precision(self):
         assert estimate_gemm_timing(GEMMShape(256, 256, 256, Precision.FP32)).peak_gflops == pytest.approx(160.0)
         assert estimate_gemm_timing(GEMMShape(256, 256, 256, Precision.FP16)).peak_gflops == pytest.approx(320.0)
-
-    def test_summary_keys(self):
-        summary = estimate_gemm_timing(GEMMShape(256, 256, 256)).summary()
-        assert {"total_cycles", "compute_cycles", "efficiency"} <= set(summary)

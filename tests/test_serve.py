@@ -366,6 +366,10 @@ HOSTILE_FIELDS = [
     ({"tpot_slo_s": float("inf")}, "TPOT"),
     ({"ttft_slo_s": 0.0}, "TTFT"),
     ({"priority": 2**31}, "int32"),
+    ({"priority": 1.5}, "priority must be a whole number"),
+    ({"priority": True}, "priority must be a number"),
+    ({"arrival_s": True}, "arrival_s must be a number"),
+    ({"tpot_slo_s": True}, "tpot_slo_s must be a number"),
 ]
 
 

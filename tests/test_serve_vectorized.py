@@ -173,6 +173,15 @@ class TestReplayStreaming:
         with pytest.raises(ValueError, match="out-of-order"):
             replay_trace(records)
 
+    @pytest.mark.parametrize("first, second", [(3.9, 3.1), (2.9, 3.1), (True, 2)])
+    def test_fractional_or_boolean_request_id_is_an_error(self, first, second):
+        records = [
+            {"request_id": first, "tenant": "a", "workload": "bert", "arrival_s": 0.1},
+            {"request_id": second, "tenant": "a", "workload": "bert", "arrival_s": 0.2},
+        ]
+        with pytest.raises(ValueError, match="record 0: request_id must be a"):
+            replay_trace(records)
+
     def test_mixed_id_presence_is_an_error(self):
         records = [
             {"request_id": 1, "tenant": "a", "workload": "bert", "arrival_s": 0.1},

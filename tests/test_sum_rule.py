@@ -152,39 +152,12 @@ class TestReferenceSums:
 # explorer, terms that also round differently), so a site that went back to
 # ``sum()`` would change bits under :func:`sum312`.
 
-def _average_gap():
-    from repro.analysis.efficiency import average_gap
-    from repro.core.perf import EfficiencyPoint
-
-    return average_gap(
-        EfficiencyPoint(size, 1, enabled, 0.1 if enabled else 0.0, 1.0, 1.0)
-        for size in range(64, 704, 64) for enabled in (True, False))
-
-
 def _summarize_scalability():
     from repro.analysis.efficiency import summarize_scalability
     from repro.core.perf import EfficiencyPoint
 
     return summarize_scalability(
         EfficiencyPoint(size, 4, True, 0.1, 1.0, 1.0) for size in range(64, 704, 64))
-
-
-def _per_node_efficiency():
-    from repro.core.metrics import NodeResult, SystemResult
-    from repro.gemm import GEMMShape
-
-    # Ten nodes at 1 GFLOP/s each against a 10 GFLOP/s per-node peak.
-    nodes = [NodeResult(node_id, 1.0, 10**9) for node_id in range(10)]
-    return SystemResult(GEMMShape(64, 64, 64), 10, 1.0, 10**10, 100.0,
-                        node_results=nodes).per_node_efficiency
-
-
-def _average_efficiency():
-    from repro.core.metrics import SystemResult, average_efficiency
-    from repro.gemm import GEMMShape
-
-    return average_efficiency(
-        [SystemResult(GEMMShape(64, 64, 64), 1, 1.0, 10**9, 10.0) for _ in range(10)])
 
 
 def _mean_utilization():
@@ -253,10 +226,7 @@ def _service_profiles():
 
 
 ROUTED_SITES = {
-    "average_gap": _average_gap,
     "summarize_scalability": _summarize_scalability,
-    "per_node_efficiency": _per_node_efficiency,
-    "average_efficiency": _average_efficiency,
     "mean_utilization": _mean_utilization,
     "mean_mix_weights": _mean_mix_weights,
     "suggest_rates": _suggest_rates,

@@ -322,7 +322,7 @@ class TestPhaseSweeps:
         assert sum(phase.seconds for phase in result.phases) == pytest.approx(
             result.aggregate.seconds, rel=1e-12)
         assert len(result.phases) == len(tiny_graph)
-        assert result.point is point
+        assert result.aggregate.point is point
 
     def test_aggregate_matches_flat_evaluation(self, tiny_graph):
         explorer = DesignSpaceExplorer(maco_default_config(num_nodes=2))
@@ -332,11 +332,6 @@ class TestPhaseSweeps:
         flat_result = explorer.evaluate(point, flat)
         assert graph_result.aggregate.seconds == pytest.approx(flat_result.seconds, rel=1e-9)
         assert graph_result.aggregate.gflops == pytest.approx(flat_result.gflops, rel=1e-9)
-
-    def test_bottleneck_is_slowest_phase(self, tiny_graph):
-        explorer = DesignSpaceExplorer(maco_default_config(num_nodes=2))
-        result = explorer.evaluate_graph(DesignPoint(name="p", num_nodes=2), tiny_graph)
-        assert result.bottleneck.seconds == max(phase.seconds for phase in result.phases)
 
     def test_explore_graph_sorts_by_objective(self, tiny_graph):
         explorer = DesignSpaceExplorer()
@@ -350,7 +345,7 @@ class TestPhaseSweeps:
         explorer = DesignSpaceExplorer()
         points = [DesignPoint(name=f"n{count}", num_nodes=count) for count in (1, 2, 4)]
         ranked = explorer.explore_graph(points, tiny_graph)
-        by_name = {entry.point.name: entry for entry in ranked}
+        by_name = {entry.aggregate.point.name: entry for entry in ranked}
         assert sorted(by_name) == sorted(point.name for point in points)
         for point in points:
             assert repr(by_name[point.name]) == repr(explorer.evaluate_graph(point, tiny_graph))
